@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import os
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from random import Random
@@ -76,10 +79,29 @@ def _box_from_args(args, r: int, attr: str = "box", nmax_attr: str = "nmax") -> 
     return (getattr(args, nmax_attr) + 1,) * r
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write a temporary file next to `path`, then rename it over `path`.
+
+    An interrupted run leaves the old file (or none), never a truncated one.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, temporary = tempfile.mkstemp(dir=directory, prefix=f".{name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would have.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(temporary, 0o666 & ~umask)
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -164,7 +186,7 @@ def _cmd_c(args) -> int:
     if args.method in ("direct", "both"):
         direct = c_direct(spec, index, args.guard)
     if args.method in ("recursive", "both"):
-        recursive = nestedsums.c_recursive(spec, index)
+        recursive = nestedsums.c_recursive(spec, index, args.guard)
     if args.method == "direct":
         value, agree = direct, None
     elif args.method == "recursive":
@@ -186,7 +208,7 @@ def _cmd_c(args) -> int:
     return code
 
 
-def _random_boxes(rng: Random, r: int, nmax: int) -> tuple[int, ...]:
+def _random_boxes(r: int, nmax: int) -> tuple[int, ...]:
     return tuple(nmax + 1 for _ in range(r))
 
 
@@ -204,6 +226,8 @@ def _cmd_verify(args) -> int:
         return _emit_report(args, report)
 
     if identity == "egf-suite":
+        if args.degree < 1:
+            raise ValueError(f"--degree must be at least 1, got {args.degree}")
         report = verify_operator_suite(degree=args.degree, seed=args.seed)
         return _emit_report(args, report)
 
@@ -219,7 +243,7 @@ def _cmd_verify(args) -> int:
             for _ in range(args.count):
                 spec = random_spec(rng, args.rmax, args.pmax)
                 parts.append(
-                    nestedsums.verify_duality(spec, _random_boxes(rng, spec.r, args.nmax), guard)
+                    nestedsums.verify_duality(spec, _random_boxes(spec.r, args.nmax), guard)
                 )
             report = merge_reports("c-duality", nestedsums.C_DUALITY_STATEMENT, parts)
         return _emit_report(args, report)
@@ -234,7 +258,7 @@ def _cmd_verify(args) -> int:
             parts = []
             for _ in range(args.count):
                 spec = random_spec(rng, args.rmax, args.pmax)
-                nbox = _random_boxes(rng, spec.r, args.nmax)
+                nbox = _random_boxes(spec.r, args.nmax)
                 kbox = (args.kmax + 1,) * spec.r
                 parts.append(nestedsums.verify_difference_formula(spec, nbox, kbox, guard))
             report = merge_reports(
@@ -252,7 +276,7 @@ def _cmd_verify(args) -> int:
                 spec = random_spec(rng, args.rmax, args.pmax)
                 parts.append(
                     nestedsums.verify_recurrence(
-                        spec, _random_boxes(rng, spec.r, args.nmax), guard
+                        spec, _random_boxes(spec.r, args.nmax), guard
                     )
                 )
             report = merge_reports("recurrence", nestedsums.RECURRENCE_STATEMENT, parts)
@@ -276,7 +300,7 @@ def _cmd_verify(args) -> int:
                 )
                 parts.append(
                     nestedsums.verify_shift_identity(
-                        spec, subset, constant, _random_boxes(rng, spec.r, args.nmax), guard
+                        spec, subset, constant, _random_boxes(spec.r, args.nmax), guard
                     )
                 )
             report = merge_reports("shift", nestedsums.SHIFT_STATEMENT, parts)
@@ -311,7 +335,7 @@ def run_bench(
         index = (n,) * spec.r
         direct_s, direct_value = _time_best(repeats, lambda: c_direct(spec, index, guard))
         def cold_recursive():
-            evaluator = RecurrenceEvaluator(spec)
+            evaluator = RecurrenceEvaluator(spec, guard)
             value = evaluator.value(index)
             cold_recursive.memo_entries = evaluator.memo_entries
             return value
@@ -364,7 +388,9 @@ def _cmd_bench(args) -> int:
     return 0 if all(row["equal"] for row in rows) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="mhscalc",
         description="Exact evaluation and identity verification for multiple "

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int]
@@ -63,16 +62,21 @@ def gen_binomial(top: RationalLike, k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError(f"gen_binomial requires natural k, got {k}")
-    return _gen_binomial_cached(Fraction(top), k)
+    top = Fraction(top)
+    # Tops repeat heavily inside nested-sum denominators, so every prefix
+    # C(top, 0..k) is kept, keyed by the canonical Fraction so int and
+    # Fraction callers share entries.  The row grows in a loop, so a cold
+    # call costs no recursion depth.
+    row = _GEN_BINOMIAL_ROWS.get(top)
+    if row is None:
+        row = _GEN_BINOMIAL_ROWS[top] = [Fraction(1)]
+    while len(row) <= k:
+        j = len(row)
+        row.append(row[-1] * (top - (j - 1)) / j)
+    return row[k]
 
 
-@lru_cache(maxsize=None)
-def _gen_binomial_cached(top: Fraction, k: int) -> Fraction:
-    # Tops repeat heavily inside nested-sum denominators; cache on the
-    # canonical Fraction so int and Fraction callers share entries.
-    if k == 0:
-        return Fraction(1)
-    return _gen_binomial_cached(top, k - 1) * (top - (k - 1)) / k
+_GEN_BINOMIAL_ROWS: dict[Fraction, list[Fraction]] = {}
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")

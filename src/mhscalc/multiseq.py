@@ -12,6 +12,8 @@ Operators follow the classical calculus:
                    = sum_{i <= n} (-1)^{|i|} C(n_1, i_1) ... C(n_r, i_r) a(i)
 
 nabla is the multi-dimensional binomial transform and an involution.
+`binomial_transform` applies it to a whole table at once, one axis at a
+time; `nabla` and `iterated_delta` remain the pointwise reference.
 """
 
 from __future__ import annotations
@@ -182,6 +184,40 @@ class MultiSequenceTable:
                 "values": [format_rational(v) for v in self.values],
             }
         )
+
+
+def _difference_triangle(line: list[Fraction]) -> list[Fraction]:
+    """One-axis nabla of a finite line: out[n] = (delta^n a)(0).
+
+    Each row of the forward-difference triangle is a_k - a_{k+1} of the row
+    above; its first entry is the next output.  Only subtractions, no
+    binomial weights.
+    """
+    out = []
+    while line:
+        out.append(line[0])
+        line = [a - b for a, b in zip(line, line[1:])]
+    return out
+
+
+def binomial_transform(table: MultiSequenceTable) -> MultiSequenceTable:
+    """nabla over the whole box of `table`, as r separable one-axis passes.
+
+    (nabla a)(n) only reads a on the box below n, so the transform of a
+    window is exact on that window.  Work is about |box| * sum(N_i) / 2
+    subtractions, against |box| * prod(N_i + 1) / 2^r weighted terms for
+    `nabla` point by point.
+    """
+    values = list(table.values)
+    shape = table.shape
+    for axis, extent in enumerate(shape):
+        stride = math.prod(shape[axis + 1:])
+        span = extent * stride
+        for outer in range(0, len(values), span):
+            for start in range(outer, outer + stride):
+                line = values[start:start + span:stride]
+                values[start:start + span:stride] = _difference_triangle(line)
+    return MultiSequenceTable(table.arity, shape, tuple(values))
 
 
 def materialize(

@@ -28,10 +28,11 @@ The single-slot sums `kt_value` and the two-slot sums `two_index_value`
 have their own classical coefficient normalizations; both must (and are
 verified to) coincide with `c_direct` at t = 1.
 
-Verifiers at the bottom check, point by point on finite boxes, the duality
-(nabla c[x;t] = c[1-x;t]), the difference formula (iterated differences of
-c are again c at doubled parameters), and the shift identity for parameter
-blocks summing to a constant vector.
+Verifiers at the bottom check, on finite boxes, the duality
+(nabla c[x;t] = c[1-x;t], the whole box at once from recurrence fills with
+c_direct at the corner), and point by point the difference formula
+(iterated differences of c are again c at doubled parameters) and the
+shift identity for parameter blocks summing to a constant vector.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Iterator, Sequence
 
 from .errors import GuardExceeded
 from .kernel import binomial, gen_binomial, multinomial, format_rational, parse_rational
-from .multiseq import SequenceRule, iterated_delta, nabla
+from .multiseq import MultiSequenceTable, SequenceRule, binomial_transform, iterated_delta
 from .report import Comparison, VerificationReport
 
 Index = tuple[int, ...]
@@ -165,6 +166,11 @@ def direct_summand_count(spec: NestedSumSpec, n: Sequence[int]) -> int:
     return math.prod(chain_count(ni, spec.p) for ni in n)
 
 
+def recurrence_cell_count(spec: NestedSumSpec, n: Sequence[int]) -> int:
+    """Memo cells a recurrence fill up to corner n writes: p * prod(n_i + 1)."""
+    return spec.p * math.prod(ni + 1 for ni in n)
+
+
 def _check_index(spec: NestedSumSpec, n: Sequence[int]) -> Index:
     n = tuple(n)
     if len(n) != spec.r:
@@ -248,16 +254,19 @@ class RecurrenceEvaluator:
 
     Level 0 is the full spec; level l drops the first l components of every
     block.  Values are filled bottom-up over the box below the requested
-    index, so the memo is populated exactly once per (level, index).
+    index, so the memo is populated exactly once per (level, index).  A fill
+    whose cell count (`recurrence_cell_count`) exceeds `cell_guard` raises
+    GuardExceeded before it starts.
     """
 
-    def __init__(self, spec: NestedSumSpec):
+    def __init__(self, spec: NestedSumSpec, cell_guard: int = DEFAULT_SUMMAND_GUARD):
         levels = [spec]
         while levels[-1].p > 1:
             levels.append(levels[-1].reduce_depth())
         self._levels = levels
         self._memo: dict[tuple[int, Index], Fraction] = {}
         self.spec = spec
+        self.cell_guard = cell_guard
 
     @property
     def memo_entries(self) -> int:
@@ -270,7 +279,17 @@ class RecurrenceEvaluator:
             self._fill(n)
         return self._memo[key]
 
+    def table(self, extents: Sequence[int]) -> MultiSequenceTable:
+        """c over the box prod [0, extents_i), read from one fill up to its corner."""
+        points = list(_box(extents))
+        self.value(points[-1])
+        values = tuple(self._memo[(0, m)] for m in points)
+        return MultiSequenceTable(self.spec.r, tuple(extents), values)
+
     def _fill(self, corner: Index) -> None:
+        cells = recurrence_cell_count(self.spec, corner)
+        if cells > self.cell_guard:
+            raise GuardExceeded("recurrence cell count", cells, self.cell_guard)
         memo = self._memo
         r = self.spec.r
         box = list(itertools.product(*(range(c + 1) for c in corner)))
@@ -305,9 +324,13 @@ class RecurrenceEvaluator:
                 memo[key] = total / (sum(m) + t1)
 
 
-def c_recursive(spec: NestedSumSpec, n: Sequence[int]) -> Fraction:
+def c_recursive(
+    spec: NestedSumSpec,
+    n: Sequence[int],
+    cell_guard: int = DEFAULT_SUMMAND_GUARD,
+) -> Fraction:
     """One-shot recurrence evaluation; reuse a RecurrenceEvaluator for sweeps."""
-    return RecurrenceEvaluator(spec).value(n)
+    return RecurrenceEvaluator(spec, cell_guard).value(n)
 
 
 def c_rule(
@@ -315,11 +338,14 @@ def c_rule(
     method: str = "direct",
     summand_guard: int = DEFAULT_SUMMAND_GUARD,
 ) -> SequenceRule:
-    """c as a memoized arity-r sequence rule, backed by the chosen evaluator."""
+    """c as a memoized arity-r sequence rule, backed by the chosen evaluator.
+
+    The guard bounds direct summands per point or recurrence cells per fill.
+    """
     if method == "direct":
         return SequenceRule(spec.r, lambda idx: c_direct(spec, idx, summand_guard))
     if method == "recursive":
-        evaluator = RecurrenceEvaluator(spec)
+        evaluator = RecurrenceEvaluator(spec, summand_guard)
         return SequenceRule(spec.r, evaluator.value)
     raise ValueError(f"unknown method {method!r}")
 
@@ -427,26 +453,36 @@ def verify_duality(
     box: Sequence[int],
     summand_guard: int = DEFAULT_SUMMAND_GUARD,
 ) -> VerificationReport:
-    """Check nabla c[x|t] = c[1-x|t] pointwise on the box."""
+    """Check nabla c[x|t] = c[1-x|t] at every point of the box.
+
+    The box is evaluated at once: the left side is `binomial_transform` of
+    one recurrence fill of c[x|t], the right side one fill of c[1-x|t],
+    except at the corner, where it is chain enumeration (`c_direct`).  The
+    corner's left side weights every value of the c[x|t] fill by a nonzero
+    binomial, so a wrong recurrence value anywhere in the box fails there.
+
+    Summand counts grow with n, so the corner is the largest point and its
+    `c_direct` runs first: the guard trips before any fill when any point of
+    the box is over it.  The fills are guarded at p times the guard; at
+    depth p >= 2 the corner has at least prod(box) summands, so a fill never
+    trips where `c_direct` passed.  At depth 1 every point has one summand,
+    and the guard bounds the box's prod(box) cells instead.
+    """
     box = tuple(box)
     if len(box) != spec.r:
         raise ValueError(f"box {box} does not match {spec.r} slots")
-    rule = c_rule(spec, "direct", summand_guard)
-    transformed = nabla(rule)
+    points = list(_box(box))
     dual = spec.one_minus()
+    corner_rhs = c_direct(dual, points[-1], summand_guard)
+    cell_guard = spec.p * summand_guard
+    lhs = binomial_transform(RecurrenceEvaluator(spec, cell_guard).table(box)).values
+    rhs = RecurrenceEvaluator(dual, cell_guard).table(box).values[:-1] + (corner_rhs,)
     label = spec.text()
-    report = VerificationReport("c-duality", C_DUALITY_STATEMENT, [])
-    for n in _box(box):
-        report.comparisons.append(
-            Comparison(
-                identity="c-duality",
-                spec=label,
-                index=n,
-                lhs=transformed(n),
-                rhs=c_direct(dual, n, summand_guard),
-            )
-        )
-    return report
+    comparisons = [
+        Comparison(identity="c-duality", spec=label, index=n, lhs=left, rhs=right)
+        for n, left, right in zip(points, lhs, rhs)
+    ]
+    return VerificationReport("c-duality", C_DUALITY_STATEMENT, comparisons)
 
 
 def verify_difference_formula(

@@ -1,10 +1,12 @@
 import json
+import os
+import stat
 from fractions import Fraction as F
 
 import pytest
 
-from mhscalc import nestedsums
-from mhscalc.cli import main
+from mhscalc import cli, nestedsums
+from mhscalc.cli import build_parser, main
 from mhscalc.report import Comparison, VerificationReport
 
 
@@ -131,6 +133,34 @@ def test_guard_exit_code(capsys):
     assert code == 3 and "guard" in err
 
 
+def test_recursive_guard_exit_code(capsys):
+    code, out, err = run(
+        capsys, "c", "--method", "recursive", "--x", "1/2,1/3;1/5,2;3,1", "--t", "2",
+        "--n", "400,400,400", "--guard", "1000",
+    )
+    assert code == 3 and out == ""
+    assert "recurrence cell count" in err and "guard 1000" in err
+
+
+def test_duality_guard_exit_code(capsys):
+    code, out, err = run(
+        capsys, "verify", "--identity", "c-duality", "--x", "1/2,1/3", "--t", "2",
+        "--box", "200", "--guard", "100",
+    )
+    assert code == 3 and out == "" and "guard" in err
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_egf_degree_below_one_exit_code(capsys, degree):
+    code, out, err = run(capsys, "verify", "--identity", "egf-suite", f"--degree={degree}")
+    assert code == 2 and out == ""
+    assert "--degree must be at least 1" in err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
 def test_identity_failure_exit_code(capsys, monkeypatch):
     broken = VerificationReport(
         "c-duality",
@@ -152,6 +182,37 @@ def test_report_out_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["ok"] is True
+
+
+REPORT_ARGV = ("verify", "--identity", "c-duality", "--x", "1/2,1/3", "--t", "2", "--nmax", "3")
+
+
+def test_report_out_file_is_replaced_whole(tmp_path, capsys):
+    _, expected, _ = run(capsys, *REPORT_ARGV)
+    fresh, stale = tmp_path / "fresh.txt", tmp_path / "stale.txt"
+    stale.write_text("an older, longer report\n" * 100)
+    for target in (fresh, stale):
+        code, out, _ = run(capsys, *REPORT_ARGV, "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_bytes() == expected.encode()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fresh.txt", "stale.txt"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+
+
+def test_interrupted_out_write_keeps_the_old_file(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "report.txt"
+    target.write_text("previous report\n")
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main([*REPORT_ARGV, "--out", str(target)])
+    assert target.read_text() == "previous report\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["report.txt"]
 
 
 def test_bench_csv_output(capsys):

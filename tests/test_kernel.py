@@ -1,3 +1,5 @@
+import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -54,6 +56,15 @@ def test_gen_binomial_values():
     assert gen_binomial(F(5, 2), 2) == F(15, 8)
     for t in (F(0), F(-7, 3), F(4), F(9, 2)):
         assert gen_binomial(t, 0) == 1
+
+
+def test_gen_binomial_deep_cold_call():
+    # k far beyond the recursion limit: the prefix row must grow in a loop
+    top, k = F(1, 3), 5000
+    assert k > sys.getrecursionlimit()
+    expected = F(math.prod(1 - 3 * i for i in range(k)), 3**k * math.factorial(k))
+    assert gen_binomial(top, k) == expected
+    assert gen_binomial(top, k - 1) * (top - (k - 1)) / k == expected
 
 
 @given(st.integers(0, 15), st.integers(0, 15))

@@ -5,11 +5,13 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mhscalc.errors import GuardExceeded
 from mhscalc.multiseq import (
     MultiSequenceTable,
     SequenceRule,
+    binomial_transform,
     delta,
     iterated_delta,
     materialize,
@@ -103,6 +105,30 @@ def test_involution_on_random_tables():
         twice = nabla(nabla(a))
         for idx in itertools.product(*(range(e) for e in extents)):
             assert twice(idx) == a(idx)
+
+
+@st.composite
+def tables(draw):
+    arity = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=arity, max_size=arity)))
+    values = draw(
+        st.lists(
+            st.fractions(min_value=-20, max_value=20, max_denominator=12),
+            min_size=math.prod(shape),
+            max_size=math.prod(shape),
+        )
+    )
+    return MultiSequenceTable(arity, shape, tuple(values))
+
+
+@given(tables())
+def test_binomial_transform_matches_pointwise_nabla(table):
+    transformed = binomial_transform(table)
+    assert transformed.shape == table.shape
+    pointwise = nabla(table.as_rule())
+    for idx in table.indices():
+        assert transformed[idx] == pointwise(idx)
+    assert binomial_transform(transformed) == table
 
 
 def test_index_symmetry_of_nabla_differences():

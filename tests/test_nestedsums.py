@@ -6,7 +6,9 @@ import pytest
 
 from mhscalc.errors import GuardExceeded
 from mhscalc.kernel import gen_binomial, multinomial
+from mhscalc.multiseq import MultiSequenceTable, nabla
 from mhscalc.nestedsums import (
+    C_DUALITY_STATEMENT,
     NestedSumSpec,
     RecurrenceEvaluator,
     c_direct,
@@ -20,12 +22,14 @@ from mhscalc.nestedsums import (
     random_shift,
     random_shift_configuration,
     random_spec,
+    recurrence_cell_count,
     two_index_value,
     verify_difference_formula,
     verify_duality,
     verify_recurrence,
     verify_shift_identity,
 )
+from mhscalc.report import Comparison, VerificationReport
 
 
 def c_by_literal_product(spec, n):
@@ -255,6 +259,32 @@ def test_recurrence_evaluator_memo_reuse():
     assert evaluator.memo_entries == entries
 
 
+def test_recurrence_table_matches_direct():
+    cases = (
+        ("2/3", "", (5,)),
+        ("1/2,1/3;0,1", "2", (3, 4)),
+        ("1/2,-2,3;1/5,1,0;-1,1/3,2", "3/2,-1/2", (2, 3, 2)),
+    )
+    for xtext, ttext, extents in cases:
+        spec = NestedSumSpec.parse(xtext, ttext)
+        table = RecurrenceEvaluator(spec).table(extents)
+        assert table.shape == extents
+        for idx in table.indices():
+            assert table[idx] == c_direct(spec, idx)
+
+
+def test_recurrence_cell_guard():
+    spec = NestedSumSpec.parse("1/2,1/3;1/5,2", "2")
+    assert recurrence_cell_count(spec, (4, 4)) == 2 * 5 * 5
+    RecurrenceEvaluator(spec, cell_guard=50).table((5, 5))
+    with pytest.raises(GuardExceeded):
+        RecurrenceEvaluator(spec, cell_guard=49).value((4, 4))
+    with pytest.raises(GuardExceeded):
+        c_recursive(spec, (400, 400), 1000)
+    with pytest.raises(GuardExceeded):
+        c_rule(spec, "recursive", 1000)((400, 400))
+
+
 def test_verify_recurrence_report():
     spec = NestedSumSpec.parse("1/2,1/3;0,1", "2")
     report = verify_recurrence(spec, (3, 3))
@@ -296,6 +326,68 @@ def test_duality_self_dual_at_one_half():
 def test_duality_with_negative_noninteger_shift():
     spec = NestedSumSpec(((F(1, 2), F(2)), (F(-1), F(1, 3))), (F(-3, 2),))
     assert verify_duality(spec, (3, 3)).ok
+
+
+FIXED_DUALITY_CASES = [
+    (NestedSumSpec(((F(1, 2), F(1, 3)),), (F(2),)), (2,)),
+    (NestedSumSpec(((F(2, 7),), (F(-1, 3),)), ()), (3, 3)),
+    (NestedSumSpec(((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))), (F(5, 3),)), (3, 3)),
+    (NestedSumSpec(((F(1, 2), F(2)), (F(-1), F(1, 3))), (F(-3, 2),)), (3, 3)),
+    (NestedSumSpec.parse("1/2,-1/3", "3/4"), (4,)),
+]
+
+
+def pointwise_duality(spec, box):
+    """The duality report built point by point: nabla of direct values."""
+    transformed = nabla(c_rule(spec))
+    dual = spec.one_minus()
+    return VerificationReport(
+        "c-duality",
+        C_DUALITY_STATEMENT,
+        [
+            Comparison("c-duality", spec.text(), n, transformed(n), c_direct(dual, n))
+            for n in itertools.product(*(range(extent) for extent in box))
+        ],
+    )
+
+
+@pytest.mark.parametrize("spec, box", FIXED_DUALITY_CASES)
+def test_duality_report_matches_pointwise_route(spec, box):
+    report = verify_duality(spec, box)
+    reference = pointwise_duality(spec, box)
+    assert report.to_text() == reference.to_text()
+    assert report.to_json() == reference.to_json()
+
+
+def test_duality_fails_on_a_corrupted_fill_value(monkeypatch):
+    spec = NestedSumSpec.parse("1/2,1/3;1/5,2", "2")
+    table = RecurrenceEvaluator.table
+
+    def corrupted(self, extents):
+        out = table(self, extents)
+        if self.spec != spec:
+            return out
+        values = list(out.values)
+        values[1 * extents[1] + 2] += F(1, 10**9)  # index (1, 2), not the corner
+        return MultiSequenceTable(out.arity, out.shape, tuple(values))
+
+    monkeypatch.setattr(RecurrenceEvaluator, "table", corrupted)
+    report = verify_duality(spec, (4, 4))
+    # nabla at n reads every value below n, so exactly the points above (1, 2) fail
+    assert {comp.index for comp in report.failures} == {
+        (i, j) for i in range(1, 4) for j in range(2, 4)
+    }
+    assert report.to_text().endswith("result: FAIL (6 of 16), 16 comparisons\n")
+
+
+def test_duality_guard_trips_at_the_corner():
+    spec = NestedSumSpec.parse("1/2,1/3", "2")
+    with pytest.raises(GuardExceeded) as info:
+        verify_duality(spec, (200,), summand_guard=100)
+    assert info.value.what == "direct summand count" and info.value.size == 200
+    assert verify_duality(spec, (100,), summand_guard=100).ok
+    with pytest.raises(ValueError):
+        verify_duality(spec, (0,), summand_guard=0)
 
 
 def test_difference_formula_zero_order_slice():
