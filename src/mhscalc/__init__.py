@@ -11,13 +11,11 @@ from .multiseq import (
     SequenceRule,
     delta,
     iterated_delta,
-    materialize,
     nabla,
 )
 from .mhs import (
     MultiIndex,
     dual_index,
-    duality_lhs,
     embed_type1,
     embed_type2,
     mhs_value,
@@ -63,11 +61,9 @@ __all__ = [
     "SequenceRule",
     "delta",
     "iterated_delta",
-    "materialize",
     "nabla",
     "MultiIndex",
     "dual_index",
-    "duality_lhs",
     "embed_type1",
     "embed_type2",
     "mhs_value",

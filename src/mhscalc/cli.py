@@ -9,7 +9,8 @@ Subcommands:
   bench   time direct enumeration against the memoized recurrence (CSV)
 
 Exit codes: 0 all checks exact / value computed; 1 an identity comparison
-failed; 2 malformed input; 3 a work guard tripped.
+failed; 2 malformed input (a sweep flag below its floor included) or an
+unwritable --out; 3 a work guard tripped.
 
 Reports are deterministic: a fixed command line (seed included) yields
 byte-identical text/JSON/CSV output.  `bench` is the exception, since its
@@ -29,9 +30,9 @@ import tempfile
 import time
 from fractions import Fraction
 from random import Random
+from typing import Callable, NamedTuple
 
-from . import mhs, nestedsums
-from .egf import verify_operator_suite
+from . import egf, mhs, nestedsums
 from .errors import GuardExceeded
 from .kernel import format_rational, parse_rational
 from .mhs import MultiIndex
@@ -44,16 +45,7 @@ from .nestedsums import (
     random_spec,
     random_shift_configuration,
 )
-from .report import VerificationReport, merge_reports
-
-IDENTITIES = (
-    "mhs-duality",
-    "c-duality",
-    "difference-formula",
-    "recurrence",
-    "shift",
-    "egf-suite",
-)
+from .report import VerificationReport
 
 
 def _parse_index(text: str) -> tuple[int, ...]:
@@ -64,19 +56,7 @@ def _parse_index(text: str) -> tuple[int, ...]:
 
 
 def _spec_from_args(args) -> NestedSumSpec:
-    if not args.x:
-        raise ValueError("--x is required here (blocks as 'x11,x12;x21,x22')")
-    return NestedSumSpec.parse(args.x, args.t or "")
-
-
-def _box_from_args(args, r: int, attr: str = "box", nmax_attr: str = "nmax") -> tuple[int, ...]:
-    box_text = getattr(args, attr, None)
-    if box_text:
-        box = _parse_index(box_text)
-        if len(box) != r:
-            raise ValueError(f"--{attr} {box_text!r} must list {r} extents")
-        return box
-    return (getattr(args, nmax_attr) + 1,) * r
+    return NestedSumSpec.parse(args.x, args.t)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -153,160 +133,153 @@ def _cmd_dual(args) -> int:
 
 def _cmd_embed(args) -> int:
     mu = MultiIndex.parse(args.mu)
-    vectors = {
-        "type1": mhs.embed_type1(mu),
-        "type2": mhs.embed_type2(mu),
-    }
+    vectors = {"type1": mhs.embed_type1(mu), "type2": mhs.embed_type2(mu)}
     if args.kind != "both":
-        wanted = f"type{args.kind}"
-        vector = vectors[wanted]
-        return _emit_value(
-            args,
-            {"command": "embed", "mu": str(mu), wanted: list(vector)},
-            ",".join(str(v) for v in vector),
-        )
+        vectors = {f"type{args.kind}": vectors[f"type{args.kind}"]}
+    lines = {name: ",".join(str(v) for v in vector) for name, vector in vectors.items()}
+    # one vector prints bare, both print one labelled line each
     text = "\n".join(
-        f"{name}: {','.join(str(v) for v in vector)}" for name, vector in vectors.items()
+        f"{name}: {line}" if args.kind == "both" else line for name, line in lines.items()
     )
-    return _emit_value(
-        args,
-        {
-            "command": "embed",
-            "mu": str(mu),
-            "type1": list(vectors["type1"]),
-            "type2": list(vectors["type2"]),
-        },
-        text,
-    )
+    payload = {"command": "embed", "mu": str(mu)}
+    payload.update((name, list(vector)) for name, vector in vectors.items())
+    return _emit_value(args, payload, text)
 
 
 def _cmd_c(args) -> int:
     spec = _spec_from_args(args)
     index = _parse_index(args.n)
-    if args.method in ("direct", "both"):
-        direct = c_direct(spec, index, args.guard)
-    if args.method in ("recursive", "both"):
-        recursive = nestedsums.c_recursive(spec, index, args.guard)
-    if args.method == "direct":
-        value, agree = direct, None
-    elif args.method == "recursive":
-        value, agree = recursive, None
-    else:
-        value, agree = direct, direct == recursive
+    values = []
+    if args.method != "recursive":
+        values.append(c_direct(spec, index, args.guard))
+    if args.method != "direct":
+        values.append(nestedsums.c_recursive(spec, index, args.guard))
     payload = {
         "command": "c",
         "spec": spec.text(),
         "n": list(index),
         "method": args.method,
-        "value": format_rational(value),
+        "value": format_rational(values[0]),
     }
-    if agree is not None:
-        payload["methods_agree"] = agree
-    code = _emit_value(args, payload, format_rational(value))
-    if agree is False:
-        return 1
-    return code
+    if args.method == "both":
+        payload["methods_agree"] = values[0] == values[1]
+    _emit_value(args, payload, format_rational(values[0]))
+    return 0 if values[0] == values[-1] else 1
 
 
-def _random_boxes(r: int, nmax: int) -> tuple[int, ...]:
-    return tuple(nmax + 1 for _ in range(r))
+# --- identity registry for `verify` ---
+
+# Smallest accepted value of each sweep flag; below it a sweep is empty or
+# its random draw is undefined.
+FLAG_FLOORS = {
+    "nmax": 0, "kmax": 0, "wmax": 1, "count": 1, "rmax": 1, "pmax": 1, "degree": 1,
+}
+
+
+class _Identity(NamedTuple):
+    """How `verify` builds and checks the cases of one identity.
+
+    `explicit(args)` is the case the flags name, or None when they name
+    none; then `random(rng, args)`, where the identity has one, draws --count
+    cases from Random(--seed), and otherwise None is the one case.
+    `verify(args, case)` looks its verifier up in the module at call time,
+    so a patched module attribute is the one that runs.
+    """
+
+    explicit: Callable
+    random: Callable | None
+    verify: Callable
+
+
+def _explicit_spec(args):
+    """(spec, box) from --x/--t and --box, whose default is --nmax + 1 per slot."""
+    if not args.x:
+        return None
+    spec = _spec_from_args(args)
+    if not args.box:
+        return spec, (args.nmax + 1,) * spec.r
+    box = _parse_index(args.box)
+    if len(box) != spec.r:
+        raise ValueError(f"--box {args.box!r} must list {spec.r} extents")
+    return spec, box
+
+
+def _random_spec(rng: Random, args):
+    spec = random_spec(rng, args.rmax, args.pmax)
+    return spec, (args.nmax + 1,) * spec.r
+
+
+def _explicit_shift(args):
+    case = _explicit_spec(args)
+    if case is None:
+        return None
+    if not args.subset:
+        raise ValueError("--subset is required with an explicit --x")
+    spec, box = case
+    return spec, _parse_index(args.subset), parse_rational(args.c or "1"), box
+
+
+def _random_shift(rng: Random, args):
+    spec, subset, constant = random_shift_configuration(rng, args.rmax, args.pmax)
+    return spec, subset, constant, (args.nmax + 1,) * spec.r
+
+
+def _mhs_indices(args):
+    return [MultiIndex.parse(args.mu)] if args.mu else None
+
+
+IDENTITIES = {
+    "mhs-duality": _Identity(
+        _mhs_indices,
+        None,
+        lambda args, mus: mhs.verify_mhs_duality(args.wmax, args.nmax, mus),
+    ),
+    "c-duality": _Identity(
+        _explicit_spec,
+        _random_spec,
+        lambda args, case: nestedsums.verify_duality(*case, args.guard),
+    ),
+    "difference-formula": _Identity(
+        _explicit_spec,
+        _random_spec,
+        lambda args, case: nestedsums.verify_difference_formula(
+            *case, (args.kmax + 1,) * case[0].r, args.guard
+        ),
+    ),
+    "recurrence": _Identity(
+        _explicit_spec,
+        _random_spec,
+        lambda args, case: nestedsums.verify_recurrence(*case, args.guard),
+    ),
+    "shift": _Identity(
+        _explicit_shift,
+        _random_shift,
+        lambda args, case: nestedsums.verify_shift_identity(*case, args.guard),
+    ),
+    "egf-suite": _Identity(
+        lambda args: args.seed,
+        None,
+        lambda args, seed: egf.verify_operator_suite(degree=args.degree, seed=seed),
+    ),
+}
 
 
 def _cmd_verify(args) -> int:
-    identity = args.identity
-    guard = args.guard
-
-    if identity == "mhs-duality":
-        if args.mu:
-            report = mhs.verify_mhs_duality(
-                0, args.nmax, mus=[MultiIndex.parse(args.mu)]
-            )
-        else:
-            report = mhs.verify_mhs_duality(args.wmax, args.nmax)
-        return _emit_report(args, report)
-
-    if identity == "egf-suite":
-        if args.degree < 1:
-            raise ValueError(f"--degree must be at least 1, got {args.degree}")
-        report = verify_operator_suite(degree=args.degree, seed=args.seed)
-        return _emit_report(args, report)
-
-    explicit = bool(args.x)
-    rng = Random(args.seed)
-
-    if identity == "c-duality":
-        if explicit:
-            spec = _spec_from_args(args)
-            report = nestedsums.verify_duality(spec, _box_from_args(args, spec.r), guard)
-        else:
-            parts = []
-            for _ in range(args.count):
-                spec = random_spec(rng, args.rmax, args.pmax)
-                parts.append(
-                    nestedsums.verify_duality(spec, _random_boxes(spec.r, args.nmax), guard)
-                )
-            report = merge_reports("c-duality", nestedsums.C_DUALITY_STATEMENT, parts)
-        return _emit_report(args, report)
-
-    if identity == "difference-formula":
-        if explicit:
-            spec = _spec_from_args(args)
-            nbox = _box_from_args(args, spec.r)
-            kbox = (args.kmax + 1,) * spec.r
-            report = nestedsums.verify_difference_formula(spec, nbox, kbox, guard)
-        else:
-            parts = []
-            for _ in range(args.count):
-                spec = random_spec(rng, args.rmax, args.pmax)
-                nbox = _random_boxes(spec.r, args.nmax)
-                kbox = (args.kmax + 1,) * spec.r
-                parts.append(nestedsums.verify_difference_formula(spec, nbox, kbox, guard))
-            report = merge_reports(
-                "difference-formula", nestedsums.DIFFERENCE_STATEMENT, parts
-            )
-        return _emit_report(args, report)
-
-    if identity == "recurrence":
-        if explicit:
-            spec = _spec_from_args(args)
-            report = nestedsums.verify_recurrence(spec, _box_from_args(args, spec.r), guard)
-        else:
-            parts = []
-            for _ in range(args.count):
-                spec = random_spec(rng, args.rmax, args.pmax)
-                parts.append(
-                    nestedsums.verify_recurrence(
-                        spec, _random_boxes(spec.r, args.nmax), guard
-                    )
-                )
-            report = merge_reports("recurrence", nestedsums.RECURRENCE_STATEMENT, parts)
-        return _emit_report(args, report)
-
-    if identity == "shift":
-        if explicit:
-            spec = _spec_from_args(args)
-            if not args.subset:
-                raise ValueError("--subset is required with an explicit --x")
-            subset = _parse_index(args.subset)
-            constant = parse_rational(args.c) if args.c else Fraction(1)
-            report = nestedsums.verify_shift_identity(
-                spec, subset, constant, _box_from_args(args, spec.r), guard
-            )
-        else:
-            parts = []
-            for _ in range(args.count):
-                spec, subset, constant = random_shift_configuration(
-                    rng, args.rmax, args.pmax
-                )
-                parts.append(
-                    nestedsums.verify_shift_identity(
-                        spec, subset, constant, _random_boxes(spec.r, args.nmax), guard
-                    )
-                )
-            report = merge_reports("shift", nestedsums.SHIFT_STATEMENT, parts)
-        return _emit_report(args, report)
-
-    raise ValueError(f"unknown identity {identity!r}")
+    for flag, floor in FLAG_FLOORS.items():
+        value = getattr(args, flag)
+        if value < floor:
+            raise ValueError(f"--{flag} must be at least {floor}, got {value}")
+    identity = IDENTITIES[args.identity]
+    case = identity.explicit(args)
+    if case is None and identity.random is not None:
+        rng = Random(args.seed)
+        cases = (identity.random(rng, args) for _ in range(args.count))
+    else:
+        cases = [case]
+    report, *rest = (identity.verify(args, case) for case in cases)
+    for part in rest:
+        report.extend(part.comparisons)
+    return _emit_report(args, report)
 
 
 def _time_best(repeats: int, fn) -> tuple[float, Fraction]:
@@ -436,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.set_defaults(handler=_cmd_c)
 
     p_verify = sub.add_parser("verify", help="verify an identity sweep exactly")
-    p_verify.add_argument("--identity", choices=IDENTITIES, required=True)
+    p_verify.add_argument("--identity", choices=tuple(IDENTITIES), required=True)
     p_verify.add_argument("--mu", help="restrict mhs-duality to one multi-index")
     p_verify.add_argument("--wmax", type=int, default=6, help="mhs-duality weight sweep bound")
     p_verify.add_argument("--x", help="explicit parameter blocks (otherwise seeded random specs)")
@@ -484,6 +457,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

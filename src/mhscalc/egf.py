@@ -42,7 +42,7 @@ from .nestedsums import (
     random_shift,
     random_spec,
 )
-from .report import Comparison, VerificationReport
+from .report import Comparison, VerificationReport, sweep_report
 
 Exponents = tuple[int, ...]
 
@@ -373,17 +373,15 @@ def _series_comparisons(
     """One comparison per exponent vector up to the shared bound."""
     if lhs.nvars != rhs.nvars:
         raise ValueError("cannot compare series in different variable counts")
-    bound = min(lhs.degree_bound, rhs.degree_bound)
-    return [
-        Comparison(
-            identity=identity,
-            spec=label,
-            index=exponents,
-            lhs=lhs.coefficient(exponents),
-            rhs=rhs.coefficient(exponents),
-        )
-        for exponents in exponent_vectors(lhs.nvars, bound)
-    ]
+    points = list(exponent_vectors(lhs.nvars, min(lhs.degree_bound, rhs.degree_bound)))
+    return sweep_report(
+        identity,
+        EGF_SUITE_STATEMENT,
+        label,
+        points,
+        (lhs.coefficient(exponents) for exponents in points),
+        (rhs.coefficient(exponents) for exponents in points),
+    ).comparisons
 
 
 def random_table_rule(rng: Random, arity: int, extent: int, bound: int = 9) -> SequenceRule:

@@ -16,7 +16,8 @@ known small duals and, sweep-wise, against the duality identity itself.
 
 s_mu values are computed by direct chain enumeration (no recurrence), so
 they can serve as an independent oracle for the parametric nested sums that
-embed them.
+embed them.  The duality is checked as the generalized one is: the
+`binomial_transform` of the table s_mu(0..N) against s_{mu*} point by point.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import GuardExceeded
-from .kernel import binomial
-from .multiseq import SequenceRule, nabla
-from .report import Comparison, VerificationReport
+from .multiseq import MultiSequenceTable, binomial_transform
+from .nestedsums import enumerate_chains
+from .report import VerificationReport, sweep_report
 
 DEFAULT_CHAIN_GUARD = 10**7
 
@@ -81,27 +81,12 @@ def multi_indices_of_weight(weight: int) -> Iterator[MultiIndex]:
             yield MultiIndex(tuple(b - a for a, b in zip(bounds, bounds[1:])))
 
 
-def _chains(first: int, length: int) -> Iterator[tuple[int, ...]]:
-    # weakly decreasing tails below `first`, lexicographically descending
-    if length == 0:
-        yield ()
-        return
-    for head in range(first, -1, -1):
-        for tail in _chains(head, length - 1):
-            yield (head,) + tail
-
-
 def mhs_value(mu: MultiIndex, n: int, chain_guard: int = DEFAULT_CHAIN_GUARD) -> Fraction:
     """s_mu(n) by direct enumeration of weakly decreasing chains."""
     if n < 0:
         raise ValueError(f"n must be a natural, got {n}")
-    p = mu.depth
-    count = binomial(n + p - 1, p - 1)
-    if count > chain_guard:
-        raise GuardExceeded("harmonic-sum chain count", count, chain_guard)
     total = Fraction(0)
-    for tail in _chains(n, p - 1):
-        chain = (n,) + tail
+    for chain in enumerate_chains(n, mu.depth, chain_guard):
         denom = 1
         for nj, muj in zip(chain, mu.parts):
             denom *= (nj + 1) ** muj
@@ -121,16 +106,6 @@ def dual_index(mu: MultiIndex) -> MultiIndex:
     complement = [t for t in range(1, w) if t not in cuts]
     bounds = [0] + complement + [w]
     return MultiIndex(tuple(b - a for a, b in zip(bounds, bounds[1:])))
-
-
-def mhs_rule(mu: MultiIndex, chain_guard: int = DEFAULT_CHAIN_GUARD) -> SequenceRule:
-    """s_mu as a memoized arity-1 sequence rule."""
-    return SequenceRule(1, lambda index: mhs_value(mu, index[0], chain_guard))
-
-
-def duality_lhs(mu: MultiIndex, n: int, chain_guard: int = DEFAULT_CHAIN_GUARD) -> Fraction:
-    """sum_{k<=n} (-1)^k C(n, k) s_mu(k), i.e. (nabla s_mu)(n)."""
-    return nabla(mhs_rule(mu, chain_guard))((n,))
 
 
 def embed_type1(mu: MultiIndex) -> tuple[int, ...]:
@@ -168,7 +143,9 @@ def verify_mhs_duality(
 ) -> VerificationReport:
     """Check the duality for every mu of weight <= max_weight and n <= max_n.
 
-    An explicit `mus` list overrides the weight sweep.
+    An explicit `mus` list overrides the weight sweep.  Per mu the left side
+    is `binomial_transform` of the table s_mu(0..max_n) and the right side
+    s_{mu*} at each n, both by chain enumeration (`mhs_value`).
     """
     if mus is None:
         mus = [
@@ -177,18 +154,17 @@ def verify_mhs_duality(
             for mu in multi_indices_of_weight(weight)
         ]
     report = VerificationReport("mhs-duality", MHS_DUALITY_STATEMENT, [])
+    points = [(n,) for n in range(max_n + 1)]
     for mu in mus:
         dual = dual_index(mu)
-        transformed = nabla(mhs_rule(mu))
-        dual_rule = mhs_rule(dual)
-        for n in range(max_n + 1):
-            report.comparisons.append(
-                Comparison(
-                    identity="mhs-duality",
-                    spec=f"mu={mu} mu*={dual}",
-                    index=(n,),
-                    lhs=transformed((n,)),
-                    rhs=dual_rule((n,)),
-                )
-            )
+        values = tuple(mhs_value(mu, n) for n in range(max_n + 1))
+        part = sweep_report(
+            "mhs-duality",
+            MHS_DUALITY_STATEMENT,
+            f"mu={mu} mu*={dual}",
+            points,
+            binomial_transform(MultiSequenceTable(1, (max_n + 1,), values)).values,
+            (mhs_value(dual, n) for n in range(max_n + 1)),
+        )
+        report.extend(part.comparisons)
     return report

@@ -1,9 +1,9 @@
 """Finite-difference and inversion calculus on multi-sequences N^r -> Q.
 
 A multi-sequence is held as a `SequenceRule`: a total evaluation rule with a
-write-once memo.  Rules (not tables) are the primary carrier because the
-difference operator consumes values above any finite window; tables exist
-only as materialized views for reports and sweeps.
+write-once memo, because the difference operator consumes values above any
+finite window.  A `MultiSequenceTable` holds exact values over one box, the
+shape every identity sweep compares point by point.
 
 Operators follow the classical calculus:
 
@@ -18,21 +18,15 @@ time; `nabla` and `iterated_delta` remain the pointwise reference.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import GuardExceeded
-from .kernel import binomial, format_rational
+from .kernel import binomial
 
 Index = tuple[int, ...]
-
-DEFAULT_CELL_GUARD = 10**6
 
 
 class SequenceRule:
@@ -123,7 +117,7 @@ class MultiSequenceTable:
     """Dense window of a multi-sequence over the box prod [0, N_i].
 
     Values are stored row-major in lexicographic index order, which is also
-    the iteration and serialization order.
+    the iteration order.
     """
 
     arity: int
@@ -168,23 +162,6 @@ class MultiSequenceTable:
 
         return SequenceRule(self.arity, fn)
 
-    def to_csv(self) -> str:
-        """Index columns then the value string, one row per cell."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow([f"n{i + 1}" for i in range(self.arity)] + ["value"])
-        for index, value in zip(self.indices(), self.values):
-            writer.writerow(list(index) + [format_rational(value)])
-        return buffer.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "shape": list(self.shape),
-                "values": [format_rational(v) for v in self.values],
-            }
-        )
-
 
 def _difference_triangle(line: list[Fraction]) -> list[Fraction]:
     """One-axis nabla of a finite line: out[n] = (delta^n a)(0).
@@ -218,21 +195,3 @@ def binomial_transform(table: MultiSequenceTable) -> MultiSequenceTable:
                 line = values[start:start + span:stride]
                 values[start:start + span:stride] = _difference_triangle(line)
     return MultiSequenceTable(table.arity, shape, tuple(values))
-
-
-def materialize(
-    a: SequenceRule,
-    shape: Sequence[int],
-    cell_guard: int = DEFAULT_CELL_GUARD,
-) -> MultiSequenceTable:
-    """Evaluate `a` on the box given by `shape` (extents, so indices 0..N_i)."""
-    shape = tuple(shape)
-    if len(shape) != a.arity:
-        raise ValueError(f"shape {shape} does not match arity {a.arity}")
-    if any(extent < 1 for extent in shape):
-        raise ValueError(f"extents must be >= 1, got {shape}")
-    cells = math.prod(shape)
-    if cells > cell_guard:
-        raise GuardExceeded("materialize cell count", cells, cell_guard)
-    values = tuple(a(index) for index in itertools.product(*(range(e) for e in shape)))
-    return MultiSequenceTable(a.arity, shape, values)

@@ -28,11 +28,12 @@ The single-slot sums `kt_value` and the two-slot sums `two_index_value`
 have their own classical coefficient normalizations; both must (and are
 verified to) coincide with `c_direct` at t = 1.
 
-Verifiers at the bottom check, on finite boxes, the duality
-(nabla c[x;t] = c[1-x;t], the whole box at once from recurrence fills with
-c_direct at the corner), and point by point the difference formula
-(iterated differences of c are again c at doubled parameters) and the
-shift identity for parameter blocks summing to a constant vector.
+Verifiers at the bottom check, on finite boxes, the recurrence against
+c_direct (one fill of the box), the duality (nabla c[x;t] = c[1-x;t], the
+whole box at once from recurrence fills with c_direct at the corner), and
+point by point the difference formula (iterated differences of c are again
+c at doubled parameters) and the shift identity for parameter blocks summing
+to a constant vector.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Iterator, Sequence
 from .errors import GuardExceeded
 from .kernel import binomial, gen_binomial, multinomial, format_rational, parse_rational
 from .multiseq import MultiSequenceTable, SequenceRule, binomial_transform, iterated_delta
-from .report import Comparison, VerificationReport
+from .report import VerificationReport, sweep_report
 
 Index = tuple[int, ...]
 
@@ -180,6 +181,16 @@ def _check_index(spec: NestedSumSpec, n: Sequence[int]) -> Index:
     return n
 
 
+def _points(spec: NestedSumSpec, box: Sequence[int]) -> list[Index]:
+    """The points of the box prod [0, box_i), in lexicographic order."""
+    box = tuple(box)
+    if len(box) != spec.r:
+        raise ValueError(f"box {box} does not match {spec.r} slots")
+    if any(extent < 1 for extent in box):
+        raise ValueError(f"box extents must be >= 1, got {box}")
+    return list(itertools.product(*(range(extent) for extent in box)))
+
+
 def _block_chain_data(
     block: tuple[Fraction, ...], n: int
 ) -> list[tuple[Index, Index, Fraction]]:
@@ -281,7 +292,7 @@ class RecurrenceEvaluator:
 
     def table(self, extents: Sequence[int]) -> MultiSequenceTable:
         """c over the box prod [0, extents_i), read from one fill up to its corner."""
-        points = list(_box(extents))
+        points = _points(self.spec, extents)
         self.value(points[-1])
         values = tuple(self._memo[(0, m)] for m in points)
         return MultiSequenceTable(self.spec.r, tuple(extents), values)
@@ -335,19 +346,13 @@ def c_recursive(
 
 def c_rule(
     spec: NestedSumSpec,
-    method: str = "direct",
     summand_guard: int = DEFAULT_SUMMAND_GUARD,
 ) -> SequenceRule:
-    """c as a memoized arity-r sequence rule, backed by the chosen evaluator.
+    """c as a memoized arity-r sequence rule, one `c_direct` call per point.
 
-    The guard bounds direct summands per point or recurrence cells per fill.
+    The guard bounds the direct summands of each point.
     """
-    if method == "direct":
-        return SequenceRule(spec.r, lambda idx: c_direct(spec, idx, summand_guard))
-    if method == "recursive":
-        evaluator = RecurrenceEvaluator(spec, summand_guard)
-        return SequenceRule(spec.r, evaluator.value)
-    raise ValueError(f"unknown method {method!r}")
+    return SequenceRule(spec.r, lambda idx: c_direct(spec, idx, summand_guard))
 
 
 def kt_value(
@@ -404,10 +409,9 @@ def two_index_value(
     p = len(x)
     if n < 0 or k < 0:
         raise ValueError(f"indices must be naturals, got ({n}, {k})")
-    if chain_count(n, p) * chain_count(k, p) > chain_guard:
-        raise GuardExceeded(
-            "chain-pair count", chain_count(n, p) * chain_count(k, p), chain_guard
-        )
+    count = chain_count(n, p) * chain_count(k, p)
+    if count > chain_guard:
+        raise GuardExceeded("chain-pair count", count, chain_guard)
     lead = Fraction(1, binomial(n + k, n))
     total = Fraction(0)
     for m in enumerate_chains(n, p):
@@ -442,12 +446,6 @@ SHIFT_STATEMENT = (
 RECURRENCE_STATEMENT = "depth-reduction recurrence equals direct chain enumeration"
 
 
-def _box(extents: Sequence[int]) -> Iterator[Index]:
-    if any(extent < 1 for extent in extents):
-        raise ValueError(f"box extents must be >= 1, got {tuple(extents)}")
-    return itertools.product(*(range(extent) for extent in extents))
-
-
 def verify_duality(
     spec: NestedSumSpec,
     box: Sequence[int],
@@ -468,21 +466,13 @@ def verify_duality(
     trips where `c_direct` passed.  At depth 1 every point has one summand,
     and the guard bounds the box's prod(box) cells instead.
     """
-    box = tuple(box)
-    if len(box) != spec.r:
-        raise ValueError(f"box {box} does not match {spec.r} slots")
-    points = list(_box(box))
+    points = _points(spec, box)
     dual = spec.one_minus()
     corner_rhs = c_direct(dual, points[-1], summand_guard)
     cell_guard = spec.p * summand_guard
     lhs = binomial_transform(RecurrenceEvaluator(spec, cell_guard).table(box)).values
     rhs = RecurrenceEvaluator(dual, cell_guard).table(box).values[:-1] + (corner_rhs,)
-    label = spec.text()
-    comparisons = [
-        Comparison(identity="c-duality", spec=label, index=n, lhs=left, rhs=right)
-        for n, left, right in zip(points, lhs, rhs)
-    ]
-    return VerificationReport("c-duality", C_DUALITY_STATEMENT, comparisons)
+    return sweep_report("c-duality", C_DUALITY_STATEMENT, spec.text(), points, lhs, rhs)
 
 
 def verify_difference_formula(
@@ -496,25 +486,18 @@ def verify_difference_formula(
     LHS runs the alternating-sum formula for iterated differences over
     direct c values; RHS enumerates the 2r-slot doubled spec at (n, k).
     """
-    nbox, kbox = tuple(nbox), tuple(kbox)
-    if len(nbox) != spec.r or len(kbox) != spec.r:
-        raise ValueError(f"boxes {nbox}, {kbox} must match {spec.r} slots")
-    rule = c_rule(spec, "direct", summand_guard)
+    npoints, kpoints = _points(spec, nbox), _points(spec, kbox)
+    pairs = [(n, k) for n in npoints for k in kpoints]
+    rule = c_rule(spec, summand_guard)
     double = spec.doubled()
-    label = spec.text()
-    report = VerificationReport("difference-formula", DIFFERENCE_STATEMENT, [])
-    for n in _box(nbox):
-        for k in _box(kbox):
-            report.comparisons.append(
-                Comparison(
-                    identity="difference-formula",
-                    spec=label,
-                    index=n + k,
-                    lhs=iterated_delta(rule, k, n),
-                    rhs=c_direct(double, n + k, summand_guard),
-                )
-            )
-    return report
+    return sweep_report(
+        "difference-formula",
+        DIFFERENCE_STATEMENT,
+        spec.text(),
+        [n + k for n, k in pairs],
+        (iterated_delta(rule, k, n) for n, k in pairs),
+        (c_direct(double, n + k, summand_guard) for n, k in pairs),
+    )
 
 
 def verify_shift_identity(
@@ -529,9 +512,7 @@ def verify_shift_identity(
     `subset` holds distinct 1-based slot numbers whose blocks must sum to
     the constant vector (the identity's hypothesis, enforced here).
     """
-    box = tuple(box)
-    if len(box) != spec.r:
-        raise ValueError(f"box {box} does not match {spec.r} slots")
+    points = _points(spec, box)
     subset = tuple(subset)
     constant = Fraction(constant)
     if len(set(subset)) != len(subset):
@@ -545,24 +526,18 @@ def verify_shift_identity(
                 f"hypothesis violated: component {j + 1} of the subset sum is "
                 f"{format_rational(column)}, expected {format_rational(constant)}"
             )
-    rule = c_rule(spec, "direct", summand_guard)
-    label = f"{spec.text()} S={subset} gamma={format_rational(constant)}"
-    report = VerificationReport("shift", SHIFT_STATEMENT, [])
-    for n in _box(box):
-        lhs = Fraction(0)
-        for i in subset:
-            shifted = n[: i - 1] + (n[i - 1] + 1,) + n[i:]
-            lhs += rule(shifted)
-        report.comparisons.append(
-            Comparison(
-                identity="shift",
-                spec=label,
-                index=n,
-                lhs=lhs,
-                rhs=constant * rule(n),
-            )
-        )
-    return report
+    rule = c_rule(spec, summand_guard)
+    return sweep_report(
+        "shift",
+        SHIFT_STATEMENT,
+        f"{spec.text()} S={subset} gamma={format_rational(constant)}",
+        points,
+        (
+            sum((rule(n[: i - 1] + (n[i - 1] + 1,) + n[i:]) for i in subset), Fraction(0))
+            for n in points
+        ),
+        (constant * rule(n) for n in points),
+    )
 
 
 def verify_recurrence(
@@ -570,24 +545,17 @@ def verify_recurrence(
     box: Sequence[int],
     summand_guard: int = DEFAULT_SUMMAND_GUARD,
 ) -> VerificationReport:
-    """Check c_recursive = c_direct pointwise on the box."""
-    box = tuple(box)
-    if len(box) != spec.r:
-        raise ValueError(f"box {box} does not match {spec.r} slots")
-    evaluator = RecurrenceEvaluator(spec)
-    label = spec.text()
-    report = VerificationReport("recurrence", RECURRENCE_STATEMENT, [])
-    for n in _box(box):
-        report.comparisons.append(
-            Comparison(
-                identity="recurrence",
-                spec=label,
-                index=n,
-                lhs=evaluator.value(n),
-                rhs=c_direct(spec, n, summand_guard),
-            )
-        )
-    return report
+    """Check the recurrence against c_direct at every point of the box.
+
+    The left side is one recurrence fill of the box, guarded at p times the
+    guard as in `verify_duality`; the right side is `c_direct` per point,
+    taken first, so a point over the summand guard stops the sweep before
+    the fill runs.
+    """
+    points = _points(spec, box)
+    rhs = [c_direct(spec, n, summand_guard) for n in points]
+    lhs = RecurrenceEvaluator(spec, spec.p * summand_guard).table(box).values
+    return sweep_report("recurrence", RECURRENCE_STATEMENT, spec.text(), points, lhs, rhs)
 
 
 # --- seeded random parameter grids ------------------------------------------

@@ -13,7 +13,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .kernel import format_rational
 
@@ -108,8 +108,24 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def merge_reports(identity: str, statement: str, parts: Sequence[VerificationReport]) -> VerificationReport:
-    merged = VerificationReport(identity, statement, [])
-    for part in parts:
-        merged.extend(part.comparisons)
-    return merged
+def sweep_report(
+    identity: str,
+    statement: str,
+    label: str,
+    points: Iterable[tuple[int, ...]],
+    lhs: Iterable[Fraction],
+    rhs: Iterable[Fraction],
+) -> VerificationReport:
+    """One comparison per point: the i-th point with the i-th lhs and rhs.
+
+    The three iterables are consumed in lockstep, so generators keep each
+    point's evaluation next to its comparison.
+    """
+    return VerificationReport(
+        identity,
+        statement,
+        [
+            Comparison(identity, label, index, left, right)
+            for index, left, right in zip(points, lhs, rhs, strict=True)
+        ],
+    )

@@ -3,10 +3,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from mhscalc import mhs
 from mhscalc.mhs import (
     MultiIndex,
     dual_index,
-    duality_lhs,
     embed_type1,
     embed_type2,
     mhs_value,
@@ -88,13 +88,28 @@ def test_dual_is_weight_preserving_involution(mu):
     assert dual_index(dual) == mu
 
 
-def test_duality_lhs_values():
-    assert duality_lhs(MultiIndex((2,)), 1) == F(3, 4)
-    assert duality_lhs(MultiIndex((2,)), 1) == mhs_value(MultiIndex((1, 1)), 1)
-    for parts in [(1,), (2, 1), (3,)]:
-        assert duality_lhs(MultiIndex(parts), 0) == 1
-    mu = MultiIndex((1, 2, 3))
-    assert duality_lhs(mu, 2) == mhs_value(MultiIndex((2, 2, 1, 1)), 2)
+def test_mhs_duality_report_values():
+    mus = [MultiIndex(parts) for parts in [(2,), (1,), (2, 1), (3,), (1, 2, 3)]]
+    report = verify_mhs_duality(0, 2, mus=mus)
+    assert report.ok and len(report.comparisons) == 5 * 3
+    values = {(comp.spec, comp.index): comp.lhs for comp in report.comparisons}
+    assert values["mu=(2) mu*=(1,1)", (1,)] == F(3, 4) == mhs_value(MultiIndex((1, 1)), 1)
+    for label in ["mu=(1) mu*=(1)", "mu=(2,1) mu*=(1,2)", "mu=(3) mu*=(1,1,1)"]:
+        assert values[label, (0,)] == 1
+    assert values["mu=(1,2,3) mu*=(2,2,1,1)", (2,)] == mhs_value(MultiIndex((2, 2, 1, 1)), 2)
+
+
+def test_mhs_duality_fails_on_a_corrupted_value(monkeypatch):
+    # s_(2,1)(2) off by one: the transform weights it into every n >= 2
+    bad = MultiIndex((2, 1))
+
+    def corrupted(mu, n, *guard):
+        return mhs_value(mu, n) + (1 if (mu, n) == (bad, 2) else 0)
+
+    monkeypatch.setattr(mhs, "mhs_value", corrupted)
+    report = verify_mhs_duality(0, 4, mus=[MultiIndex((3,)), bad])
+    assert [comp.index for comp in report.failures] == [(2,), (3,), (4,)]
+    assert all(comp.spec.startswith("mu=(2,1)") for comp in report.failures)
 
 
 def test_duality_sweep_small():

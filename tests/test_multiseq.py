@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 from fractions import Fraction as F
 from random import Random
@@ -7,14 +6,12 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from mhscalc.errors import GuardExceeded
 from mhscalc.multiseq import (
     MultiSequenceTable,
     SequenceRule,
     binomial_transform,
     delta,
     iterated_delta,
-    materialize,
     nabla,
 )
 
@@ -206,39 +203,6 @@ def test_rule_rejects_bad_indices():
         a((1,))
     with pytest.raises(ValueError):
         a((1, -1))
-
-
-def test_materialize_zero_rule():
-    table = materialize(SequenceRule.constant(2, 0), (3, 3))
-    assert table.values == (F(0),) * 9
-
-
-def test_materialize_linear_and_geometric():
-    linear = materialize(SequenceRule(1, lambda idx: F(idx[0])), (4,))
-    assert linear.values == (F(0), F(1), F(2), F(3))
-    geo = materialize(geometric(2), (3,))
-    assert geo.values == (F(1), F(2), F(4))
-
-
-def test_materialize_guard():
-    with pytest.raises(GuardExceeded):
-        materialize(SequenceRule.constant(2, 1), (100, 100), cell_guard=50)
-
-
-def test_materialize_matches_rule_lookup():
-    rng = Random(7)
-    rule = random_table(rng, 2, (3, 4)).as_rule()
-    table = materialize(rule, (3, 4))
-    for idx in table.indices():
-        assert table[idx] == rule(idx)
-
-
-def test_table_csv_and_json_exports():
-    table = materialize(geometric(F(1, 2)), (3,))
-    csv_text = table.to_csv()
-    assert csv_text.splitlines() == ["n1,value", "0,1", "1,1/2", "2,1/4"]
-    payload = json.loads(table.to_json())
-    assert payload == {"shape": [3], "values": ["1", "1/2", "1/4"]}
 
 
 def test_table_rejects_shape_mismatch():

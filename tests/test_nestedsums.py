@@ -281,8 +281,6 @@ def test_recurrence_cell_guard():
         RecurrenceEvaluator(spec, cell_guard=49).value((4, 4))
     with pytest.raises(GuardExceeded):
         c_recursive(spec, (400, 400), 1000)
-    with pytest.raises(GuardExceeded):
-        c_rule(spec, "recursive", 1000)((400, 400))
 
 
 def test_verify_recurrence_report():
