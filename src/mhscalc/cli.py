@@ -9,8 +9,8 @@ Subcommands:
   bench   time direct enumeration against the memoized recurrence (CSV)
 
 Exit codes: 0 all checks exact / value computed; 1 an identity comparison
-failed; 2 malformed input (a sweep flag below its floor included) or an
-unwritable --out; 3 a work guard tripped.
+failed; 2 malformed input (a sweep or bench flag below its floor included)
+or an unwritable --out; 3 a work guard tripped.
 
 Reports are deterministic: a fixed command line (seed included) yields
 byte-identical text/JSON/CSV output.  `bench` is the exception, since its
@@ -174,6 +174,15 @@ def _cmd_c(args) -> int:
 FLAG_FLOORS = {
     "nmax": 0, "kmax": 0, "wmax": 1, "count": 1, "rmax": 1, "pmax": 1, "degree": 1,
 }
+# The same for `bench`: below these there is no spec, no rung or no timing.
+BENCH_FLAG_FLOORS = {"r": 1, "p": 1, "n": 0, "repeats": 1}
+
+
+def _check_floors(args, floors: dict) -> None:
+    for flag, floor in floors.items():
+        value = getattr(args, flag)
+        if value < floor:
+            raise ValueError(f"--{flag} must be at least {floor}, got {value}")
 
 
 class _Identity(NamedTuple):
@@ -232,7 +241,7 @@ IDENTITIES = {
     "mhs-duality": _Identity(
         _mhs_indices,
         None,
-        lambda args, mus: mhs.verify_mhs_duality(args.wmax, args.nmax, mus),
+        lambda args, mus: mhs.verify_mhs_duality(args.wmax, args.nmax, mus, args.guard),
     ),
     "c-duality": _Identity(
         _explicit_spec,
@@ -265,10 +274,9 @@ IDENTITIES = {
 
 
 def _cmd_verify(args) -> int:
-    for flag, floor in FLAG_FLOORS.items():
-        value = getattr(args, flag)
-        if value < floor:
-            raise ValueError(f"--{flag} must be at least {floor}, got {value}")
+    _check_floors(args, FLAG_FLOORS)
+    if args.box and not args.x:
+        raise ValueError("--box needs an explicit --x; random cases take their boxes from --nmax")
     identity = IDENTITIES[args.identity]
     case = identity.explicit(args)
     if case is None and identity.random is not None:
@@ -338,6 +346,7 @@ def bench_csv(rows: list[dict]) -> str:
 
 
 def _cmd_bench(args) -> int:
+    _check_floors(args, BENCH_FLAG_FLOORS)
     rng = Random(args.seed)
     if args.x:
         spec = _spec_from_args(args)

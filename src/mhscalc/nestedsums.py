@@ -137,7 +137,9 @@ def enumerate_chains(
 ) -> Iterator[Index]:
     """All chains n = m_1 >= ... >= m_p >= 0, lexicographically descending.
 
-    Exactly C(n+p-1, p-1) chains are produced.
+    Exactly C(n+p-1, p-1) chains are produced.  The arguments and the guard
+    are checked at the call, before the caller does any other work; only
+    the chains themselves are lazy.
     """
     if n < 0 or p < 1:
         raise ValueError(f"need natural n and positive p, got ({n}, {p})")
@@ -145,17 +147,9 @@ def enumerate_chains(
         count = chain_count(n, p)
         if count > chain_guard:
             raise GuardExceeded("chain count", count, chain_guard)
-
-    def tails(bound: int, length: int) -> Iterator[Index]:
-        if length == 0:
-            yield ()
-            return
-        for head in range(bound, -1, -1):
-            for rest in tails(head, length - 1):
-                yield (head,) + rest
-
-    for tail in tails(n, p - 1):
-        yield (n,) + tail
+    # weakly decreasing tails are multisets drawn from n, n-1, ..., 0
+    tails = itertools.combinations_with_replacement(range(n, -1, -1), p - 1)
+    return ((n,) + tail for tail in tails)
 
 
 def chain_count(n: int, p: int) -> int:

@@ -160,6 +160,69 @@ def test_recurrence_fill_guard_exit_code(capsys):
     assert "recurrence cell count" in err and "guard 100" in err
 
 
+def test_mhs_duality_corner_guard_exit_code(capsys):
+    # the corner is chain enumeration of mu* = (1,1,1): C(32, 2) = 496 chains
+    code, out, err = run(
+        capsys, "verify", "--identity", "mhs-duality", "--mu", "(3)",
+        "--nmax", "30", "--guard", "100",
+    )
+    assert code == 3 and out == ""
+    assert err == "error: chain count: 496 exceeds guard 100\n"
+
+
+@pytest.mark.parametrize(
+    "argv, chains",
+    [
+        (("s", "--mu", "(1,2)", "--n", "1000000"), 1_000_001),
+        (("s", "--mu", "(1,1,1)", "--n", "100000"), 5_000_150_001),
+        (("verify", "--identity", "mhs-duality", "--mu", "(3)", "--nmax", "100000"),
+         5_000_150_001),
+    ],
+)
+def test_mhs_chain_guard_exit_code_at_large_n(capsys, argv, chains):
+    # the guard trips before anything of size n is built
+    code, out, err = run(capsys, *argv, "--guard", "100")
+    assert code == 3 and out == ""
+    assert err == f"error: chain count: {chains} exceeds guard 100\n"
+
+
+def test_mhs_duality_table_guard_exit_code(capsys):
+    # mu* = (3) has one chain at the corner, so only the table of mu, with
+    # 3 * 31 cells, is over the guard
+    code, out, err = run(
+        capsys, "verify", "--identity", "mhs-duality", "--mu", "(1,1,1)",
+        "--nmax", "30", "--guard", "10",
+    )
+    assert code == 3 and out == ""
+    assert err == "error: mhs table cell count: 93 exceeds guard 10\n"
+
+
+def test_box_without_x_exit_code(capsys):
+    code, out, err = run(
+        capsys, "verify", "--identity", "c-duality", "--box", "2", "--count", "1",
+        "--seed", "3",
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: --box needs an explicit --x; random cases take their boxes from --nmax\n"
+    )
+
+
+BENCH_FLOOR_CASES = [
+    ("--repeats=0", "--repeats must be at least 1"),
+    ("--r=0", "--r must be at least 1"),
+    ("--p=0", "--p must be at least 1"),
+    ("--n=-1", "--n must be at least 0"),
+]
+
+
+@pytest.mark.parametrize("flag, message", BENCH_FLOOR_CASES)
+def test_bench_flag_below_its_floor_exit_code(capsys, flag, message):
+    code, out, err = run(capsys, "bench", flag)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}, got ")
+
+
 FLOOR_CASES = [
     (("c-duality", "--nmax=-1"), "--nmax must be at least 0"),
     (("difference-formula", "--kmax=-1"), "--kmax must be at least 0"),

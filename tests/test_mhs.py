@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -9,11 +10,14 @@ from mhscalc.mhs import (
     dual_index,
     embed_type1,
     embed_type2,
+    mhs_table,
     mhs_value,
     multi_indices_of_weight,
     verify_mhs_duality,
 )
-from mhscalc.nestedsums import kt_value
+from mhscalc.errors import GuardExceeded
+from mhscalc.multiseq import MultiSequenceTable
+from mhscalc.nestedsums import enumerate_chains, kt_value
 
 multi_indices = st.lists(st.integers(1, 4), min_size=1, max_size=5).map(
     lambda parts: MultiIndex(tuple(parts))
@@ -99,17 +103,114 @@ def test_mhs_duality_report_values():
     assert values["mu=(1,2,3) mu*=(2,2,1,1)", (2,)] == mhs_value(MultiIndex((2, 2, 1, 1)), 2)
 
 
+def _patch_table(monkeypatch, edit):
+    """Make mhs.mhs_table return edit(mu, values) in place of its values."""
+
+    def patched(mu, max_n, *guard):
+        values = edit(mu, list(mhs_table(mu, max_n).values))
+        return MultiSequenceTable(1, (max_n + 1,), tuple(values))
+
+    monkeypatch.setattr(mhs, "mhs_table", patched)
+
+
+def _off_by_one(bad, n):
+    def edit(mu, values):
+        if mu == bad:
+            values[n] += 1
+        return values
+
+    return edit
+
+
 def test_mhs_duality_fails_on_a_corrupted_value(monkeypatch):
-    # s_(2,1)(2) off by one: the transform weights it into every n >= 2
+    # s_(2,1)(2) off by one: the transform weights it into every n >= 2,
+    # the corner (chain enumeration) among them
     bad = MultiIndex((2, 1))
-
-    def corrupted(mu, n, *guard):
-        return mhs_value(mu, n) + (1 if (mu, n) == (bad, 2) else 0)
-
-    monkeypatch.setattr(mhs, "mhs_value", corrupted)
+    _patch_table(monkeypatch, _off_by_one(bad, 2))
     report = verify_mhs_duality(0, 4, mus=[MultiIndex((3,)), bad])
     assert [comp.index for comp in report.failures] == [(2,), (3,), (4,)]
     assert all(comp.spec.startswith("mu=(2,1)") for comp in report.failures)
+
+
+def test_mhs_duality_fails_on_a_corrupted_dual_value(monkeypatch):
+    # the dual's table is the right side below the corner, point by point
+    _patch_table(monkeypatch, _off_by_one(MultiIndex((1, 2)), 2))
+    report = verify_mhs_duality(0, 4, mus=[MultiIndex((3,)), MultiIndex((2, 1))])
+    assert [(comp.spec, comp.index) for comp in report.failures] == [
+        ("mu=(2,1) mu*=(1,2)", (2,))
+    ]
+
+
+def test_mhs_duality_corner_is_chain_enumeration(monkeypatch):
+    # doubling every table value keeps the transform and the dual's table in
+    # agreement; only the chain-enumerated corner can catch it
+    _patch_table(monkeypatch, lambda mu, values: [2 * value for value in values])
+    report = verify_mhs_duality(3, 4)
+    assert len(report.comparisons) == 7 * 5
+    assert [comp.index for comp in report.failures] == [(4,)] * 7
+
+
+def test_mhs_table_equals_chain_enumeration():
+    for weight in range(1, 7):
+        for mu in multi_indices_of_weight(weight):
+            table = mhs_table(mu, 8)
+            assert table.shape == (9,)
+            assert list(table.values) == [mhs_value(mu, n) for n in range(9)]
+
+
+def test_mhs_table_cell_guard():
+    assert mhs_table(MultiIndex((1, 2, 3)), 9, cell_guard=30).values[0] == 1
+    with pytest.raises(GuardExceeded) as info:
+        mhs_table(MultiIndex((1, 2, 3)), 10, cell_guard=30)
+    assert (info.value.size, info.value.limit) == (33, 30)
+
+
+def _fraction_sum(mu, n):
+    """s_mu(n) as a plain sum of Fractions over the chains."""
+    total = F(0)
+    for chain in enumerate_chains(n, mu.depth):
+        denominator = 1
+        for m, part in zip(chain, mu.parts):
+            denominator *= (m + 1) ** part
+        total += F(1, denominator)
+    return total
+
+
+@given(multi_indices, st.integers(0, 9))
+def test_mhs_value_equals_fraction_sum(mu, n):
+    assert mhs_value(mu, n) == _fraction_sum(mu, n)
+
+
+def test_mhs_value_routes_agree(monkeypatch):
+    mus = [mu for weight in range(1, 7) for mu in multi_indices_of_weight(weight)]
+    integer = [mhs_value(mu, n) for mu in mus for n in range(9)]
+    monkeypatch.setattr(mhs, "NUMERATOR_TABLE_MAX_BITS", -1)
+    assert not any(mhs.integer_numerators(mu, 8) for mu in mus)
+    assert [mhs_value(mu, n) for mu in mus for n in range(9)] == integer
+
+
+def test_integer_numerators_bound():
+    # depth 3 and more, up to 2^28 bits of tabulated numerators
+    assert mhs.NUMERATOR_TABLE_MAX_BITS == 2**28
+    assert not mhs.integer_numerators(MultiIndex((1, 1)), 12)
+    assert mhs.integer_numerators(MultiIndex((1, 1, 1)), 12)
+    assert mhs.numerator_table_bits(MultiIndex((1, 1, 1)), 9458) == 268_418_043
+    assert mhs.integer_numerators(MultiIndex((1, 1, 1)), 9458)
+    assert not mhs.integer_numerators(MultiIndex((1, 1, 1)), 9459)
+    assert not mhs.integer_numerators(MultiIndex((1, 1, 500)), 4000)
+
+
+def test_mhs_value_guard_trips_before_the_table():
+    # 2 * 3001 numerators of about 4,300 bits would take megabytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded) as info:
+            mhs_value(MultiIndex((1, 1, 1)), 3000, chain_guard=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.size, info.value.limit) == (4_504_501, 100)
+    assert peak < 100_000
 
 
 def test_duality_sweep_small():

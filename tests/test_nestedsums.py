@@ -132,9 +132,37 @@ def test_enumerate_chains_order_and_count():
         assert all(all(a >= b for a, b in zip(c, c[1:])) for c in chains)
 
 
+def _recursive_chains(n, p):
+    """The enumerator's order, spelled as the textbook recursion."""
+
+    def tails(bound, length):
+        if length == 0:
+            yield ()
+            return
+        for head in range(bound, -1, -1):
+            for rest in tails(head, length - 1):
+                yield (head,) + rest
+
+    return [(n,) + tail for tail in tails(n, p - 1)]
+
+
+def test_enumerate_chains_matches_recursive_order():
+    for n in range(9):
+        for p in range(1, 6):
+            assert list(enumerate_chains(n, p)) == _recursive_chains(n, p)
+
+
 def test_enumerate_chains_guard():
     with pytest.raises(GuardExceeded):
         list(enumerate_chains(100, 5, chain_guard=1000))
+
+
+def test_enumerate_chains_checks_at_the_call():
+    # callers build their tables after the call, so no chain may be needed
+    with pytest.raises(GuardExceeded):
+        enumerate_chains(100, 5, chain_guard=1000)
+    with pytest.raises(ValueError):
+        enumerate_chains(-1, 2)
 
 
 # --- direct evaluation ---------------------------------------------------------
