@@ -9,8 +9,9 @@ Subcommands:
   bench   time direct enumeration against the memoized recurrence (CSV)
 
 Exit codes: 0 all checks exact / value computed; 1 an identity comparison
-failed; 2 malformed input (a sweep or bench flag below its floor included)
-or an unwritable --out; 3 a work guard tripped.
+failed; 2 malformed input (a sweep or bench flag below its floor, or a
+`verify` flag the chosen identity does not read, included) or an unwritable
+--out; 3 a work guard tripped.
 
 Reports are deterministic: a fixed command line (seed included) yields
 byte-identical text/JSON/CSV output.  `bench` is the exception, since its
@@ -176,6 +177,21 @@ FLAG_FLOORS = {
 }
 # The same for `bench`: below these there is no spec, no rung or no timing.
 BENCH_FLAG_FLOORS = {"r": 1, "p": 1, "n": 0, "repeats": 1}
+# Every `verify` sweep flag and its default.  The parser leaves them None, so
+# that `_check_flags_read` can tell a flag that was given from a default.
+VERIFY_DEFAULTS = {
+    "mu": None, "wmax": 6, "x": None, "t": "", "subset": None, "c": "1", "nmax": 3,
+    "kmax": 2, "box": None, "count": 20, "rmax": 3, "pmax": 3, "seed": 0, "degree": 6,
+}
+# Flags only an explicit --x reads, with what random cases take instead.
+NEEDS_X = {
+    "t": "random cases draw their own shifts",
+    "box": "random cases take their boxes from --nmax",
+    "subset": "random cases draw their own subset",
+    "c": "random cases draw their own constant",
+}
+# A given flag (key) that stops the flags it names from being read.
+OVERRIDES = {"x": ("count", "rmax", "pmax", "seed"), "box": ("nmax",), "mu": ("wmax",)}
 
 
 def _check_floors(args, floors: dict) -> None:
@@ -188,13 +204,15 @@ def _check_floors(args, floors: dict) -> None:
 class _Identity(NamedTuple):
     """How `verify` builds and checks the cases of one identity.
 
-    `explicit(args)` is the case the flags name, or None when they name
-    none; then `random(rng, args)`, where the identity has one, draws --count
-    cases from Random(--seed), and otherwise None is the one case.
-    `verify(args, case)` looks its verifier up in the module at call time,
-    so a patched module attribute is the one that runs.
+    `reads` names the sweep flags the identity reads (`_check_flags_read`
+    refuses any other).  `explicit(args)` is the case the flags name, or
+    None when they name none; then `random(rng, args)`, where the identity
+    has one, draws --count cases from Random(--seed), and otherwise None is
+    the one case.  `verify(args, case)` looks its verifier up in the module
+    at call time, so a patched module attribute is the one that runs.
     """
 
+    reads: tuple[str, ...]
     explicit: Callable
     random: Callable | None
     verify: Callable
@@ -202,10 +220,10 @@ class _Identity(NamedTuple):
 
 def _explicit_spec(args):
     """(spec, box) from --x/--t and --box, whose default is --nmax + 1 per slot."""
-    if not args.x:
+    if args.x is None:
         return None
     spec = _spec_from_args(args)
-    if not args.box:
+    if args.box is None:
         return spec, (args.nmax + 1,) * spec.r
     box = _parse_index(args.box)
     if len(box) != spec.r:
@@ -222,10 +240,10 @@ def _explicit_shift(args):
     case = _explicit_spec(args)
     if case is None:
         return None
-    if not args.subset:
+    if args.subset is None:
         raise ValueError("--subset is required with an explicit --x")
     spec, box = case
-    return spec, _parse_index(args.subset), parse_rational(args.c or "1"), box
+    return spec, _parse_index(args.subset), parse_rational(args.c), box
 
 
 def _random_shift(rng: Random, args):
@@ -234,21 +252,28 @@ def _random_shift(rng: Random, args):
 
 
 def _mhs_indices(args):
-    return [MultiIndex.parse(args.mu)] if args.mu else None
+    return None if args.mu is None else [MultiIndex.parse(args.mu)]
 
+
+# The flags every c[x|t] identity reads: an explicit spec and its box, or
+# seeded random specs.
+SPEC_FLAGS = ("x", "t", "box", "nmax", "count", "rmax", "pmax", "seed")
 
 IDENTITIES = {
     "mhs-duality": _Identity(
+        ("mu", "wmax", "nmax"),
         _mhs_indices,
         None,
         lambda args, mus: mhs.verify_mhs_duality(args.wmax, args.nmax, mus, args.guard),
     ),
     "c-duality": _Identity(
+        SPEC_FLAGS,
         _explicit_spec,
         _random_spec,
         lambda args, case: nestedsums.verify_duality(*case, args.guard),
     ),
     "difference-formula": _Identity(
+        SPEC_FLAGS + ("kmax",),
         _explicit_spec,
         _random_spec,
         lambda args, case: nestedsums.verify_difference_formula(
@@ -256,27 +281,51 @@ IDENTITIES = {
         ),
     ),
     "recurrence": _Identity(
+        SPEC_FLAGS,
         _explicit_spec,
         _random_spec,
         lambda args, case: nestedsums.verify_recurrence(*case, args.guard),
     ),
     "shift": _Identity(
+        SPEC_FLAGS + ("subset", "c"),
         _explicit_shift,
         _random_shift,
         lambda args, case: nestedsums.verify_shift_identity(*case, args.guard),
     ),
     "egf-suite": _Identity(
+        ("degree", "seed"),
         lambda args: args.seed,
         None,
-        lambda args, seed: egf.verify_operator_suite(degree=args.degree, seed=seed),
+        lambda args, seed: egf.verify_operator_suite(
+            degree=args.degree, seed=seed, guard=args.guard
+        ),
     ),
 }
 
 
+def _check_flags_read(args) -> None:
+    """Refuse a given sweep flag that the chosen identity would not read."""
+    name = args.identity
+    values = vars(args)
+    given = [flag for flag in VERIFY_DEFAULTS if values[flag] is not None]
+    overridden = {flag: key for key in given for flag in OVERRIDES.get(key, ())}
+    for flag in given:
+        if flag not in IDENTITIES[name].reads:
+            raise ValueError(f"--{flag} is not read by --identity {name}")
+        if flag in NEEDS_X and args.x is None:
+            raise ValueError(f"--{flag} needs an explicit --x; {NEEDS_X[flag]}")
+        if flag in overridden:
+            raise ValueError(
+                f"--{flag} is not read by --identity {name} with --{overridden[flag]}"
+            )
+    for flag, default in VERIFY_DEFAULTS.items():
+        if values[flag] is None:
+            values[flag] = default
+
+
 def _cmd_verify(args) -> int:
+    _check_flags_read(args)
     _check_floors(args, FLAG_FLOORS)
-    if args.box and not args.x:
-        raise ValueError("--box needs an explicit --x; random cases take their boxes from --nmax")
     identity = IDENTITIES[args.identity]
     case = identity.explicit(args)
     if case is None and identity.random is not None:
@@ -419,20 +468,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify an identity sweep exactly")
     p_verify.add_argument("--identity", choices=tuple(IDENTITIES), required=True)
+    # defaults in VERIFY_DEFAULTS, filled in once the flags are checked
     p_verify.add_argument("--mu", help="restrict mhs-duality to one multi-index")
-    p_verify.add_argument("--wmax", type=int, default=6, help="mhs-duality weight sweep bound")
+    p_verify.add_argument("--wmax", type=int, help="mhs-duality weight sweep bound (6)")
     p_verify.add_argument("--x", help="explicit parameter blocks (otherwise seeded random specs)")
-    p_verify.add_argument("--t", default="", help="explicit shift parameters")
+    p_verify.add_argument("--t", help="explicit shift parameters")
     p_verify.add_argument("--subset", help='shift identity slots, e.g. "1,2"')
-    p_verify.add_argument("--c", help="shift identity constant (default 1)")
-    p_verify.add_argument("--nmax", type=int, default=3, help="index sweep bound per slot")
-    p_verify.add_argument("--kmax", type=int, default=2, help="difference order bound per slot")
+    p_verify.add_argument("--c", help="shift identity constant (1)")
+    p_verify.add_argument("--nmax", type=int, help="index sweep bound per slot (3)")
+    p_verify.add_argument("--kmax", type=int, help="difference order bound per slot (2)")
     p_verify.add_argument("--box", help='explicit extents, e.g. "4,4"')
-    p_verify.add_argument("--count", type=int, default=20, help="number of random specs")
-    p_verify.add_argument("--rmax", type=int, default=3, help="random spec slot bound")
-    p_verify.add_argument("--pmax", type=int, default=3, help="random spec depth bound")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--degree", type=int, default=6, help="egf-suite truncation degree")
+    p_verify.add_argument("--count", type=int, help="number of random specs (20)")
+    p_verify.add_argument("--rmax", type=int, help="random spec slot bound (3)")
+    p_verify.add_argument("--pmax", type=int, help="random spec depth bound (3)")
+    p_verify.add_argument("--seed", type=int, help="random cases and egf-suite data (0)")
+    p_verify.add_argument("--degree", type=int, help="egf-suite truncation degree (6)")
     add_common(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 

@@ -33,14 +33,15 @@ from fractions import Fraction
 from random import Random
 from typing import Iterator, Sequence
 
+from .errors import GuardExceeded
 from .kernel import format_rational
 from .multiseq import MultiSequenceTable, SequenceRule, iterated_delta, nabla
 from .nestedsums import (
+    DEFAULT_SUMMAND_GUARD,
     NestedSumSpec,
     c_rule,
     random_rational,
     random_shift,
-    random_spec,
 )
 from .report import Comparison, VerificationReport, sweep_report
 
@@ -393,11 +394,21 @@ def random_table_rule(rng: Random, arity: int, extent: int, bound: int = 9) -> S
     return MultiSequenceTable(arity, shape, values).as_rule()
 
 
+def suite_product_pairs(degree: int, max_slots: int) -> int:
+    """Term pairs of the operator suite's largest series product.
+
+    The two-block factorization multiplies two series in 2r variables,
+    each with up to C(D + 2r, 2r) terms, and the product visits every pair.
+    """
+    return math.comb(degree + 2 * max_slots, 2 * max_slots) ** 2
+
+
 def verify_operator_suite(
     degree: int = 6,
     seed: int = 0,
     slot_counts: Sequence[int] = (1, 2),
     depths: Sequence[int] = (1, 2, 3),
+    guard: int = DEFAULT_SUMMAND_GUARD,
 ) -> VerificationReport:
     """Run the full operator-identity battery at one truncation degree.
 
@@ -406,7 +417,13 @@ def verify_operator_suite(
     and the commutator reduction on every monomial below the bound; and for
     each depth p a random nested-sum spec exercises the generating-function
     duality and depth-reduction statements.
+
+    GuardExceeded is raised before any series is built when the term pairs
+    of the largest product (`suite_product_pairs`) exceed `guard`.
     """
+    pairs = suite_product_pairs(degree, max(slot_counts))
+    if pairs > guard:
+        raise GuardExceeded("series product term pairs", pairs, guard)
     rng = Random(seed)
     report = VerificationReport("egf-suite", EGF_SUITE_STATEMENT, [])
     D = degree

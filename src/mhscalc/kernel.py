@@ -68,15 +68,31 @@ def gen_binomial(top: RationalLike, k: int) -> Fraction:
     # Fraction callers share entries.  The row grows in a loop, so a cold
     # call costs no recursion depth.
     row = _GEN_BINOMIAL_ROWS.get(top)
+    if row is not None and k < len(row):
+        return row[k]
+    global _gen_binomial_cached
     if row is None:
-        row = _GEN_BINOMIAL_ROWS[top] = [Fraction(1)]
+        row = [Fraction(1)]
+    else:
+        del _GEN_BINOMIAL_ROWS[top]  # kept again below at its new length
+        _gen_binomial_cached -= len(row)
     while len(row) <= k:
         j = len(row)
         row.append(row[-1] * (top - (j - 1)) / j)
+    # Past the cap every row is dropped; a row longer than the cap is not kept.
+    if _gen_binomial_cached + len(row) > GEN_BINOMIAL_CACHE_MAX:
+        _GEN_BINOMIAL_ROWS.clear()
+        _gen_binomial_cached = 0
+    if len(row) <= GEN_BINOMIAL_CACHE_MAX:
+        _GEN_BINOMIAL_ROWS[top] = row
+        _gen_binomial_cached += len(row)
     return row[k]
 
 
+# Cap on the coefficients cached over all rows of `gen_binomial`.
+GEN_BINOMIAL_CACHE_MAX = 1 << 16
 _GEN_BINOMIAL_ROWS: dict[Fraction, list[Fraction]] = {}
+_gen_binomial_cached = 0  # sum of the cached rows' lengths
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")

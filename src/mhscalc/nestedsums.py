@@ -21,8 +21,11 @@ Two independent evaluation routes are provided:
 
       c(n) = [ sum_k x_{k1} n_k c(n - e_k) + c_reduced(n) ] / (|n| + t_1)
 
-  with a write-once memo per depth level, turning the exponential chain
-  count into O(p * prod(n_i + 1) * r) rational operations.
+  over the whole box below n, turning the exponential chain count into
+  O(p * prod(n_i + 1) * r) steps.  The steps run on integers: level l
+  stores the numerators of c over one known denominator E_l(|m|) per
+  (level, |m|) (see `RecurrenceEvaluator`), so no gcd runs in the loop and
+  each value read costs one Fraction.
 
 The single-slot sums `kt_value` and the two-slot sums `two_index_value`
 have their own classical coefficient normalizations; both must (and are
@@ -255,78 +258,123 @@ def c_direct(
 
 
 class RecurrenceEvaluator:
-    """Depth-reduction evaluation of c with a write-once memo per level.
+    """Depth-reduction evaluation of c over a box, on integers.
 
-    Level 0 is the full spec; level l drops the first l components of every
-    block.  Values are filled bottom-up over the box below the requested
-    index, so the memo is populated exactly once per (level, index).  A fill
-    whose cell count (`recurrence_cell_count`) exceeds `cell_guard` raises
-    GuardExceeded before it starts.
+    Level l = 0..L (L = p-1) is the spec with the first l components of
+    every block dropped, so level L is the monomial prod_k x_{k,L}^{m_k}.
+    Write d_l for the lcm of the denominators of x_{k,l} over k and
+    t_l = a_l/b_l (b_l > 0).  The denominator of c(l, m) divides, with
+    s = |m|,
+
+        E_L(s) = d_L^s,   E_l(s) = d_l^s * P_l(s) * E_{l+1}(s),
+        P_l(s) = prod_{u=0}^{s} (b_l u + a_l),
+
+    where no factor b_l u + a_l is zero because t_l is not in {0, -1, ...}.
+    The fill computes the integer numerators N(l, m) = c(l, m) E_l(s):
+
+        N(l, m) = b_l R_{l+1}(s) sum_k (d_l x_{k,l}) m_k N(l, m - e_k)
+                  + G_l(s) N(l+1, m),
+
+    with R_l(s) = E_l(s)/E_l(s-1) = d_l (b_l s + a_l) R_{l+1}(s),
+    R_L(s) = d_L, and G_l(s) = b_l d_l^s P_l(s-1), all tabulated per s, so
+    no gcd runs inside the loop.  Each level is one flat list in
+    lexicographic order and only two are alive at a time.  The level-0
+    numerators of the box are kept; reading a value costs one Fraction
+    (one gcd), N(0, m) / E_0(|m|).
+
+    A fill covers the box below its corner.  A `value` outside it refills,
+    from scratch, the box below the componentwise maximum of the old corner
+    and the new index.  Every fill, a refill included, raises GuardExceeded
+    before it starts when its own cell count (`recurrence_cell_count` of
+    its corner) exceeds `cell_guard`.
     """
 
     def __init__(self, spec: NestedSumSpec, cell_guard: int = DEFAULT_SUMMAND_GUARD):
-        levels = [spec]
-        while levels[-1].p > 1:
-            levels.append(levels[-1].reduce_depth())
-        self._levels = levels
-        self._memo: dict[tuple[int, Index], Fraction] = {}
         self.spec = spec
         self.cell_guard = cell_guard
+        self._corner: Index | None = None
+        self._strides: Index = ()
+        self._numerators: list[int] = []
+        self._denominators: list[int] = []
 
     @property
     def memo_entries(self) -> int:
-        return len(self._memo)
+        """(level, index) values the current fill determined: p * prod(corner_i + 1)."""
+        return self.spec.p * len(self._numerators)
 
     def value(self, n: Sequence[int]) -> Fraction:
         n = _check_index(self.spec, n)
-        key = (0, n)
-        if key not in self._memo:
+        corner = self._corner
+        if corner is None:
             self._fill(n)
-        return self._memo[key]
+        elif any(ni > ci for ni, ci in zip(n, corner)):
+            self._fill(tuple(map(max, n, corner)))
+        return self._read(n)
 
     def table(self, extents: Sequence[int]) -> MultiSequenceTable:
         """c over the box prod [0, extents_i), read from one fill up to its corner."""
         points = _points(self.spec, extents)
         self.value(points[-1])
-        values = tuple(self._memo[(0, m)] for m in points)
-        return MultiSequenceTable(self.spec.r, tuple(extents), values)
+        return MultiSequenceTable(self.spec.r, tuple(extents), tuple(map(self._read, points)))
+
+    def _read(self, m: Index) -> Fraction:
+        flat = sum(mi * stride for mi, stride in zip(m, self._strides))
+        return Fraction(self._numerators[flat], self._denominators[sum(m)])
 
     def _fill(self, corner: Index) -> None:
         cells = recurrence_cell_count(self.spec, corner)
         if cells > self.cell_guard:
             raise GuardExceeded("recurrence cell count", cells, self.cell_guard)
-        memo = self._memo
-        r = self.spec.r
-        box = list(itertools.product(*(range(c + 1) for c in corner)))
-        depth1 = self._levels[-1]
-        base_level = len(self._levels) - 1
-        powers = [
-            [Fraction(1)] for _ in range(r)
-        ]
-        for i in range(r):
-            for _ in range(corner[i]):
-                powers[i].append(powers[i][-1] * depth1.xblocks[i][0])
-        for m in box:
-            key = (base_level, m)
-            if key not in memo:
-                value = Fraction(1)
-                for i in range(r):
-                    value *= powers[i][m[i]]
-                memo[key] = value
-        for level in range(base_level - 1, -1, -1):
-            lspec = self._levels[level]
-            t1 = lspec.tparams[0]
-            x1 = [block[0] for block in lspec.xblocks]
-            for m in box:
-                key = (level, m)
-                if key in memo:
-                    continue
-                total = memo[(level + 1, m)]
-                for k in range(r):
-                    if m[k]:
-                        below = m[:k] + (m[k] - 1,) + m[k + 1:]
-                        total += x1[k] * m[k] * memo[(level, below)]
-                memo[key] = total / (sum(m) + t1)
+        spec = self.spec
+        last = spec.p - 1
+        top = sum(corner)
+        strides = [1] * spec.r
+        for k in range(spec.r - 2, -1, -1):
+            strides[k] = strides[k + 1] * (corner[k + 1] + 1)
+        points = list(itertools.product(*(range(c + 1) for c in corner)))
+        sums = list(map(sum, points))
+        coords = [[m[k] for m in points] for k in range(spec.r)]
+
+        def scaled(level: int) -> tuple[int, list[int]]:
+            """d_l and the integers d_l * x_{k,l} per slot."""
+            column = [block[level] for block in spec.xblocks]
+            d = math.lcm(*(x.denominator for x in column))
+            return d, [(d * x).numerator for x in column]
+
+        # level L: N(L, m) = prod_k (d_L x_{k,L})^{m_k}
+        d, ys = scaled(last)
+        powers = [[y**j for j in range(c + 1)] for y, c in zip(ys, corner)]
+        numerators = [math.prod(values) for values in itertools.product(*powers)]
+        ratio = [d] * (top + 1)  # R_{l+1}(s), here R_L(s)
+        for level in range(last - 1, -1, -1):
+            d, ys = scaled(level)
+            a, b = spec.tparams[level].numerator, spec.tparams[level].denominator
+            head = [b * rs for rs in ratio]  # b_l R_{l+1}(s)
+            tail = [b]  # G_l(s)
+            for s in range(1, top + 1):
+                tail.append(tail[-1] * d * (b * (s - 1) + a))
+            terms = [
+                ([y * mk for mk in coords[k]], strides[k])
+                for k, y in enumerate(ys)
+                if y
+            ]
+            below, numerators = numerators, [0] * len(points)
+            for flat, s in enumerate(sums):
+                acc = 0
+                for coefficients, stride in terms:
+                    coefficient = coefficients[flat]
+                    if coefficient:
+                        acc += coefficient * numerators[flat - stride]
+                numerators[flat] = head[s] * acc + tail[s] * below[flat]
+            ratio = [d * (b * s + a) * rs for s, rs in enumerate(ratio)]
+        # E_0(0) = prod_l a_l, E_0(s) = E_0(s-1) R_0(s)
+        denominators = [math.prod(t.numerator for t in spec.tparams)]
+        for s in range(1, top + 1):
+            denominators.append(denominators[-1] * ratio[s])
+        self._corner = corner
+        self._strides = tuple(strides)
+        self._numerators = numerators
+        self._denominators = denominators
 
 
 def c_recursive(

@@ -262,6 +262,49 @@ def test_egf_degree_below_one_exit_code(capsys, degree):
     assert "--degree must be at least 1" in err
 
 
+def test_egf_degree_guard_exit_code(capsys):
+    code, out, err = run(capsys, "verify", "--identity", "egf-suite", "--degree=200")
+    assert code == 3 and out == ""
+    assert err.startswith("error: series product term pairs: ")
+    assert err.endswith(" exceeds guard 10000000\n")
+
+
+UNREAD_FLAG_CASES = [
+    (("shift", "--subset=1,2", "--c=5", "--count=1"),
+     "--subset needs an explicit --x; random cases draw their own subset"),
+    (("shift", "--c=5"), "--c needs an explicit --x; random cases draw their own constant"),
+    (("c-duality", "--t=2"), "--t needs an explicit --x; random cases draw their own shifts"),
+    (("mhs-duality", "--x=1/2"), "--x is not read by --identity mhs-duality"),
+    (("c-duality", "--mu=(1,2)"), "--mu is not read by --identity c-duality"),
+    (("egf-suite", "--nmax=2"), "--nmax is not read by --identity egf-suite"),
+    (("mhs-duality", "--seed=1"), "--seed is not read by --identity mhs-duality"),
+    (("recurrence", "--kmax=1"), "--kmax is not read by --identity recurrence"),
+    (("c-duality", "--subset=1"), "--subset is not read by --identity c-duality"),
+    (("c-duality", "--x=1/2", "--count=3"),
+     "--count is not read by --identity c-duality with --x"),
+    (("difference-formula", "--x=1/2", "--box=2", "--nmax=1"),
+     "--nmax is not read by --identity difference-formula with --box"),
+    (("mhs-duality", "--mu=(1,2)", "--wmax=3"),
+     "--wmax is not read by --identity mhs-duality with --mu"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, message", UNREAD_FLAG_CASES, ids=[" ".join(flags) for flags, _ in UNREAD_FLAG_CASES]
+)
+def test_unread_flag_exit_code(capsys, flags, message):
+    identity, *rest = flags
+    code, out, err = run(capsys, "verify", f"--identity={identity}", *rest)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_defaults_given_explicitly_are_read(capsys):
+    _, expected, _ = run(capsys, "verify", "--identity=egf-suite", "--degree=2")
+    code, out, _ = run(capsys, "verify", "--identity=egf-suite", "--degree=2", "--seed=0")
+    assert code == 0 and out == expected
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

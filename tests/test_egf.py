@@ -16,9 +16,11 @@ from mhscalc.egf import (
     negate_vars,
     random_table_rule,
     subst_linear,
+    suite_product_pairs,
     verify_operator_suite,
     xi_apply,
 )
+from mhscalc.errors import GuardExceeded
 from mhscalc.multiseq import SequenceRule, nabla
 from mhscalc.nestedsums import NestedSumSpec, c_rule
 
@@ -247,3 +249,13 @@ def test_operator_suite_smaller_degree():
         "depth-reduction-step",
         "telescoped-depth-reduction",
     }
+
+
+def test_operator_suite_guard():
+    assert suite_product_pairs(6, 2) == math.comb(10, 4) ** 2 == 44_100
+    assert verify_operator_suite(degree=2, seed=1, guard=suite_product_pairs(2, 2)).ok
+    with pytest.raises(GuardExceeded) as info:
+        verify_operator_suite(degree=2, seed=1, guard=suite_product_pairs(2, 2) - 1)
+    assert info.value.what == "series product term pairs"
+    # the default guard leaves every degree up to 6 alone
+    assert suite_product_pairs(6, 2) <= 10**7

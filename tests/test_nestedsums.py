@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mhscalc.errors import GuardExceeded
 from mhscalc.kernel import gen_binomial, multinomial
@@ -315,6 +316,112 @@ def test_verify_recurrence_report():
     spec = NestedSumSpec.parse("1/2,1/3;0,1", "2")
     report = verify_recurrence(spec, (3, 3))
     assert report.ok and len(report.comparisons) == 9
+
+
+def reference_fill(spec, corner):
+    """c over the box below `corner`: the recurrence on a dict of Fractions.
+
+    This is the fill as it ran before the integer form, one Fraction
+    operation per step, kept here as the reference for `RecurrenceEvaluator`.
+    """
+    levels = [spec]
+    while levels[-1].p > 1:
+        levels.append(levels[-1].reduce_depth())
+    box = list(itertools.product(*(range(c + 1) for c in corner)))
+    memo = {}
+    for m in box:
+        value = F(1)
+        for i, block in enumerate(levels[-1].xblocks):
+            value *= block[0] ** m[i]
+        memo[(len(levels) - 1, m)] = value
+    for level in range(len(levels) - 2, -1, -1):
+        lspec = levels[level]
+        for m in box:
+            total = memo[(level + 1, m)]
+            for k in range(spec.r):
+                if m[k]:
+                    below = m[:k] + (m[k] - 1,) + m[k + 1:]
+                    total += lspec.xblocks[k][0] * m[k] * memo[(level, below)]
+            memo[(level, m)] = total / (sum(m) + lspec.tparams[0])
+    return {m: memo[(0, m)] for m in box}
+
+
+# x: zero, integers and proper fractions; t: anything off {0, -1, -2, ...},
+# negative non-integers included
+fill_x = st.one_of(
+    st.just(F(0)),
+    st.integers(-4, 4).map(F),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+)
+fill_t = st.one_of(
+    st.integers(-9, -1).map(lambda a: F(2 * a - 1, 2)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(
+        lambda t: t.denominator > 1 or t > 0
+    ),
+)
+
+
+@st.composite
+def fill_cases(draw):
+    r, p = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    xblocks = tuple(tuple(draw(fill_x) for _ in range(p)) for _ in range(r))
+    tparams = tuple(draw(fill_t) for _ in range(p - 1))
+    extents = tuple(draw(st.integers(1, 6)) for _ in range(r))
+    return NestedSumSpec(xblocks, tparams), extents
+
+
+@settings(max_examples=80, deadline=None)
+@given(fill_cases())
+def test_recurrence_table_matches_reference_fill(case):
+    spec, extents = case
+    table = RecurrenceEvaluator(spec).table(extents)
+    reference = reference_fill(spec, tuple(e - 1 for e in extents))
+    assert dict(zip(table.indices(), table.values)) == reference
+
+
+@pytest.mark.parametrize(
+    "xtext, ttext, corner",
+    [
+        ("2/3", "", (7,)),  # p = 1: the monomial level alone
+        ("-3/4;0;5", "", (3, 2, 4)),
+        ("1/2,1/3;1/5,2", "-7/2", (0, 5)),  # corners with zero entries
+        ("1/2,0,3;-2,1/7,1;0,0,1/3", "5/3,-1/2", (4, 0, 3)),
+        ("1/2,1/3,-1,2", "3,-5/4,1/9", (0,)),
+    ],
+)
+def test_recurrence_fill_explicit_cases(xtext, ttext, corner):
+    spec = NestedSumSpec.parse(xtext, ttext)
+    evaluator = RecurrenceEvaluator(spec)
+    assert evaluator.value(corner) == reference_fill(spec, corner)[corner]
+    assert evaluator.memo_entries == recurrence_cell_count(spec, corner)
+    for m, value in reference_fill(spec, corner).items():
+        assert evaluator.value(m) == value == c_direct(spec, m)
+
+
+def test_recurrence_refill_outside_the_box():
+    spec = NestedSumSpec.parse("1/2,1/3;-2/5,3", "-3/2")
+    reference = reference_fill(spec, (3, 4))
+    evaluator = RecurrenceEvaluator(spec, cell_guard=2 * 4 * 5)
+    earlier = {m: evaluator.value(m) for m in itertools.product(range(4), range(1))}
+    assert evaluator.memo_entries == 2 * 4 * 1
+    # (0, 4) is outside the 4x1 box: the refill covers the box below (3, 4)
+    assert evaluator.value((0, 4)) == reference[(0, 4)]
+    assert evaluator.memo_entries == 2 * 4 * 5
+    for m, value in earlier.items():
+        assert evaluator.value(m) == value == reference[m]
+    assert evaluator.table((4, 5)).values == tuple(reference.values())
+
+
+def test_recurrence_refill_guard():
+    spec = NestedSumSpec.parse("1/2,1/3;1/5,2", "2")
+    evaluator = RecurrenceEvaluator(spec, cell_guard=2 * 5 * 3)
+    first = evaluator.value((4, 0))
+    assert evaluator.value((0, 2)) == c_direct(spec, (0, 2))  # refill to (4, 2): 30 cells
+    with pytest.raises(GuardExceeded) as info:
+        evaluator.value((0, 3))  # (4, 3) needs 40 cells, though (0, 3) alone needs 8
+    assert info.value.size == 2 * 5 * 4
+    assert evaluator.memo_entries == 2 * 5 * 3
+    assert evaluator.value((4, 0)) == first
 
 
 # --- identity verifiers ----------------------------------------------------------
