@@ -9,8 +9,8 @@ Subcommands:
   bench   time direct enumeration against the memoized recurrence (CSV)
 
 Exit codes: 0 all checks exact / value computed; 1 an identity comparison
-failed; 2 malformed input (a sweep or bench flag below its floor, or a
-`verify` flag the chosen identity does not read, included) or an unwritable
+failed; 2 malformed input (a flag below its floor, --guard included, or a
+`verify` or `bench` flag the command would not read) or an unwritable
 --out; 3 a work guard tripped.
 
 Reports are deterministic: a fixed command line (seed included) yields
@@ -177,6 +177,8 @@ FLAG_FLOORS = {
 }
 # The same for `bench`: below these there is no spec, no rung or no timing.
 BENCH_FLAG_FLOORS = {"r": 1, "p": 1, "n": 0, "repeats": 1}
+# Every subcommand's --guard: below one no work at all is allowed.
+GUARD_FLOOR = {"guard": 1}
 # Every `verify` sweep flag and its default.  The parser leaves them None, so
 # that `_check_flags_read` can tell a flag that was given from a default.
 VERIFY_DEFAULTS = {
@@ -190,8 +192,18 @@ NEEDS_X = {
     "subset": "random cases draw their own subset",
     "c": "random cases draw their own constant",
 }
-# A given flag (key) that stops the flags it names from being read.
-OVERRIDES = {"x": ("count", "rmax", "pmax", "seed"), "box": ("nmax",), "mu": ("wmax",)}
+# Every `bench` flag and its default, left None by the parser likewise.
+BENCH_DEFAULTS = {
+    "r": 1, "p": 3, "n": 40, "ladder": None, "x": None, "t": "", "seed": 0, "repeats": 3,
+}
+# A given flag (key) that stops the flags it names from being read (by
+# `verify`, or for "x" and "ladder" by `bench`).
+OVERRIDES = {
+    "x": ("count", "rmax", "pmax", "seed", "r", "p"),
+    "box": ("nmax",),
+    "mu": ("wmax",),
+    "ladder": ("n",),
+}
 
 
 def _check_floors(args, floors: dict) -> None:
@@ -303,30 +315,33 @@ IDENTITIES = {
 }
 
 
-def _check_flags_read(args) -> None:
-    """Refuse a given sweep flag that the chosen identity would not read."""
-    name = args.identity
+def _check_flags_read(args, defaults: dict, reads, reader: str, needs_x: dict) -> None:
+    """Refuse a given flag that `reader` would not read, then fill `defaults`.
+
+    A flag counts as given when the parser left it other than None; `reads`
+    names the flags the reader reads, `OVERRIDES` the flags a given flag
+    makes unread, and `needs_x` the flags read only with an explicit --x.
+    """
     values = vars(args)
-    given = [flag for flag in VERIFY_DEFAULTS if values[flag] is not None]
+    given = [flag for flag in defaults if values[flag] is not None]
     overridden = {flag: key for key in given for flag in OVERRIDES.get(key, ())}
     for flag in given:
-        if flag not in IDENTITIES[name].reads:
-            raise ValueError(f"--{flag} is not read by --identity {name}")
-        if flag in NEEDS_X and args.x is None:
-            raise ValueError(f"--{flag} needs an explicit --x; {NEEDS_X[flag]}")
+        if flag not in reads:
+            raise ValueError(f"--{flag} is not read by {reader}")
+        if flag in needs_x and args.x is None:
+            raise ValueError(f"--{flag} needs an explicit --x; {needs_x[flag]}")
         if flag in overridden:
-            raise ValueError(
-                f"--{flag} is not read by --identity {name} with --{overridden[flag]}"
-            )
-    for flag, default in VERIFY_DEFAULTS.items():
+            raise ValueError(f"--{flag} is not read by {reader} with --{overridden[flag]}")
+    for flag, default in defaults.items():
         if values[flag] is None:
             values[flag] = default
 
 
 def _cmd_verify(args) -> int:
-    _check_flags_read(args)
-    _check_floors(args, FLAG_FLOORS)
     identity = IDENTITIES[args.identity]
+    reader = f"--identity {args.identity}"
+    _check_flags_read(args, VERIFY_DEFAULTS, identity.reads, reader, NEEDS_X)
+    _check_floors(args, FLAG_FLOORS)
     case = identity.explicit(args)
     if case is None and identity.random is not None:
         rng = Random(args.seed)
@@ -395,9 +410,10 @@ def bench_csv(rows: list[dict]) -> str:
 
 
 def _cmd_bench(args) -> int:
+    _check_flags_read(args, BENCH_DEFAULTS, tuple(BENCH_DEFAULTS), "bench", {})
     _check_floors(args, BENCH_FLAG_FLOORS)
     rng = Random(args.seed)
-    if args.x:
+    if args.x is not None:
         spec = _spec_from_args(args)
     else:
         tparams = (
@@ -410,10 +426,12 @@ def _cmd_bench(args) -> int:
             for _ in range(args.r)
         )
         spec = NestedSumSpec(xblocks, tparams)
-    if args.ladder:
+    if args.ladder is not None:
         ladder = sorted(set(_parse_index(args.ladder)))
     else:
-        ladder = sorted({max(1, args.n // 4), args.n // 2, (3 * args.n) // 4, args.n})
+        # quarter rungs up to --n, the lowest at least 1 unless --n is 0
+        n = args.n
+        ladder = sorted({min(n, max(1, n // 4)), n // 2, (3 * n) // 4, n})
     rows = run_bench(spec, ladder, args.repeats, args.guard)
     _emit(args, bench_csv(rows))
     return 0 if all(row["equal"] for row in rows) else 1
@@ -489,14 +507,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench", help="CSV timing of direct enumeration vs memoized recurrence"
     )
-    p_bench.add_argument("--r", type=int, default=1)
-    p_bench.add_argument("--p", type=int, default=3)
-    p_bench.add_argument("--n", type=int, default=40, help="largest ladder rung")
+    # defaults in BENCH_DEFAULTS, filled in once the flags are checked
+    p_bench.add_argument("--r", type=int, help="random spec slots (1)")
+    p_bench.add_argument("--p", type=int, help="random spec depth (3)")
+    p_bench.add_argument("--n", type=int, help="largest ladder rung (40)")
     p_bench.add_argument("--ladder", help='explicit rungs, e.g. "10,20,40"')
     p_bench.add_argument("--x", help="explicit blocks (otherwise seeded random)")
-    p_bench.add_argument("--t", default="", help="explicit shifts (default all 1)")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--repeats", type=int, default=3, help="best-of timing repeats")
+    p_bench.add_argument("--t", help="explicit shifts (default all 1)")
+    p_bench.add_argument("--seed", type=int, help="random spec seed (0)")
+    p_bench.add_argument("--repeats", type=int, help="best-of timing repeats (3)")
     add_common(p_bench, with_format=False)
     p_bench.set_defaults(handler=_cmd_bench)
 
@@ -510,6 +529,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _check_floors(args, GUARD_FLOOR)
         return args.handler(args)
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

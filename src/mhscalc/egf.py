@@ -22,6 +22,8 @@ Operators:
 `verify_operator_suite` checks the whole operator-level identity battery
 (the generating-function forms of the duality and difference machinery) on
 seeded random sequences and parameter specs, coefficient by coefficient.
+Its nested-sum windows come from recurrence fills; the reduced side of
+depth reduction stays chain enumeration, which checks the fills.
 """
 
 from __future__ import annotations
@@ -35,10 +37,12 @@ from typing import Iterator, Sequence
 
 from .errors import GuardExceeded
 from .kernel import format_rational
-from .multiseq import MultiSequenceTable, SequenceRule, iterated_delta, nabla
+from .multiseq import MultiSequenceTable, SequenceRule, binomial_transform
+from .multiseq import iterated_delta  # noqa: F401  (perfbench's tracer wraps it here)
 from .nestedsums import (
     DEFAULT_SUMMAND_GUARD,
     NestedSumSpec,
+    RecurrenceEvaluator,
     c_rule,
     random_rational,
     random_shift,
@@ -87,6 +91,15 @@ class TruncatedSeries:
             if coeff:
                 normalized[exponents] = coeff
         self._coeffs = normalized
+
+    @classmethod
+    def _trusted(cls, nvars: int, degree_bound: int, coeffs: dict) -> "TruncatedSeries":
+        """Wrap a valid dict (tuple keys within the bound, Fraction values) unchecked."""
+        series = object.__new__(cls)
+        series.nvars = nvars
+        series.degree_bound = degree_bound
+        series._coeffs = {e: c for e, c in coeffs.items() if c}
+        return series
 
     # --- constructors ---
 
@@ -155,14 +168,14 @@ class TruncatedSeries:
         coeffs = dict(self._coeffs)
         for exponents, coeff in other._coeffs.items():
             coeffs[exponents] = coeffs.get(exponents, Fraction(0)) + coeff
-        return TruncatedSeries(self.nvars, self.degree_bound, coeffs)
+        return TruncatedSeries._trusted(self.nvars, self.degree_bound, coeffs)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + other.scale(-1)
 
     def scale(self, factor) -> "TruncatedSeries":
         factor = Fraction(factor)
-        return TruncatedSeries(
+        return TruncatedSeries._trusted(
             self.nvars,
             self.degree_bound,
             {e: c * factor for e, c in self._coeffs.items()},
@@ -179,7 +192,7 @@ class TruncatedSeries:
                     continue
                 key = tuple(a + b for a, b in zip(e1, e2))
                 coeffs[key] = coeffs.get(key, Fraction(0)) + c1 * c2
-        return TruncatedSeries(self.nvars, bound, coeffs)
+        return TruncatedSeries._trusted(self.nvars, bound, coeffs)
 
     def truncate(self, new_bound: int) -> "TruncatedSeries":
         """Lower the degree bound (raising it would fabricate information)."""
@@ -187,7 +200,7 @@ class TruncatedSeries:
             raise ValueError(
                 f"cannot raise bound {self.degree_bound} to {new_bound}"
             )
-        return TruncatedSeries(
+        return TruncatedSeries._trusted(
             self.nvars,
             new_bound,
             {e: c for e, c in self._coeffs.items() if sum(e) <= new_bound},
@@ -208,7 +221,7 @@ class TruncatedSeries:
                 continue
             lowered = exponents[:pos] + (exponents[pos] - 1,) + exponents[pos + 1:]
             coeffs[lowered] = coeff * exponents[pos]
-        return TruncatedSeries(self.nvars, self.degree_bound - 1, coeffs)
+        return TruncatedSeries._trusted(self.nvars, self.degree_bound - 1, coeffs)
 
     def mul_var(self, var: int) -> "TruncatedSeries":
         """Multiply by the 1-based variable, truncating at the bound."""
@@ -221,7 +234,7 @@ class TruncatedSeries:
                 continue
             raised = exponents[:pos] + (exponents[pos] + 1,) + exponents[pos + 1:]
             coeffs[raised] = coeff
-        return TruncatedSeries(self.nvars, self.degree_bound, coeffs)
+        return TruncatedSeries._trusted(self.nvars, self.degree_bound, coeffs)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -236,43 +249,50 @@ class TruncatedSeries:
         )
 
 
+def _egf_window(nvars: int, degree_bound: int, values: dict) -> TruncatedSeries:
+    """The series with coefficient values[n] / n! at every exponent vector n."""
+    return TruncatedSeries._trusted(nvars, degree_bound, {
+        e: value / math.prod(map(math.factorial, e)) for e, value in values.items() if value
+    })
+
+
 def from_sequence(a: SequenceRule, degree_bound: int) -> TruncatedSeries:
     """EGF window of a sequence: coefficient of X^n is a(n)/n!."""
-    coeffs = {}
-    for exponents in exponent_vectors(a.arity, degree_bound):
-        value = a(exponents)
-        if value:
-            coeffs[exponents] = value / math.prod(math.factorial(e) for e in exponents)
-    return TruncatedSeries(a.arity, degree_bound, coeffs)
+    values = {e: a(e) for e in exponent_vectors(a.arity, degree_bound)}
+    return _egf_window(a.arity, degree_bound, values)
 
 
 def F_from_sequence(a: SequenceRule, degree_bound: int) -> TruncatedSeries:
     """Two-block window: coefficient of X^n Y^k is (delta^k a)(n) / (n! k!).
 
     Lives in 2r variables; its Y = 0 slice is f_a and its X = 0 slice is
-    the EGF of nabla a.
+    the EGF of nabla a.  One difference table, filled in graded order of k
+    with i the first axis where k_i > 0, costs one subtraction per coefficient:
+    delta^k a(n) = delta^{k-e_i} a(n) - delta^{k-e_i} a(n+e_i).
     """
     r = a.arity
-    coeffs = {}
-    for exponents in exponent_vectors(2 * r, degree_bound):
-        n, k = exponents[:r], exponents[r:]
-        value = iterated_delta(a, k, n)
-        if value:
-            coeffs[exponents] = value / math.prod(math.factorial(e) for e in exponents)
-    return TruncatedSeries(2 * r, degree_bound, coeffs)
+    diffs = {n + (0,) * r: a(n) for n in exponent_vectors(r, degree_bound)}
+    for k in itertools.islice(exponent_vectors(r, degree_bound), 1, None):
+        i = next(axis for axis, ki in enumerate(k) if ki)
+        lower = k[:i] + (k[i] - 1,) + k[i + 1:]
+        for n in exponent_vectors(r, degree_bound - sum(k)):
+            raised = n[:i] + (n[i] + 1,) + n[i + 1:]
+            diffs[n + k] = diffs[n + lower] - diffs[raised + lower]
+    return _egf_window(2 * r, degree_bound, diffs)
 
 
 def exp_linear(coefficients: Sequence, degree_bound: int) -> TruncatedSeries:
-    """Window of e^{c_1 X_1 + ... + c_m X_m}."""
+    """Window of e^{c_1 X_1 + ... + c_m X_m}, one Fraction per coefficient."""
     cvec = [Fraction(c) for c in coefficients]
     coeffs = {}
     for exponents in exponent_vectors(len(cvec), degree_bound):
-        value = Fraction(1)
+        numerator, denominator = 1, 1
         for c, e in zip(cvec, exponents):
-            value *= c**e / math.factorial(e)
-        if value:
-            coeffs[exponents] = value
-    return TruncatedSeries(len(cvec), degree_bound, coeffs)
+            numerator *= c.numerator**e
+            denominator *= c.denominator**e * math.factorial(e)
+        if numerator:
+            coeffs[exponents] = Fraction(numerator, denominator)
+    return TruncatedSeries._trusted(len(cvec), degree_bound, coeffs)
 
 
 def subst_linear(f: TruncatedSeries, rows: Sequence[Sequence]) -> TruncatedSeries:
@@ -307,19 +327,21 @@ def subst_linear(f: TruncatedSeries, rows: Sequence[Sequence]) -> TruncatedSerie
             cache.append(cache[-1] * forms[i])
         return cache[e]
 
-    out = TruncatedSeries.zero(nvars_out, bound)
-    for exponents, coeff in f.terms():
-        term = TruncatedSeries.one(nvars_out, bound).scale(coeff)
+    one = TruncatedSeries.one(nvars_out, bound)
+    out: dict[Exponents, Fraction] = {}
+    for exponents, coeff in f._coeffs.items():
+        term = one
         for i, e in enumerate(exponents):
             if e:
                 term = term * form_power(i, e)
-        out = out + term
-    return out
+        for key, value in term._coeffs.items():
+            out[key] = out.get(key, 0) + coeff * value
+    return TruncatedSeries._trusted(nvars_out, bound, out)
 
 
 def negate_vars(f: TruncatedSeries) -> TruncatedSeries:
     """X_i -> -X_i, done directly on exponent parities."""
-    return TruncatedSeries(
+    return TruncatedSeries._trusted(
         f.nvars,
         f.degree_bound,
         {e: (-c if sum(e) % 2 else c) for e, c in f._coeffs.items()},
@@ -356,7 +378,7 @@ def xi_apply(f: TruncatedSeries, x: Sequence) -> TruncatedSeries:
                 if xi:
                     raised = exponents[:i] + (exponents[i] + 1,) + exponents[i + 1:]
                     coeffs[raised] = coeffs.get(raised, Fraction(0)) - xi * coeff
-    return TruncatedSeries(f.nvars, f.degree_bound, coeffs)
+    return TruncatedSeries._trusted(f.nvars, f.degree_bound, coeffs)
 
 
 # --- operator-identity battery ----------------------------------------------
@@ -385,13 +407,14 @@ def _series_comparisons(
     ).comparisons
 
 
-def random_table_rule(rng: Random, arity: int, extent: int, bound: int = 9) -> SequenceRule:
-    """Zero-extended random table; a totally defined small-rational sequence."""
-    shape = (extent,) * arity
-    values = tuple(
-        random_rational(rng, bound) for _ in range(extent**arity)
-    )
-    return MultiSequenceTable(arity, shape, values).as_rule()
+def random_table(rng: Random, arity: int, extent: int, bound: int = 9) -> MultiSequenceTable:
+    """Small random rationals over the box [0, extent)^arity.
+
+    Its zero extension (`as_rule`) is a totally defined sequence.
+    """
+    values = tuple(random_rational(rng, bound) for _ in range(extent**arity))
+    return MultiSequenceTable(arity, (extent,) * arity, values)
+
 
 
 def suite_product_pairs(degree: int, max_slots: int) -> int:
@@ -418,8 +441,16 @@ def verify_operator_suite(
     each depth p a random nested-sum spec exercises the generating-function
     duality and depth-reduction statements.
 
+    The windows f of c[x|t] and of c[1-x|t] are read from one recurrence
+    fill each; the reduced side of `depth-reduction-step` stays chain
+    enumeration (`c_direct`).  That identity is the recurrence in EGF form,
+    (|e| + t_1) f_e - sum_i x_{i1} f_{e-e_i} = reduced_e with |e| + t_1 != 0,
+    so it fixes f from the enumerated values and a wrong fill value fails it
+    (at depth 1, `telescoped-depth-reduction` checks f against exp_linear).
+
     GuardExceeded is raised before any series is built when the term pairs
-    of the largest product (`suite_product_pairs`) exceed `guard`.
+    of the largest product (`suite_product_pairs`) exceed `guard`; each
+    fill also checks its own cell count against `guard`.
     """
     pairs = suite_product_pairs(degree, max(slot_counts))
     if pairs > guard:
@@ -429,11 +460,12 @@ def verify_operator_suite(
     D = degree
 
     for r in slot_counts:
-        a = random_table_rule(rng, r, D + 1)
+        table = random_table(rng, r, D + 1)  # exact for every |n| <= D read
+        a = table.as_rule()
         label = f"r={r} seed={seed} D={D}"
         f_a = from_sequence(a, D)
         F_a = F_from_sequence(a, D)
-        nabla_a = nabla(a)
+        nabla_a = binomial_transform(table).as_rule()
 
         # F_a = f_a(X - Y) e^{sum Y}
         shifted = subst_linear(
@@ -559,17 +591,16 @@ def verify_operator_suite(
                 tuple(random_shift(rng) for _ in range(p - 1)),
             )
             slabel = f"{label} {spec.text()}"
-            f_spec = from_sequence(c_rule(spec), D)
+            window = (D + 1,) * r
+            f_spec = from_sequence(RecurrenceEvaluator(spec, guard).table(window).as_rule(), D)
+            dual = RecurrenceEvaluator(spec.one_minus(), guard).table(window).as_rule()
             report.extend(
                 _series_comparisons(
-                    "nested-sum-duality",
-                    slabel,
-                    nabla_series(f_spec),
-                    from_sequence(c_rule(spec.one_minus()), D),
+                    "nested-sum-duality", slabel, nabla_series(f_spec), from_sequence(dual, D)
                 )
             )
             if p >= 2:
-                reduced = from_sequence(c_rule(spec.reduce_depth()), D)
+                reduced = from_sequence(c_rule(spec.reduce_depth(), guard), D)
                 first_cols = tuple(block[0] for block in spec.xblocks)
                 stepped = xi_apply(f_spec, first_cols) + f_spec.scale(spec.tparams[0])
                 report.extend(

@@ -223,6 +223,50 @@ def test_bench_flag_below_its_floor_exit_code(capsys, flag, message):
     assert err.startswith(f"error: {message}, got ")
 
 
+BENCH_UNREAD_CASES = [
+    (("--x=1/2,1/3", "--t=2", "--r=3", "--p=5", "--seed=9", "--n=4"),
+     "--r is not read by bench with --x"),
+    (("--x=1/2,1/3", "--t=2", "--p=5"), "--p is not read by bench with --x"),
+    (("--x=1/2,1/3", "--t=2", "--seed=9"), "--seed is not read by bench with --x"),
+    (("--ladder=2,3", "--n=4"), "--n is not read by bench with --ladder"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, message", BENCH_UNREAD_CASES, ids=[" ".join(f) for f, _ in BENCH_UNREAD_CASES]
+)
+def test_bench_unread_flag_exit_code(capsys, flags, message):
+    code, out, err = run(capsys, "bench", *flags, "--repeats=1")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("n, rungs", [(0, [0]), (3, [1, 2, 3]), (8, [2, 4, 6, 8])])
+def test_bench_default_ladder_stays_within_n(capsys, n, rungs):
+    code, out, _ = run(capsys, "bench", "--p=2", f"--n={n}", "--repeats=1")
+    assert code == 0
+    assert [int(line.split(",")[2]) for line in out.splitlines()[1:]] == rungs
+
+
+GUARD_FLOOR_ARGV = [
+    ("s", "--mu=(1,2)", "--n=3"),
+    ("dual", "--mu=(1,2)"),
+    ("embed", "--mu=(1,2)"),
+    ("c", "--x=1/2", "--n=2"),
+    ("verify", "--identity=c-duality", "--x=1/2"),
+    ("verify", "--identity=egf-suite", "--degree=1"),
+    ("bench", "--n=1", "--repeats=1"),
+]
+
+
+@pytest.mark.parametrize("guard", ["-5", "0"])
+@pytest.mark.parametrize("argv", GUARD_FLOOR_ARGV, ids=[" ".join(a[:2]) for a in GUARD_FLOOR_ARGV])
+def test_guard_below_one_exit_code(capsys, argv, guard):
+    code, out, err = run(capsys, *argv, f"--guard={guard}")
+    assert code == 2 and out == ""
+    assert err == f"error: --guard must be at least 1, got {guard}\n"
+
+
 FLOOR_CASES = [
     (("c-duality", "--nmax=-1"), "--nmax must be at least 0"),
     (("difference-formula", "--kmax=-1"), "--kmax must be at least 0"),
@@ -365,7 +409,7 @@ def test_interrupted_out_write_keeps_the_old_file(tmp_path, capsys, monkeypatch)
 
 def test_bench_csv_output(capsys):
     code, out, _ = run(
-        capsys, "bench", "--r", "1", "--p", "2", "--n", "8",
+        capsys, "bench", "--r", "1", "--p", "2",
         "--ladder", "4,8", "--repeats", "1", "--seed", "3",
     )
     assert code == 0

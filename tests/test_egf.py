@@ -5,7 +5,9 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mhscalc import egf, nestedsums
 from mhscalc.egf import (
     TruncatedSeries,
     F_from_sequence,
@@ -14,15 +16,15 @@ from mhscalc.egf import (
     from_sequence,
     nabla_series,
     negate_vars,
-    random_table_rule,
+    random_table,
     subst_linear,
     suite_product_pairs,
     verify_operator_suite,
     xi_apply,
 )
 from mhscalc.errors import GuardExceeded
-from mhscalc.multiseq import SequenceRule, nabla
-from mhscalc.nestedsums import NestedSumSpec, c_rule
+from mhscalc.multiseq import MultiSequenceTable, SequenceRule, iterated_delta, nabla
+from mhscalc.nestedsums import NestedSumSpec, RecurrenceEvaluator, c_rule
 
 
 def geometric(x):
@@ -139,7 +141,7 @@ def test_subst_linear_examples():
 
 def test_negate_vars_matches_substitution():
     rng = Random(0)
-    f = from_sequence(random_table_rule(rng, 2, 4), 4)
+    f = from_sequence(random_table(rng, 2, 4).as_rule(), 4)
     assert negate_vars(f) == subst_linear(f, [(-1, 0), (0, -1)])
 
 
@@ -152,7 +154,7 @@ def test_nabla_series_closed_forms():
 def test_nabla_series_matches_sequence_transform():
     rng = Random(1)
     for arity in (1, 2):
-        a = random_table_rule(rng, arity, 7)
+        a = random_table(rng, arity, 7).as_rule()
         f = from_sequence(a, 6)
         assert nabla_series(f) == from_sequence(nabla(a), 6)
         assert nabla_series(nabla_series(f)) == f
@@ -171,7 +173,7 @@ def test_xi_apply_euler_operator():
 
 def test_xi_apply_matches_operator_composite():
     rng = Random(2)
-    f = from_sequence(random_table_rule(rng, 2, 7), 6)
+    f = from_sequence(random_table(rng, 2, 7).as_rule(), 6)
     xvec = (F(1, 2), F(-2, 3))
     composite = TruncatedSeries.zero(2, 5)
     for i in (1, 2):
@@ -192,7 +194,7 @@ def test_xi_apply_depth_reduction_step():
 
 def test_two_block_series_slices():
     rng = Random(4)
-    a = random_table_rule(rng, 1, 7)
+    a = random_table(rng, 1, 7).as_rule()
     big = F_from_sequence(a, 6)
     f = from_sequence(a, 6)
     inverted = from_sequence(nabla(a), 6)
@@ -259,3 +261,124 @@ def test_operator_suite_guard():
     assert info.value.what == "series product term pairs"
     # the default guard leaves every degree up to 6 alone
     assert suite_product_pairs(6, 2) <= 10**7
+
+
+def test_public_constructor_still_validates():
+    # operator results skip the checks (TruncatedSeries._trusted); callers do not
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        TruncatedSeries(2, 3, {(1, -1): 1})
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        TruncatedSeries(2, 3, {(1,): 1})
+    with pytest.raises(ValueError, match="exceeds degree bound 3"):
+        TruncatedSeries(2, 3, {(2, 2): F(1, 2)})
+    assert TruncatedSeries(1, 2, {(1,): 3}).coefficient((1,)) == F(3)
+
+
+def test_operator_results_drop_zero_coefficients():
+    f = series(2, 3, {(0, 0): 1, (1, 0): F(1, 2), (1, 1): -3})
+    g = series(2, 3, {(0, 0): -1, (1, 0): F(1, 2)})
+    assert list((f + g).terms()) == [((1, 0), F(1)), ((1, 1), F(-3))]
+    for zero in (f - f, f.scale(0), xi_apply(exp_linear((F(2, 3), 1), 3), (F(2, 3), 1))):
+        assert not zero and list(zero.terms()) == [] and zero.to_json().endswith('"terms": []}')
+
+
+@st.composite
+def sequence_windows(draw):
+    arity, degree = draw(st.integers(1, 2)), draw(st.integers(0, 6))
+    shape = (degree + 1,) * arity
+    values = draw(
+        st.lists(
+            st.fractions(min_value=-20, max_value=20, max_denominator=12),
+            min_size=math.prod(shape),
+            max_size=math.prod(shape),
+        )
+    )
+    return MultiSequenceTable(arity, shape, tuple(values)).as_rule(), degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(sequence_windows())
+def test_two_block_difference_table_matches_pointwise_differences(case):
+    a, degree = case
+    r = a.arity
+    big = F_from_sequence(a, degree)
+    for exponents in exponent_vectors(2 * r, degree):
+        n, k = exponents[:r], exponents[r:]
+        weight = math.prod(math.factorial(e) for e in exponents)
+        assert big.coefficient(exponents) == iterated_delta(a, k, n) / weight
+
+
+# x: zero, integers and proper fractions; t: off {0, -1, -2, ...}, negative
+# non-integers included
+window_x = st.one_of(
+    st.just(F(0)),
+    st.integers(-4, 4).map(F),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+)
+window_t = st.one_of(
+    st.integers(-9, -1).map(lambda a: F(2 * a - 1, 2)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(
+        lambda t: t.denominator > 1 or t > 0
+    ),
+)
+
+
+@st.composite
+def nested_sum_windows(draw):
+    r, p = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    xblocks = tuple(tuple(draw(window_x) for _ in range(p)) for _ in range(r))
+    tparams = tuple(draw(window_t) for _ in range(p - 1))
+    return NestedSumSpec(xblocks, tparams), draw(st.integers(0, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nested_sum_windows())
+def test_window_from_one_fill_matches_chain_enumeration(case):
+    spec, degree = case
+    table = RecurrenceEvaluator(spec).table((degree + 1,) * spec.r)
+    assert from_sequence(table.as_rule(), degree) == from_sequence(c_rule(spec), degree)
+
+
+def test_operator_suite_fails_depth_reduction_on_a_corrupted_fill(monkeypatch):
+    corrupted = []
+
+    class Corrupting(RecurrenceEvaluator):
+        def table(self, extents):
+            out = super().table(extents)
+            # the first depth-2 fill is f = c[x|t] of the r = 1, p = 2 spec
+            if self.spec.p != 2 or corrupted:
+                return out
+            corrupted.append(self.spec.text())
+            values = list(out.values)
+            values[2] += 1  # index (2,), inside the degree-4 window
+            return MultiSequenceTable(out.arity, out.shape, tuple(values))
+
+    monkeypatch.setattr(egf, "RecurrenceEvaluator", Corrupting)
+    report = verify_operator_suite(degree=4, seed=3)
+    assert not report.ok
+    failed = {(comp.identity, comp.spec) for comp in report.failures}
+    label = f"r=1 seed=3 D=4 {corrupted[0]}"
+    assert ("depth-reduction-step", label) in failed
+    # only that spec's windows are wrong
+    assert {spec for _, spec in failed} == {label}
+
+
+def test_operator_suite_enumerates_every_reduced_window(monkeypatch):
+    # the reduced side of depth reduction is chain enumeration, point by point
+    calls = []
+    c_direct = nestedsums.c_direct
+
+    def recording(spec, n, *guard):
+        calls.append((spec.text(), spec.r, n))
+        return c_direct(spec, n, *guard)
+
+    monkeypatch.setattr(nestedsums, "c_direct", recording)
+    degree = 3
+    assert verify_operator_suite(degree=degree, seed=5).ok
+    windows = {}
+    for text, r, n in calls:
+        windows.setdefault((text, r), []).append(n)
+    # one reduced spec per (r, p) with p = 2, 3, each over its whole window
+    assert sorted(r for _, r in windows) == [1, 1, 2, 2]
+    for (_, r), points in windows.items():
+        assert sorted(points) == sorted(exponent_vectors(r, degree))
