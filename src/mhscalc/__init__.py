@@ -6,13 +6,7 @@ package verifies is checked to exact equality, never numerically.
 
 from .errors import GuardExceeded
 from .kernel import binomial, gen_binomial, multinomial, format_rational, parse_rational
-from .multiseq import (
-    MultiSequenceTable,
-    SequenceRule,
-    delta,
-    iterated_delta,
-    nabla,
-)
+from .multiseq import MultiSequenceTable, iterated_delta
 from .mhs import (
     MultiIndex,
     dual_index,
@@ -27,7 +21,6 @@ from .nestedsums import (
     RecurrenceEvaluator,
     c_direct,
     c_recursive,
-    c_rule,
     enumerate_chains,
     kt_value,
     two_index_value,
@@ -58,10 +51,7 @@ __all__ = [
     "format_rational",
     "parse_rational",
     "MultiSequenceTable",
-    "SequenceRule",
-    "delta",
     "iterated_delta",
-    "nabla",
     "MultiIndex",
     "dual_index",
     "embed_type1",
@@ -73,7 +63,6 @@ __all__ = [
     "RecurrenceEvaluator",
     "c_direct",
     "c_recursive",
-    "c_rule",
     "enumerate_chains",
     "kt_value",
     "two_index_value",

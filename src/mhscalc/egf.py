@@ -37,13 +37,13 @@ from typing import Iterator, Sequence
 
 from .errors import GuardExceeded
 from .kernel import format_rational
-from .multiseq import MultiSequenceTable, SequenceRule, binomial_transform
+from .multiseq import MultiSequenceTable, binomial_transform
 from .multiseq import iterated_delta  # noqa: F401  (perfbench's tracer wraps it here)
 from .nestedsums import (
     DEFAULT_SUMMAND_GUARD,
     NestedSumSpec,
     RecurrenceEvaluator,
-    c_rule,
+    c_direct,
     random_rational,
     random_shift,
 )
@@ -256,22 +256,26 @@ def _egf_window(nvars: int, degree_bound: int, values: dict) -> TruncatedSeries:
     })
 
 
-def from_sequence(a: SequenceRule, degree_bound: int) -> TruncatedSeries:
-    """EGF window of a sequence: coefficient of X^n is a(n)/n!."""
-    values = {e: a(e) for e in exponent_vectors(a.arity, degree_bound)}
-    return _egf_window(a.arity, degree_bound, values)
+def from_sequence(table: MultiSequenceTable, degree_bound: int) -> TruncatedSeries:
+    """EGF window of a sequence: coefficient of X^n is a(n)/n!.
+
+    The table must hold every |n| <= D, so each extent is at least D + 1.
+    """
+    values = {e: table[e] for e in exponent_vectors(table.arity, degree_bound)}
+    return _egf_window(table.arity, degree_bound, values)
 
 
-def F_from_sequence(a: SequenceRule, degree_bound: int) -> TruncatedSeries:
+def F_from_sequence(table: MultiSequenceTable, degree_bound: int) -> TruncatedSeries:
     """Two-block window: coefficient of X^n Y^k is (delta^k a)(n) / (n! k!).
 
     Lives in 2r variables; its Y = 0 slice is f_a and its X = 0 slice is
-    the EGF of nabla a.  One difference table, filled in graded order of k
+    the EGF of nabla a.  The table must hold every |n| <= D, as in
+    `from_sequence`.  One difference table, filled in graded order of k
     with i the first axis where k_i > 0, costs one subtraction per coefficient:
     delta^k a(n) = delta^{k-e_i} a(n) - delta^{k-e_i} a(n+e_i).
     """
-    r = a.arity
-    diffs = {n + (0,) * r: a(n) for n in exponent_vectors(r, degree_bound)}
+    r = table.arity
+    diffs = {n + (0,) * r: table[n] for n in exponent_vectors(r, degree_bound)}
     for k in itertools.islice(exponent_vectors(r, degree_bound), 1, None):
         i = next(axis for axis, ki in enumerate(k) if ki)
         lower = k[:i] + (k[i] - 1,) + k[i + 1:]
@@ -307,16 +311,12 @@ def subst_linear(f: TruncatedSeries, rows: Sequence[Sequence]) -> TruncatedSerie
         raise ValueError("image rows must share a length")
     nvars_out = len(rows[0])
     bound = f.degree_bound
+    # at bound 0 the forms' degree-1 terms are truncated away
     forms = [
-        TruncatedSeries(
-            nvars_out,
-            bound,
-            {
-                tuple(1 if j == pos else 0 for pos in range(nvars_out)): coeff
-                for j, coeff in enumerate(row)
-                if coeff
-            },
-        )
+        TruncatedSeries._trusted(nvars_out, bound, {
+            tuple(1 if j == pos else 0 for pos in range(nvars_out)): coeff
+            for j, coeff in enumerate(row)
+        } if bound else {})
         for row in rows
     ]
     # cache form powers; exponents are small (<= bound)
@@ -408,10 +408,7 @@ def _series_comparisons(
 
 
 def random_table(rng: Random, arity: int, extent: int, bound: int = 9) -> MultiSequenceTable:
-    """Small random rationals over the box [0, extent)^arity.
-
-    Its zero extension (`as_rule`) is a totally defined sequence.
-    """
+    """Small random rationals over the box [0, extent)^arity."""
     values = tuple(random_rational(rng, bound) for _ in range(extent**arity))
     return MultiSequenceTable(arity, (extent,) * arity, values)
 
@@ -461,11 +458,10 @@ def verify_operator_suite(
 
     for r in slot_counts:
         table = random_table(rng, r, D + 1)  # exact for every |n| <= D read
-        a = table.as_rule()
         label = f"r={r} seed={seed} D={D}"
-        f_a = from_sequence(a, D)
-        F_a = F_from_sequence(a, D)
-        nabla_a = binomial_transform(table).as_rule()
+        f_a = from_sequence(table, D)
+        F_a = F_from_sequence(table, D)
+        nabla_a = binomial_transform(table)
 
         # F_a = f_a(X - Y) e^{sum Y}
         shifted = subst_linear(
@@ -592,15 +588,18 @@ def verify_operator_suite(
             )
             slabel = f"{label} {spec.text()}"
             window = (D + 1,) * r
-            f_spec = from_sequence(RecurrenceEvaluator(spec, guard).table(window).as_rule(), D)
-            dual = RecurrenceEvaluator(spec.one_minus(), guard).table(window).as_rule()
+            f_spec = from_sequence(RecurrenceEvaluator(spec, guard).table(window), D)
+            dual = RecurrenceEvaluator(spec.one_minus(), guard).table(window)
             report.extend(
                 _series_comparisons(
                     "nested-sum-duality", slabel, nabla_series(f_spec), from_sequence(dual, D)
                 )
             )
             if p >= 2:
-                reduced = from_sequence(c_rule(spec.reduce_depth(), guard), D)
+                reduced_spec = spec.reduce_depth()
+                reduced = _egf_window(r, D, {
+                    e: c_direct(reduced_spec, e, guard) for e in exponent_vectors(r, D)
+                })
                 first_cols = tuple(block[0] for block in spec.xblocks)
                 stepped = xi_apply(f_spec, first_cols) + f_spec.scale(spec.tparams[0])
                 report.extend(

@@ -1,19 +1,20 @@
-"""Finite-difference and inversion calculus on multi-sequences N^r -> Q.
+"""Finite-difference and inversion calculus on tables of multi-sequences N^r -> Q.
 
-A multi-sequence is held as a `SequenceRule`: a total evaluation rule with a
-write-once memo, because the difference operator consumes values above any
-finite window.  A `MultiSequenceTable` holds exact values over one box, the
-shape every identity sweep compares point by point.
+A `MultiSequenceTable` holds exact values over one box prod [0, N_i).  It
+is the one input type of the calculus and the shape every identity sweep
+compares point by point.
 
 Operators follow the classical calculus:
 
     (delta_i a)(n) = a(n) - a(n + e_i)
-    (nabla a)(n)   = (delta_1^{n_1} ... delta_r^{n_r} a)(0, ..., 0)
-                   = sum_{i <= n} (-1)^{|i|} C(n_1, i_1) ... C(n_r, i_r) a(i)
+    (delta^k a)(n) = sum_{i <= k} (-1)^{|i|} C(k_1, i_1) ... C(k_r, i_r) a(n + i)
+    (nabla a)(n)   = (delta^n a)(0)
 
-nabla is the multi-dimensional binomial transform and an involution.
-`binomial_transform` applies it to a whole table at once, one axis at a
-time; `nabla` and `iterated_delta` remain the pointwise reference.
+nabla is the multi-dimensional binomial transform and an involution.  Both
+box operators run the forward-difference triangle of every line, one axis
+at a time, with subtractions only: `binomial_transform` keeps the first
+entry of each row (nabla over the table's box), `iterated_delta` keeps the
+first rows (delta^k a(n) for every pair (n, k) the table determines).
 """
 
 from __future__ import annotations
@@ -22,99 +23,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
-
-from .kernel import binomial
-
-Index = tuple[int, ...]
-
-
-class SequenceRule:
-    """A total, deterministic map N^r -> Q with a write-once memo.
-
-    The memo is insert-only (`setdefault`), so concurrent readers and writers
-    can only ever race to insert the same value.
-    """
-
-    __slots__ = ("arity", "_fn", "_memo")
-
-    def __init__(self, arity: int, fn: Callable[[Index], Fraction]):
-        if arity < 1:
-            raise ValueError(f"arity must be positive, got {arity}")
-        self.arity = arity
-        self._fn = fn
-        self._memo: dict[Index, Fraction] = {}
-
-    def __call__(self, index: Sequence[int]) -> Fraction:
-        key = tuple(index)
-        if len(key) != self.arity:
-            raise ValueError(f"index {key} has arity {len(key)}, rule expects {self.arity}")
-        if any(i < 0 for i in key):
-            raise ValueError(f"index {key} has negative entries")
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        value = Fraction(self._fn(key))
-        return self._memo.setdefault(key, value)
-
-    @classmethod
-    def constant(cls, arity: int, value) -> "SequenceRule":
-        value = Fraction(value)
-        return cls(arity, lambda _idx: value)
-
-    @property
-    def memo_size(self) -> int:
-        return len(self._memo)
-
-
-def delta(a: SequenceRule, axis: int) -> SequenceRule:
-    """Difference along a 1-based axis: result(n) = a(n) - a(n + e_axis)."""
-    if not 1 <= axis <= a.arity:
-        raise ValueError(f"axis {axis} out of range 1..{a.arity}")
-    pos = axis - 1
-
-    def fn(index: Index) -> Fraction:
-        shifted = index[:pos] + (index[pos] + 1,) + index[pos + 1:]
-        return a(index) - a(shifted)
-
-    return SequenceRule(a.arity, fn)
-
-
-def iterated_delta(a: SequenceRule, k: Sequence[int], n: Sequence[int]) -> Fraction:
-    """(delta_1^{k_1} ... delta_r^{k_r} a)(n) by the alternating binomial sum.
-
-    Closed form: sum over 0 <= i <= k of (-1)^{|i|} prod C(k_j, i_j) a(n + i).
-    Work is prod(k_j + 1) evaluations, versus exponential blowup for literal
-    operator composition (which the tests retain as an oracle).
-    """
-    k = tuple(k)
-    n = tuple(n)
-    if len(k) != a.arity or len(n) != a.arity:
-        raise ValueError(f"k {k} and n {n} must have arity {a.arity}")
-    total = Fraction(0)
-    for offsets in itertools.product(*(range(kj + 1) for kj in k)):
-        coeff = 1
-        for kj, ij in zip(k, offsets):
-            coeff *= binomial(kj, ij)
-        point = tuple(nj + ij for nj, ij in zip(n, offsets))
-        term = coeff * a(point)
-        total += -term if sum(offsets) % 2 else term
-    return total
-
-
-def nabla(a: SequenceRule) -> SequenceRule:
-    """Inversion operator (binomial transform): (nabla a)(n) = (delta^n a)(0)."""
-    zero = (0,) * a.arity
-
-    def fn(index: Index) -> Fraction:
-        return iterated_delta(a, index, zero)
-
-    return SequenceRule(a.arity, fn)
+from typing import Sequence
 
 
 @dataclass(frozen=True)
 class MultiSequenceTable:
-    """Dense window of a multi-sequence over the box prod [0, N_i].
+    """Dense window of a multi-sequence over the box prod [0, N_i).
 
     Values are stored row-major in lexicographic index order, which is also
     the iteration order.
@@ -140,27 +54,16 @@ class MultiSequenceTable:
 
     def __getitem__(self, index: Sequence[int]) -> Fraction:
         index = tuple(index)
+        if len(index) != self.arity:
+            raise ValueError(
+                f"index {index} has arity {len(index)}, table has arity {self.arity}"
+            )
         offset = 0
         for extent, i in zip(self.shape, index):
             if not 0 <= i < extent:
                 raise IndexError(f"index {index} outside box of shape {self.shape}")
             offset = offset * extent + i
         return self.values[offset]
-
-    def as_rule(self, fill=Fraction(0)) -> SequenceRule:
-        """Total rule agreeing with the table on its box, `fill` outside.
-
-        Zero extension is itself a legitimate multi-sequence, so operator
-        identities applied to the extension remain exactly valid.
-        """
-        fill = Fraction(fill)
-
-        def fn(index: Index) -> Fraction:
-            if all(i < extent for i, extent in zip(index, self.shape)):
-                return self[index]
-            return fill
-
-        return SequenceRule(self.arity, fn)
 
 
 def _difference_triangle(line: list[Fraction]) -> list[Fraction]:
@@ -177,13 +80,27 @@ def _difference_triangle(line: list[Fraction]) -> list[Fraction]:
     return out
 
 
+def _difference_rows(line: Sequence[Fraction], width: int) -> list[Fraction]:
+    """The same triangle, each row cut to its first `width` entries.
+
+    Rows run while they have `width` entries; out[k * width + n] =
+    (delta^k a)(n).  At width 1 this is `_difference_triangle`, which stays
+    separate because its one-entry rows are cheaper.
+    """
+    out = []
+    while len(line) >= width:
+        out += line[:width]
+        line = [a - b for a, b in zip(line, line[1:])]
+    return out
+
+
 def binomial_transform(table: MultiSequenceTable) -> MultiSequenceTable:
     """nabla over the whole box of `table`, as r separable one-axis passes.
 
     (nabla a)(n) only reads a on the box below n, so the transform of a
     window is exact on that window.  Work is about |box| * sum(N_i) / 2
     subtractions, against |box| * prod(N_i + 1) / 2^r weighted terms for
-    `nabla` point by point.
+    nabla point by point.
     """
     values = list(table.values)
     shape = table.shape
@@ -195,3 +112,42 @@ def binomial_transform(table: MultiSequenceTable) -> MultiSequenceTable:
                 line = values[start:start + span:stride]
                 values[start:start + span:stride] = _difference_triangle(line)
     return MultiSequenceTable(table.arity, shape, tuple(values))
+
+
+def iterated_delta(table: MultiSequenceTable, orders: Sequence[int]) -> MultiSequenceTable:
+    """(delta^k a)(n) for every k below `orders` that the table determines.
+
+    (delta^k a)(n) reads a on the box from n to n + k, so a table over
+    prod [0, L_i) with K_i = orders[i] gives it for k_i < K_i and
+    n_i < N_i = L_i - K_i + 1.  The result is one table of arity 2r over
+    (N_1, ..., N_r, K_1, ..., K_r), indexed by n + k.  Like
+    `binomial_transform` it runs one pass per axis, which turns each line
+    of axis i into the first K_i rows of its forward-difference triangle,
+    cut to N_i entries: about |box| * sum(L_i) / 2 subtractions in all.
+    """
+    orders = tuple(orders)
+    r = table.arity
+    if len(orders) != r:
+        raise ValueError(f"orders {orders} have arity {len(orders)}, table has arity {r}")
+    if any(not 1 <= k <= extent for k, extent in zip(orders, table.shape)):
+        raise ValueError(f"orders {orders} must lie in 1..extent of shape {table.shape}")
+    nbox = tuple(extent - k + 1 for extent, k in zip(table.shape, orders))
+    # axis i of extent L_i becomes the two axes (K_i, N_i) at its position
+    values, outer = table.values, 1
+    for extent, width, count in zip(table.shape, nbox, orders):
+        stride = len(values) // (outer * extent)
+        span = count * width * stride
+        out = [None] * (outer * span)
+        for block in range(outer):
+            for inner in range(stride):
+                start, head = block * extent * stride + inner, block * span + inner
+                line = values[start:start + extent * stride:stride]
+                out[head:head + span:stride] = _difference_rows(line, width)
+        values, outer = out, outer * count * width
+    # transpose (K_1, N_1, ..., K_r, N_r) to (N_1, ..., N_r, K_1, ..., K_r)
+    split = [extent for pair in zip(orders, nbox) for extent in pair]
+    offsets = [0]
+    for axis in [*range(1, 2 * r, 2), *range(0, 2 * r, 2)]:
+        step = math.prod(split[axis + 1:])
+        offsets = [offset + i * step for offset in offsets for i in range(split[axis])]
+    return MultiSequenceTable(2 * r, nbox + orders, tuple(values[i] for i in offsets))

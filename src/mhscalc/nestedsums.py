@@ -31,12 +31,12 @@ The single-slot sums `kt_value` and the two-slot sums `two_index_value`
 have their own classical coefficient normalizations; both must (and are
 verified to) coincide with `c_direct` at t = 1.
 
-Verifiers at the bottom check, on finite boxes, the recurrence against
-c_direct (one fill of the box), the duality (nabla c[x;t] = c[1-x;t], the
-whole box at once from recurrence fills with c_direct at the corner), and
-point by point the difference formula (iterated differences of c are again
-c at doubled parameters) and the shift identity for parameter blocks summing
-to a constant vector.
+Verifiers at the bottom check, on finite boxes and each over the whole box
+at once from recurrence fills, the recurrence against c_direct at every
+point, and with c_direct at the corner the duality (nabla c[x;t] =
+c[1-x;t]), the difference formula (iterated differences of c are again c at
+doubled parameters) and the shift identity for parameter blocks summing to
+a constant vector.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from typing import Iterator, Sequence
 
 from .errors import GuardExceeded
 from .kernel import binomial, gen_binomial, multinomial, format_rational, parse_rational
-from .multiseq import MultiSequenceTable, SequenceRule, binomial_transform, iterated_delta
+from .multiseq import MultiSequenceTable, binomial_transform, iterated_delta
 from .report import VerificationReport, sweep_report
 
 Index = tuple[int, ...]
@@ -386,17 +386,6 @@ def c_recursive(
     return RecurrenceEvaluator(spec, cell_guard).value(n)
 
 
-def c_rule(
-    spec: NestedSumSpec,
-    summand_guard: int = DEFAULT_SUMMAND_GUARD,
-) -> SequenceRule:
-    """c as a memoized arity-r sequence rule, one `c_direct` call per point.
-
-    The guard bounds the direct summands of each point.
-    """
-    return SequenceRule(spec.r, lambda idx: c_direct(spec, idx, summand_guard))
-
-
 def kt_value(
     x: Sequence[Fraction | int],
     n: int,
@@ -525,20 +514,38 @@ def verify_difference_formula(
 ) -> VerificationReport:
     """Check that iterated differences of c are c at doubled parameters.
 
-    LHS runs the alternating-sum formula for iterated differences over
-    direct c values; RHS enumerates the 2r-slot doubled spec at (n, k).
+    The pairs (n, k) over nbox x kbox are evaluated at once: the left side
+    is `iterated_delta` of one recurrence fill of c[x|t] over the box
+    nbox + kbox - 1, the right side one fill of the 2r-slot doubled spec
+    over (nbox, kbox), except at the corner (N - 1, K - 1), where it is
+    chain enumeration (`c_direct`).  (delta^k c)(n) weights every fill value
+    c(m) with n <= m <= n + k by a nonzero binomial, so the corner anchors
+    the top slab N - 1 <= m <= N + K - 2 of the c[x|t] fill.  The rest of
+    that fill and the doubled fill, whose corner value is not read, are
+    checked against each other.
+
+    The corner's `c_direct` runs first, and each fill is guarded on its own
+    cells at p times the guard, as in `verify_duality`: at depth p >= 2 the
+    corner has at least as many summands as either fill has cells per
+    level, and at depth 1 the guard bounds the prod(nbox) * prod(kbox)
+    cells of the doubled fill.
     """
     npoints, kpoints = _points(spec, nbox), _points(spec, kbox)
-    pairs = [(n, k) for n in npoints for k in kpoints]
-    rule = c_rule(spec, summand_guard)
     double = spec.doubled()
+    corner_rhs = c_direct(double, npoints[-1] + kpoints[-1], summand_guard)
+    cell_guard = spec.p * summand_guard
+    fill = RecurrenceEvaluator(spec, cell_guard).table(
+        tuple(n + k - 1 for n, k in zip(nbox, kbox))
+    )
+    lhs = iterated_delta(fill, kbox).values
+    rhs = RecurrenceEvaluator(double, cell_guard).table(tuple(nbox) + tuple(kbox)).values
     return sweep_report(
         "difference-formula",
         DIFFERENCE_STATEMENT,
         spec.text(),
-        [n + k for n, k in pairs],
-        (iterated_delta(rule, k, n) for n, k in pairs),
-        (c_direct(double, n + k, summand_guard) for n, k in pairs),
+        [n + k for n in npoints for k in kpoints],
+        lhs,
+        rhs[:-1] + (corner_rhs,),
     )
 
 
@@ -553,6 +560,13 @@ def verify_shift_identity(
 
     `subset` holds distinct 1-based slot numbers whose blocks must sum to
     the constant vector (the identity's hypothesis, enforced here).
+
+    Both sides read one recurrence fill of the box one larger in every
+    slot, except the right side at the corner, which is constant times
+    chain enumeration (`c_direct`).  The left side at the corner is the
+    only reader of the fill values at corner + e_i (i in subset), so the
+    corner anchors their sum.  The corner's `c_direct` runs first, and the
+    fill is guarded on its cells at p times the guard.
     """
     points = _points(spec, box)
     subset = tuple(subset)
@@ -568,17 +582,20 @@ def verify_shift_identity(
                 f"hypothesis violated: component {j + 1} of the subset sum is "
                 f"{format_rational(column)}, expected {format_rational(constant)}"
             )
-    rule = c_rule(spec, summand_guard)
+    corner_rhs = constant * c_direct(spec, points[-1], summand_guard)
+    fill = RecurrenceEvaluator(spec, spec.p * summand_guard).table(
+        tuple(extent + 1 for extent in box)
+    )
     return sweep_report(
         "shift",
         SHIFT_STATEMENT,
         f"{spec.text()} S={subset} gamma={format_rational(constant)}",
         points,
         (
-            sum((rule(n[: i - 1] + (n[i - 1] + 1,) + n[i:]) for i in subset), Fraction(0))
+            sum((fill[n[: i - 1] + (n[i - 1] + 1,) + n[i:]] for i in subset), Fraction(0))
             for n in points
         ),
-        (constant * rule(n) for n in points),
+        [constant * fill[n] for n in points[:-1]] + [corner_rhs],
     )
 
 

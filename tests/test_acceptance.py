@@ -22,12 +22,7 @@ from mhscalc.mhs import (
     multi_indices_of_weight,
     verify_mhs_duality,
 )
-from mhscalc.multiseq import (
-    MultiSequenceTable,
-    delta,
-    iterated_delta,
-    nabla,
-)
+from mhscalc.multiseq import MultiSequenceTable, binomial_transform, iterated_delta
 from mhscalc.nestedsums import (
     NestedSumSpec,
     RecurrenceEvaluator,
@@ -41,6 +36,7 @@ from mhscalc.nestedsums import (
     verify_duality,
     verify_shift_identity,
 )
+from pointwise import delta, tabulate, zero_extension
 
 
 def _run(number, label, budget_seconds, body):
@@ -197,24 +193,29 @@ def test_criterion_7_sequence_calculus():
             values = tuple(
                 random_rational(rng) for _ in range(math.prod(extents))
             )
-            a = MultiSequenceTable(arity, extents, values).as_rule()
+            table = MultiSequenceTable(arity, extents, values)
             # involution on the table's own box
-            twice = nabla(nabla(a))
-            for idx in itertools.product(*(range(e) for e in extents)):
-                assert twice(idx) == a(idx)
-            # index symmetry of differenced inversions on a small box
-            inverted = nabla(a)
-            for n in itertools.product(range(2), repeat=arity):
-                for k in itertools.product(range(2), repeat=arity):
-                    assert iterated_delta(inverted, k, n) == iterated_delta(a, n, k)
-            # closed-form iterated difference equals literal composition
+            assert binomial_transform(binomial_transform(table)) == table
+            # index symmetry of differenced inversions, (delta^k nabla a)(n) =
+            # (delta^n a)(k), for n and k in the box's lower half
+            half = tuple((e + 1) // 2 for e in extents)
+            inverted = iterated_delta(binomial_transform(table), half)
+            plain = iterated_delta(table, half)
+            for n in itertools.product(*(range(h) for h in half)):
+                for k in itertools.product(*(range(h) for h in half)):
+                    assert inverted[n + k] == plain[k + n]
+            # box iterated difference of the zero extension equals literal
+            # composition of single differences
             kvec = tuple(rng.randint(0, 4) for _ in range(arity))
             nvec = tuple(rng.randint(0, 2) for _ in range(arity))
+            a = zero_extension(table)
             composed = a
             for axis in range(1, arity + 1):
                 for _ in range(kvec[axis - 1]):
                     composed = delta(composed, axis)
-            assert composed(nvec) == iterated_delta(a, kvec, nvec)
+            reach = tuple(n + k + 1 for n, k in zip(nvec, kvec))
+            orders = tuple(k + 1 for k in kvec)
+            assert composed(nvec) == iterated_delta(tabulate(a, reach), orders)[nvec + kvec]
             tables += 1
         return f"{tables} random tables"
 

@@ -160,6 +160,26 @@ def test_recurrence_fill_guard_exit_code(capsys):
     assert "recurrence cell count" in err and "guard 100" in err
 
 
+def test_difference_formula_fill_guard_exit_code(capsys):
+    # depth 1 has one summand per point, so the doubled fill's 31 * 31 cells
+    # bound the box
+    code, out, err = run(
+        capsys, "verify", "--identity", "difference-formula", "--x", "1/2",
+        "--nmax", "30", "--kmax", "30", "--guard", "100",
+    )
+    assert code == 3 and out == ""
+    assert err == "error: recurrence cell count: 961 exceeds guard 100\n"
+
+
+def test_shift_corner_guard_exit_code(capsys):
+    code, out, err = run(
+        capsys, "verify", "--identity", "shift", "--x", "1/3,1/2;2/3,1/2", "--t", "2",
+        "--subset", "1,2", "--nmax", "9", "--guard", "99",
+    )
+    assert code == 3 and out == ""
+    assert err == "error: direct summand count: 100 exceeds guard 99\n"
+
+
 def test_mhs_duality_corner_guard_exit_code(capsys):
     # the corner is chain enumeration of mu* = (1,1,1): C(32, 2) = 496 chains
     code, out, err = run(

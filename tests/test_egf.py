@@ -7,7 +7,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mhscalc import egf, nestedsums
+from mhscalc import egf
 from mhscalc.egf import (
     TruncatedSeries,
     F_from_sequence,
@@ -23,13 +23,24 @@ from mhscalc.egf import (
     xi_apply,
 )
 from mhscalc.errors import GuardExceeded
-from mhscalc.multiseq import MultiSequenceTable, SequenceRule, iterated_delta, nabla
-from mhscalc.nestedsums import NestedSumSpec, RecurrenceEvaluator, c_rule
+from mhscalc.multiseq import MultiSequenceTable
+from mhscalc.nestedsums import NestedSumSpec, RecurrenceEvaluator
+from pointwise import c_sequence, iterated_delta, nabla, tabulate, zero_extension
 
 
-def geometric(x):
+def geometric(x, degree):
+    """The table of x^n over 0 <= n <= degree."""
     x = F(x)
-    return SequenceRule(1, lambda idx: x ** idx[0])
+    return tabulate(lambda idx: x ** idx[0], (degree + 1,))
+
+
+def ones(arity, degree):
+    return tabulate(lambda idx: 1, (degree + 1,) * arity)
+
+
+def window(a, arity, degree):
+    """The EGF window of a sequence given as a callable on index tuples."""
+    return from_sequence(tabulate(a, (degree + 1,) * arity), degree)
 
 
 def series(nvars, bound, entries):
@@ -63,18 +74,26 @@ def test_series_normalization_and_equality():
 
 
 def test_from_sequence_constant_is_exponential_prefix():
-    f = from_sequence(SequenceRule.constant(1, 1), 2)
+    f = from_sequence(ones(1, 2), 2)
     assert f == series(1, 2, {(0,): 1, (1,): 1, (2,): F(1, 2)})
 
 
 def test_from_sequence_geometric_is_exp_linear():
     x = F(3, 5)
-    assert from_sequence(geometric(x), 6) == exp_linear((x,), 6)
+    assert from_sequence(geometric(x, 6), 6) == exp_linear((x,), 6)
 
 
 def test_from_sequence_delta_sequence_is_one():
-    a = SequenceRule(1, lambda idx: F(1) if idx == (0,) else F(0))
-    assert from_sequence(a, 4) == TruncatedSeries.one(1, 4)
+    assert window(lambda idx: F(idx == (0,)), 1, 4) == TruncatedSeries.one(1, 4)
+
+
+def test_from_sequence_needs_the_whole_window():
+    table = geometric(2, 3)
+    assert from_sequence(table, 3) == exp_linear((2,), 3)
+    with pytest.raises(IndexError):
+        from_sequence(table, 4)
+    with pytest.raises(IndexError):
+        F_from_sequence(table, 4)
 
 
 def test_ring_identities():
@@ -104,7 +123,7 @@ def test_deriv():
     assert sq.deriv(1) == series(1, 2, {(1,): 2})
     assert not TruncatedSeries.one(1, 3).deriv(1)
     x = F(5, 7)
-    f = from_sequence(geometric(x), 5)
+    f = from_sequence(geometric(x, 5), 5)
     assert f.deriv(1) == exp_linear((x,), 4).scale(x)
     with pytest.raises(ValueError):
         f.deriv(2)
@@ -124,7 +143,7 @@ def test_mul_var_truncation_contract():
 def test_exp_linear_values():
     assert exp_linear((0, 0), 4) == TruncatedSeries.one(2, 4)
     assert exp_linear((1,), 2) == series(1, 2, {(0,): 1, (1,): 1, (2,): F(1, 2)})
-    assert exp_linear((1, 1), 5) == from_sequence(SequenceRule.constant(2, 1), 5)
+    assert exp_linear((1, 1), 5) == from_sequence(ones(2, 5), 5)
 
 
 def test_subst_linear_examples():
@@ -139,9 +158,18 @@ def test_subst_linear_examples():
         subst_linear(f, [(1,), (0,)])
 
 
+def test_subst_linear_at_degree_zero():
+    # the forms' degree-1 terms lie above bound 0, so only the constant survives
+    assert subst_linear(TruncatedSeries.one(1, 0), [(1,)]) == TruncatedSeries.one(1, 0)
+    constant = series(2, 0, {(0, 0): F(-3, 4)})
+    image = subst_linear(constant, [(1, 2, 0), (0, -1, 5)])
+    assert image.nvars == 3 and image.degree_bound == 0
+    assert list(image.terms()) == [((0, 0, 0), F(-3, 4))]
+
+
 def test_negate_vars_matches_substitution():
     rng = Random(0)
-    f = from_sequence(random_table(rng, 2, 4).as_rule(), 4)
+    f = from_sequence(random_table(rng, 2, 4), 3)
     assert negate_vars(f) == subst_linear(f, [(-1, 0), (0, -1)])
 
 
@@ -154,9 +182,9 @@ def test_nabla_series_closed_forms():
 def test_nabla_series_matches_sequence_transform():
     rng = Random(1)
     for arity in (1, 2):
-        a = random_table(rng, arity, 7).as_rule()
-        f = from_sequence(a, 6)
-        assert nabla_series(f) == from_sequence(nabla(a), 6)
+        table = random_table(rng, arity, 7)
+        f = from_sequence(table, 6)
+        assert nabla_series(f) == window(nabla(zero_extension(table)), arity, 6)
         assert nabla_series(nabla_series(f)) == f
 
 
@@ -173,7 +201,7 @@ def test_xi_apply_euler_operator():
 
 def test_xi_apply_matches_operator_composite():
     rng = Random(2)
-    f = from_sequence(random_table(rng, 2, 7).as_rule(), 6)
+    f = from_sequence(random_table(rng, 2, 7), 6)
     xvec = (F(1, 2), F(-2, 3))
     composite = TruncatedSeries.zero(2, 5)
     for i in (1, 2):
@@ -187,17 +215,17 @@ def test_xi_apply_depth_reduction_step():
     spec = NestedSumSpec(
         ((F(1, 2), F(-1, 3)), (F(2), F(1, 5))), (F(3, 2),)
     )
-    f = from_sequence(c_rule(spec), 5)
+    f = window(c_sequence(spec), 2, 5)
     stepped = xi_apply(f, (F(1, 2), F(2))) + f.scale(F(3, 2))
-    assert stepped == from_sequence(c_rule(spec.reduce_depth()), 5)
+    assert stepped == window(c_sequence(spec.reduce_depth()), 2, 5)
 
 
 def test_two_block_series_slices():
     rng = Random(4)
-    a = random_table(rng, 1, 7).as_rule()
-    big = F_from_sequence(a, 6)
-    f = from_sequence(a, 6)
-    inverted = from_sequence(nabla(a), 6)
+    table = random_table(rng, 1, 7)
+    big = F_from_sequence(table, 6)
+    f = from_sequence(table, 6)
+    inverted = window(nabla(zero_extension(table)), 1, 6)
     # Y = 0 slice keeps exponents (n, 0); X = 0 slice keeps (0, k)
     for n in range(7):
         assert big.coefficient((n, 0)) == f.coefficient((n,))
@@ -205,7 +233,7 @@ def test_two_block_series_slices():
 
 
 def test_two_block_series_constant_sequence():
-    big = F_from_sequence(SequenceRule.constant(1, 1), 5)
+    big = F_from_sequence(ones(1, 5), 5)
     # all difference coefficients with k >= 1 vanish
     assert big == subst_linear(exp_linear((1,), 5), [(1, 0)])
 
@@ -293,15 +321,15 @@ def sequence_windows(draw):
             max_size=math.prod(shape),
         )
     )
-    return MultiSequenceTable(arity, shape, tuple(values)).as_rule(), degree
+    return MultiSequenceTable(arity, shape, tuple(values)), degree
 
 
 @settings(max_examples=60, deadline=None)
 @given(sequence_windows())
 def test_two_block_difference_table_matches_pointwise_differences(case):
-    a, degree = case
-    r = a.arity
-    big = F_from_sequence(a, degree)
+    table, degree = case
+    r, a = table.arity, zero_extension(table)
+    big = F_from_sequence(table, degree)
     for exponents in exponent_vectors(2 * r, degree):
         n, k = exponents[:r], exponents[r:]
         weight = math.prod(math.factorial(e) for e in exponents)
@@ -336,7 +364,7 @@ def nested_sum_windows(draw):
 def test_window_from_one_fill_matches_chain_enumeration(case):
     spec, degree = case
     table = RecurrenceEvaluator(spec).table((degree + 1,) * spec.r)
-    assert from_sequence(table.as_rule(), degree) == from_sequence(c_rule(spec), degree)
+    assert from_sequence(table, degree) == window(c_sequence(spec), spec.r, degree)
 
 
 def test_operator_suite_fails_depth_reduction_on_a_corrupted_fill(monkeypatch):
@@ -366,13 +394,13 @@ def test_operator_suite_fails_depth_reduction_on_a_corrupted_fill(monkeypatch):
 def test_operator_suite_enumerates_every_reduced_window(monkeypatch):
     # the reduced side of depth reduction is chain enumeration, point by point
     calls = []
-    c_direct = nestedsums.c_direct
+    c_direct = egf.c_direct
 
     def recording(spec, n, *guard):
         calls.append((spec.text(), spec.r, n))
         return c_direct(spec, n, *guard)
 
-    monkeypatch.setattr(nestedsums, "c_direct", recording)
+    monkeypatch.setattr(egf, "c_direct", recording)
     degree = 3
     assert verify_operator_suite(degree=degree, seed=5).ok
     windows = {}

@@ -2,7 +2,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mhscalc import mhs
 from mhscalc.mhs import (
@@ -242,6 +242,18 @@ def test_embeddings_reproduce_mhs(parts):
         expected = mhs_value(mu, n)
         assert kt_value(embed_type1(mu), n) == expected
         assert kt_value(embed_type2(mu), n) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3).map(lambda parts: MultiIndex(tuple(parts))),
+    st.integers(0, 5),
+)
+def test_embeddings_reproduce_mhs_everywhere(mu, n):
+    # single-slot sums at the 0/1 parameter vectors, against chain enumeration
+    expected = mhs_value(mu, n)
+    assert kt_value(embed_type1(mu), n) == expected
+    assert kt_value(embed_type2(mu), n) == expected
 
 
 @given(multi_indices)

@@ -6,19 +6,13 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from mhscalc.multiseq import (
-    MultiSequenceTable,
-    SequenceRule,
-    binomial_transform,
-    delta,
-    iterated_delta,
-    nabla,
-)
+from mhscalc.multiseq import MultiSequenceTable, binomial_transform, iterated_delta
+from pointwise import delta, iterated_delta as pointwise_delta, nabla, tabulate, zero_extension
 
 
-def geometric(x, arity=1):
+def geometric(x, shape):
     x = F(x)
-    return SequenceRule(arity, lambda idx: math.prod(x**i for i in idx))
+    return tabulate(lambda idx: math.prod(x**i for i in idx), shape)
 
 
 def random_table(rng, arity, extents):
@@ -28,80 +22,73 @@ def random_table(rng, arity, extents):
     return MultiSequenceTable(arity, tuple(extents), values)
 
 
-def test_delta_of_constant_is_zero():
-    a = SequenceRule.constant(2, F(7, 3))
-    for axis in (1, 2):
-        d = delta(a, axis)
-        assert all(d(idx) == 0 for idx in itertools.product(range(3), repeat=2))
+def test_iterated_delta_of_constant_vanishes_above_order_zero():
+    diffs = iterated_delta(tabulate(lambda idx: F(7, 3), (4, 4)), (2, 2))
+    assert diffs.arity == 4 and diffs.shape == (3, 3, 2, 2)
+    for idx in diffs.indices():
+        assert diffs[idx] == (F(7, 3) if idx[2:] == (0, 0) else 0)
 
 
-def test_delta_linear_sequence():
-    a = SequenceRule(1, lambda idx: F(idx[0]))
-    assert delta(a, 1)((0,)) == -1
+def test_iterated_delta_linear_and_geometric():
+    assert iterated_delta(tabulate(lambda idx: idx[0], (2,)), (2,))[(0, 1)] == -1
+    # x^n (1 - x) at x = 2, n = 1
+    assert iterated_delta(geometric(2, (3,)), (2,))[(1, 1)] == -2
 
 
-def test_delta_geometric():
-    a = geometric(2)
-    assert delta(a, 1)((1,)) == -2  # x^n (1 - x) at x = 2, n = 1
+def test_iterated_delta_order_one_is_the_table():
+    table = geometric(F(2, 3), (3, 3))
+    diffs = iterated_delta(table, (1, 1))
+    assert diffs.shape == (3, 3, 1, 1)
+    assert diffs.values == table.values
 
 
-def test_delta_axis_out_of_range():
-    a = SequenceRule.constant(2, 1)
-    with pytest.raises(ValueError):
-        delta(a, 0)
-    with pytest.raises(ValueError):
-        delta(a, 3)
-
-
-def test_iterated_delta_identity_composition():
-    a = geometric(F(2, 3), arity=2)
-    for idx in itertools.product(range(3), repeat=2):
-        assert iterated_delta(a, (0, 0), idx) == a(idx)
-
-
-def test_iterated_delta_univariate_geometric():
+def test_iterated_delta_geometric_closed_forms():
     # second difference of 3^n at 0 is (1-3)^2
-    assert iterated_delta(geometric(3), (2,), (0,)) == 4
+    assert iterated_delta(geometric(3, (3,)), (3,))[(0, 2)] == 4
+    # (1-x)(1-y) at x=2, y=5, the alternating sum 1-2-5+10
+    table = tabulate(lambda idx: F(2) ** idx[0] * F(5) ** idx[1], (2, 2))
+    assert iterated_delta(table, (2, 2))[(0, 0, 1, 1)] == 4
+    # delta^k x^n = x^n (1-x)^k everywhere
+    x = F(-2, 5)
+    diffs = iterated_delta(geometric(x, (6,)), (3,))
+    for n, k in diffs.indices():
+        assert diffs[(n, k)] == x**n * (1 - x) ** k
 
 
-def test_iterated_delta_bivariate_geometric():
-    # (1-x)(1-y) at x=2, y=5, computed by the alternating sum 1-2-5+10
-    a = SequenceRule(2, lambda idx: F(2) ** idx[0] * F(5) ** idx[1])
-    assert iterated_delta(a, (1, 1), (0, 0)) == 4
+def test_iterated_delta_rejects_bad_orders():
+    table = geometric(2, (3, 3))
+    for orders in [(1,), (1, 1, 1), (0, 1), (1, 4)]:
+        with pytest.raises(ValueError, match="orders"):
+            iterated_delta(table, orders)
 
 
 def test_nabla_of_constant_is_delta_at_origin():
-    a = SequenceRule.constant(2, 1)
-    transformed = nabla(a)
-    assert transformed((0, 0)) == 1
-    for idx in [(1, 0), (0, 1), (2, 2), (3, 1)]:
-        assert transformed(idx) == 0
+    transformed = binomial_transform(tabulate(lambda idx: 1, (4, 3)))
+    for idx in transformed.indices():
+        assert transformed[idx] == (1 if idx == (0, 0) else 0)
 
 
 def test_nabla_geometric_closed_form():
-    transformed = nabla(geometric(F(1, 3)))
-    assert transformed((2,)) == F(4, 9)
+    transformed = binomial_transform(geometric(F(1, 3), (5,)))
+    assert transformed[(2,)] == F(4, 9)
     for n in range(5):
-        assert transformed((n,)) == (1 - F(1, 3)) ** n
+        assert transformed[(n,)] == (1 - F(1, 3)) ** n
 
 
-def test_nabla_matches_iterated_delta_at_origin():
+def test_nabla_is_iterated_delta_at_origin():
     rng = Random(1)
-    a = random_table(rng, 2, (4, 4)).as_rule()
-    transformed = nabla(a)
-    for idx in itertools.product(range(3), repeat=2):
-        assert transformed(idx) == iterated_delta(a, idx, (0, 0))
+    table = random_table(rng, 2, (4, 4))
+    diffs = iterated_delta(table, table.shape)
+    assert diffs.shape == (1, 1, 4, 4)
+    assert diffs.values == binomial_transform(table).values
 
 
 def test_involution_on_random_tables():
     rng = Random(2)
     for _ in range(15):
         arity = rng.randint(1, 2)
-        extents = tuple(rng.randint(2, 6) for _ in range(arity))
-        a = random_table(rng, arity, extents).as_rule()
-        twice = nabla(nabla(a))
-        for idx in itertools.product(*(range(e) for e in extents)):
-            assert twice(idx) == a(idx)
+        table = random_table(rng, arity, tuple(rng.randint(2, 6) for _ in range(arity)))
+        assert binomial_transform(binomial_transform(table)) == table
 
 
 @st.composite
@@ -122,10 +109,21 @@ def tables(draw):
 def test_binomial_transform_matches_pointwise_nabla(table):
     transformed = binomial_transform(table)
     assert transformed.shape == table.shape
-    pointwise = nabla(table.as_rule())
+    pointwise = nabla(zero_extension(table))
     for idx in table.indices():
         assert transformed[idx] == pointwise(idx)
     assert binomial_transform(transformed) == table
+
+
+@given(tables(), st.data())
+def test_iterated_delta_matches_pointwise_alternating_sum(table, data):
+    orders = tuple(data.draw(st.integers(1, extent)) for extent in table.shape)
+    diffs = iterated_delta(table, orders)
+    r = table.arity
+    assert diffs.shape == tuple(e - k + 1 for e, k in zip(table.shape, orders)) + orders
+    a = zero_extension(table)
+    for idx in diffs.indices():
+        assert diffs[idx] == pointwise_delta(a, idx[r:], idx[:r])
 
 
 def test_index_symmetry_of_nabla_differences():
@@ -133,76 +131,52 @@ def test_index_symmetry_of_nabla_differences():
     rng = Random(3)
     for _ in range(10):
         arity = rng.randint(1, 2)
-        a = random_table(rng, arity, (5,) * arity).as_rule()
-        transformed = nabla(a)
+        table = random_table(rng, arity, (5,) * arity)
+        transformed = iterated_delta(binomial_transform(table), (3,) * arity)
+        plain = iterated_delta(table, (3,) * arity)
         for n in itertools.product(range(3), repeat=arity):
             for k in itertools.product(range(3), repeat=arity):
-                assert iterated_delta(transformed, k, n) == iterated_delta(a, n, k)
+                assert transformed[n + k] == plain[k + n]
 
 
 def test_iterated_delta_equals_composition():
     rng = Random(4)
     for _ in range(10):
         arity = rng.randint(1, 3)
-        a = random_table(rng, arity, (3,) * arity).as_rule()
-        k = tuple(rng.randint(0, 4 if arity == 1 else 2) for _ in range(arity))
+        table = random_table(rng, arity, (5,) * arity)
+        diffs = iterated_delta(table, (3,) * arity)
+        k = tuple(rng.randint(0, 2) for _ in range(arity))
         n = tuple(rng.randint(0, 2) for _ in range(arity))
-        composed = a
+        composed = zero_extension(table)
         for axis in range(1, arity + 1):
             for _ in range(k[axis - 1]):
                 composed = delta(composed, axis)
-        assert composed(n) == iterated_delta(a, k, n)
+        assert composed(n) == diffs[n + k]
 
 
 def test_delta_operators_commute():
     rng = Random(5)
-    a = random_table(rng, 2, (5, 5)).as_rule()
+    table = random_table(rng, 2, (5, 5))
+    a = zero_extension(table)
     d12 = delta(delta(a, 1), 2)
     d21 = delta(delta(a, 2), 1)
+    diffs = iterated_delta(table, (2, 2))
     for idx in itertools.product(range(3), repeat=2):
-        assert d12(idx) == d21(idx)
+        assert d12(idx) == d21(idx) == diffs[idx + (1, 1)]
 
 
 def test_delta_and_nabla_are_linear():
     rng = Random(6)
-    a = random_table(rng, 1, (6,)).as_rule()
-    b = random_table(rng, 1, (6,)).as_rule()
+    a = random_table(rng, 1, (6,))
+    b = random_table(rng, 1, (6,))
     alpha, beta = F(3, 7), F(-2, 5)
-    combo = SequenceRule(1, lambda idx: alpha * a(idx) + beta * b(idx))
-    for idx in [(0,), (1,), (3,)]:
-        assert delta(combo, 1)(idx) == alpha * delta(a, 1)(idx) + beta * delta(b, 1)(idx)
-        assert nabla(combo)(idx) == alpha * nabla(a)(idx) + beta * nabla(b)(idx)
-
-
-def test_rule_memo_is_write_once():
-    calls = []
-
-    def fn(idx):
-        calls.append(idx)
-        return F(1)
-
-    a = SequenceRule(1, fn)
-    assert a((3,)) == a((3,)) == 1
-    assert calls == [(3,)]
-    assert a.memo_size == 1
-
-
-def test_rule_memo_concurrent_inserts():
-    from concurrent.futures import ThreadPoolExecutor
-
-    a = SequenceRule(1, lambda idx: F(idx[0], 7))
-    with ThreadPoolExecutor(8) as pool:
-        results = list(pool.map(lambda i: a((i % 10,)), range(200)))
-    assert a.memo_size == 10
-    assert all(results[i] == F(i % 10, 7) for i in range(200))
-
-
-def test_rule_rejects_bad_indices():
-    a = SequenceRule.constant(2, 1)
-    with pytest.raises(ValueError):
-        a((1,))
-    with pytest.raises(ValueError):
-        a((1, -1))
+    combo = MultiSequenceTable(
+        1, (6,), tuple(alpha * u + beta * v for u, v in zip(a.values, b.values))
+    )
+    for op in (binomial_transform, lambda t: iterated_delta(t, (3,))):
+        assert op(combo).values == tuple(
+            alpha * u + beta * v for u, v in zip(op(a).values, op(b).values)
+        )
 
 
 def test_table_rejects_shape_mismatch():
@@ -210,3 +184,16 @@ def test_table_rejects_shape_mismatch():
         MultiSequenceTable(1, (3,), (F(1), F(2)))
     with pytest.raises(ValueError):
         MultiSequenceTable(2, (2, 0), ())
+
+
+def test_table_rejects_bad_indices():
+    table = MultiSequenceTable(2, (2, 2), (F(1), F(2), F(3), F(4)))
+    assert table[(1, 1)] == 4
+    # an index of the wrong arity names both arities instead of being cut short
+    with pytest.raises(ValueError, match=r"index \(1,\) has arity 1, table has arity 2"):
+        table[(1,)]
+    with pytest.raises(ValueError, match=r"index \(1, 1, 5\) has arity 3, table has arity 2"):
+        table[(1, 1, 5)]
+    for index in [(1, -1), (2, 0)]:
+        with pytest.raises(IndexError):
+            table[index]

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mhscalc.errors import GuardExceeded
-from mhscalc.kernel import gen_binomial, multinomial
-from mhscalc.multiseq import MultiSequenceTable, nabla
+from mhscalc.kernel import format_rational, gen_binomial, multinomial
+from mhscalc.multiseq import MultiSequenceTable
 from mhscalc.nestedsums import (
     C_DUALITY_STATEMENT,
+    DIFFERENCE_STATEMENT,
+    SHIFT_STATEMENT,
     NestedSumSpec,
     RecurrenceEvaluator,
     c_direct,
     c_recursive,
-    c_rule,
     chain_count,
     direct_summand_count,
     enumerate_chains,
@@ -31,6 +32,7 @@ from mhscalc.nestedsums import (
     verify_shift_identity,
 )
 from mhscalc.report import Comparison, VerificationReport
+from pointwise import c_sequence, iterated_delta, nabla
 
 
 def c_by_literal_product(spec, n):
@@ -441,7 +443,7 @@ def test_duality_depth_one_is_complement_power():
     spec = NestedSumSpec(((F(2, 7),), (F(-1, 3),)), ())
     report = verify_duality(spec, (3, 3))
     assert report.ok
-    rule = c_rule(spec.one_minus())
+    rule = c_sequence(spec.one_minus())
     for comp in report.comparisons:
         assert comp.rhs == rule(comp.index)
 
@@ -451,7 +453,7 @@ def test_duality_self_dual_at_one_half():
     report = verify_duality(spec, (3, 3))
     assert report.ok
     # one_minus fixes the spec, so the transform reproduces c itself
-    rule = c_rule(spec)
+    rule = c_sequence(spec)
     for comp in report.comparisons:
         assert comp.lhs == rule(comp.index)
 
@@ -472,7 +474,7 @@ FIXED_DUALITY_CASES = [
 
 def pointwise_duality(spec, box):
     """The duality report built point by point: nabla of direct values."""
-    transformed = nabla(c_rule(spec))
+    transformed = nabla(c_sequence(spec))
     dual = spec.one_minus()
     return VerificationReport(
         "c-duality",
@@ -557,7 +559,7 @@ def test_shift_identity_two_slot_product():
     spec = NestedSumSpec(((x,), (1 - x,)), ())
     report = verify_shift_identity(spec, (1, 2), 1, (3, 3))
     assert report.ok
-    rule = c_rule(spec)
+    rule = c_sequence(spec)
     assert rule((1, 1)) == F(2, 9)
     at_11 = next(c for c in report.comparisons if c.index == (1, 1))
     assert at_11.lhs == at_11.rhs == F(2, 9)
@@ -568,7 +570,7 @@ def test_shift_identity_single_slot_constant_block():
     spec = NestedSumSpec(((gamma, gamma),), (F(2, 3),))
     report = verify_shift_identity(spec, (1,), gamma, (4,))
     assert report.ok
-    rule = c_rule(spec)
+    rule = c_sequence(spec)
     for n in range(4):
         assert rule((n + 1,)) == gamma * rule((n,))
 
@@ -590,6 +592,220 @@ def test_shift_identity_rejects_bad_hypothesis():
         verify_shift_identity(spec, (1, 1), 2, (2, 2))
     with pytest.raises(ValueError):
         verify_shift_identity(spec, (0, 1), 2, (2, 2))
+
+
+FIXED_DIFFERENCE_CASES = [
+    (NestedSumSpec.parse("0,1", "1"), (3,), (2,)),
+    (NestedSumSpec.parse("1/2,-1/3", "3/4"), (1,), (4,)),
+    (NestedSumSpec.parse("2/7;-1/3"), (3, 2), (2, 3)),
+    (NestedSumSpec.parse("1/2,1/3;1/5,2", "2"), (2, 3), (3, 2)),
+    (NestedSumSpec.parse("1/2,2,-1;-1,1/3,0", "-3/2,5"), (2, 2), (2, 2)),
+]
+
+
+def pointwise_difference_formula(spec, nbox, kbox):
+    """The difference-formula report built point by point from direct values."""
+    c, double = c_sequence(spec), spec.doubled()
+    return VerificationReport(
+        "difference-formula",
+        DIFFERENCE_STATEMENT,
+        [
+            Comparison(
+                "difference-formula", spec.text(), n + k,
+                iterated_delta(c, k, n), c_direct(double, n + k),
+            )
+            for n in itertools.product(*(range(extent) for extent in nbox))
+            for k in itertools.product(*(range(extent) for extent in kbox))
+        ],
+    )
+
+
+@pytest.mark.parametrize("spec, nbox, kbox", FIXED_DIFFERENCE_CASES)
+def test_difference_formula_report_matches_pointwise_route(spec, nbox, kbox):
+    report = verify_difference_formula(spec, nbox, kbox)
+    reference = pointwise_difference_formula(spec, nbox, kbox)
+    assert report.ok
+    assert report.to_text() == reference.to_text()
+    assert report.to_json() == reference.to_json()
+
+
+def corrupt_fill(monkeypatch, spec, change):
+    """Make RecurrenceEvaluator.table of `spec` return change(index, value) at every index."""
+    table = RecurrenceEvaluator.table
+
+    def corrupted(self, extents):
+        out = table(self, extents)
+        if self.spec != spec:
+            return out
+        values = tuple(change(index, value) for index, value in zip(out.indices(), out.values))
+        return MultiSequenceTable(out.arity, out.shape, values)
+
+    monkeypatch.setattr(RecurrenceEvaluator, "table", corrupted)
+
+
+def test_difference_formula_fails_exactly_where_a_fill_value_is_read(monkeypatch):
+    spec = NestedSumSpec.parse("1/2,1/3;1/5,2", "2")
+    nbox, kbox = (3, 3), (3, 2)
+    pairs = [
+        (n, k)
+        for n in itertools.product(range(3), range(3))
+        for k in itertools.product(range(3), range(2))
+    ]
+    # every value of the c[x|t] fill over nbox + kbox - 1 = (5, 4), the top
+    # slab that only the corner's c_direct checks included
+    for m in itertools.product(range(5), range(4)):
+        with monkeypatch.context() as patch:
+            corrupt_fill(patch, spec, lambda index, value: value + (index == m))
+            report = verify_difference_formula(spec, nbox, kbox)
+        # (delta^k c)(n) weights c(m) by +-C(k, m - n), nonzero for n <= m <= n + k
+        assert {comp.index for comp in report.failures} == {
+            n + k for n, k in pairs
+            if all(ni <= mi <= ni + ki for ni, mi, ki in zip(n, m, k))
+        }, m
+
+
+def test_difference_formula_doubled_fill_is_checked_but_at_the_corner(monkeypatch):
+    spec = NestedSumSpec.parse("1/2,1/3;1/5,2", "2")
+    for m, failures in [((1, 0, 2, 1), {(1, 0, 2, 1)}), ((2, 2, 2, 1), set())]:
+        with monkeypatch.context() as patch:
+            corrupt_fill(patch, spec.doubled(), lambda index, value: value + (index == m))
+            report = verify_difference_formula(spec, (3, 3), (3, 2))
+        # the corner's right side is c_direct, not the fill
+        assert {comp.index for comp in report.failures} == failures
+
+
+def test_difference_formula_corner_is_chain_enumeration(monkeypatch):
+    # both fills doubled: the transform and the doubled fill still agree, so
+    # only the chain-enumerated corner can fail
+    spec = NestedSumSpec.parse("1/2,1/3;1/5,2", "2")
+    table = RecurrenceEvaluator.table
+    monkeypatch.setattr(
+        RecurrenceEvaluator, "table",
+        lambda self, extents: MultiSequenceTable(
+            self.spec.r, tuple(extents), tuple(2 * v for v in table(self, extents).values)
+        ),
+    )
+    report = verify_difference_formula(spec, (3, 3), (3, 2))
+    assert [comp.index for comp in report.failures] == [(2, 2, 2, 1)]
+
+
+def test_difference_formula_guard_trips_at_the_corner_first(monkeypatch):
+    spec = NestedSumSpec.parse("1/2,1/3", "2")
+    # the doubled corner (9, 9) has 10 * 10 summands
+    with pytest.raises(GuardExceeded) as info:
+        verify_difference_formula(spec, (10,), (10,), summand_guard=99)
+    assert info.value.what == "direct summand count" and info.value.size == 100
+    assert verify_difference_formula(spec, (10,), (10,), summand_guard=100).ok
+    # at depth 1 every point has one summand and the fills bound the box:
+    # the doubled fill over (31, 31) has 961 cells
+    with pytest.raises(GuardExceeded) as info:
+        verify_difference_formula(NestedSumSpec.parse("1/2"), (31,), (31,), summand_guard=100)
+    assert info.value.what == "recurrence cell count" and info.value.size == 961
+
+
+SHIFT_SPEC = NestedSumSpec(((F(1, 3), F(1, 2)), (F(2, 3), F(1, 2)), (F(-2), F(5, 7))), (F(2),))
+
+
+def test_shift_identity_fails_exactly_where_a_fill_value_is_read(monkeypatch):
+    subset, box = (1, 2), (3, 2, 2)
+    corner = (2, 1, 1)
+    points = set(itertools.product(range(3), range(2), range(2)))
+    # every value of the fill over the box one larger in every slot
+    for m in itertools.product(range(4), range(3), range(3)):
+        with monkeypatch.context() as patch:
+            corrupt_fill(patch, SHIFT_SPEC, lambda index, value: value + (index == m))
+            report = verify_shift_identity(SHIFT_SPEC, subset, 1, box)
+        # the right side reads c(n) but at the corner; the left side c(n + e_i)
+        expected = {m} - {corner} if m in points else set()
+        for i in subset:
+            n = m[: i - 1] + (m[i - 1] - 1,) + m[i:]
+            if n in points:
+                expected.add(n)
+        assert {comp.index for comp in report.failures} == expected, m
+
+
+def test_shift_identity_corner_is_chain_enumeration(monkeypatch):
+    with monkeypatch.context() as patch:
+        corrupt_fill(patch, SHIFT_SPEC, lambda index, value: 2 * value)
+        report = verify_shift_identity(SHIFT_SPEC, (1, 2), 1, (3, 2, 2))
+    assert [comp.index for comp in report.failures] == [(2, 1, 1)]
+
+
+def pointwise_shift(spec, subset, constant, box):
+    """The shift report built point by point from direct values."""
+    c, constant = c_sequence(spec), F(constant)
+    label = f"{spec.text()} S={tuple(subset)} gamma={format_rational(constant)}"
+    return VerificationReport(
+        "shift",
+        SHIFT_STATEMENT,
+        [
+            Comparison(
+                "shift", label, n,
+                sum((c(n[: i - 1] + (n[i - 1] + 1,) + n[i:]) for i in subset), F(0)),
+                constant * c(n),
+            )
+            for n in itertools.product(*(range(extent) for extent in box))
+        ],
+    )
+
+
+def test_shift_identity_report_matches_pointwise_route():
+    cases = [
+        (SHIFT_SPEC, (1, 2), 1, (3, 2, 2)),
+        (NestedSumSpec(((F(3, 4), F(3, 4)),), (F(2, 3),)), (1,), F(3, 4), (4,)),
+        (NestedSumSpec(((F(1, 3),), (F(2, 3),)), ()), (1, 2), 1, (3, 3)),
+    ]
+    rng = Random(19)
+    for _ in range(3):
+        spec, subset, constant = random_shift_configuration(rng, 3, 3)
+        cases.append((spec, subset, constant, (3,) * spec.r))
+    for spec, subset, constant, box in cases:
+        report = verify_shift_identity(spec, subset, constant, box)
+        reference = pointwise_shift(spec, subset, constant, box)
+        assert report.ok
+        assert report.to_text() == reference.to_text()
+        assert report.to_json() == reference.to_json()
+
+
+def test_shift_identity_guard_trips_at_the_corner_first():
+    # the corner (9, 9) has 10 * 10 summands
+    spec = NestedSumSpec(((F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))), (F(2),))
+    with pytest.raises(GuardExceeded) as info:
+        verify_shift_identity(spec, (1, 2), 1, (10, 10), summand_guard=99)
+    assert info.value.what == "direct summand count" and info.value.size == 100
+    # the fill over (11, 11) has 2 * 121 cells, over twice the guard
+    with pytest.raises(GuardExceeded) as info:
+        verify_shift_identity(spec, (1, 2), 1, (10, 10), summand_guard=100)
+    assert info.value.what == "recurrence cell count" and info.value.size == 242
+    assert verify_shift_identity(spec, (1, 2), 1, (10, 10), summand_guard=121).ok
+
+
+# x: zero, integers and proper fractions
+route_x = st.one_of(
+    st.just(F(0)),
+    st.integers(-4, 4).map(F),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(route_x, min_size=1, max_size=4), st.integers(0, 6))
+def test_kt_value_is_c_direct_at_unit_shifts(x, n):
+    spec = NestedSumSpec((tuple(x),), (1,) * (len(x) - 1))
+    assert kt_value(x, n) == c_direct(spec, (n,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda p: st.tuples(
+        st.lists(route_x, min_size=p, max_size=p),
+        st.lists(route_x, min_size=p, max_size=p),
+    )
+), st.integers(0, 4), st.integers(0, 4))
+def test_two_index_value_is_c_direct_at_unit_shifts(xy, n, k):
+    x, y = xy
+    spec = NestedSumSpec((tuple(x), tuple(y)), (1,) * (len(x) - 1))
+    assert two_index_value(x, y, n, k) == c_direct(spec, (n, k))
 
 
 def test_duality_reduces_to_single_slot_duality():
