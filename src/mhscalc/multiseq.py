@@ -66,26 +66,13 @@ class MultiSequenceTable:
         return self.values[offset]
 
 
-def _difference_triangle(line: list[Fraction]) -> list[Fraction]:
-    """One-axis nabla of a finite line: out[n] = (delta^n a)(0).
-
-    Each row of the forward-difference triangle is a_k - a_{k+1} of the row
-    above; its first entry is the next output.  Only subtractions, no
-    binomial weights.
-    """
-    out = []
-    while line:
-        out.append(line[0])
-        line = [a - b for a, b in zip(line, line[1:])]
-    return out
-
-
 def _difference_rows(line: Sequence[Fraction], width: int) -> list[Fraction]:
-    """The same triangle, each row cut to its first `width` entries.
+    """The forward-difference triangle of a finite line, rows cut to `width`.
 
-    Rows run while they have `width` entries; out[k * width + n] =
-    (delta^k a)(n).  At width 1 this is `_difference_triangle`, which stays
-    separate because its one-entry rows are cheaper.
+    Each row is a_k - a_{k+1} of the row above; rows run while they have
+    `width` entries, and out[k * width + n] = (delta^k a)(n).  At width 1
+    this is the one-axis nabla, out[n] = (delta^n a)(0).  Only subtractions,
+    no binomial weights.
     """
     out = []
     while len(line) >= width:
@@ -110,7 +97,7 @@ def binomial_transform(table: MultiSequenceTable) -> MultiSequenceTable:
         for outer in range(0, len(values), span):
             for start in range(outer, outer + stride):
                 line = values[start:start + span:stride]
-                values[start:start + span:stride] = _difference_triangle(line)
+                values[start:start + span:stride] = _difference_rows(line, 1)
     return MultiSequenceTable(table.arity, shape, tuple(values))
 
 

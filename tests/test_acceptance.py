@@ -196,11 +196,14 @@ def test_criterion_7_sequence_calculus():
             table = MultiSequenceTable(arity, extents, values)
             # involution on the table's own box
             assert binomial_transform(binomial_transform(table)) == table
-            # index symmetry of differenced inversions, (delta^k nabla a)(n) =
-            # (delta^n a)(k), for n and k in the box's lower half
-            half = tuple((e + 1) // 2 for e in extents)
-            inverted = iterated_delta(binomial_transform(table), half)
-            plain = iterated_delta(table, half)
+            # index symmetry of differenced inversions of the zero extension,
+            # (delta^k nabla a)(n) = (delta^n a)(k), for n and k below
+            # h_i = (e_i + 2) // 2 >= 2, so n + k stays in the box of extents + 1
+            a = zero_extension(table)
+            padded = tabulate(a, tuple(e + 1 for e in extents))
+            half = tuple((e + 2) // 2 for e in extents)
+            inverted = iterated_delta(binomial_transform(padded), half)
+            plain = iterated_delta(padded, half)
             for n in itertools.product(*(range(h) for h in half)):
                 for k in itertools.product(*(range(h) for h in half)):
                     assert inverted[n + k] == plain[k + n]
@@ -208,7 +211,6 @@ def test_criterion_7_sequence_calculus():
             # composition of single differences
             kvec = tuple(rng.randint(0, 4) for _ in range(arity))
             nvec = tuple(rng.randint(0, 2) for _ in range(arity))
-            a = zero_extension(table)
             composed = a
             for axis in range(1, arity + 1):
                 for _ in range(kvec[axis - 1]):

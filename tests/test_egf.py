@@ -169,7 +169,7 @@ def test_subst_linear_at_degree_zero():
 
 def test_negate_vars_matches_substitution():
     rng = Random(0)
-    f = from_sequence(random_table(rng, 2, 4), 3)
+    f = window(zero_extension(random_table(rng, 2, 4)), 2, 4)
     assert negate_vars(f) == subst_linear(f, [(-1, 0), (0, -1)])
 
 
