@@ -34,17 +34,16 @@ from random import Random
 from typing import Callable, NamedTuple
 
 from . import egf, mhs, nestedsums
-from .errors import GuardExceeded
+from .errors import DEFAULT_GUARD, GuardExceeded
 from .kernel import format_rational, parse_rational
 from .mhs import MultiIndex
 from .nestedsums import (
-    DEFAULT_SUMMAND_GUARD,
     NestedSumSpec,
-    RecurrenceEvaluator,
     c_direct,
     direct_summand_count,
     random_spec,
     random_shift_configuration,
+    recurrence_cell_count,
 )
 from .report import VerificationReport
 
@@ -101,11 +100,7 @@ def _emit_value(args, payload: dict, text_value: str) -> int:
     if args.format == "json":
         _emit(args, json.dumps(payload) + "\n")
     elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(payload.keys())
-        writer.writerow(payload.values())
-        _emit(args, buffer.getvalue())
+        _emit(args, bench_csv([payload]))
     else:
         _emit(args, text_value + "\n")
     return 0
@@ -168,55 +163,85 @@ def _cmd_c(args) -> int:
     return 0 if values[0] == values[-1] else 1
 
 
-# --- identity registry for `verify` ---
-
-# Smallest accepted value of each sweep flag; below it a sweep is empty or
-# its random draw is undefined.
-FLAG_FLOORS = {
-    "nmax": 0, "kmax": 0, "wmax": 1, "count": 1, "rmax": 1, "pmax": 1, "degree": 1,
-}
-# The same for `bench`: below these there is no spec, no rung or no timing.
-BENCH_FLAG_FLOORS = {"r": 1, "p": 1, "n": 0, "repeats": 1}
-# Every subcommand's --guard: below one no work at all is allowed.
-GUARD_FLOOR = {"guard": 1}
-# Every `verify` sweep flag and its default.  The parser leaves them None, so
-# that `_check_flags_read` can tell a flag that was given from a default.
-VERIFY_DEFAULTS = {
-    "mu": None, "wmax": 6, "x": None, "t": "", "subset": None, "c": "1", "nmax": 3,
-    "kmax": 2, "box": None, "count": 20, "rmax": 3, "pmax": 3, "seed": 0, "degree": 6,
-}
-# Flags only an explicit --x reads, with what random cases take instead.
-NEEDS_X = {
-    "t": "random cases draw their own shifts",
-    "box": "random cases take their boxes from --nmax",
-    "subset": "random cases draw their own subset",
-    "c": "random cases draw their own constant",
-}
-# Every `bench` flag and its default, left None by the parser likewise.
-BENCH_DEFAULTS = {
-    "r": 1, "p": 3, "n": 40, "ladder": None, "x": None, "t": "", "seed": 0, "repeats": 3,
-}
-# A given flag (key) that stops the flags it names from being read (by
-# `verify`, or for "x" and "ladder" by `bench`).
-OVERRIDES = {
-    "x": ("count", "rmax", "pmax", "seed", "r", "p"),
-    "box": ("nmax",),
-    "mu": ("wmax",),
-    "ladder": ("n",),
-}
+# --- flag tables of `verify` and `bench` ---
 
 
-def _check_floors(args, floors: dict) -> None:
-    for flag, floor in floors.items():
-        value = getattr(args, flag)
-        if value < floor:
-            raise ValueError(f"--{flag} must be at least {floor}, got {value}")
+class _Flag(NamedTuple):
+    """Everything about one `verify` or `bench` flag.
+
+    The parser leaves the flag None, so that `_read_flags` can tell a flag
+    that was given from one that was not: a given flag is refused when the
+    command would not read it, then checked against its `floor`; one not
+    given takes its `default`.  `needs_x` says what random cases take
+    instead of a flag that only an explicit --x reads, and `unread_with`
+    names the flag whose presence stops this one from being read.
+    """
+
+    default: object
+    help: str
+    type: Callable = str
+    floor: int | None = None
+    needs_x: str | None = None
+    unread_with: str | None = None
+
+
+# A floor is the smallest accepted value: below it a sweep is empty, a
+# random draw is undefined, or `bench` has no spec, no rung or no timing.
+VERIFY_FLAGS = {
+    "mu": _Flag(None, "restrict mhs-duality to one multi-index"),
+    "wmax": _Flag(6, "mhs-duality weight sweep bound", int, 1, unread_with="mu"),
+    "x": _Flag(None, "explicit parameter blocks (otherwise seeded random specs)"),
+    "t": _Flag("", "explicit shift parameters", needs_x="random cases draw their own shifts"),
+    "subset": _Flag(
+        None, 'shift identity slots, e.g. "1,2"', needs_x="random cases draw their own subset"
+    ),
+    "c": _Flag("1", "shift identity constant", needs_x="random cases draw their own constant"),
+    "nmax": _Flag(3, "index sweep bound per slot", int, 0, unread_with="box"),
+    "kmax": _Flag(2, "difference order bound per slot", int, 0),
+    "box": _Flag(
+        None, 'explicit extents, e.g. "4,4"', needs_x="random cases take their boxes from --nmax"
+    ),
+    "count": _Flag(20, "number of random specs", int, 1, unread_with="x"),
+    "rmax": _Flag(3, "random spec slot bound", int, 1, unread_with="x"),
+    "pmax": _Flag(3, "random spec depth bound", int, 1, unread_with="x"),
+    "seed": _Flag(0, "random cases and egf-suite data", int, unread_with="x"),
+    "degree": _Flag(6, "egf-suite truncation degree", int, 1),
+}
+BENCH_FLAGS = {
+    "r": _Flag(1, "random spec slots", int, 1, unread_with="x"),
+    "p": _Flag(3, "random spec depth", int, 1, unread_with="x"),
+    "n": _Flag(40, "largest ladder rung", int, 0, unread_with="ladder"),
+    "ladder": _Flag(None, 'explicit rungs, e.g. "10,20,40"'),
+    "x": _Flag(None, "explicit blocks (otherwise seeded random)"),
+    "t": _Flag("", "explicit shifts (default all 1)"),
+    "seed": _Flag(0, "random spec seed", int, unread_with="x"),
+    "repeats": _Flag(3, "best-of timing repeats", int, 1),
+}
+
+
+def _read_flags(args, flags: dict[str, _Flag], reads, reader: str) -> None:
+    """Refuse a given flag that `reader` does not read, then check floors and fill defaults."""
+    values = vars(args)
+    given = [name for name in flags if values[name] is not None]
+    for name in given:
+        flag = flags[name]
+        if name not in reads:
+            raise ValueError(f"--{name} is not read by {reader}")
+        if flag.needs_x and args.x is None:
+            raise ValueError(f"--{name} needs an explicit --x; {flag.needs_x}")
+        if flag.unread_with in given:
+            raise ValueError(f"--{name} is not read by {reader} with --{flag.unread_with}")
+    for name, flag in flags.items():
+        if name not in given:
+            values[name] = flag.default
+        elif flag.floor is not None and values[name] < flag.floor:
+            raise ValueError(f"--{name} must be at least {flag.floor}, got {values[name]}")
 
 
 class _Identity(NamedTuple):
     """How `verify` builds and checks the cases of one identity.
 
-    `reads` names the sweep flags the identity reads (`_check_flags_read`
+    `reads` names the sweep flags the identity reads (`_read_flags`
     refuses any other).  `explicit(args)` is the case the flags name, or
     None when they name none; then `random(rng, args)`, where the identity
     has one, draws --count cases from Random(--seed), and otherwise None is
@@ -315,33 +340,9 @@ IDENTITIES = {
 }
 
 
-def _check_flags_read(args, defaults: dict, reads, reader: str, needs_x: dict) -> None:
-    """Refuse a given flag that `reader` would not read, then fill `defaults`.
-
-    A flag counts as given when the parser left it other than None; `reads`
-    names the flags the reader reads, `OVERRIDES` the flags a given flag
-    makes unread, and `needs_x` the flags read only with an explicit --x.
-    """
-    values = vars(args)
-    given = [flag for flag in defaults if values[flag] is not None]
-    overridden = {flag: key for key in given for flag in OVERRIDES.get(key, ())}
-    for flag in given:
-        if flag not in reads:
-            raise ValueError(f"--{flag} is not read by {reader}")
-        if flag in needs_x and args.x is None:
-            raise ValueError(f"--{flag} needs an explicit --x; {needs_x[flag]}")
-        if flag in overridden:
-            raise ValueError(f"--{flag} is not read by {reader} with --{overridden[flag]}")
-    for flag, default in defaults.items():
-        if values[flag] is None:
-            values[flag] = default
-
-
 def _cmd_verify(args) -> int:
     identity = IDENTITIES[args.identity]
-    reader = f"--identity {args.identity}"
-    _check_flags_read(args, VERIFY_DEFAULTS, identity.reads, reader, NEEDS_X)
-    _check_floors(args, FLAG_FLOORS)
+    _read_flags(args, VERIFY_FLAGS, identity.reads, f"--identity {args.identity}")
     case = identity.explicit(args)
     if case is None and identity.random is not None:
         rng = Random(args.seed)
@@ -369,7 +370,7 @@ def run_bench(
     spec: NestedSumSpec,
     ladder: list[int],
     repeats: int = 3,
-    guard: int = DEFAULT_SUMMAND_GUARD,
+    guard: int = DEFAULT_GUARD,
 ) -> list[dict]:
     """Time c_direct against a cold-memo recurrence pass at each ladder rung.
 
@@ -379,12 +380,9 @@ def run_bench(
     for n in ladder:
         index = (n,) * spec.r
         direct_s, direct_value = _time_best(repeats, lambda: c_direct(spec, index, guard))
-        def cold_recursive():
-            evaluator = RecurrenceEvaluator(spec, guard)
-            value = evaluator.value(index)
-            cold_recursive.memo_entries = evaluator.memo_entries
-            return value
-        recursive_s, recursive_value = _time_best(repeats, cold_recursive)
+        recursive_s, recursive_value = _time_best(
+            repeats, lambda: nestedsums.c_recursive(spec, index, guard)
+        )
         rows.append(
             {
                 "r": spec.r,
@@ -394,7 +392,7 @@ def run_bench(
                 "recursive_seconds": f"{recursive_s:.6f}",
                 "speedup": f"{direct_s / recursive_s:.2f}",
                 "direct_summands": direct_summand_count(spec, index),
-                "recursive_memo_entries": cold_recursive.memo_entries,
+                "recursive_memo_entries": recurrence_cell_count(spec, index),
                 "equal": direct_value == recursive_value,
             }
         )
@@ -410,8 +408,7 @@ def bench_csv(rows: list[dict]) -> str:
 
 
 def _cmd_bench(args) -> int:
-    _check_flags_read(args, BENCH_DEFAULTS, tuple(BENCH_DEFAULTS), "bench", {})
-    _check_floors(args, BENCH_FLAG_FLOORS)
+    _read_flags(args, BENCH_FLAGS, BENCH_FLAGS, "bench")
     rng = Random(args.seed)
     if args.x is not None:
         spec = _spec_from_args(args)
@@ -455,9 +452,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--guard",
             type=int,
-            default=DEFAULT_SUMMAND_GUARD,
+            default=DEFAULT_GUARD,
             help="summand/cell guard before refusing to enumerate",
         )
+
+    def add_flags(p, flags):
+        for name, flag in flags.items():
+            shown = "" if flag.default in (None, "") else f" ({flag.default})"
+            p.add_argument(f"--{name}", type=flag.type, help=flag.help + shown)
 
     p_s = sub.add_parser("s", help="evaluate s_mu(n)")
     p_s.add_argument("--mu", required=True, help='multi-index, e.g. "(1,2,3)"')
@@ -486,36 +488,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify an identity sweep exactly")
     p_verify.add_argument("--identity", choices=tuple(IDENTITIES), required=True)
-    # defaults in VERIFY_DEFAULTS, filled in once the flags are checked
-    p_verify.add_argument("--mu", help="restrict mhs-duality to one multi-index")
-    p_verify.add_argument("--wmax", type=int, help="mhs-duality weight sweep bound (6)")
-    p_verify.add_argument("--x", help="explicit parameter blocks (otherwise seeded random specs)")
-    p_verify.add_argument("--t", help="explicit shift parameters")
-    p_verify.add_argument("--subset", help='shift identity slots, e.g. "1,2"')
-    p_verify.add_argument("--c", help="shift identity constant (1)")
-    p_verify.add_argument("--nmax", type=int, help="index sweep bound per slot (3)")
-    p_verify.add_argument("--kmax", type=int, help="difference order bound per slot (2)")
-    p_verify.add_argument("--box", help='explicit extents, e.g. "4,4"')
-    p_verify.add_argument("--count", type=int, help="number of random specs (20)")
-    p_verify.add_argument("--rmax", type=int, help="random spec slot bound (3)")
-    p_verify.add_argument("--pmax", type=int, help="random spec depth bound (3)")
-    p_verify.add_argument("--seed", type=int, help="random cases and egf-suite data (0)")
-    p_verify.add_argument("--degree", type=int, help="egf-suite truncation degree (6)")
+    add_flags(p_verify, VERIFY_FLAGS)
     add_common(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_bench = sub.add_parser(
         "bench", help="CSV timing of direct enumeration vs memoized recurrence"
     )
-    # defaults in BENCH_DEFAULTS, filled in once the flags are checked
-    p_bench.add_argument("--r", type=int, help="random spec slots (1)")
-    p_bench.add_argument("--p", type=int, help="random spec depth (3)")
-    p_bench.add_argument("--n", type=int, help="largest ladder rung (40)")
-    p_bench.add_argument("--ladder", help='explicit rungs, e.g. "10,20,40"')
-    p_bench.add_argument("--x", help="explicit blocks (otherwise seeded random)")
-    p_bench.add_argument("--t", help="explicit shifts (default all 1)")
-    p_bench.add_argument("--seed", type=int, help="random spec seed (0)")
-    p_bench.add_argument("--repeats", type=int, help="best-of timing repeats (3)")
+    add_flags(p_bench, BENCH_FLAGS)
     add_common(p_bench, with_format=False)
     p_bench.set_defaults(handler=_cmd_bench)
 
@@ -529,7 +509,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        _check_floors(args, GUARD_FLOOR)
+        if args.guard < 1:
+            raise ValueError(f"--guard must be at least 1, got {args.guard}")
         return args.handler(args)
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,12 +35,11 @@ from fractions import Fraction
 from random import Random
 from typing import Iterator, Sequence
 
-from .errors import GuardExceeded
+from .errors import DEFAULT_GUARD, check_guard
 from .kernel import format_rational
 from .multiseq import MultiSequenceTable, binomial_transform
 from .multiseq import iterated_delta  # noqa: F401  (perfbench's tracer wraps it here)
 from .nestedsums import (
-    DEFAULT_SUMMAND_GUARD,
     NestedSumSpec,
     RecurrenceEvaluator,
     c_direct,
@@ -428,7 +427,7 @@ def verify_operator_suite(
     seed: int = 0,
     slot_counts: Sequence[int] = (1, 2),
     depths: Sequence[int] = (1, 2, 3),
-    guard: int = DEFAULT_SUMMAND_GUARD,
+    guard: int = DEFAULT_GUARD,
 ) -> VerificationReport:
     """Run the full operator-identity battery at one truncation degree.
 
@@ -449,9 +448,7 @@ def verify_operator_suite(
     of the largest product (`suite_product_pairs`) exceed `guard`; each
     fill also checks its own cell count against `guard`.
     """
-    pairs = suite_product_pairs(degree, max(slot_counts))
-    if pairs > guard:
-        raise GuardExceeded("series product term pairs", pairs, guard)
+    check_guard("series product term pairs", suite_product_pairs(degree, max(slot_counts)), guard)
     rng = Random(seed)
     report = VerificationReport("egf-suite", EGF_SUITE_STATEMENT, [])
     D = degree

@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception type and default limit of the work guards."""
+
+# The default --guard of every subcommand and of every guarded library call.
+DEFAULT_GUARD = 10**7
 
 
 class GuardExceeded(RuntimeError):
@@ -13,3 +16,9 @@ class GuardExceeded(RuntimeError):
         self.what = what
         self.size = size
         self.limit = limit
+
+
+def check_guard(what: str, size: int, limit: int) -> None:
+    """Raise GuardExceeded when the work `size` is over its `limit`."""
+    if size > limit:
+        raise GuardExceeded(what, size, limit)

@@ -1,15 +1,18 @@
 """Exact rational kernel: combinatorial coefficients and rational (de)serialization.
 
-All scalar arithmetic in this package runs on `fractions.Fraction`, which
-already provides canonical reduced form (positive denominator, gcd one) and
+Every value this package returns is a `fractions.Fraction`, which already
+provides canonical reduced form (positive denominator, gcd one) and
 structural equality.  This module adds the three coefficient families the
-nested-sum machinery needs and the canonical text form used in reports.
+nested-sum machinery needs, each computed on integers and keeping no state
+between calls, and the canonical text form used in reports, which prints
+values of any size.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -57,50 +60,34 @@ def multinomial(n: int, parts: Iterable[int]) -> int:
 def gen_binomial(top: RationalLike, k: int) -> Fraction:
     """Generalized binomial C(top, k) = prod_{i<k}(top - i) / k! for rational top.
 
-    Evaluated as the falling-factorial product, so it is exact for every
-    rational top (no Gamma functions).  k = 0 gives 1 (empty product).
+    With top = a/b this is prod_{i<k}(a - i b) / (b^k k!): an integer
+    falling factorial over an integer, so it is exact for every rational top
+    (no Gamma functions), runs no gcd until the one Fraction it returns, and
+    keeps no state between calls.  k = 0 gives 1 (empty product).
     """
     if k < 0:
         raise ValueError(f"gen_binomial requires natural k, got {k}")
     top = Fraction(top)
-    # Tops repeat heavily inside nested-sum denominators, so every prefix
-    # C(top, 0..k) is kept, keyed by the canonical Fraction so int and
-    # Fraction callers share entries.  The row grows in a loop, so a cold
-    # call costs no recursion depth.
-    row = _GEN_BINOMIAL_ROWS.get(top)
-    if row is not None and k < len(row):
-        return row[k]
-    global _gen_binomial_cached
-    if row is None:
-        row = [Fraction(1)]
-    else:
-        del _GEN_BINOMIAL_ROWS[top]  # kept again below at its new length
-        _gen_binomial_cached -= len(row)
-    while len(row) <= k:
-        j = len(row)
-        row.append(row[-1] * (top - (j - 1)) / j)
-    # Past the cap every row is dropped; a row longer than the cap is not kept.
-    if _gen_binomial_cached + len(row) > GEN_BINOMIAL_CACHE_MAX:
-        _GEN_BINOMIAL_ROWS.clear()
-        _gen_binomial_cached = 0
-    if len(row) <= GEN_BINOMIAL_CACHE_MAX:
-        _GEN_BINOMIAL_ROWS[top] = row
-        _gen_binomial_cached += len(row)
-    return row[k]
-
-
-# Cap on the coefficients cached over all rows of `gen_binomial`.
-GEN_BINOMIAL_CACHE_MAX = 1 << 16
-_GEN_BINOMIAL_ROWS: dict[Fraction, list[Fraction]] = {}
-_gen_binomial_cached = 0  # sum of the cached rows' lengths
+    a, b = top.numerator, top.denominator
+    return Fraction(math.prod(range(a, a - k * b, -b)), b**k * math.factorial(k))
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
 
 def format_rational(value: RationalLike) -> str:
-    """Canonical text form: sign on the numerator, "/q" omitted when q = 1."""
-    return str(Fraction(value))
+    """Canonical text form: sign on the numerator, "/q" omitted when q = 1.
+
+    Exact at any size: `str` of an int refuses more digits than
+    `sys.get_int_max_str_digits()`, and `Decimal` converts such an int
+    exactly.
+    """
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:
+        text = str(Decimal(value.numerator))
+        return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
 def parse_rational(text: str) -> Fraction:

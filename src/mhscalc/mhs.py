@@ -35,12 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import GuardExceeded
+from .errors import DEFAULT_GUARD, check_guard
 from .multiseq import MultiSequenceTable, binomial_transform
 from .nestedsums import enumerate_chains
 from .report import VerificationReport, sweep_report
-
-DEFAULT_CHAIN_GUARD = 10**7
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,7 @@ def integer_numerators(mu: MultiIndex, n: int) -> bool:
     return mu.depth >= 3 and numerator_table_bits(mu, n) <= NUMERATOR_TABLE_MAX_BITS
 
 
-def mhs_value(mu: MultiIndex, n: int, chain_guard: int = DEFAULT_CHAIN_GUARD) -> Fraction:
+def mhs_value(mu: MultiIndex, n: int, chain_guard: int = DEFAULT_GUARD) -> Fraction:
     """s_mu(n) by direct enumeration of weakly decreasing chains.
 
     Every chain starts at n, and with L = lcm(1..n+1) the rest of each
@@ -148,7 +146,7 @@ def mhs_value(mu: MultiIndex, n: int, chain_guard: int = DEFAULT_CHAIN_GUARD) ->
 
 
 def mhs_table(
-    mu: MultiIndex, max_n: int, cell_guard: int = DEFAULT_CHAIN_GUARD
+    mu: MultiIndex, max_n: int, cell_guard: int = DEFAULT_GUARD
 ) -> MultiSequenceTable:
     """s_mu(0..max_n) as a 1-D table, by nested prefix sums.
 
@@ -157,9 +155,7 @@ def mhs_table(
     """
     if max_n < 0:
         raise ValueError(f"n must be a natural, got {max_n}")
-    cells = mu.depth * (max_n + 1)
-    if cells > cell_guard:
-        raise GuardExceeded("mhs table cell count", cells, cell_guard)
+    check_guard("mhs table cell count", mu.depth * (max_n + 1), cell_guard)
     *outer, last = mu.parts
     row = [Fraction(1, (m + 1) ** last) for m in range(max_n + 1)]
     for part in reversed(outer):
@@ -216,7 +212,7 @@ def verify_mhs_duality(
     max_weight: int,
     max_n: int,
     mus: Sequence[MultiIndex] | None = None,
-    guard: int = DEFAULT_CHAIN_GUARD,
+    guard: int = DEFAULT_GUARD,
 ) -> VerificationReport:
     """Check the duality for every mu of weight <= max_weight and n <= max_n.
 

@@ -48,14 +48,12 @@ from fractions import Fraction
 from random import Random
 from typing import Iterator, Sequence
 
-from .errors import GuardExceeded
+from .errors import DEFAULT_GUARD, check_guard
 from .kernel import binomial, gen_binomial, multinomial, format_rational, parse_rational
 from .multiseq import MultiSequenceTable, binomial_transform, iterated_delta
 from .report import VerificationReport, sweep_report
 
 Index = tuple[int, ...]
-
-DEFAULT_SUMMAND_GUARD = 10**7
 
 
 def _is_nonpositive_integer(value: Fraction) -> bool:
@@ -147,11 +145,11 @@ def enumerate_chains(
     if n < 0 or p < 1:
         raise ValueError(f"need natural n and positive p, got ({n}, {p})")
     if chain_guard is not None:
-        count = chain_count(n, p)
-        if count > chain_guard:
-            raise GuardExceeded("chain count", count, chain_guard)
-    # weakly decreasing tails are multisets drawn from n, n-1, ..., 0
-    tails = itertools.combinations_with_replacement(range(n, -1, -1), p - 1)
+        check_guard("chain count", chain_count(n, p), chain_guard)
+    # weakly decreasing tails are multisets drawn from n, n-1, ..., 0; the
+    # pool is a tuple of n + 1 entries, so depth 1 (empty tails) takes none
+    pool = range(n, -1, -1) if p > 1 else ()
+    tails = itertools.combinations_with_replacement(pool, p - 1)
     return ((n,) + tail for tail in tails)
 
 
@@ -169,6 +167,14 @@ def recurrence_cell_count(spec: NestedSumSpec, n: Sequence[int]) -> int:
     return spec.p * math.prod(ni + 1 for ni in n)
 
 
+def _check_summands(spec: NestedSumSpec, n: Sequence[int], guard: int) -> None:
+    check_guard("direct summand count", direct_summand_count(spec, n), guard)
+
+
+def _check_cells(spec: NestedSumSpec, corner: Sequence[int], guard: int) -> None:
+    check_guard("recurrence cell count", recurrence_cell_count(spec, corner), guard)
+
+
 def _check_index(spec: NestedSumSpec, n: Sequence[int]) -> Index:
     n = tuple(n)
     if len(n) != spec.r:
@@ -178,25 +184,35 @@ def _check_index(spec: NestedSumSpec, n: Sequence[int]) -> Index:
     return n
 
 
-def _points(spec: NestedSumSpec, box: Sequence[int]) -> list[Index]:
-    """The points of the box prod [0, box_i), in lexicographic order."""
+def _corner(spec: NestedSumSpec, box: Sequence[int]) -> Index:
+    """The last point of the box prod [0, box_i), checked against the spec.
+
+    Callers guard their work on the corner before they list the box.
+    """
     box = tuple(box)
     if len(box) != spec.r:
         raise ValueError(f"box {box} does not match {spec.r} slots")
     if any(extent < 1 for extent in box):
         raise ValueError(f"box extents must be >= 1, got {box}")
+    return tuple(extent - 1 for extent in box)
+
+
+def _points(box: Sequence[int]) -> list[Index]:
+    """The points of the box prod [0, box_i), in lexicographic order."""
     return list(itertools.product(*(range(extent) for extent in box)))
 
 
 def _block_chain_data(
     block: tuple[Fraction, ...], n: int
 ) -> list[tuple[Index, Index, Fraction]]:
-    """Per chain of one slot: (m-vector, v-vector, multinomial * prod x^v)."""
+    """Per chain of one slot: (m-vector, v-vector, multinomial * prod x^v).
+
+    Only the powers x^v the chains read are built: every v in 0..n above
+    depth 1, but x^n alone at depth 1, whose one chain costs one summand.
+    """
     p = len(block)
-    powers = [[Fraction(1)] for _ in range(p)]
-    for j in range(p):
-        for _ in range(n):
-            powers[j].append(powers[j][-1] * block[j])
+    exponents = range(n + 1) if p > 1 else (n,)
+    powers = [{v: x**v for v in exponents} for x in block]
     data = []
     for chain in enumerate_chains(n, p):
         nu = tuple(chain[j] - chain[j + 1] for j in range(p - 1)) + (chain[-1],)
@@ -210,7 +226,7 @@ def _block_chain_data(
 def c_direct(
     spec: NestedSumSpec,
     n: Sequence[int],
-    summand_guard: int = DEFAULT_SUMMAND_GUARD,
+    summand_guard: int = DEFAULT_GUARD,
 ) -> Fraction:
     """Evaluate the defining sum by chain enumeration.
 
@@ -220,9 +236,7 @@ def c_direct(
     of exact rational operations differs.
     """
     n = _check_index(spec, n)
-    count = direct_summand_count(spec, n)
-    if count > summand_guard:
-        raise GuardExceeded("direct summand count", count, summand_guard)
+    _check_summands(spec, n, summand_guard)
     p = spec.p
 
     # key: per-column (sum of m_ij, sum of v_ij) for j < p, accumulated over slots
@@ -289,7 +303,7 @@ class RecurrenceEvaluator:
     its corner) exceeds `cell_guard`.
     """
 
-    def __init__(self, spec: NestedSumSpec, cell_guard: int = DEFAULT_SUMMAND_GUARD):
+    def __init__(self, spec: NestedSumSpec, cell_guard: int = DEFAULT_GUARD):
         self.spec = spec
         self.cell_guard = cell_guard
         self._corner: Index | None = None
@@ -313,18 +327,16 @@ class RecurrenceEvaluator:
 
     def table(self, extents: Sequence[int]) -> MultiSequenceTable:
         """c over the box prod [0, extents_i), read from one fill up to its corner."""
-        points = _points(self.spec, extents)
-        self.value(points[-1])
-        return MultiSequenceTable(self.spec.r, tuple(extents), tuple(map(self._read, points)))
+        self.value(_corner(self.spec, extents))
+        values = tuple(map(self._read, _points(extents)))
+        return MultiSequenceTable(self.spec.r, tuple(extents), values)
 
     def _read(self, m: Index) -> Fraction:
         flat = sum(mi * stride for mi, stride in zip(m, self._strides))
         return Fraction(self._numerators[flat], self._denominators[sum(m)])
 
     def _fill(self, corner: Index) -> None:
-        cells = recurrence_cell_count(self.spec, corner)
-        if cells > self.cell_guard:
-            raise GuardExceeded("recurrence cell count", cells, self.cell_guard)
+        _check_cells(self.spec, corner, self.cell_guard)
         spec = self.spec
         last = spec.p - 1
         top = sum(corner)
@@ -380,7 +392,7 @@ class RecurrenceEvaluator:
 def c_recursive(
     spec: NestedSumSpec,
     n: Sequence[int],
-    cell_guard: int = DEFAULT_SUMMAND_GUARD,
+    cell_guard: int = DEFAULT_GUARD,
 ) -> Fraction:
     """One-shot recurrence evaluation; reuse a RecurrenceEvaluator for sweeps."""
     return RecurrenceEvaluator(spec, cell_guard).value(n)
@@ -389,7 +401,7 @@ def c_recursive(
 def kt_value(
     x: Sequence[Fraction | int],
     n: int,
-    chain_guard: int = DEFAULT_SUMMAND_GUARD,
+    chain_guard: int = DEFAULT_GUARD,
 ) -> Fraction:
     """Single-slot parametric sum with harmonic denominators.
 
@@ -423,7 +435,7 @@ def two_index_value(
     y: Sequence[Fraction | int],
     n: int,
     k: int,
-    chain_guard: int = DEFAULT_SUMMAND_GUARD,
+    chain_guard: int = DEFAULT_GUARD,
 ) -> Fraction:
     """Two-slot sum with the inverse-binomial coefficient normalization.
 
@@ -440,9 +452,7 @@ def two_index_value(
     p = len(x)
     if n < 0 or k < 0:
         raise ValueError(f"indices must be naturals, got ({n}, {k})")
-    count = chain_count(n, p) * chain_count(k, p)
-    if count > chain_guard:
-        raise GuardExceeded("chain-pair count", count, chain_guard)
+    check_guard("chain-pair count", chain_count(n, p) * chain_count(k, p), chain_guard)
     lead = Fraction(1, binomial(n + k, n))
     total = Fraction(0)
     for m in enumerate_chains(n, p):
@@ -480,7 +490,7 @@ RECURRENCE_STATEMENT = "depth-reduction recurrence equals direct chain enumerati
 def verify_duality(
     spec: NestedSumSpec,
     box: Sequence[int],
-    summand_guard: int = DEFAULT_SUMMAND_GUARD,
+    summand_guard: int = DEFAULT_GUARD,
 ) -> VerificationReport:
     """Check nabla c[x|t] = c[1-x|t] at every point of the box.
 
@@ -490,27 +500,30 @@ def verify_duality(
     corner's left side weights every value of the c[x|t] fill by a nonzero
     binomial, so a wrong recurrence value anywhere in the box fails there.
 
-    Summand counts grow with n, so the corner is the largest point and its
-    `c_direct` runs first: the guard trips before any fill when any point of
-    the box is over it.  The fills are guarded at p times the guard; at
-    depth p >= 2 the corner has at least prod(box) summands, so a fill never
-    trips where `c_direct` passed.  At depth 1 every point has one summand,
-    and the guard bounds the box's prod(box) cells instead.
+    Every guard is checked by arithmetic before anything is evaluated.
+    Summand counts grow with n, so the corner is the largest point, and its
+    summand count is checked first: the guard trips when any point of the
+    box is over it.  Then the fills' cells are checked at p times the guard;
+    at depth p >= 2 the corner has at least prod(box) summands, so a fill
+    never trips where the corner passed.  At depth 1 every point has one
+    summand, and the guard bounds the box's prod(box) cells instead.  The
+    corner's `c_direct` then runs first.
     """
-    points = _points(spec, box)
-    dual = spec.one_minus()
-    corner_rhs = c_direct(dual, points[-1], summand_guard)
+    corner, dual = _corner(spec, box), spec.one_minus()
     cell_guard = spec.p * summand_guard
+    _check_summands(dual, corner, summand_guard)
+    _check_cells(spec, corner, cell_guard)
+    corner_rhs = c_direct(dual, corner, summand_guard)
     lhs = binomial_transform(RecurrenceEvaluator(spec, cell_guard).table(box)).values
     rhs = RecurrenceEvaluator(dual, cell_guard).table(box).values[:-1] + (corner_rhs,)
-    return sweep_report("c-duality", C_DUALITY_STATEMENT, spec.text(), points, lhs, rhs)
+    return sweep_report("c-duality", C_DUALITY_STATEMENT, spec.text(), _points(box), lhs, rhs)
 
 
 def verify_difference_formula(
     spec: NestedSumSpec,
     nbox: Sequence[int],
     kbox: Sequence[int],
-    summand_guard: int = DEFAULT_SUMMAND_GUARD,
+    summand_guard: int = DEFAULT_GUARD,
 ) -> VerificationReport:
     """Check that iterated differences of c are c at doubled parameters.
 
@@ -524,26 +537,29 @@ def verify_difference_formula(
     that fill and the doubled fill, whose corner value is not read, are
     checked against each other.
 
-    The corner's `c_direct` runs first, and each fill is guarded on its own
-    cells at p times the guard, as in `verify_duality`: at depth p >= 2 the
-    corner has at least as many summands as either fill has cells per
-    level, and at depth 1 the guard bounds the prod(nbox) * prod(kbox)
-    cells of the doubled fill.
+    As in `verify_duality`, the corner's summands and then each fill's cells
+    at p times the guard are checked before anything is evaluated, and the
+    corner's `c_direct` runs first: at depth p >= 2 the corner has at least
+    as many summands as either fill has cells per level, and at depth 1 the
+    guard bounds the prod(nbox) * prod(kbox) cells of the doubled fill.
     """
-    npoints, kpoints = _points(spec, nbox), _points(spec, kbox)
+    corner = _corner(spec, nbox) + _corner(spec, kbox)
+    fillbox = tuple(n + k - 1 for n, k in zip(nbox, kbox))
     double = spec.doubled()
-    corner_rhs = c_direct(double, npoints[-1] + kpoints[-1], summand_guard)
     cell_guard = spec.p * summand_guard
-    fill = RecurrenceEvaluator(spec, cell_guard).table(
-        tuple(n + k - 1 for n, k in zip(nbox, kbox))
-    )
+    _check_summands(double, corner, summand_guard)
+    _check_cells(spec, _corner(spec, fillbox), cell_guard)
+    _check_cells(double, corner, cell_guard)
+    corner_rhs = c_direct(double, corner, summand_guard)
+    fill = RecurrenceEvaluator(spec, cell_guard).table(fillbox)
     lhs = iterated_delta(fill, kbox).values
     rhs = RecurrenceEvaluator(double, cell_guard).table(tuple(nbox) + tuple(kbox)).values
+    kpoints = _points(kbox)
     return sweep_report(
         "difference-formula",
         DIFFERENCE_STATEMENT,
         spec.text(),
-        [n + k for n in npoints for k in kpoints],
+        [n + k for n in _points(nbox) for k in kpoints],
         lhs,
         rhs[:-1] + (corner_rhs,),
     )
@@ -554,7 +570,7 @@ def verify_shift_identity(
     subset: Sequence[int],
     constant: Fraction | int,
     box: Sequence[int],
-    summand_guard: int = DEFAULT_SUMMAND_GUARD,
+    summand_guard: int = DEFAULT_GUARD,
 ) -> VerificationReport:
     """Check sum_{i in subset} c(n+e_i) = constant * c(n) on the box.
 
@@ -565,10 +581,11 @@ def verify_shift_identity(
     slot, except the right side at the corner, which is constant times
     chain enumeration (`c_direct`).  The left side at the corner is the
     only reader of the fill values at corner + e_i (i in subset), so the
-    corner anchors their sum.  The corner's `c_direct` runs first, and the
-    fill is guarded on its cells at p times the guard.
+    corner anchors their sum.  As in `verify_duality`, the corner's
+    summands and then the fill's cells at p times the guard are checked
+    before anything is evaluated, and the corner's `c_direct` runs first.
     """
-    points = _points(spec, box)
+    corner = _corner(spec, box)
     subset = tuple(subset)
     constant = Fraction(constant)
     if len(set(subset)) != len(subset):
@@ -582,10 +599,12 @@ def verify_shift_identity(
                 f"hypothesis violated: component {j + 1} of the subset sum is "
                 f"{format_rational(column)}, expected {format_rational(constant)}"
             )
-    corner_rhs = constant * c_direct(spec, points[-1], summand_guard)
-    fill = RecurrenceEvaluator(spec, spec.p * summand_guard).table(
-        tuple(extent + 1 for extent in box)
-    )
+    fillbox = tuple(extent + 1 for extent in box)
+    _check_summands(spec, corner, summand_guard)
+    _check_cells(spec, _corner(spec, fillbox), spec.p * summand_guard)
+    corner_rhs = constant * c_direct(spec, corner, summand_guard)
+    fill = RecurrenceEvaluator(spec, spec.p * summand_guard).table(fillbox)
+    points = _points(box)
     return sweep_report(
         "shift",
         SHIFT_STATEMENT,
@@ -602,18 +621,21 @@ def verify_shift_identity(
 def verify_recurrence(
     spec: NestedSumSpec,
     box: Sequence[int],
-    summand_guard: int = DEFAULT_SUMMAND_GUARD,
+    summand_guard: int = DEFAULT_GUARD,
 ) -> VerificationReport:
     """Check the recurrence against c_direct at every point of the box.
 
-    The left side is one recurrence fill of the box, guarded at p times the
-    guard as in `verify_duality`; the right side is `c_direct` per point,
-    taken first, so a point over the summand guard stops the sweep before
-    the fill runs.
+    The left side is one recurrence fill of the box, the right side
+    `c_direct` per point.  As in `verify_duality`, the corner's summands
+    (the largest in the box) and then the fill's cells at p times the guard
+    are checked before anything is evaluated.
     """
-    points = _points(spec, box)
-    rhs = [c_direct(spec, n, summand_guard) for n in points]
+    corner = _corner(spec, box)
+    _check_summands(spec, corner, summand_guard)
+    _check_cells(spec, corner, spec.p * summand_guard)
     lhs = RecurrenceEvaluator(spec, spec.p * summand_guard).table(box).values
+    points = _points(box)
+    rhs = [c_direct(spec, n, summand_guard) for n in points]
     return sweep_report("recurrence", RECURRENCE_STATEMENT, spec.text(), points, lhs, rhs)
 
 

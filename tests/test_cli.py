@@ -1,13 +1,17 @@
 import hashlib
 import json
 import os
+import re
 import stat
+import sys
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 
-from mhscalc import cli, nestedsums
+from mhscalc import cli, egf, mhs, nestedsums
 from mhscalc.cli import build_parser, main
+from mhscalc.mhs import MultiIndex
 from mhscalc.report import Comparison, VerificationReport
 
 
@@ -535,3 +539,189 @@ def test_output_bytes_are_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# --- the unread-flag contract, written out independently of cli.py ---
+
+# Which `verify` flags each identity reads.
+SPEC_READS = {"x", "t", "box", "nmax", "count", "rmax", "pmax", "seed"}
+IDENTITY_READS = {
+    "mhs-duality": {"mu", "wmax", "nmax"},
+    "c-duality": SPEC_READS,
+    "difference-formula": SPEC_READS | {"kmax"},
+    "recurrence": SPEC_READS,
+    "shift": SPEC_READS | {"subset", "c"},
+    "egf-suite": {"degree", "seed"},
+}
+# A valid value for every `verify` flag; the explicit spec has two depth-1
+# blocks summing to the shift constant 1 over the subset {1, 2}.
+VERIFY_VALUES = {
+    "mu": "(1,2)", "wmax": "2", "x": "1/2;1/2", "t": "", "subset": "1,2", "c": "1",
+    "nmax": "1", "kmax": "1", "box": "2,2", "count": "1", "rmax": "2", "pmax": "2",
+    "seed": "1", "degree": "2",
+}
+# Flags read only with an explicit --x, and a given flag that makes another unread.
+NEEDS_X = {"t", "box", "subset", "c"}
+UNREAD_WITH = {"count": "x", "rmax": "x", "pmax": "x", "seed": "x", "nmax": "box", "wmax": "mu"}
+# `bench` reads all its flags, each alone.
+BENCH_VALUES = {
+    "r": "1", "p": "2", "n": "2", "ladder": "1,2", "x": "1/2", "t": "2,2", "seed": "1",
+    "repeats": "1",
+}
+BENCH_UNREAD_WITH = {"r": "x", "p": "x", "seed": "x", "n": "ladder"}
+VERIFIERS = [
+    (nestedsums, "verify_duality"),
+    (nestedsums, "verify_difference_formula"),
+    (nestedsums, "verify_recurrence"),
+    (nestedsums, "verify_shift_identity"),
+    (mhs, "verify_mhs_duality"),
+    (egf, "verify_operator_suite"),
+]
+
+
+@pytest.mark.parametrize("command, flags", [("verify", VERIFY_VALUES), ("bench", BENCH_VALUES)])
+def test_contract_tables_cover_every_flag(capsys, command, flags):
+    assert set(VERIFY_VALUES) == set().union(*IDENTITY_READS.values())
+    code, out, _ = run(capsys, command, "--help")
+    listed = set(re.findall(r"^  --(\w+)", out, re.M))
+    assert code == 0 and listed - {"identity", "format", "out", "guard"} == set(flags)
+
+
+def _flag(name, values):
+    return f"--{name}={values[name]}"
+
+
+UNREAD_CASES = [
+    (identity, flag)
+    for identity, reads in IDENTITY_READS.items()
+    for flag in VERIFY_VALUES
+    if flag not in reads
+]
+
+
+@pytest.mark.parametrize("identity, flag", UNREAD_CASES)
+def test_every_unread_flag_exit_code(capsys, identity, flag):
+    code, out, err = run(capsys, "verify", f"--identity={identity}", _flag(flag, VERIFY_VALUES))
+    assert code == 2 and out == ""
+    assert err == f"error: --{flag} is not read by --identity {identity}\n"
+
+
+def _stub_verifiers(monkeypatch):
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append(args)
+        return VerificationReport("stub", "statement", [])
+
+    for module, name in VERIFIERS:
+        monkeypatch.setattr(module, name, stub)
+    return calls
+
+
+READ_CASES = [
+    (identity, flag) for identity, reads in IDENTITY_READS.items() for flag in sorted(reads)
+]
+
+
+@pytest.mark.parametrize("identity, flag", READ_CASES)
+def test_every_read_flag_is_read(capsys, monkeypatch, identity, flag):
+    calls = _stub_verifiers(monkeypatch)
+    argv = ["verify", f"--identity={identity}", _flag(flag, VERIFY_VALUES)]
+    if flag in NEEDS_X:
+        argv.append(_flag("x", VERIFY_VALUES))
+        if identity == "shift" and flag != "subset":
+            argv.append(_flag("subset", VERIFY_VALUES))
+    elif flag == "x" and identity == "shift":
+        argv.append(_flag("subset", VERIFY_VALUES))
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert calls
+
+
+@pytest.mark.parametrize("identity, flag", [
+    (identity, flag) for identity, reads in IDENTITY_READS.items() for flag in sorted(reads & NEEDS_X)
+])
+def test_every_flag_needing_x_exit_code(capsys, identity, flag):
+    code, out, err = run(capsys, "verify", f"--identity={identity}", _flag(flag, VERIFY_VALUES))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --{flag} needs an explicit --x; random cases ")
+
+
+OVERRIDE_CASES = [
+    (identity, flag, by)
+    for identity, reads in IDENTITY_READS.items()
+    for flag, by in UNREAD_WITH.items()
+    if flag in reads and by in reads
+]
+
+
+@pytest.mark.parametrize("identity, flag, by", OVERRIDE_CASES)
+def test_every_overridden_flag_exit_code(capsys, identity, flag, by):
+    argv = ["verify", f"--identity={identity}", _flag(by, VERIFY_VALUES), _flag(flag, VERIFY_VALUES)]
+    if by in NEEDS_X:
+        argv.append(_flag("x", VERIFY_VALUES))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: --{flag} is not read by --identity {identity} with --{by}\n"
+
+
+def _stub_bench(monkeypatch):
+    calls = []
+
+    def stub(spec, ladder, repeats, guard):
+        calls.append(ladder)
+        return [{"n": n, "equal": True} for n in ladder]
+
+    monkeypatch.setattr(cli, "run_bench", stub)
+    return calls
+
+
+@pytest.mark.parametrize("flag", BENCH_VALUES)
+def test_every_bench_flag_is_read(capsys, monkeypatch, flag):
+    calls = _stub_bench(monkeypatch)
+    code, _, err = run(capsys, "bench", _flag(flag, BENCH_VALUES))
+    assert (code, err) == (0, "") and calls
+
+
+@pytest.mark.parametrize("flag, by", BENCH_UNREAD_WITH.items())
+def test_every_overridden_bench_flag_exit_code(capsys, monkeypatch, flag, by):
+    _stub_bench(monkeypatch)
+    code, out, err = run(capsys, "bench", _flag(by, BENCH_VALUES), _flag(flag, BENCH_VALUES))
+    assert code == 2 and out == ""
+    assert err == f"error: --{flag} is not read by bench with --{by}\n"
+
+
+# --- exact values past the int-to-str digit limit, and depth-1 guards ---
+
+
+def _parse_exact(text):
+    # int(str) has the same digit limit as str(int); Decimal has none
+    numerator, _, denominator = text.partition("/")
+    return F(int(Decimal(numerator)), int(Decimal(denominator or "1")))
+
+
+def test_values_past_the_digit_limit_are_printed(capsys):
+    code, out, err = run(capsys, "s", "--mu=(1,1)", "--n=10500")
+    assert (code, err) == (0, "")
+    assert len(out) > sys.get_int_max_str_digits()
+    assert _parse_exact(out.strip()) == mhs.mhs_value(MultiIndex((1, 1)), 10500)
+    code, out, err = run(
+        capsys, "c", "--x=1/3,1/2", "--t=1", "--n=9000", "--method=recursive", "--format=json"
+    )
+    assert (code, err) == (0, "")
+    spec = nestedsums.NestedSumSpec.parse("1/3,1/2", "1")
+    assert _parse_exact(json.loads(out)["value"]) == nestedsums.c_recursive(spec, (9000,))
+
+
+def test_depth_one_value_needs_one_summand(capsys):
+    code, out, err = run(capsys, "c", "--x=1/2", "--n=20000", "--guard=1")
+    assert (code, err) == (0, "")
+    assert _parse_exact(out.strip()) == F(1, 2**20000)
+
+
+def test_recurrence_fill_guard_trips_before_any_point(capsys):
+    code, out, err = run(
+        capsys, "verify", "--identity=recurrence", "--x=1/2", "--nmax=20000", "--guard=100"
+    )
+    assert code == 3 and out == ""
+    assert err == "error: recurrence cell count: 20001 exceeds guard 100\n"

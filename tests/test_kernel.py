@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from mhscalc import kernel
 from mhscalc.kernel import (
     binomial,
     format_rational,
@@ -57,29 +56,21 @@ def test_gen_binomial_values():
     assert gen_binomial(F(5, 2), 2) == F(15, 8)
     for t in (F(0), F(-7, 3), F(4), F(9, 2)):
         assert gen_binomial(t, 0) == 1
+    for q in range(1, 200):
+        top, k = F(q, 7), q % 9
+        expected = F(math.prod(q - 7 * i for i in range(k)), 7**k * math.factorial(k))
+        assert gen_binomial(top, k) == expected
+    assert gen_binomial(F(1, 3), 60) == F(math.prod(1 - 3 * i for i in range(60)),
+                                          3**60 * math.factorial(60))
 
 
 def test_gen_binomial_deep_cold_call():
-    # k far beyond the recursion limit: the prefix row must grow in a loop
+    # k far beyond the recursion limit: the falling factorial runs in a loop
     top, k = F(1, 3), 5000
     assert k > sys.getrecursionlimit()
     expected = F(math.prod(1 - 3 * i for i in range(k)), 3**k * math.factorial(k))
     assert gen_binomial(top, k) == expected
     assert gen_binomial(top, k - 1) * (top - (k - 1)) / k == expected
-
-
-def test_gen_binomial_cache_stays_within_its_cap(monkeypatch):
-    monkeypatch.setattr(kernel, "GEN_BINOMIAL_CACHE_MAX", 50)
-    for q in range(1, 200):
-        top, k = F(q, 7), q % 9
-        expected = F(math.prod(q - 7 * i for i in range(k)), 7**k * math.factorial(k))
-        assert gen_binomial(top, k) == expected
-        rows = kernel._GEN_BINOMIAL_ROWS
-        assert sum(map(len, rows.values())) == kernel._gen_binomial_cached <= 50
-    # a row longer than the cap is computed but not kept
-    assert gen_binomial(F(1, 3), 60) == F(math.prod(1 - 3 * i for i in range(60)),
-                                          3**60 * math.factorial(60))
-    assert F(1, 3) not in kernel._GEN_BINOMIAL_ROWS
 
 
 @given(st.integers(0, 15), st.integers(0, 15))

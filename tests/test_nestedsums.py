@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 from fractions import Fraction as F
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mhscalc import nestedsums
 from mhscalc.errors import GuardExceeded
 from mhscalc.kernel import format_rational, gen_binomial, multinomial
 from mhscalc.multiseq import MultiSequenceTable
@@ -318,6 +320,61 @@ def test_verify_recurrence_report():
     spec = NestedSumSpec.parse("1/2,1/3;0,1", "2")
     report = verify_recurrence(spec, (3, 3))
     assert report.ok and len(report.comparisons) == 9
+
+
+def test_depth_one_direct_builds_only_the_power_it_reads():
+    # the one chain reads x^n: a table of x^0..x^n would hold some 3 MB at
+    # n = 4000, and a pool of the n + 1 chain entries some 140 kB
+    spec, n = NestedSumSpec.parse("2/3"), 4000
+    tracemalloc.start()
+    try:
+        value = c_direct(spec, (n,), summand_guard=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == F(2**n, 3**n)
+    assert peak < 64 * 1024
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work ran before the guard was checked")
+
+
+@pytest.mark.parametrize(
+    "xtext, ttext, what, size",
+    [
+        # depth 1: one summand per point, so the fill's 20001 cells trip
+        ("1/2", "", "recurrence cell count", 20001),
+        # depth 2: the corner's 20001 summands trip first
+        ("1/2,1/3", "2", "direct summand count", 20001),
+    ],
+)
+def test_recurrence_guards_trip_before_any_evaluation(monkeypatch, xtext, ttext, what, size):
+    monkeypatch.setattr(nestedsums, "c_direct", _refuse)
+    monkeypatch.setattr(nestedsums, "_points", _refuse)
+    with pytest.raises(GuardExceeded) as info:
+        verify_recurrence(NestedSumSpec.parse(xtext, ttext), (20001,), summand_guard=100)
+    assert (info.value.what, info.value.size) == (what, size)
+
+
+@pytest.mark.parametrize(
+    "verify",
+    [
+        lambda spec, box, guard: verify_duality(spec, box, guard),
+        lambda spec, box, guard: verify_difference_formula(spec, box, box, guard),
+        lambda spec, box, guard: verify_recurrence(spec, box, guard),
+        lambda spec, box, guard: verify_shift_identity(spec, (1, 2), 1, box, guard),
+    ],
+    ids=["c-duality", "difference-formula", "recurrence", "shift"],
+)
+@pytest.mark.parametrize("xtext, ttext", [("1/3;2/3", ""), ("1/3,1/2;2/3,1/2", "2")])
+def test_verifiers_check_every_guard_before_any_work(monkeypatch, verify, xtext, ttext):
+    # a box of 10^12 points: listing it before the guard would never finish,
+    # and at depth 1 the corner's one summand holds powers x^(10^6 - 1)
+    monkeypatch.setattr(nestedsums, "_points", _refuse)
+    monkeypatch.setattr(nestedsums, "c_direct", _refuse)
+    with pytest.raises(GuardExceeded):
+        verify(NestedSumSpec.parse(xtext, ttext), (10**6, 10**6), 100)
 
 
 def reference_fill(spec, corner):
