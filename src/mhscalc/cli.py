@@ -369,7 +369,7 @@ def _time_best(repeats: int, fn) -> tuple[float, Fraction]:
 def run_bench(
     spec: NestedSumSpec,
     ladder: list[int],
-    repeats: int = 3,
+    repeats: int,
     guard: int = DEFAULT_GUARD,
 ) -> list[dict]:
     """Time c_direct against a cold-memo recurrence pass at each ladder rung.
