@@ -436,14 +436,21 @@ def _cmd_bench(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on first use and shared by later calls."""
+    """The CLI parser, built on first use and shared by later calls.
+
+    Every parser has prefix matching off: a flag is taken only by its full
+    name, so an abbreviation is refused (exit 2) rather than read as the
+    flag it abbreviates.
+    """
     parser = argparse.ArgumentParser(
         prog="mhscalc",
+        allow_abbrev=False,
         description="Exact evaluation and identity verification for multiple "
         "harmonic sums, parametric nested sums, and the difference/inversion "
         "calculus on multi-sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_subcommand = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def add_common(p, with_format=True):
         if with_format:
@@ -461,24 +468,24 @@ def build_parser() -> argparse.ArgumentParser:
             shown = "" if flag.default in (None, "") else f" ({flag.default})"
             p.add_argument(f"--{name}", type=flag.type, help=flag.help + shown)
 
-    p_s = sub.add_parser("s", help="evaluate s_mu(n)")
+    p_s = add_subcommand("s", help="evaluate s_mu(n)")
     p_s.add_argument("--mu", required=True, help='multi-index, e.g. "(1,2,3)"')
     p_s.add_argument("--n", type=int, required=True)
     add_common(p_s)
     p_s.set_defaults(handler=_cmd_s)
 
-    p_dual = sub.add_parser("dual", help="print the dual multi-index")
+    p_dual = add_subcommand("dual", help="print the dual multi-index")
     p_dual.add_argument("--mu", required=True)
     add_common(p_dual)
     p_dual.set_defaults(handler=_cmd_dual)
 
-    p_embed = sub.add_parser("embed", help="0/1 parameter vectors reproducing s_mu")
+    p_embed = add_subcommand("embed", help="0/1 parameter vectors reproducing s_mu")
     p_embed.add_argument("--mu", required=True)
     p_embed.add_argument("--kind", choices=("1", "2", "both"), default="both")
     add_common(p_embed)
     p_embed.set_defaults(handler=_cmd_embed)
 
-    p_c = sub.add_parser("c", help="evaluate a parametric nested sum")
+    p_c = add_subcommand("c", help="evaluate a parametric nested sum")
     p_c.add_argument("--x", required=True, help='blocks, e.g. "1/2,1/3;0,1"')
     p_c.add_argument("--t", default="", help='shift parameters, e.g. "2" (empty for depth 1)')
     p_c.add_argument("--n", required=True, help='index vector, e.g. "2,1"')
@@ -486,13 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_c)
     p_c.set_defaults(handler=_cmd_c)
 
-    p_verify = sub.add_parser("verify", help="verify an identity sweep exactly")
+    p_verify = add_subcommand("verify", help="verify an identity sweep exactly")
     p_verify.add_argument("--identity", choices=tuple(IDENTITIES), required=True)
     add_flags(p_verify, VERIFY_FLAGS)
     add_common(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
-    p_bench = sub.add_parser(
+    p_bench = add_subcommand(
         "bench", help="CSV timing of direct enumeration vs memoized recurrence"
     )
     add_flags(p_bench, BENCH_FLAGS)

@@ -12,6 +12,12 @@ would need unseen data), while multiplication by X_i, the Euler-type
 operator xi, and the inversion nabla keep it (they never consult degrees
 above what they produce).  Equality compares up to the smaller bound.
 
+Series products (`*`, and the form powers and term images of
+`subst_linear`) run on integer numerators over one denominator: each
+factor's coefficients are scaled to ints over the lcm of its denominators,
+the truncated convolution adds ints, and the result builds one Fraction
+per output coefficient.
+
 Operators:
 
     deriv, mul_var                 partial derivative, multiplication by X_i
@@ -49,6 +55,7 @@ from .nestedsums import (
 from .report import Comparison, VerificationReport, sweep_report
 
 Exponents = tuple[int, ...]
+_ZERO = Fraction(0)
 
 
 def exponent_vectors(nvars: int, bound: int) -> Iterator[Exponents]:
@@ -119,7 +126,7 @@ class TruncatedSeries:
     # --- access ---
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self._coeffs.get(tuple(exponents), Fraction(0))
+        return self._coeffs.get(tuple(exponents), _ZERO)
 
     def terms(self) -> Iterator[tuple[Exponents, Fraction]]:
         """(exponents, coefficient) pairs in graded lexicographic order."""
@@ -181,17 +188,16 @@ class TruncatedSeries:
         )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Truncated product on integer numerators over d1 * d2.
+
+        d1 and d2 are the lcms of the factors' denominators; the convolution
+        runs on ints and builds one Fraction per output coefficient.
+        """
         self._check_compatible(other)
-        bound = self.degree_bound
-        coeffs: dict[Exponents, Fraction] = {}
-        for e1, c1 in self._coeffs.items():
-            d1 = sum(e1)
-            for e2, c2 in other._coeffs.items():
-                if d1 + sum(e2) > bound:
-                    continue
-                key = tuple(a + b for a, b in zip(e1, e2))
-                coeffs[key] = coeffs.get(key, Fraction(0)) + c1 * c2
-        return TruncatedSeries._trusted(self.nvars, bound, coeffs)
+        d1, left = _numerators(self._coeffs)
+        d2, right = _numerators(other._coeffs)
+        products = _mul_numerators(left, right, self.degree_bound)
+        return _from_numerators(self.nvars, self.degree_bound, products, d1 * d2)
 
     def truncate(self, new_bound: int) -> "TruncatedSeries":
         """Lower the degree bound (raising it would fabricate information)."""
@@ -248,6 +254,40 @@ class TruncatedSeries:
         )
 
 
+# --- integer kernel: numerators over one denominator ------------------------
+
+
+def _numerators(coeffs: dict[Exponents, Fraction]) -> tuple[int, dict[Exponents, int]]:
+    """The lcm d of the coefficients' denominators and each numerator over d."""
+    d = math.lcm(*(c.denominator for c in coeffs.values()))
+    return d, {e: c.numerator * (d // c.denominator) for e, c in coeffs.items()}
+
+
+def _mul_numerators(
+    left: dict[Exponents, int], right: dict[Exponents, int], bound: int
+) -> dict[Exponents, int]:
+    """Truncated convolution on ints; right's terms sorted by degree end each row early."""
+    by_degree = sorted(((sum(e), e, n) for e, n in right.items()), key=lambda term: term[0])
+    out: dict[Exponents, int] = {}
+    for e1, n1 in left.items():
+        room = bound - sum(e1)
+        for degree, e2, n2 in by_degree:
+            if degree > room:
+                break
+            key = tuple([a + b for a, b in zip(e1, e2)])
+            out[key] = out.get(key, 0) + n1 * n2
+    return out
+
+
+def _from_numerators(
+    nvars: int, bound: int, numerators: dict[Exponents, int], d: int
+) -> TruncatedSeries:
+    """The series with coefficient numerators[e] / d, one Fraction per nonzero term."""
+    return TruncatedSeries._trusted(
+        nvars, bound, {e: Fraction(n, d) for e, n in numerators.items() if n}
+    )
+
+
 def _egf_window(nvars: int, degree_bound: int, values: dict) -> TruncatedSeries:
     """The series with coefficient values[n] / n! at every exponent vector n."""
     return TruncatedSeries._trusted(nvars, degree_bound, {
@@ -302,6 +342,10 @@ def subst_linear(f: TruncatedSeries, rows: Sequence[Sequence]) -> TruncatedSerie
     """Substitute X_i -> sum_j rows[i][j] Z_j (linear forms, no constants).
 
     Linear substitution preserves total degree, so the bound carries over.
+    Row i is scaled to integers over q_i, the lcm of its denominators, and
+    each term c X^e of f is scaled by prod_i q_i^(D - e_i), so every term's
+    image shares the denominator d_f * prod_i q_i^D; the images add up as
+    ints and the result builds one Fraction per output coefficient.
     """
     rows = [tuple(Fraction(c) for c in row) for row in rows]
     if len(rows) != f.nvars:
@@ -310,32 +354,35 @@ def subst_linear(f: TruncatedSeries, rows: Sequence[Sequence]) -> TruncatedSerie
         raise ValueError("image rows must share a length")
     nvars_out = len(rows[0])
     bound = f.degree_bound
-    # at bound 0 the forms' degree-1 terms are truncated away
+    units = [tuple(1 if j == pos else 0 for pos in range(nvars_out)) for j in range(nvars_out)]
+    scales = [math.lcm(*(c.denominator for c in row)) for row in rows]
+    # form i over q_i; at bound 0 the forms' degree-1 terms are truncated away
     forms = [
-        TruncatedSeries._trusted(nvars_out, bound, {
-            tuple(1 if j == pos else 0 for pos in range(nvars_out)): coeff
-            for j, coeff in enumerate(row)
-        } if bound else {})
-        for row in rows
+        {unit: c.numerator * (q // c.denominator) for unit, c in zip(units, row) if c}
+        if bound else {}
+        for row, q in zip(rows, scales)
     ]
-    # cache form powers; exponents are small (<= bound)
-    power_cache: list[list[TruncatedSeries]] = [[TruncatedSeries.one(nvars_out, bound)] for _ in forms]
-    def form_power(i: int, e: int) -> TruncatedSeries:
+    # cache form powers as integer numerators; exponents are small (<= bound)
+    one = {(0,) * nvars_out: 1}
+    power_cache: list[list[dict[Exponents, int]]] = [[one] for _ in forms]
+
+    def form_power(i: int, e: int) -> dict[Exponents, int]:
         cache = power_cache[i]
         while len(cache) <= e:
-            cache.append(cache[-1] * forms[i])
+            cache.append(_mul_numerators(cache[-1], forms[i], bound))
         return cache[e]
 
-    one = TruncatedSeries.one(nvars_out, bound)
-    out: dict[Exponents, Fraction] = {}
-    for exponents, coeff in f._coeffs.items():
-        term = one
+    d_f, terms = _numerators(f._coeffs)
+    out: dict[Exponents, int] = {}
+    for exponents, numerator in terms.items():
+        image = one
         for i, e in enumerate(exponents):
             if e:
-                term = term * form_power(i, e)
-        for key, value in term._coeffs.items():
-            out[key] = out.get(key, 0) + coeff * value
-    return TruncatedSeries._trusted(nvars_out, bound, out)
+                image = _mul_numerators(image, form_power(i, e), bound)
+            numerator *= scales[i] ** (bound - e)
+        for key, value in image.items():
+            out[key] = out.get(key, 0) + numerator * value
+    return _from_numerators(nvars_out, bound, out, d_f * math.prod(q**bound for q in scales))
 
 
 def negate_vars(f: TruncatedSeries) -> TruncatedSeries:

@@ -80,9 +80,10 @@ def format_rational(value: RationalLike) -> str:
 
     Exact at any size: `str` of an int refuses more digits than
     `sys.get_int_max_str_digits()`, and `Decimal` converts such an int
-    exactly.
+    exactly.  A Fraction prints as it is; other values convert first.
     """
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     try:
         return str(value)
     except ValueError:
@@ -94,9 +95,12 @@ def parse_rational(text: str) -> Fraction:
     """Parse the canonical form, e.g. "-3/7", "5", "0".
 
     Rejects anything outside the integer-over-positive-integer grammar
-    (decimals, whitespace inside the token, signed denominators).
+    (decimals, whitespace inside the token, signed denominators).  Reads
+    literals of any size: the digits convert through `Decimal`, which has
+    no limit like `int(str)`'s `sys.get_int_max_str_digits()`.
     """
     token = text.strip()
     if not _RATIONAL_RE.match(token):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(token)
+    numerator, _, denominator = token.partition("/")
+    return Fraction(int(Decimal(numerator)), int(Decimal(denominator or "1")))

@@ -461,6 +461,14 @@ PINNED_OUTPUTS = [
      "789b13839d5301713a457ba9210895199e7b43fff8c097a59e5de9209a01b273"),
     (("verify", "--identity=egf-suite", "--degree=3", "--seed=7"),
      "70ac2c0de6b17acea6e8791764a02504395e3c2cd4130e5e44481ee236c49f4b"),
+    (("verify", "--identity=egf-suite", "--degree=5", "--seed=3"),
+     "9667300f9aa1b8386258db63f657bd09fab391d469995dd92d04d6e71357387f"),
+    (("verify", "--identity=egf-suite", "--degree=5", "--seed=11"),
+     "5d7bb7e4d2b001e41323f66db8a62f81643a4867775d58fa5428ce776e376c76"),
+    (("verify", "--identity=egf-suite", "--degree=6", "--seed=3"),
+     "fcb54770a398cc0da310b16525af9826ab9facead15b55e74f8acaf2ae49ed67"),
+    (("verify", "--identity=egf-suite", "--degree=6", "--seed=11"),
+     "1546098fb5806c8f185b02165c754f68ef5bf383fe7da5d2f7f0a90cd01246dd"),
     (("verify", "--identity=difference-formula", "--x=1/2,1/3", "--t=2", "--nmax=2", "--kmax=2"),
      "8f03ebea706c8181c77d4e896b7bc7d91e5f60896624bb0e0f4bcb7cf0bc56f8"),
     (("verify", "--identity=difference-formula", *RANDOM_FLAGS),
@@ -725,3 +733,59 @@ def test_recurrence_fill_guard_trips_before_any_point(capsys):
     )
     assert code == 3 and out == ""
     assert err == "error: recurrence cell count: 20001 exceeds guard 100\n"
+
+
+# --- flags by full name only, literals of any size ---
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--identity", "c-duality", "--x", "1/2", "--n", "1"),
+    ("verify", "--identity", "c-duality", "--p", "1", "--r", "1", "--count", "1", "--n", "0"),
+])
+def test_abbreviated_flag_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
+# The required flags of each subcommand, so that a refused flag is the only error.
+REQUIRED = {
+    "s": ("--mu=(1)", "--n=1"),
+    "dual": ("--mu=(1)",),
+    "embed": ("--mu=(1)",),
+    "c": ("--x=1/2", "--n=1"),
+    "verify": ("--identity=egf-suite",),
+    "bench": (),
+}
+
+
+@pytest.mark.parametrize("command", REQUIRED)
+def test_every_flag_prefix_exit_code(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    flags = set(re.findall(r"^  --(\w+)", out, re.M))
+    assert code == 0 and flags
+    prefixes = {name[:k] for name in flags for k in range(1, len(name))} - flags
+    for prefix in sorted(prefixes):
+        code, out, err = run(capsys, command, *REQUIRED[command], f"--{prefix}=1")
+        assert (code, out) == (2, ""), prefix
+        assert f"unrecognized arguments: --{prefix}=1" in err
+
+
+def test_top_level_flag_prefix_exit_code(capsys):
+    code, out, err = run(capsys, "--he", "dual", "--mu=(1)")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --he" in err
+
+
+def test_input_literal_past_the_digit_limit(capsys):
+    x = "1" + "0" * 5000 + "/3"
+    code, out, err = run(capsys, "c", f"--x={x}", "--n=1")
+    assert (code, err) == (0, "")
+    assert out == x + "\n"
+
+
+@pytest.mark.parametrize("x", ["1.5", "1/0", "1/-2", "1" + "0" * 5000 + "/0", "1e5000"])
+def test_malformed_literal_exit_code(capsys, x):
+    code, out, err = run(capsys, "c", f"--x={x}", "--n=1")
+    assert code == 2 and out == ""
+    assert "not a rational literal" in err

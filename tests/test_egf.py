@@ -410,3 +410,112 @@ def test_operator_suite_enumerates_every_reduced_window(monkeypatch):
     assert sorted(r for _, r in windows) == [1, 1, 2, 2]
     for (_, r), points in windows.items():
         assert sorted(points) == sorted(exponent_vectors(r, degree))
+
+
+# --- the integer kernel against the Fraction-per-pair reference -------------
+
+
+def reference_mul(f, g):
+    """Truncated product with one Fraction product and sum per term pair."""
+    coeffs = {}
+    for e1, c1 in f.terms():
+        for e2, c2 in g.terms():
+            if sum(e1) + sum(e2) <= f.degree_bound:
+                key = tuple(a + b for a, b in zip(e1, e2))
+                coeffs[key] = coeffs.get(key, F(0)) + c1 * c2
+    return TruncatedSeries(f.nvars, f.degree_bound, coeffs)
+
+
+def reference_subst_linear(f, rows):
+    """Term by term: c X^e becomes c prod_i form_i^e_i, each product in Fractions."""
+    nvars_out, bound = len(rows[0]), f.degree_bound
+    units = [tuple(int(j == pos) for pos in range(nvars_out)) for j in range(nvars_out)]
+    forms = [TruncatedSeries(nvars_out, bound, dict(zip(units, row)) if bound else {})
+             for row in rows]
+    out = TruncatedSeries.zero(nvars_out, bound)
+    for exponents, coeff in f.terms():
+        image = TruncatedSeries.one(nvars_out, bound)
+        for form, e in zip(forms, exponents):
+            for _ in range(e):
+                image = reference_mul(image, form)
+        out = out + image.scale(coeff)
+    return out
+
+
+def same_terms(got, want):
+    """Equal bound and equal terms, including any a wrong kernel put above the bound."""
+    return (got.nvars, got.degree_bound, list(got.terms())) == (
+        want.nvars, want.degree_bound, list(want.terms())
+    )
+
+
+# zero, signed integers and small fractions, and large pairwise-coprime
+# (prime) denominators
+LARGE_PRIMES = (1_000_003, 998_244_353, 2**61 - 1, 2**89 - 1)
+kernel_coefficients = st.one_of(
+    st.just(F(0)),
+    st.integers(-9, 9).map(F),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.builds(F, st.integers(-(10**12), 10**12), st.sampled_from(LARGE_PRIMES)),
+)
+
+
+def sparse_series(nvars, bound):
+    return st.dictionaries(
+        st.sampled_from(list(exponent_vectors(nvars, bound))), kernel_coefficients, max_size=12
+    ).map(lambda coeffs: TruncatedSeries(nvars, bound, coeffs))
+
+
+@st.composite
+def series_products(draw):
+    nvars, bound = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    return draw(sparse_series(nvars, bound)), draw(sparse_series(nvars, bound))
+
+
+@st.composite
+def linear_substitutions(draw):
+    nvars, nvars_out = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    bound = draw(st.integers(0, 6))
+    row = st.lists(kernel_coefficients, min_size=nvars_out, max_size=nvars_out)
+    rows = draw(st.lists(row, min_size=nvars, max_size=nvars))
+    return draw(sparse_series(nvars, bound)), rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_products())
+def test_product_matches_fraction_reference(case):
+    f, g = case
+    assert same_terms(f * g, reference_mul(f, g))
+
+
+@settings(max_examples=100, deadline=None)
+@given(linear_substitutions())
+def test_substitution_matches_fraction_reference(case):
+    f, rows = case
+    assert same_terms(subst_linear(f, rows), reference_subst_linear(f, rows))
+
+
+def test_kernel_examples():
+    # a product at exactly the bound, over two coprime denominators
+    f = series(2, 3, {(0, 0): F(1, 3), (1, 0): F(-2, 5), (2, 1): 7})
+    g = series(2, 3, {(0, 0): F(3, 7), (0, 1): F(1, 2), (1, 2): F(-5, 11)})
+    assert same_terms(f * g, series(2, 3, {
+        (0, 0): F(1, 7), (0, 1): F(1, 6), (1, 0): F(-6, 35), (1, 1): F(-1, 5),
+        (1, 2): F(-5, 33), (2, 1): 3,
+    }))
+    assert same_terms(f * TruncatedSeries.zero(2, 3), TruncatedSeries.zero(2, 3))
+    # non-integer rows: X -> Z/2 + W/3, Y -> -Z/5 on c_0 + c_1 X + c_2 X Y
+    h = series(2, 2, {(0, 0): F(1, 4), (1, 0): 6, (1, 1): F(-10, 3)})
+    image = subst_linear(h, [(F(1, 2), F(1, 3)), (F(-1, 5), 0)])
+    assert same_terms(image, series(2, 2, {
+        (0, 0): F(1, 4), (1, 0): 3, (0, 1): 2, (2, 0): F(1, 3), (1, 1): F(2, 9),
+    }))
+
+
+def test_nabla_series_is_a_series_product(monkeypatch):
+    # nabla_series is checked against binomial_transform, so it must not use it
+    def refuse(table):
+        raise AssertionError("nabla_series called binomial_transform")
+
+    monkeypatch.setattr(egf, "binomial_transform", refuse)
+    assert nabla_series(exp_linear((F(2, 7),), 5)) == exp_linear((F(5, 7),), 5)

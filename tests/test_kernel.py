@@ -110,3 +110,17 @@ def test_parse_roundtrip(text):
 def test_parse_rejects_non_grammar(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+def test_format_rational_converts_other_values():
+    assert format_rational(-3) == "-3"
+    big = 10**5000 + 1
+    assert format_rational(-big) == "-1" + "0" * 4999 + "1"
+
+
+def test_parse_rational_past_the_digit_limit():
+    value = F(-(7 * 10**9999 + 1), 3 * 10**9999 + 1)
+    assert len(format_rational(value)) > 20_000
+    assert parse_rational(format_rational(value)) == value
+    assert parse_rational("+" + "0" * 5000 + "12/18") == F(2, 3)
+    assert parse_rational("-12/18" + "0" * 5000) == F(-2, 3 * 10**5000)
