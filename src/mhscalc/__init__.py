@@ -5,7 +5,7 @@ package verifies is checked to exact equality, never numerically.
 """
 
 from .errors import GuardExceeded
-from .kernel import binomial, gen_binomial, multinomial, format_rational, parse_rational
+from .kernel import gen_binomial, multinomial, format_rational, parse_rational
 from .multiseq import MultiSequenceTable, iterated_delta
 from .mhs import (
     MultiIndex,
@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GuardExceeded",
-    "binomial",
     "gen_binomial",
     "multinomial",
     "format_rational",

@@ -55,10 +55,6 @@ def _parse_index(text: str) -> tuple[int, ...]:
         raise ValueError(f"not an index vector: {text!r}") from None
 
 
-def _spec_from_args(args) -> NestedSumSpec:
-    return NestedSumSpec.parse(args.x, args.t)
-
-
 def _write_atomic(path: str, text: str) -> None:
     """Write a temporary file next to `path`, then rename it over `path`.
 
@@ -143,7 +139,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_c(args) -> int:
-    spec = _spec_from_args(args)
+    spec = NestedSumSpec.parse(args.x, args.t)
     index = _parse_index(args.n)
     values = []
     if args.method != "recursive":
@@ -259,7 +255,7 @@ def _explicit_spec(args):
     """(spec, box) from --x/--t and --box, whose default is --nmax + 1 per slot."""
     if args.x is None:
         return None
-    spec = _spec_from_args(args)
+    spec = NestedSumSpec.parse(args.x, args.t)
     if args.box is None:
         return spec, (args.nmax + 1,) * spec.r
     box = _parse_index(args.box)
@@ -411,7 +407,7 @@ def _cmd_bench(args) -> int:
     _read_flags(args, BENCH_FLAGS, BENCH_FLAGS, "bench")
     rng = Random(args.seed)
     if args.x is not None:
-        spec = _spec_from_args(args)
+        spec = NestedSumSpec.parse(args.x, args.t)
     else:
         tparams = (
             tuple(parse_rational(item) for item in args.t.split(","))
@@ -434,13 +430,24 @@ def _cmd_bench(args) -> int:
     return 0 if all(row["equal"] for row in rows) else 1
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it refuses an unrecognized flag with its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on first use and shared by later calls.
 
     Every parser has prefix matching off: a flag is taken only by its full
     name, so an abbreviation is refused (exit 2) rather than read as the
-    flag it abbreviates.
+    flag it abbreviates.  A flag after the subcommand is refused by the
+    subcommand's parser, whose usage lists the flags it does take.
     """
     parser = argparse.ArgumentParser(
         prog="mhscalc",
@@ -449,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         "harmonic sums, parametric nested sums, and the difference/inversion "
         "calculus on multi-sequences.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
     add_subcommand = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def add_common(p, with_format=True):

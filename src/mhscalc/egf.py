@@ -453,10 +453,10 @@ def _series_comparisons(
     ).comparisons
 
 
-def random_table(rng: Random, arity: int, extent: int, bound: int = 9) -> MultiSequenceTable:
+def random_table(rng: Random, arity: int, extent: int) -> MultiSequenceTable:
     """Small random rationals over the box [0, extent)^arity."""
-    values = tuple(random_rational(rng, bound) for _ in range(extent**arity))
-    return MultiSequenceTable(arity, (extent,) * arity, values)
+    values = tuple(random_rational(rng) for _ in range(extent**arity))
+    return MultiSequenceTable((extent,) * arity, values)
 
 
 
@@ -469,20 +469,24 @@ def suite_product_pairs(degree: int, max_slots: int) -> int:
     return math.comb(degree + 2 * max_slots, 2 * max_slots) ** 2
 
 
+# The battery's slot counts r and nested-sum depths p.
+SUITE_SLOT_COUNTS = (1, 2)
+SUITE_DEPTHS = (1, 2, 3)
+
+
 def verify_operator_suite(
     degree: int = 6,
     seed: int = 0,
-    slot_counts: Sequence[int] = (1, 2),
-    depths: Sequence[int] = (1, 2, 3),
     guard: int = DEFAULT_GUARD,
 ) -> VerificationReport:
     """Run the full operator-identity battery at one truncation degree.
 
-    For each slot count r: one random sequence exercises the two-block and
-    inversion identities; random parameter vectors exercise the xi algebra
-    and the commutator reduction on every monomial below the bound; and for
-    each depth p a random nested-sum spec exercises the generating-function
-    duality and depth-reduction statements.
+    For each slot count r in SUITE_SLOT_COUNTS: one random sequence
+    exercises the two-block and inversion identities; random parameter
+    vectors exercise the xi algebra and the commutator reduction on every
+    monomial below the bound; and for each depth p in SUITE_DEPTHS a random
+    nested-sum spec exercises the generating-function duality and
+    depth-reduction statements.
 
     The windows f of c[x|t] and of c[1-x|t] are read from one recurrence
     fill each; the reduced side of `depth-reduction-step` stays chain
@@ -495,12 +499,13 @@ def verify_operator_suite(
     of the largest product (`suite_product_pairs`) exceed `guard`; each
     fill also checks its own cell count against `guard`.
     """
-    check_guard("series product term pairs", suite_product_pairs(degree, max(slot_counts)), guard)
+    pairs = suite_product_pairs(degree, max(SUITE_SLOT_COUNTS))
+    check_guard("series product term pairs", pairs, guard)
     rng = Random(seed)
     report = VerificationReport("egf-suite", EGF_SUITE_STATEMENT, [])
     D = degree
 
-    for r in slot_counts:
+    for r in SUITE_SLOT_COUNTS:
         table = random_table(rng, r, D + 1)  # exact for every |n| <= D read
         label = f"r={r} seed={seed} D={D}"
         f_a = from_sequence(table, D)
@@ -570,7 +575,7 @@ def verify_operator_suite(
                     "inversion-conjugates-mul",
                     f"{label} i={i}",
                     nabla_series(f_a.mul_var(i)),
-                    nabla_series(f_a).mul_var(i).scale(-1),
+                    inv.mul_var(i).scale(-1),
                 )
             )
             report.extend(
@@ -578,7 +583,7 @@ def verify_operator_suite(
                     "inversion-conjugates-deriv",
                     f"{label} i={i}",
                     nabla_series(f_a.deriv(i)),
-                    nabla_series(f_a).truncate(D - 1) - nabla_series(f_a).deriv(i),
+                    inv.truncate(D - 1) - inv.deriv(i),
                 )
             )
 
@@ -590,7 +595,7 @@ def verify_operator_suite(
                 "inversion-conjugates-xi",
                 f"{label} x={','.join(format_rational(c) for c in xvec)}",
                 nabla_series(xi_apply(f_a, xvec)),
-                xi_apply(nabla_series(f_a), ones_minus),
+                xi_apply(inv, ones_minus),
             )
         )
 
@@ -625,7 +630,7 @@ def verify_operator_suite(
             )
 
         # nested-sum generating functions: inversion duality and depth reduction
-        for p in depths:
+        for p in SUITE_DEPTHS:
             spec = NestedSumSpec(
                 tuple(tuple(random_rational(rng) for _ in range(p)) for _ in range(r)),
                 tuple(random_shift(rng) for _ in range(p - 1)),

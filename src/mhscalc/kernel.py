@@ -2,7 +2,7 @@
 
 Every value this package returns is a `fractions.Fraction`, which already
 provides canonical reduced form (positive denominator, gcd one) and
-structural equality.  This module adds the three coefficient families the
+structural equality.  This module adds the two coefficient families the
 nested-sum machinery needs, each computed on integers and keeping no state
 between calls, and the canonical text form used in reports, which prints
 values of any size.
@@ -19,23 +19,11 @@ from typing import Iterable, Union
 RationalLike = Union[Fraction, int]
 
 __all__ = [
-    "binomial",
     "multinomial",
     "gen_binomial",
     "format_rational",
     "parse_rational",
 ]
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for naturals, with C(n, k) = 0 when k > n.
-
-    The k > n convention matches the alternating-sum formulas where upper
-    limits may exceed the top argument.
-    """
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial requires naturals, got ({n}, {k})")
-    return math.comb(n, k) if k <= n else 0
 
 
 def multinomial(n: int, parts: Iterable[int]) -> int:

@@ -163,7 +163,7 @@ def mhs_table(
             prefix / (m + 1) ** part
             for m, prefix in enumerate(itertools.accumulate(row))
         ]
-    return MultiSequenceTable(1, (max_n + 1,), tuple(row))
+    return MultiSequenceTable((max_n + 1,), tuple(row))
 
 
 def dual_index(mu: MultiIndex) -> MultiIndex:

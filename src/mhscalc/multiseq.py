@@ -11,10 +11,10 @@ Operators follow the classical calculus:
     (nabla a)(n)   = (delta^n a)(0)
 
 nabla is the multi-dimensional binomial transform and an involution.  Both
-box operators run the forward-difference triangle of every line, one axis
-at a time, with subtractions only: `binomial_transform` keeps the first
-entry of each row (nabla over the table's box), `iterated_delta` keeps the
-first rows (delta^k a(n) for every pair (n, k) the table determines).
+box operators are one pass that runs the forward-difference triangle of
+every line, one axis at a time, with subtractions only: `iterated_delta`
+keeps the first rows (delta^k a(n) for every pair (n, k) the table
+determines), and `binomial_transform` is its n = 0 slice.
 """
 
 from __future__ import annotations
@@ -34,13 +34,14 @@ class MultiSequenceTable:
     the iteration order.
     """
 
-    arity: int
     shape: tuple[int, ...]
     values: tuple[Fraction, ...]
 
+    @property
+    def arity(self) -> int:
+        return len(self.shape)
+
     def __post_init__(self):
-        if len(self.shape) != self.arity:
-            raise ValueError(f"shape {self.shape} does not match arity {self.arity}")
         if any(extent < 1 for extent in self.shape):
             raise ValueError(f"extents must be >= 1, got {self.shape}")
         if len(self.values) != math.prod(self.shape):
@@ -81,47 +82,19 @@ def _difference_rows(line: Sequence[Fraction], width: int) -> list[Fraction]:
     return out
 
 
-def binomial_transform(table: MultiSequenceTable) -> MultiSequenceTable:
-    """nabla over the whole box of `table`, as r separable one-axis passes.
+def _difference_passes(
+    values: Sequence[Fraction], shape: tuple[int, ...], orders: tuple[int, ...]
+) -> list[Fraction]:
+    """One forward-difference pass per axis, with subtractions only.
 
-    (nabla a)(n) only reads a on the box below n, so the transform of a
-    window is exact on that window.  Work is about |box| * sum(N_i) / 2
-    subtractions, against |box| * prod(N_i + 1) / 2^r weighted terms for
-    nabla point by point.
+    Axis i of extent L_i becomes the two axes (K_i, N_i), K_i = orders[i]
+    and N_i = L_i - K_i + 1, at its position: each line of the axis turns
+    into the first K_i rows of its difference triangle, cut to N_i entries.
+    About |box| * sum(L_i) / 2 subtractions in all.
     """
-    values = list(table.values)
-    shape = table.shape
-    for axis, extent in enumerate(shape):
-        stride = math.prod(shape[axis + 1:])
-        span = extent * stride
-        for outer in range(0, len(values), span):
-            for start in range(outer, outer + stride):
-                line = values[start:start + span:stride]
-                values[start:start + span:stride] = _difference_rows(line, 1)
-    return MultiSequenceTable(table.arity, shape, tuple(values))
-
-
-def iterated_delta(table: MultiSequenceTable, orders: Sequence[int]) -> MultiSequenceTable:
-    """(delta^k a)(n) for every k below `orders` that the table determines.
-
-    (delta^k a)(n) reads a on the box from n to n + k, so a table over
-    prod [0, L_i) with K_i = orders[i] gives it for k_i < K_i and
-    n_i < N_i = L_i - K_i + 1.  The result is one table of arity 2r over
-    (N_1, ..., N_r, K_1, ..., K_r), indexed by n + k.  Like
-    `binomial_transform` it runs one pass per axis, which turns each line
-    of axis i into the first K_i rows of its forward-difference triangle,
-    cut to N_i entries: about |box| * sum(L_i) / 2 subtractions in all.
-    """
-    orders = tuple(orders)
-    r = table.arity
-    if len(orders) != r:
-        raise ValueError(f"orders {orders} have arity {len(orders)}, table has arity {r}")
-    if any(not 1 <= k <= extent for k, extent in zip(orders, table.shape)):
-        raise ValueError(f"orders {orders} must lie in 1..extent of shape {table.shape}")
-    nbox = tuple(extent - k + 1 for extent, k in zip(table.shape, orders))
-    # axis i of extent L_i becomes the two axes (K_i, N_i) at its position
-    values, outer = table.values, 1
-    for extent, width, count in zip(table.shape, nbox, orders):
+    outer = 1
+    for extent, count in zip(shape, orders):
+        width = extent - count + 1
         stride = len(values) // (outer * extent)
         span = count * width * stride
         out = [None] * (outer * span)
@@ -131,10 +104,43 @@ def iterated_delta(table: MultiSequenceTable, orders: Sequence[int]) -> MultiSeq
                 line = values[start:start + extent * stride:stride]
                 out[head:head + span:stride] = _difference_rows(line, width)
         values, outer = out, outer * count * width
+    return values
+
+
+def binomial_transform(table: MultiSequenceTable) -> MultiSequenceTable:
+    """nabla over the whole box of `table`: the n = 0 slice of `iterated_delta`.
+
+    (nabla a)(k) = (delta^k a)(0) reads a on the box below k, so the
+    transform of a window is exact on that window.  The pass runs with
+    orders equal to the shape L, so every N_i is 1 and the (K_i, 1) axes
+    already lie in k order.  Work is about |box| * sum(L_i) / 2
+    subtractions, against |box| * prod(L_i + 1) / 2^r weighted terms for
+    nabla point by point.
+    """
+    values = _difference_passes(table.values, table.shape, table.shape)
+    return MultiSequenceTable(table.shape, tuple(values))
+
+
+def iterated_delta(table: MultiSequenceTable, orders: Sequence[int]) -> MultiSequenceTable:
+    """(delta^k a)(n) for every k below `orders` that the table determines.
+
+    (delta^k a)(n) reads a on the box from n to n + k, so a table over
+    prod [0, L_i) with K_i = orders[i] gives it for k_i < K_i and
+    n_i < N_i = L_i - K_i + 1.  The result is one table of arity 2r over
+    (N_1, ..., N_r, K_1, ..., K_r), indexed by n + k.
+    """
+    orders = tuple(orders)
+    r = table.arity
+    if len(orders) != r:
+        raise ValueError(f"orders {orders} have arity {len(orders)}, table has arity {r}")
+    if any(not 1 <= k <= extent for k, extent in zip(orders, table.shape)):
+        raise ValueError(f"orders {orders} must lie in 1..extent of shape {table.shape}")
+    nbox = tuple(extent - k + 1 for extent, k in zip(table.shape, orders))
+    values = _difference_passes(table.values, table.shape, orders)
     # transpose (K_1, N_1, ..., K_r, N_r) to (N_1, ..., N_r, K_1, ..., K_r)
     split = [extent for pair in zip(orders, nbox) for extent in pair]
     offsets = [0]
     for axis in [*range(1, 2 * r, 2), *range(0, 2 * r, 2)]:
         step = math.prod(split[axis + 1:])
         offsets = [offset + i * step for offset in offsets for i in range(split[axis])]
-    return MultiSequenceTable(2 * r, nbox + orders, tuple(values[i] for i in offsets))
+    return MultiSequenceTable(nbox + orders, tuple(values[i] for i in offsets))

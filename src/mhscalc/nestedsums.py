@@ -49,7 +49,7 @@ from random import Random
 from typing import Iterator, Sequence
 
 from .errors import DEFAULT_GUARD, check_guard
-from .kernel import binomial, gen_binomial, multinomial, format_rational, parse_rational
+from .kernel import gen_binomial, multinomial, format_rational, parse_rational
 from .multiseq import MultiSequenceTable, binomial_transform, iterated_delta
 from .report import VerificationReport, sweep_report
 
@@ -154,7 +154,7 @@ def enumerate_chains(
 
 
 def chain_count(n: int, p: int) -> int:
-    return binomial(n + p - 1, p - 1)
+    return math.comb(n + p - 1, p - 1)
 
 
 def direct_summand_count(spec: NestedSumSpec, n: Sequence[int]) -> int:
@@ -329,7 +329,7 @@ class RecurrenceEvaluator:
         """c over the box prod [0, extents_i), read from one fill up to its corner."""
         self.value(_corner(self.spec, extents))
         values = tuple(map(self._read, _points(extents)))
-        return MultiSequenceTable(self.spec.r, tuple(extents), values)
+        return MultiSequenceTable(tuple(extents), values)
 
     def _read(self, m: Index) -> Fraction:
         flat = sum(mi * stride for mi, stride in zip(m, self._strides))
@@ -453,7 +453,7 @@ def two_index_value(
     if n < 0 or k < 0:
         raise ValueError(f"indices must be naturals, got ({n}, {k})")
     check_guard("chain-pair count", chain_count(n, p) * chain_count(k, p), chain_guard)
-    lead = Fraction(1, binomial(n + k, n))
+    lead = Fraction(1, math.comb(n + k, n))
     total = Fraction(0)
     for m in enumerate_chains(n, p):
         nu = tuple(m[j] - m[j + 1] for j in range(p - 1)) + (m[-1],)
@@ -462,9 +462,9 @@ def two_index_value(
             xterm *= x[j] ** nu[j]
         for l in enumerate_chains(k, p):
             kappa = tuple(l[j] - l[j + 1] for j in range(p - 1)) + (l[-1],)
-            coeff = binomial(m[-1] + l[-1], m[-1])
+            coeff = math.comb(m[-1] + l[-1], m[-1])
             for j in range(p - 1):
-                coeff *= binomial(nu[j] + kappa[j], nu[j])
+                coeff *= math.comb(nu[j] + kappa[j], nu[j])
             term = lead * coeff * xterm
             for j in range(p):
                 term *= y[j] ** kappa[j]
@@ -487,6 +487,29 @@ SHIFT_STATEMENT = (
 RECURRENCE_STATEMENT = "depth-reduction recurrence equals direct chain enumeration"
 
 
+def _corner_and_fills(
+    oracle: NestedSumSpec,
+    corner: Index,
+    fills: Sequence[tuple[NestedSumSpec, Sequence[int]]],
+    guard: int,
+) -> tuple[Fraction, list[MultiSequenceTable]]:
+    """c_direct of `oracle` at `corner`, and one recurrence fill per (spec, box).
+
+    Every guard is checked by arithmetic before anything is evaluated: the
+    corner's summands (the most of any point of a verifier's box), then
+    each fill's cells at p * guard.  Then the corner's `c_direct` runs,
+    then the fills.  At depth p >= 2 the corner has at least prod(box)
+    summands, so a fill over the box never trips where the corner passed;
+    at depth 1, where every point has one summand, the fills bound the box.
+    """
+    cell_guard = oracle.p * guard
+    _check_summands(oracle, corner, guard)
+    for spec, box in fills:
+        _check_cells(spec, _corner(spec, box), cell_guard)
+    value = c_direct(oracle, corner, guard)
+    return value, [RecurrenceEvaluator(spec, cell_guard).table(box) for spec, box in fills]
+
+
 def verify_duality(
     spec: NestedSumSpec,
     box: Sequence[int],
@@ -499,23 +522,14 @@ def verify_duality(
     except at the corner, where it is chain enumeration (`c_direct`).  The
     corner's left side weights every value of the c[x|t] fill by a nonzero
     binomial, so a wrong recurrence value anywhere in the box fails there.
-
-    Every guard is checked by arithmetic before anything is evaluated.
-    Summand counts grow with n, so the corner is the largest point, and its
-    summand count is checked first: the guard trips when any point of the
-    box is over it.  Then the fills' cells are checked at p times the guard;
-    at depth p >= 2 the corner has at least prod(box) summands, so a fill
-    never trips where the corner passed.  At depth 1 every point has one
-    summand, and the guard bounds the box's prod(box) cells instead.  The
-    corner's `c_direct` then runs first.
+    Guards as in `_corner_and_fills`.
     """
-    corner, dual = _corner(spec, box), spec.one_minus()
-    cell_guard = spec.p * summand_guard
-    _check_summands(dual, corner, summand_guard)
-    _check_cells(spec, corner, cell_guard)
-    corner_rhs = c_direct(dual, corner, summand_guard)
-    lhs = binomial_transform(RecurrenceEvaluator(spec, cell_guard).table(box)).values
-    rhs = RecurrenceEvaluator(dual, cell_guard).table(box).values[:-1] + (corner_rhs,)
+    dual = spec.one_minus()
+    corner_rhs, (fill, dual_fill) = _corner_and_fills(
+        dual, _corner(spec, box), [(spec, box), (dual, box)], summand_guard
+    )
+    lhs = binomial_transform(fill).values
+    rhs = dual_fill.values[:-1] + (corner_rhs,)
     return sweep_report("c-duality", C_DUALITY_STATEMENT, spec.text(), _points(box), lhs, rhs)
 
 
@@ -535,33 +549,22 @@ def verify_difference_formula(
     c(m) with n <= m <= n + k by a nonzero binomial, so the corner anchors
     the top slab N - 1 <= m <= N + K - 2 of the c[x|t] fill.  The rest of
     that fill and the doubled fill, whose corner value is not read, are
-    checked against each other.
-
-    As in `verify_duality`, the corner's summands and then each fill's cells
-    at p times the guard are checked before anything is evaluated, and the
-    corner's `c_direct` runs first: at depth p >= 2 the corner has at least
-    as many summands as either fill has cells per level, and at depth 1 the
-    guard bounds the prod(nbox) * prod(kbox) cells of the doubled fill.
+    checked against each other.  Guards as in `_corner_and_fills`.
     """
     corner = _corner(spec, nbox) + _corner(spec, kbox)
+    pairbox = tuple(nbox) + tuple(kbox)
     fillbox = tuple(n + k - 1 for n, k in zip(nbox, kbox))
     double = spec.doubled()
-    cell_guard = spec.p * summand_guard
-    _check_summands(double, corner, summand_guard)
-    _check_cells(spec, _corner(spec, fillbox), cell_guard)
-    _check_cells(double, corner, cell_guard)
-    corner_rhs = c_direct(double, corner, summand_guard)
-    fill = RecurrenceEvaluator(spec, cell_guard).table(fillbox)
-    lhs = iterated_delta(fill, kbox).values
-    rhs = RecurrenceEvaluator(double, cell_guard).table(tuple(nbox) + tuple(kbox)).values
-    kpoints = _points(kbox)
+    corner_rhs, (fill, double_fill) = _corner_and_fills(
+        double, corner, [(spec, fillbox), (double, pairbox)], summand_guard
+    )
     return sweep_report(
         "difference-formula",
         DIFFERENCE_STATEMENT,
         spec.text(),
-        [n + k for n in _points(nbox) for k in kpoints],
-        lhs,
-        rhs[:-1] + (corner_rhs,),
+        _points(pairbox),
+        iterated_delta(fill, kbox).values,
+        double_fill.values[:-1] + (corner_rhs,),
     )
 
 
@@ -581,9 +584,9 @@ def verify_shift_identity(
     slot, except the right side at the corner, which is constant times
     chain enumeration (`c_direct`).  The left side at the corner is the
     only reader of the fill values at corner + e_i (i in subset), so the
-    corner anchors their sum.  As in `verify_duality`, the corner's
-    summands and then the fill's cells at p times the guard are checked
-    before anything is evaluated, and the corner's `c_direct` runs first.
+    corner anchors their sum.  Guards as in `_corner_and_fills`; this fill
+    is one larger than the box, so at depth p >= 2 it can trip where the
+    corner passed.
     """
     corner = _corner(spec, box)
     subset = tuple(subset)
@@ -600,10 +603,7 @@ def verify_shift_identity(
                 f"{format_rational(column)}, expected {format_rational(constant)}"
             )
     fillbox = tuple(extent + 1 for extent in box)
-    _check_summands(spec, corner, summand_guard)
-    _check_cells(spec, _corner(spec, fillbox), spec.p * summand_guard)
-    corner_rhs = constant * c_direct(spec, corner, summand_guard)
-    fill = RecurrenceEvaluator(spec, spec.p * summand_guard).table(fillbox)
+    corner_value, (fill,) = _corner_and_fills(spec, corner, [(spec, fillbox)], summand_guard)
     points = _points(box)
     return sweep_report(
         "shift",
@@ -614,7 +614,7 @@ def verify_shift_identity(
             sum((fill[n[: i - 1] + (n[i - 1] + 1,) + n[i:]] for i in subset), Fraction(0))
             for n in points
         ),
-        [constant * fill[n] for n in points[:-1]] + [corner_rhs],
+        [constant * fill[n] for n in points[:-1]] + [constant * corner_value],
     )
 
 
@@ -626,46 +626,39 @@ def verify_recurrence(
     """Check the recurrence against c_direct at every point of the box.
 
     The left side is one recurrence fill of the box, the right side
-    `c_direct` per point.  As in `verify_duality`, the corner's summands
-    (the largest in the box) and then the fill's cells at p times the guard
-    are checked before anything is evaluated.
+    `c_direct` per point.  Guards as in `_corner_and_fills`.
     """
     corner = _corner(spec, box)
-    _check_summands(spec, corner, summand_guard)
-    _check_cells(spec, corner, spec.p * summand_guard)
-    lhs = RecurrenceEvaluator(spec, spec.p * summand_guard).table(box).values
+    corner_value, (fill,) = _corner_and_fills(spec, corner, [(spec, box)], summand_guard)
     points = _points(box)
-    rhs = [c_direct(spec, n, summand_guard) for n in points]
-    return sweep_report("recurrence", RECURRENCE_STATEMENT, spec.text(), points, lhs, rhs)
+    rhs = [c_direct(spec, n, summand_guard) for n in points[:-1]] + [corner_value]
+    return sweep_report("recurrence", RECURRENCE_STATEMENT, spec.text(), points, fill.values, rhs)
 
 
 # --- seeded random parameter grids ------------------------------------------
 
-def random_rational(rng: Random, bound: int = 9) -> Fraction:
-    """Small rational with |numerator| and denominator bounded by `bound`."""
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+# The bound on |numerator| and denominator of every random rational.
+RANDOM_BOUND = 9
 
 
-def random_shift(rng: Random, bound: int = 9) -> Fraction:
+def random_rational(rng: Random) -> Fraction:
+    """Small rational with |numerator| and denominator at most RANDOM_BOUND."""
+    return Fraction(rng.randint(-RANDOM_BOUND, RANDOM_BOUND), rng.randint(1, RANDOM_BOUND))
+
+
+def random_shift(rng: Random) -> Fraction:
     """Small rational outside {0, -1, -2, ...}; negative non-integers allowed."""
     while True:
-        t = random_rational(rng, bound)
+        t = random_rational(rng)
         if not _is_nonpositive_integer(t):
             return t
 
 
-def random_spec(
-    rng: Random,
-    max_r: int,
-    max_p: int,
-    bound: int = 9,
-) -> NestedSumSpec:
+def random_spec(rng: Random, max_r: int, max_p: int) -> NestedSumSpec:
     r = rng.randint(1, max_r)
     p = rng.randint(1, max_p)
-    xblocks = tuple(
-        tuple(random_rational(rng, bound) for _ in range(p)) for _ in range(r)
-    )
-    tparams = tuple(random_shift(rng, bound) for _ in range(p - 1))
+    xblocks = tuple(tuple(random_rational(rng) for _ in range(p)) for _ in range(r))
+    tparams = tuple(random_shift(rng) for _ in range(p - 1))
     return NestedSumSpec(xblocks, tparams)
 
 
@@ -673,7 +666,6 @@ def random_shift_configuration(
     rng: Random,
     max_r: int,
     max_p: int,
-    bound: int = 9,
 ) -> tuple[NestedSumSpec, tuple[int, ...], Fraction]:
     """Spec plus subset and constant satisfying the shift hypothesis.
 
@@ -684,9 +676,9 @@ def random_shift_configuration(
     p = rng.randint(1, max_p)
     q = rng.randint(2, r)
     subset = tuple(sorted(rng.sample(range(1, r + 1), q)))
-    constant = random_rational(rng, bound)
+    constant = random_rational(rng)
     blocks: list[tuple[Fraction, ...]] = [
-        tuple(random_rational(rng, bound) for _ in range(p)) for _ in range(r)
+        tuple(random_rational(rng) for _ in range(p)) for _ in range(r)
     ]
     last = subset[-1]
     solved = tuple(
@@ -694,5 +686,5 @@ def random_shift_configuration(
         for j in range(p)
     )
     blocks[last - 1] = solved
-    tparams = tuple(random_shift(rng, bound) for _ in range(p - 1))
+    tparams = tuple(random_shift(rng) for _ in range(p - 1))
     return NestedSumSpec(tuple(blocks), tparams), subset, constant

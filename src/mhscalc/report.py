@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -27,10 +27,10 @@ class Comparison:
     index: tuple[int, ...]
     lhs: Fraction
     rhs: Fraction
+    equal: bool = field(init=False)
 
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
+    def __post_init__(self):
+        object.__setattr__(self, "equal", self.lhs == self.rhs)
 
     def to_dict(self) -> dict:
         return {

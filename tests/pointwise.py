@@ -64,7 +64,7 @@ def zero_extension(table):
 def tabulate(a, shape):
     """The table of a over the box of `shape`."""
     indices = itertools.product(*(range(extent) for extent in shape))
-    return MultiSequenceTable(len(shape), tuple(shape), tuple(Fraction(a(i)) for i in indices))
+    return MultiSequenceTable(tuple(shape), tuple(Fraction(a(i)) for i in indices))
 
 
 def c_sequence(spec):

@@ -193,7 +193,7 @@ def test_criterion_7_sequence_calculus():
             values = tuple(
                 random_rational(rng) for _ in range(math.prod(extents))
             )
-            table = MultiSequenceTable(arity, extents, values)
+            table = MultiSequenceTable(extents, values)
             # involution on the table's own box
             assert binomial_transform(binomial_transform(table)) == table
             # index symmetry of differenced inversions of the zero extension,
@@ -226,7 +226,7 @@ def test_criterion_7_sequence_calculus():
 
 def test_criterion_8_egf_operator_suite():
     def body():
-        report = verify_operator_suite(degree=6, seed=8, slot_counts=(1, 2))
+        report = verify_operator_suite(degree=6, seed=8)
         assert report.ok, report.failures[:3]
         identities = sorted({comp.identity for comp in report.comparisons})
         assert identities == [

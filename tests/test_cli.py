@@ -390,6 +390,28 @@ def test_identity_failure_exit_code(capsys, monkeypatch):
     assert code == 1 and "FAIL" in out
 
 
+class CountingFraction(F):
+    """A Fraction that counts the equality tests made on it."""
+
+    calls = 0
+
+    def __eq__(self, other):
+        CountingFraction.calls += 1
+        return super().__eq__(other)
+
+    __hash__ = F.__hash__
+
+
+def test_report_compares_each_point_once(monkeypatch):
+    monkeypatch.setattr(CountingFraction, "calls", 0)
+    report = VerificationReport("c-duality", "statement", [
+        Comparison("c-duality", "spec", (n,), CountingFraction(n), F(n % 2)) for n in range(4)
+    ])
+    report.to_text(), report.to_json(), report.to_csv(), report.ok, report.failures
+    assert CountingFraction.calls == 4
+    assert [comp.index for comp in report.failures] == [(2,), (3,)]
+
+
 def test_report_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(
@@ -537,6 +559,13 @@ PINNED_OUTPUTS = [
      "d74341202e31d2894a53ee530ecf2fef91b55bb4e6a066a6b8e847d25553a0fb"),
     (("c", *C_FLAGS, "--method=both", "--format=csv"),
      "8eb65982386b4dcd2d88fb2e52bc7800e1ecc7b5750af880dcb94d64ba596141"),
+    (("verify", "--identity=difference-formula", "--x=1/2,1/3;1/5,2", "--t=-3/2", "--box=3,2",
+      "--kmax=1"),
+     "1058fec9ba29d248b2de7c3655087972f6ef2f59c264352ac5d40c7fbd5ac6e1"),
+    (("verify", "--identity=c-duality", "--x=2/7;-1/3", "--box=4,3"),
+     "09d716ef4e4606cb7bb028c61d1c3eda1c859cd1cf18312c9b03ee26ed1b2702"),
+    (("verify", "--identity=shift", "--x=1/3;2/3", "--subset=1,2", "--c=1", "--box=3,3"),
+     "2adc18ed56dc59e12b11c3aaf2b8825f98a2f0461ed5d8ff73dfa48f002be5a8"),
 ]
 
 
@@ -775,6 +804,18 @@ def test_top_level_flag_prefix_exit_code(capsys):
     code, out, err = run(capsys, "--he", "dual", "--mu=(1)")
     assert code == 2 and out == ""
     assert "unrecognized arguments: --he" in err
+
+
+@pytest.mark.parametrize("argv, usage, error", [
+    (("verify", "--identity", "c-duality", "--x", "1/2", "--n", "1"),
+     "usage: mhscalc verify ", "mhscalc verify: error: unrecognized arguments: --n 1\n"),
+    (("--he", "dual", "--mu=(1)"),
+     "usage: mhscalc [-h] ", "mhscalc: error: unrecognized arguments: --he\n"),
+])
+def test_refused_flag_names_the_parser_that_refused_it(capsys, argv, usage, error):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(usage) and err.endswith(error)
 
 
 def test_input_literal_past_the_digit_limit(capsys):

@@ -321,7 +321,7 @@ def sequence_windows(draw):
             max_size=math.prod(shape),
         )
     )
-    return MultiSequenceTable(arity, shape, tuple(values)), degree
+    return MultiSequenceTable(shape, tuple(values)), degree
 
 
 @settings(max_examples=60, deadline=None)
@@ -379,7 +379,7 @@ def test_operator_suite_fails_depth_reduction_on_a_corrupted_fill(monkeypatch):
             corrupted.append(self.spec.text())
             values = list(out.values)
             values[2] += 1  # index (2,), inside the degree-4 window
-            return MultiSequenceTable(out.arity, out.shape, tuple(values))
+            return MultiSequenceTable(out.shape, tuple(values))
 
     monkeypatch.setattr(egf, "RecurrenceEvaluator", Corrupting)
     report = verify_operator_suite(degree=4, seed=3)

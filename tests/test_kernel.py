@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mhscalc.kernel import (
-    binomial,
     format_rational,
     gen_binomial,
     multinomial,
@@ -16,19 +15,6 @@ from mhscalc.kernel import (
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
 )
-
-
-def test_binomial_values():
-    assert binomial(5, 2) == 10
-    assert binomial(7, 0) == 1
-    assert binomial(3, 5) == 0  # k > n convention
-
-
-def test_binomial_rejects_negatives():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(3, -2)
 
 
 def test_multinomial_values():
@@ -48,7 +34,7 @@ def test_multinomial_rejects_bad_parts():
 @given(st.integers(0, 12), st.integers(0, 12))
 def test_multinomial_two_parts_is_binomial(n, k):
     if k <= n:
-        assert multinomial(n, [k, n - k]) == binomial(n, k)
+        assert multinomial(n, [k, n - k]) == math.comb(n, k)
 
 
 def test_gen_binomial_values():
@@ -75,7 +61,7 @@ def test_gen_binomial_deep_cold_call():
 
 @given(st.integers(0, 15), st.integers(0, 15))
 def test_gen_binomial_matches_integer_binomial(m, k):
-    assert gen_binomial(m, k) == binomial(m, k) if k <= m else True
+    assert gen_binomial(m, k) == math.comb(m, k) if k <= m else True
 
 
 @given(rationals, st.integers(1, 8))

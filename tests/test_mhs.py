@@ -108,7 +108,7 @@ def _patch_table(monkeypatch, edit):
 
     def patched(mu, max_n, *guard):
         values = edit(mu, list(mhs_table(mu, max_n).values))
-        return MultiSequenceTable(1, (max_n + 1,), tuple(values))
+        return MultiSequenceTable((max_n + 1,), tuple(values))
 
     monkeypatch.setattr(mhs, "mhs_table", patched)
 

@@ -19,7 +19,7 @@ def random_table(rng, arity, extents):
     values = tuple(
         F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(math.prod(extents))
     )
-    return MultiSequenceTable(arity, tuple(extents), values)
+    return MultiSequenceTable(tuple(extents), values)
 
 
 def test_iterated_delta_of_constant_vanishes_above_order_zero():
@@ -102,7 +102,7 @@ def tables(draw):
             max_size=math.prod(shape),
         )
     )
-    return MultiSequenceTable(arity, shape, tuple(values))
+    return MultiSequenceTable(shape, tuple(values))
 
 
 @given(tables())
@@ -113,6 +113,11 @@ def test_binomial_transform_matches_pointwise_nabla(table):
     for idx in table.indices():
         assert transformed[idx] == pointwise(idx)
     assert binomial_transform(transformed) == table
+
+
+@given(tables())
+def test_binomial_transform_is_the_origin_slice_of_iterated_delta(table):
+    assert binomial_transform(table).values == iterated_delta(table, table.shape).values
 
 
 @given(tables(), st.data())
@@ -172,7 +177,7 @@ def test_delta_and_nabla_are_linear():
     b = random_table(rng, 1, (6,))
     alpha, beta = F(3, 7), F(-2, 5)
     combo = MultiSequenceTable(
-        1, (6,), tuple(alpha * u + beta * v for u, v in zip(a.values, b.values))
+        (6,), tuple(alpha * u + beta * v for u, v in zip(a.values, b.values))
     )
     for op in (binomial_transform, lambda t: iterated_delta(t, (3,))):
         assert op(combo).values == tuple(
@@ -182,13 +187,13 @@ def test_delta_and_nabla_are_linear():
 
 def test_table_rejects_shape_mismatch():
     with pytest.raises(ValueError):
-        MultiSequenceTable(1, (3,), (F(1), F(2)))
+        MultiSequenceTable((3,), (F(1), F(2)))
     with pytest.raises(ValueError):
-        MultiSequenceTable(2, (2, 0), ())
+        MultiSequenceTable((2, 0), ())
 
 
 def test_table_rejects_bad_indices():
-    table = MultiSequenceTable(2, (2, 2), (F(1), F(2), F(3), F(4)))
+    table = MultiSequenceTable((2, 2), (F(1), F(2), F(3), F(4)))
     assert table[(1, 1)] == 4
     # an index of the wrong arity names both arities instead of being cut short
     with pytest.raises(ValueError, match=r"index \(1,\) has arity 1, table has arity 2"):

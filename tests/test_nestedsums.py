@@ -561,7 +561,7 @@ def test_duality_fails_on_a_corrupted_fill_value(monkeypatch):
             return out
         values = list(out.values)
         values[1 * extents[1] + 2] += F(1, 10**9)  # index (1, 2), not the corner
-        return MultiSequenceTable(out.arity, out.shape, tuple(values))
+        return MultiSequenceTable(out.shape, tuple(values))
 
     monkeypatch.setattr(RecurrenceEvaluator, "table", corrupted)
     report = verify_duality(spec, (4, 4))
@@ -695,7 +695,7 @@ def corrupt_fill(monkeypatch, spec, change):
         if self.spec != spec:
             return out
         values = tuple(change(index, value) for index, value in zip(out.indices(), out.values))
-        return MultiSequenceTable(out.arity, out.shape, values)
+        return MultiSequenceTable(out.shape, values)
 
     monkeypatch.setattr(RecurrenceEvaluator, "table", corrupted)
 
@@ -739,7 +739,7 @@ def test_difference_formula_corner_is_chain_enumeration(monkeypatch):
     monkeypatch.setattr(
         RecurrenceEvaluator, "table",
         lambda self, extents: MultiSequenceTable(
-            self.spec.r, tuple(extents), tuple(2 * v for v in table(self, extents).values)
+            tuple(extents), tuple(2 * v for v in table(self, extents).values)
         ),
     )
     report = verify_difference_formula(spec, (3, 3), (3, 2))
