@@ -11,7 +11,7 @@ Subcommands:
 Exit codes: 0 all checks exact / value computed; 1 an identity comparison
 failed; 2 malformed input (a flag below its floor, --guard included, or a
 `verify` or `bench` flag the command would not read) or an unwritable
---out; 3 a work guard tripped.
+--out; 3 a work guard tripped or the run ran out of memory.
 
 Reports are deterministic: a fixed command line (seed included) yields
 byte-identical text/JSON/CSV output.  `bench` is the exception, since its
@@ -280,6 +280,8 @@ def _explicit_shift(args):
 
 
 def _random_shift(rng: Random, args):
+    if args.rmax < 2:
+        raise ValueError(f"--rmax must be at least 2 for --identity shift, got {args.rmax}")
     spec, subset, constant = random_shift_configuration(rng, args.rmax, args.pmax)
     return spec, subset, constant, (args.nmax + 1,) * spec.r
 
@@ -528,6 +530,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory; lower the index, box or degree", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

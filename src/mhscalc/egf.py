@@ -35,7 +35,6 @@ depth reduction stays chain enumeration, which checks the fills.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from fractions import Fraction
 from random import Random
@@ -51,8 +50,9 @@ from .nestedsums import (
     c_direct,
     random_rational,
     random_shift,
+    random_table,
 )
-from .report import Comparison, VerificationReport, sweep_report
+from .report import Comparison, VerificationReport
 
 Exponents = tuple[int, ...]
 _ZERO = Fraction(0)
@@ -60,6 +60,9 @@ _ZERO = Fraction(0)
 
 def exponent_vectors(nvars: int, bound: int) -> Iterator[Exponents]:
     """Exponent vectors with total degree <= bound, graded lexicographic."""
+    if nvars < 1:
+        raise ValueError(f"nvars must be positive, got {nvars}")
+
     def compositions(total: int, length: int) -> Iterator[Exponents]:
         if length == 1:
             yield (total,)
@@ -68,8 +71,7 @@ def exponent_vectors(nvars: int, bound: int) -> Iterator[Exponents]:
             for rest in compositions(total - head, length - 1):
                 yield (head,) + rest
 
-    for total in range(bound + 1):
-        yield from compositions(total, nvars)
+    return (e for total in range(bound + 1) for e in compositions(total, nvars))
 
 
 class TruncatedSeries:
@@ -112,10 +114,6 @@ class TruncatedSeries:
     @classmethod
     def zero(cls, nvars: int, degree_bound: int) -> "TruncatedSeries":
         return cls(nvars, degree_bound)
-
-    @classmethod
-    def one(cls, nvars: int, degree_bound: int) -> "TruncatedSeries":
-        return cls(nvars, degree_bound, {(0,) * nvars: Fraction(1)})
 
     @classmethod
     def monomial(
@@ -241,18 +239,6 @@ class TruncatedSeries:
             coeffs[raised] = coeff
         return TruncatedSeries._trusted(self.nvars, self.degree_bound, coeffs)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "nvars": self.nvars,
-                "degree_bound": self.degree_bound,
-                "terms": [
-                    {"exponents": list(e), "coeff": format_rational(c)}
-                    for e, c in self.terms()
-                ],
-            }
-        )
-
 
 # --- integer kernel: numerators over one denominator ------------------------
 
@@ -350,8 +336,8 @@ def subst_linear(f: TruncatedSeries, rows: Sequence[Sequence]) -> TruncatedSerie
     rows = [tuple(Fraction(c) for c in row) for row in rows]
     if len(rows) != f.nvars:
         raise ValueError(f"need {f.nvars} image rows, got {len(rows)}")
-    if not rows or any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError("image rows must share a length")
+    if not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("image rows must share a positive length")
     nvars_out = len(rows[0])
     bound = f.degree_bound
     units = [tuple(1 if j == pos else 0 for pos in range(nvars_out)) for j in range(nvars_out)]
@@ -442,22 +428,10 @@ def _series_comparisons(
     """One comparison per exponent vector up to the shared bound."""
     if lhs.nvars != rhs.nvars:
         raise ValueError("cannot compare series in different variable counts")
-    points = list(exponent_vectors(lhs.nvars, min(lhs.degree_bound, rhs.degree_bound)))
-    return sweep_report(
-        identity,
-        EGF_SUITE_STATEMENT,
-        label,
-        points,
-        (lhs.coefficient(exponents) for exponents in points),
-        (rhs.coefficient(exponents) for exponents in points),
-    ).comparisons
-
-
-def random_table(rng: Random, arity: int, extent: int) -> MultiSequenceTable:
-    """Small random rationals over the box [0, extent)^arity."""
-    values = tuple(random_rational(rng) for _ in range(extent**arity))
-    return MultiSequenceTable((extent,) * arity, values)
-
+    return [
+        Comparison(identity, label, e, lhs.coefficient(e), rhs.coefficient(e))
+        for e in exponent_vectors(lhs.nvars, min(lhs.degree_bound, rhs.degree_bound))
+    ]
 
 
 def suite_product_pairs(degree: int, max_slots: int) -> int:

@@ -19,7 +19,6 @@ determines), and `binomial_transform` is its n = 0 slice.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,9 +49,6 @@ class MultiSequenceTable:
                 f"got {len(self.values)}"
             )
 
-    def indices(self):
-        return itertools.product(*(range(extent) for extent in self.shape))
-
     def __getitem__(self, index: Sequence[int]) -> Fraction:
         index = tuple(index)
         if len(index) != self.arity:
@@ -67,19 +63,19 @@ class MultiSequenceTable:
         return self.values[offset]
 
 
-def _difference_rows(line: Sequence[Fraction], width: int) -> list[Fraction]:
+def _difference_rows(line: Sequence[Fraction], width: int) -> list[list[Fraction]]:
     """The forward-difference triangle of a finite line, rows cut to `width`.
 
     Each row is a_k - a_{k+1} of the row above; rows run while they have
-    `width` entries, and out[k * width + n] = (delta^k a)(n).  At width 1
-    this is the one-axis nabla, out[n] = (delta^n a)(0).  Only subtractions,
-    no binomial weights.
+    `width` entries, and row k holds (delta^k a)(n) for n < width.  At
+    width 1 row k is [(nabla a)(k)], the one-axis nabla.  Only
+    subtractions, no binomial weights.
     """
-    out = []
+    rows = []
     while len(line) >= width:
-        out += line[:width]
+        rows.append(line[:width])
         line = [a - b for a, b in zip(line, line[1:])]
-    return out
+    return rows
 
 
 def _difference_passes(
@@ -87,23 +83,28 @@ def _difference_passes(
 ) -> list[Fraction]:
     """One forward-difference pass per axis, with subtractions only.
 
-    Axis i of extent L_i becomes the two axes (K_i, N_i), K_i = orders[i]
-    and N_i = L_i - K_i + 1, at its position: each line of the axis turns
-    into the first K_i rows of its difference triangle, cut to N_i entries.
-    About |box| * sum(L_i) / 2 subtractions in all.
+    Axis i of extent L_i becomes N_i = L_i - K_i + 1 entries at its
+    position and K_i = orders[i] entries after the last axis, so the
+    result lies over (N_1, ..., N_r, K_1, ..., K_r): each line of the axis
+    turns into the first K_i rows of its difference triangle, cut to N_i
+    entries.  About |box| * sum(L_i) / 2 subtractions in all.
     """
     outer = 1
     for extent, count in zip(shape, orders):
         width = extent - count + 1
         stride = len(values) // (outer * extent)
-        span = count * width * stride
-        out = [None] * (outer * span)
+        step = stride * count
+        out = [None] * (outer * width * step)
         for block in range(outer):
             for inner in range(stride):
-                start, head = block * extent * stride + inner, block * span + inner
+                start = block * extent * stride + inner
+                head = block * width * step + inner * count
                 line = values[start:start + extent * stride:stride]
-                out[head:head + span:stride] = _difference_rows(line, width)
-        values, outer = out, outer * count * width
+                # column n of the triangle: (delta^k a)(n) for k < count
+                for column in zip(*_difference_rows(line, width)):
+                    out[head:head + count] = column
+                    head += step
+        values, outer = out, outer * width
     return values
 
 
@@ -112,10 +113,9 @@ def binomial_transform(table: MultiSequenceTable) -> MultiSequenceTable:
 
     (nabla a)(k) = (delta^k a)(0) reads a on the box below k, so the
     transform of a window is exact on that window.  The pass runs with
-    orders equal to the shape L, so every N_i is 1 and the (K_i, 1) axes
-    already lie in k order.  Work is about |box| * sum(L_i) / 2
-    subtractions, against |box| * prod(L_i + 1) / 2^r weighted terms for
-    nabla point by point.
+    orders equal to the shape L, so every N_i is 1.  Work is about
+    |box| * sum(L_i) / 2 subtractions, against |box| * prod(L_i + 1) / 2^r
+    weighted terms for nabla point by point.
     """
     values = _difference_passes(table.values, table.shape, table.shape)
     return MultiSequenceTable(table.shape, tuple(values))
@@ -137,10 +137,4 @@ def iterated_delta(table: MultiSequenceTable, orders: Sequence[int]) -> MultiSeq
         raise ValueError(f"orders {orders} must lie in 1..extent of shape {table.shape}")
     nbox = tuple(extent - k + 1 for extent, k in zip(table.shape, orders))
     values = _difference_passes(table.values, table.shape, orders)
-    # transpose (K_1, N_1, ..., K_r, N_r) to (N_1, ..., N_r, K_1, ..., K_r)
-    split = [extent for pair in zip(orders, nbox) for extent in pair]
-    offsets = [0]
-    for axis in [*range(1, 2 * r, 2), *range(0, 2 * r, 2)]:
-        step = math.prod(split[axis + 1:])
-        offsets = [offset + i * step for offset in offsets for i in range(split[axis])]
-    return MultiSequenceTable(nbox + orders, tuple(values[i] for i in offsets))
+    return MultiSequenceTable(nbox + orders, tuple(values))

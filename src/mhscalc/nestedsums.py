@@ -646,6 +646,12 @@ def random_rational(rng: Random) -> Fraction:
     return Fraction(rng.randint(-RANDOM_BOUND, RANDOM_BOUND), rng.randint(1, RANDOM_BOUND))
 
 
+def random_table(rng: Random, arity: int, extent: int) -> MultiSequenceTable:
+    """Small random rationals over the box [0, extent)^arity."""
+    values = tuple(random_rational(rng) for _ in range(extent**arity))
+    return MultiSequenceTable((extent,) * arity, values)
+
+
 def random_shift(rng: Random) -> Fraction:
     """Small rational outside {0, -1, -2, ...}; negative non-integers allowed."""
     while True:
@@ -667,12 +673,12 @@ def random_shift_configuration(
     max_r: int,
     max_p: int,
 ) -> tuple[NestedSumSpec, tuple[int, ...], Fraction]:
-    """Spec plus subset and constant satisfying the shift hypothesis.
+    """Spec of 2..max_r slots plus subset and constant satisfying the shift hypothesis.
 
     The final subset slot is solved for, so the subset sums to the constant
     vector by construction.
     """
-    r = rng.randint(2, max(2, max_r))
+    r = rng.randint(2, max_r)
     p = rng.randint(1, max_p)
     q = rng.randint(2, r)
     subset = tuple(sorted(rng.sample(range(1, r + 1), q)))

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import stat
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction as F
@@ -296,6 +297,8 @@ FLOOR_CASES = [
     (("difference-formula", "--kmax=-1"), "--kmax must be at least 0"),
     (("recurrence", "--rmax=0"), "--rmax must be at least 1"),
     (("shift", "--pmax=0"), "--pmax must be at least 1"),
+    (("shift", "--rmax=1", "--count=2", "--nmax=0"),
+     "--rmax must be at least 2 for --identity shift"),
     (("c-duality", "--count=0"), "--count must be at least 1"),
     (("mhs-duality", "--wmax=0"), "--wmax must be at least 1"),
     (("mhs-duality", "--nmax=-1"), "--nmax must be at least 0"),
@@ -310,6 +313,26 @@ def test_sweep_flag_below_its_floor_exit_code(capsys, flags, message):
     code, out, err = run(capsys, "verify", f"--identity={identity}", *rest)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}, got ")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_out_of_memory_exit_code():
+    # the address-space cap is set in a child process, so it binds only that run
+    child = (
+        "import resource, sys\n"
+        "from mhscalc.cli import main\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**28, hard))\n"
+        "sys.exit(main(['c', '--x', '1/3', '--n', '200000', '--method', 'recursive']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr.startswith("error: out of memory") and "Traceback" not in done.stderr
 
 
 def test_unwritable_out_exit_code(tmp_path, capsys):

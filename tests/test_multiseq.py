@@ -25,7 +25,7 @@ def random_table(rng, arity, extents):
 def test_iterated_delta_of_constant_vanishes_above_order_zero():
     diffs = iterated_delta(tabulate(lambda idx: F(7, 3), (4, 4)), (2, 2))
     assert diffs.arity == 4 and diffs.shape == (3, 3, 2, 2)
-    for idx in diffs.indices():
+    for idx in itertools.product(*map(range, diffs.shape)):
         assert diffs[idx] == (F(7, 3) if idx[2:] == (0, 0) else 0)
 
 
@@ -51,7 +51,7 @@ def test_iterated_delta_geometric_closed_forms():
     # delta^k x^n = x^n (1-x)^k everywhere
     x = F(-2, 5)
     diffs = iterated_delta(geometric(x, (6,)), (3,))
-    for n, k in diffs.indices():
+    for n, k in itertools.product(*map(range, diffs.shape)):
         assert diffs[(n, k)] == x**n * (1 - x) ** k
 
 
@@ -64,7 +64,7 @@ def test_iterated_delta_rejects_bad_orders():
 
 def test_nabla_of_constant_is_delta_at_origin():
     transformed = binomial_transform(tabulate(lambda idx: 1, (4, 3)))
-    for idx in transformed.indices():
+    for idx in itertools.product(*map(range, transformed.shape)):
         assert transformed[idx] == (1 if idx == (0, 0) else 0)
 
 
@@ -110,7 +110,7 @@ def test_binomial_transform_matches_pointwise_nabla(table):
     transformed = binomial_transform(table)
     assert transformed.shape == table.shape
     pointwise = nabla(zero_extension(table))
-    for idx in table.indices():
+    for idx in itertools.product(*map(range, table.shape)):
         assert transformed[idx] == pointwise(idx)
     assert binomial_transform(transformed) == table
 
@@ -127,7 +127,7 @@ def test_iterated_delta_matches_pointwise_alternating_sum(table, data):
     r = table.arity
     assert diffs.shape == tuple(e - k + 1 for e, k in zip(table.shape, orders)) + orders
     a = zero_extension(table)
-    for idx in diffs.indices():
+    for idx in itertools.product(*map(range, diffs.shape)):
         assert diffs[idx] == pointwise_delta(a, idx[r:], idx[:r])
 
 

@@ -302,7 +302,7 @@ def test_recurrence_table_matches_direct():
         spec = NestedSumSpec.parse(xtext, ttext)
         table = RecurrenceEvaluator(spec).table(extents)
         assert table.shape == extents
-        for idx in table.indices():
+        for idx in itertools.product(*map(range, table.shape)):
             assert table[idx] == c_direct(spec, idx)
 
 
@@ -435,7 +435,7 @@ def test_recurrence_table_matches_reference_fill(case):
     spec, extents = case
     table = RecurrenceEvaluator(spec).table(extents)
     reference = reference_fill(spec, tuple(e - 1 for e in extents))
-    assert dict(zip(table.indices(), table.values)) == reference
+    assert dict(zip(itertools.product(*map(range, table.shape)), table.values)) == reference
 
 
 @pytest.mark.parametrize(
@@ -694,7 +694,8 @@ def corrupt_fill(monkeypatch, spec, change):
         out = table(self, extents)
         if self.spec != spec:
             return out
-        values = tuple(change(index, value) for index, value in zip(out.indices(), out.values))
+        indices = itertools.product(*map(range, out.shape))
+        values = tuple(change(index, value) for index, value in zip(indices, out.values))
         return MultiSequenceTable(out.shape, values)
 
     monkeypatch.setattr(RecurrenceEvaluator, "table", corrupted)
