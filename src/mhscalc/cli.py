@@ -41,6 +41,7 @@ from .nestedsums import (
     NestedSumSpec,
     c_direct,
     direct_summand_count,
+    parse_shifts,
     random_spec,
     random_shift_configuration,
     recurrence_cell_count,
@@ -411,11 +412,7 @@ def _cmd_bench(args) -> int:
     if args.x is not None:
         spec = NestedSumSpec.parse(args.x, args.t)
     else:
-        tparams = (
-            tuple(parse_rational(item) for item in args.t.split(","))
-            if args.t
-            else (Fraction(1),) * (args.p - 1)
-        )
+        tparams = parse_shifts(args.t) or (Fraction(1),) * (args.p - 1)
         xblocks = tuple(
             tuple(nestedsums.random_rational(rng) for _ in range(args.p))
             for _ in range(args.r)

@@ -12,11 +12,10 @@ would need unseen data), while multiplication by X_i, the Euler-type
 operator xi, and the inversion nabla keep it (they never consult degrees
 above what they produce).  Equality compares up to the smaller bound.
 
-Series products (`*`, and the form powers and term images of
-`subst_linear`) run on integer numerators over one denominator: each
-factor's coefficients are scaled to ints over the lcm of its denominators,
-the truncated convolution adds ints, and the result builds one Fraction
-per output coefficient.
+A series stores one positive int denominator and an int numerator per
+nonzero coefficient, and every operator runs on that form (a sum over the
+lcm of the two denominators, a product over their product, a rational
+parameter over the lcm of its own); a Fraction is built only on reading.
 
 Operators:
 
@@ -55,7 +54,6 @@ from .nestedsums import (
 from .report import Comparison, VerificationReport
 
 Exponents = tuple[int, ...]
-_ZERO = Fraction(0)
 
 
 def exponent_vectors(nvars: int, bound: int) -> Iterator[Exponents]:
@@ -75,9 +73,13 @@ def exponent_vectors(nvars: int, bound: int) -> Iterator[Exponents]:
 
 
 class TruncatedSeries:
-    """Sparse series over Q, exact up to a total degree bound."""
+    """Sparse series over Q, exact up to a total degree bound.
 
-    __slots__ = ("nvars", "degree_bound", "_coeffs")
+    The coefficient of X^e is _nums[e] / _den, with _den > 0 not necessarily
+    in lowest terms: `coefficient` and `terms` reduce, and `==` cross-multiplies.
+    """
+
+    __slots__ = ("nvars", "degree_bound", "_den", "_nums")
 
     def __init__(self, nvars: int, degree_bound: int, coeffs: dict | None = None):
         if nvars < 1:
@@ -86,7 +88,7 @@ class TruncatedSeries:
             raise ValueError(f"degree bound must be a natural, got {degree_bound}")
         self.nvars = nvars
         self.degree_bound = degree_bound
-        normalized: dict[Exponents, Fraction] = {}
+        fractions: dict[Exponents, Fraction] = {}
         for exponents, coeff in (coeffs or {}).items():
             exponents = tuple(exponents)
             if len(exponents) != nvars or any(e < 0 for e in exponents):
@@ -95,18 +97,18 @@ class TruncatedSeries:
                 raise ValueError(
                     f"exponent vector {exponents} exceeds degree bound {degree_bound}"
                 )
-            coeff = Fraction(coeff)
-            if coeff:
-                normalized[exponents] = coeff
-        self._coeffs = normalized
+            fractions[exponents] = Fraction(coeff)
+        self._den = den = math.lcm(*(c.denominator for c in fractions.values()))
+        self._nums = {e: c.numerator * (den // c.denominator) for e, c in fractions.items() if c}
 
     @classmethod
-    def _trusted(cls, nvars: int, degree_bound: int, coeffs: dict) -> "TruncatedSeries":
-        """Wrap a valid dict (tuple keys within the bound, Fraction values) unchecked."""
+    def _trusted(cls, nvars: int, degree_bound: int, den: int, nums: dict) -> "TruncatedSeries":
+        """Wrap int numerators over den > 0 (tuple keys within the bound) unchecked."""
         series = object.__new__(cls)
         series.nvars = nvars
         series.degree_bound = degree_bound
-        series._coeffs = {e: c for e, c in coeffs.items() if c}
+        series._den = den
+        series._nums = {e: n for e, n in nums.items() if n}
         return series
 
     # --- constructors ---
@@ -119,20 +121,20 @@ class TruncatedSeries:
     def monomial(
         cls, nvars: int, degree_bound: int, exponents: Sequence[int], coeff=1
     ) -> "TruncatedSeries":
-        return cls(nvars, degree_bound, {tuple(exponents): Fraction(coeff)})
+        return cls(nvars, degree_bound, {tuple(exponents): coeff})
 
     # --- access ---
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self._coeffs.get(tuple(exponents), _ZERO)
+        return Fraction(self._nums.get(tuple(exponents), 0), self._den)
 
     def terms(self) -> Iterator[tuple[Exponents, Fraction]]:
         """(exponents, coefficient) pairs in graded lexicographic order."""
-        for exponents in sorted(self._coeffs, key=lambda e: (sum(e), e)):
-            yield exponents, self._coeffs[exponents]
+        for exponents in sorted(self._nums, key=lambda e: (sum(e), e)):
+            yield exponents, Fraction(self._nums[exponents], self._den)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -140,8 +142,8 @@ class TruncatedSeries:
         if self.nvars != other.nvars:
             return False
         bound = min(self.degree_bound, other.degree_bound)
-        mine = {e: c for e, c in self._coeffs.items() if sum(e) <= bound}
-        theirs = {e: c for e, c in other._coeffs.items() if sum(e) <= bound}
+        mine = {e: n * other._den for e, n in self._nums.items() if sum(e) <= bound}
+        theirs = {e: n * self._den for e, n in other._nums.items() if sum(e) <= bound}
         return mine == theirs
 
     __hash__ = None
@@ -150,7 +152,7 @@ class TruncatedSeries:
         head = ", ".join(
             f"{e}: {format_rational(c)}" for e, c in itertools.islice(self.terms(), 4)
         )
-        more = "..." if len(self._coeffs) > 4 else ""
+        more = "..." if len(self._nums) > 4 else ""
         return (
             f"TruncatedSeries(nvars={self.nvars}, D={self.degree_bound}, "
             f"{{{head}{more}}})"
@@ -168,46 +170,38 @@ class TruncatedSeries:
             )
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Sum over the lcm of the two denominators."""
         self._check_compatible(other)
-        coeffs = dict(self._coeffs)
-        for exponents, coeff in other._coeffs.items():
-            coeffs[exponents] = coeffs.get(exponents, Fraction(0)) + coeff
-        return TruncatedSeries._trusted(self.nvars, self.degree_bound, coeffs)
+        den = math.lcm(self._den, other._den)
+        mine, theirs = den // self._den, den // other._den
+        nums = {e: n * mine for e, n in self._nums.items()}
+        for exponents, n in other._nums.items():
+            nums[exponents] = nums.get(exponents, 0) + n * theirs
+        return TruncatedSeries._trusted(self.nvars, self.degree_bound, den, nums)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + other.scale(-1)
 
     def scale(self, factor) -> "TruncatedSeries":
         factor = Fraction(factor)
-        return TruncatedSeries._trusted(
-            self.nvars,
-            self.degree_bound,
-            {e: c * factor for e, c in self._coeffs.items()},
-        )
+        nums = {e: n * factor.numerator for e, n in self._nums.items()}
+        den = self._den * factor.denominator
+        return TruncatedSeries._trusted(self.nvars, self.degree_bound, den, nums)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Truncated product on integer numerators over d1 * d2.
-
-        d1 and d2 are the lcms of the factors' denominators; the convolution
-        runs on ints and builds one Fraction per output coefficient.
-        """
+        """Truncated product: the numerators convolve as ints over d1 * d2."""
         self._check_compatible(other)
-        d1, left = _numerators(self._coeffs)
-        d2, right = _numerators(other._coeffs)
-        products = _mul_numerators(left, right, self.degree_bound)
-        return _from_numerators(self.nvars, self.degree_bound, products, d1 * d2)
+        products = _mul_numerators(self._nums, other._nums, self.degree_bound)
+        return TruncatedSeries._trusted(
+            self.nvars, self.degree_bound, self._den * other._den, products
+        )
 
     def truncate(self, new_bound: int) -> "TruncatedSeries":
         """Lower the degree bound (raising it would fabricate information)."""
         if new_bound > self.degree_bound:
-            raise ValueError(
-                f"cannot raise bound {self.degree_bound} to {new_bound}"
-            )
-        return TruncatedSeries._trusted(
-            self.nvars,
-            new_bound,
-            {e: c for e, c in self._coeffs.items() if sum(e) <= new_bound},
-        )
+            raise ValueError(f"cannot raise bound {self.degree_bound} to {new_bound}")
+        nums = {e: n for e, n in self._nums.items() if sum(e) <= new_bound}
+        return TruncatedSeries._trusted(self.nvars, new_bound, self._den, nums)
 
     # --- operators ---
 
@@ -218,35 +212,26 @@ class TruncatedSeries:
         if self.degree_bound == 0:
             raise ValueError("cannot differentiate a degree-0 window")
         pos = var - 1
-        coeffs: dict[Exponents, Fraction] = {}
-        for exponents, coeff in self._coeffs.items():
+        nums: dict[Exponents, int] = {}
+        for exponents, n in self._nums.items():
             if exponents[pos] == 0:
                 continue
             lowered = exponents[:pos] + (exponents[pos] - 1,) + exponents[pos + 1:]
-            coeffs[lowered] = coeff * exponents[pos]
-        return TruncatedSeries._trusted(self.nvars, self.degree_bound - 1, coeffs)
+            nums[lowered] = n * exponents[pos]
+        return TruncatedSeries._trusted(self.nvars, self.degree_bound - 1, self._den, nums)
 
     def mul_var(self, var: int) -> "TruncatedSeries":
         """Multiply by the 1-based variable, truncating at the bound."""
         if not 1 <= var <= self.nvars:
             raise ValueError(f"variable {var} out of range 1..{self.nvars}")
         pos = var - 1
-        coeffs: dict[Exponents, Fraction] = {}
-        for exponents, coeff in self._coeffs.items():
+        nums: dict[Exponents, int] = {}
+        for exponents, n in self._nums.items():
             if sum(exponents) + 1 > self.degree_bound:
                 continue
             raised = exponents[:pos] + (exponents[pos] + 1,) + exponents[pos + 1:]
-            coeffs[raised] = coeff
-        return TruncatedSeries._trusted(self.nvars, self.degree_bound, coeffs)
-
-
-# --- integer kernel: numerators over one denominator ------------------------
-
-
-def _numerators(coeffs: dict[Exponents, Fraction]) -> tuple[int, dict[Exponents, int]]:
-    """The lcm d of the coefficients' denominators and each numerator over d."""
-    d = math.lcm(*(c.denominator for c in coeffs.values()))
-    return d, {e: c.numerator * (d // c.denominator) for e, c in coeffs.items()}
+            nums[raised] = n
+        return TruncatedSeries._trusted(self.nvars, self.degree_bound, self._den, nums)
 
 
 def _mul_numerators(
@@ -265,19 +250,14 @@ def _mul_numerators(
     return out
 
 
-def _from_numerators(
-    nvars: int, bound: int, numerators: dict[Exponents, int], d: int
-) -> TruncatedSeries:
-    """The series with coefficient numerators[e] / d, one Fraction per nonzero term."""
-    return TruncatedSeries._trusted(
-        nvars, bound, {e: Fraction(n, d) for e, n in numerators.items() if n}
-    )
+def _egf_window(values: TruncatedSeries) -> TruncatedSeries:
+    """The series whose coefficient at X^n is that of `values` over n!.
 
-
-def _egf_window(nvars: int, degree_bound: int, values: dict) -> TruncatedSeries:
-    """The series with coefficient values[n] / n! at every exponent vector n."""
-    return TruncatedSeries._trusted(nvars, degree_bound, {
-        e: value / math.prod(map(math.factorial, e)) for e, value in values.items() if value
+    Every n! with |n| <= D divides D!, so the numerators stay ints over den * D!.
+    """
+    top = math.factorial(values.degree_bound)
+    return TruncatedSeries._trusted(values.nvars, values.degree_bound, values._den * top, {
+        e: n * (top // math.prod(map(math.factorial, e))) for e, n in values._nums.items()
     })
 
 
@@ -286,8 +266,9 @@ def from_sequence(table: MultiSequenceTable, degree_bound: int) -> TruncatedSeri
 
     The table must hold every |n| <= D, so each extent is at least D + 1.
     """
-    values = {e: table[e] for e in exponent_vectors(table.arity, degree_bound)}
-    return _egf_window(table.arity, degree_bound, values)
+    r = table.arity
+    values = {n: table[n] for n in exponent_vectors(r, degree_bound)}
+    return _egf_window(TruncatedSeries(r, degree_bound, values))
 
 
 def F_from_sequence(table: MultiSequenceTable, degree_bound: int) -> TruncatedSeries:
@@ -295,33 +276,37 @@ def F_from_sequence(table: MultiSequenceTable, degree_bound: int) -> TruncatedSe
 
     Lives in 2r variables; its Y = 0 slice is f_a and its X = 0 slice is
     the EGF of nabla a.  The table must hold every |n| <= D, as in
-    `from_sequence`.  One difference table, filled in graded order of k
-    with i the first axis where k_i > 0, costs one subtraction per coefficient:
+    `from_sequence`.  One difference table of int numerators over the
+    window's denominator, filled in graded order of k with i the first axis
+    where k_i > 0, costs one subtraction per coefficient:
     delta^k a(n) = delta^{k-e_i} a(n) - delta^{k-e_i} a(n+e_i).
     """
     r = table.arity
-    diffs = {n + (0,) * r: table[n] for n in exponent_vectors(r, degree_bound)}
+    a = TruncatedSeries(r, degree_bound, {n: table[n] for n in exponent_vectors(r, degree_bound)})
+    diffs = {n + (0,) * r: a._nums.get(n, 0) for n in exponent_vectors(r, degree_bound)}
     for k in itertools.islice(exponent_vectors(r, degree_bound), 1, None):
         i = next(axis for axis, ki in enumerate(k) if ki)
         lower = k[:i] + (k[i] - 1,) + k[i + 1:]
         for n in exponent_vectors(r, degree_bound - sum(k)):
             raised = n[:i] + (n[i] + 1,) + n[i + 1:]
             diffs[n + k] = diffs[n + lower] - diffs[raised + lower]
-    return _egf_window(2 * r, degree_bound, diffs)
+    return _egf_window(TruncatedSeries._trusted(2 * r, degree_bound, a._den, diffs))
 
 
 def exp_linear(coefficients: Sequence, degree_bound: int) -> TruncatedSeries:
-    """Window of e^{c_1 X_1 + ... + c_m X_m}, one Fraction per coefficient."""
+    """Window of e^{c_1 X_1 + ... + c_m X_m}, the EGF window of n -> c^n.
+
+    With c_i = a_i / b_i, the power c^n has numerator prod_i a_i^n_i b_i^(D - n_i)
+    over prod_i b_i^D.
+    """
     cvec = [Fraction(c) for c in coefficients]
-    coeffs = {}
-    for exponents in exponent_vectors(len(cvec), degree_bound):
-        numerator, denominator = 1, 1
-        for c, e in zip(cvec, exponents):
-            numerator *= c.numerator**e
-            denominator *= c.denominator**e * math.factorial(e)
-        if numerator:
-            coeffs[exponents] = Fraction(numerator, denominator)
-    return TruncatedSeries._trusted(len(cvec), degree_bound, coeffs)
+    D = degree_bound
+    powers = {
+        n: math.prod(c.numerator**k * c.denominator ** (D - k) for c, k in zip(cvec, n))
+        for n in exponent_vectors(len(cvec), D)
+    }
+    den = math.prod(c.denominator**D for c in cvec)
+    return _egf_window(TruncatedSeries._trusted(len(cvec), D, den, powers))
 
 
 def subst_linear(f: TruncatedSeries, rows: Sequence[Sequence]) -> TruncatedSeries:
@@ -329,9 +314,9 @@ def subst_linear(f: TruncatedSeries, rows: Sequence[Sequence]) -> TruncatedSerie
 
     Linear substitution preserves total degree, so the bound carries over.
     Row i is scaled to integers over q_i, the lcm of its denominators, and
-    each term c X^e of f is scaled by prod_i q_i^(D - e_i), so every term's
-    image shares the denominator d_f * prod_i q_i^D; the images add up as
-    ints and the result builds one Fraction per output coefficient.
+    each term of f is scaled by prod_i q_i^(D - e_i), so every term's
+    image shares the denominator d_f * prod_i q_i^D and the images add up
+    as ints.
     """
     rows = [tuple(Fraction(c) for c in row) for row in rows]
     if len(rows) != f.nvars:
@@ -358,9 +343,8 @@ def subst_linear(f: TruncatedSeries, rows: Sequence[Sequence]) -> TruncatedSerie
             cache.append(_mul_numerators(cache[-1], forms[i], bound))
         return cache[e]
 
-    d_f, terms = _numerators(f._coeffs)
     out: dict[Exponents, int] = {}
-    for exponents, numerator in terms.items():
+    for exponents, numerator in f._nums.items():
         image = one
         for i, e in enumerate(exponents):
             if e:
@@ -368,16 +352,14 @@ def subst_linear(f: TruncatedSeries, rows: Sequence[Sequence]) -> TruncatedSerie
             numerator *= scales[i] ** (bound - e)
         for key, value in image.items():
             out[key] = out.get(key, 0) + numerator * value
-    return _from_numerators(nvars_out, bound, out, d_f * math.prod(q**bound for q in scales))
+    den = f._den * math.prod(q**bound for q in scales)
+    return TruncatedSeries._trusted(nvars_out, bound, den, out)
 
 
 def negate_vars(f: TruncatedSeries) -> TruncatedSeries:
     """X_i -> -X_i, done directly on exponent parities."""
-    return TruncatedSeries._trusted(
-        f.nvars,
-        f.degree_bound,
-        {e: (-c if sum(e) % 2 else c) for e, c in f._coeffs.items()},
-    )
+    nums = {e: (-n if sum(e) % 2 else n) for e, n in f._nums.items()}
+    return TruncatedSeries._trusted(f.nvars, f.degree_bound, f._den, nums)
 
 
 def nabla_series(f: TruncatedSeries) -> TruncatedSeries:
@@ -396,21 +378,24 @@ def xi_apply(f: TruncatedSeries, x: Sequence) -> TruncatedSeries:
     Computed coefficientwise: the operator never lowers degree, so the
     coefficient at X^e needs f only at X^e and below.  It agrees with the
     literal mul_var/deriv composite on every degree the composite retains.
+    The x_i enter as ints over q, the lcm of their denominators.
     """
     xvec = [Fraction(c) for c in x]
     if len(xvec) != f.nvars:
         raise ValueError(f"need {f.nvars} parameters, got {len(xvec)}")
-    coeffs: dict[Exponents, Fraction] = {}
-    for exponents, coeff in f._coeffs.items():
+    q = math.lcm(*(c.denominator for c in xvec))
+    xnums = [c.numerator * (q // c.denominator) for c in xvec]
+    nums: dict[Exponents, int] = {}
+    for exponents, n in f._nums.items():
         degree = sum(exponents)
         if degree:
-            coeffs[exponents] = coeffs.get(exponents, Fraction(0)) + degree * coeff
+            nums[exponents] = nums.get(exponents, 0) + degree * q * n
         if degree + 1 <= f.degree_bound:
-            for i, xi in enumerate(xvec):
+            for i, xi in enumerate(xnums):
                 if xi:
                     raised = exponents[:i] + (exponents[i] + 1,) + exponents[i + 1:]
-                    coeffs[raised] = coeffs.get(raised, Fraction(0)) - xi * coeff
-    return TruncatedSeries._trusted(f.nvars, f.degree_bound, coeffs)
+                    nums[raised] = nums.get(raised, 0) - xi * n
+    return TruncatedSeries._trusted(f.nvars, f.degree_bound, f._den * q, nums)
 
 
 # --- operator-identity battery ----------------------------------------------
@@ -480,7 +465,7 @@ def verify_operator_suite(
     D = degree
 
     for r in SUITE_SLOT_COUNTS:
-        table = random_table(rng, r, D + 1)  # exact for every |n| <= D read
+        table = random_table(rng, (D + 1,) * r)  # exact for every |n| <= D read
         label = f"r={r} seed={seed} D={D}"
         f_a = from_sequence(table, D)
         F_a = F_from_sequence(table, D)
@@ -620,9 +605,9 @@ def verify_operator_suite(
             )
             if p >= 2:
                 reduced_spec = spec.reduce_depth()
-                reduced = _egf_window(r, D, {
+                reduced = _egf_window(TruncatedSeries(r, D, {
                     e: c_direct(reduced_spec, e, guard) for e in exponent_vectors(r, D)
-                })
+                }))
                 first_cols = tuple(block[0] for block in spec.xblocks)
                 stepped = xi_apply(f_spec, first_cols) + f_spec.scale(spec.tparams[0])
                 report.extend(

@@ -60,6 +60,12 @@ def _is_nonpositive_integer(value: Fraction) -> bool:
     return value.denominator == 1 and value.numerator <= 0
 
 
+def parse_shifts(text: str) -> tuple[Fraction, ...]:
+    """Parse the CLI shift grammar: "2", "1/2,-3/4"; blank text is no shifts."""
+    text = text.strip()
+    return tuple(parse_rational(item) for item in text.split(",")) if text else ()
+
+
 @dataclass(frozen=True)
 class NestedSumSpec:
     """Parameter bundle: r blocks of p rationals plus p-1 shift parameters."""
@@ -123,9 +129,7 @@ class NestedSumSpec:
             tuple(parse_rational(item) for item in block.split(","))
             for block in xtext.split(";")
         )
-        ttext = ttext.strip()
-        tparams = tuple(parse_rational(item) for item in ttext.split(",")) if ttext else ()
-        return cls(xblocks, tparams)
+        return cls(xblocks, parse_shifts(ttext))
 
     def text(self) -> str:
         xtext = ";".join(",".join(format_rational(x) for x in block) for block in self.xblocks)
@@ -646,10 +650,10 @@ def random_rational(rng: Random) -> Fraction:
     return Fraction(rng.randint(-RANDOM_BOUND, RANDOM_BOUND), rng.randint(1, RANDOM_BOUND))
 
 
-def random_table(rng: Random, arity: int, extent: int) -> MultiSequenceTable:
-    """Small random rationals over the box [0, extent)^arity."""
-    values = tuple(random_rational(rng) for _ in range(extent**arity))
-    return MultiSequenceTable((extent,) * arity, values)
+def random_table(rng: Random, shape: tuple[int, ...]) -> MultiSequenceTable:
+    """Small random rationals over the box of `shape`, in row-major order."""
+    values = tuple(random_rational(rng) for _ in range(math.prod(shape)))
+    return MultiSequenceTable(tuple(shape), values)
 
 
 def random_shift(rng: Random) -> Fraction:
@@ -678,6 +682,8 @@ def random_shift_configuration(
     The final subset slot is solved for, so the subset sums to the constant
     vector by construction.
     """
+    if max_r < 2:
+        raise ValueError(f"max_r must be at least 2 for a shift configuration, got {max_r}")
     r = rng.randint(2, max_r)
     p = rng.randint(1, max_p)
     q = rng.randint(2, r)

@@ -492,6 +492,25 @@ def test_bench_csv_output(capsys):
         assert line.endswith("True")
 
 
+# `c`, and `bench` with and without --x, read --t through one grammar, in
+# which blank text is no shifts.
+BLANK_SHIFT_ARGV = [
+    ("c", "--x=1/2", "--n=2"),
+    ("bench", "--x=1/2", "--ladder=2", "--repeats=1"),
+    ("bench", "--p=1", "--ladder=2", "--repeats=1"),
+]
+
+
+@pytest.mark.parametrize("argv", BLANK_SHIFT_ARGV, ids=[" ".join(a) for a in BLANK_SHIFT_ARGV])
+def test_blank_shifts_are_no_shifts(capsys, argv):
+    code, out, err = run(capsys, *argv, "--t", " ")
+    assert code == 0 and err == ""
+    if argv[0] == "c":
+        assert out == run(capsys, *argv)[1]
+    else:
+        assert out.splitlines()[1].startswith("1,1,2,")
+
+
 # Characterization: sha256 of the stdout of a fixed command set.  Reports are
 # part of the interface, so a refactor of the CLI or the verifiers must keep
 # these bytes; only a deliberate format change may update a digest.

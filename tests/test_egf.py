@@ -171,7 +171,7 @@ def test_subst_linear_at_degree_zero():
 
 def test_negate_vars_matches_substitution():
     rng = Random(0)
-    f = window(zero_extension(random_table(rng, 2, 4)), 2, 4)
+    f = window(zero_extension(random_table(rng, (4, 4))), 2, 4)
     assert negate_vars(f) == subst_linear(f, [(-1, 0), (0, -1)])
 
 
@@ -184,7 +184,7 @@ def test_nabla_series_closed_forms():
 def test_nabla_series_matches_sequence_transform():
     rng = Random(1)
     for arity in (1, 2):
-        table = random_table(rng, arity, 7)
+        table = random_table(rng, (7,) * arity)
         f = from_sequence(table, 6)
         assert nabla_series(f) == window(nabla(zero_extension(table)), arity, 6)
         assert nabla_series(nabla_series(f)) == f
@@ -203,7 +203,7 @@ def test_xi_apply_euler_operator():
 
 def test_xi_apply_matches_operator_composite():
     rng = Random(2)
-    f = from_sequence(random_table(rng, 2, 7), 6)
+    f = from_sequence(random_table(rng, (7, 7)), 6)
     xvec = (F(1, 2), F(-2, 3))
     composite = TruncatedSeries.zero(2, 5)
     for i in (1, 2):
@@ -224,7 +224,7 @@ def test_xi_apply_depth_reduction_step():
 
 def test_two_block_series_slices():
     rng = Random(4)
-    table = random_table(rng, 1, 7)
+    table = random_table(rng, (7,))
     big = F_from_sequence(table, 6)
     f = from_sequence(table, 6)
     inverted = window(nabla(zero_extension(table)), 1, 6)
@@ -420,7 +420,7 @@ def test_operator_suite_enumerates_every_reduced_window(monkeypatch):
         assert sorted(points) == sorted(exponent_vectors(r, degree))
 
 
-# --- the integer kernel against the Fraction-per-pair reference -------------
+# --- the int form against Fraction-dict references -------------------------
 
 
 def reference_mul(f, g):
@@ -450,6 +450,74 @@ def reference_subst_linear(f, rows):
     return out
 
 
+def shifted(e, pos, by):
+    """e with its entry at pos moved by `by`."""
+    return e[:pos] + (e[pos] + by,) + e[pos + 1:]
+
+
+def reference_add(f, g):
+    coeffs = dict(f.terms())
+    for e, c in g.terms():
+        coeffs[e] = coeffs.get(e, F(0)) + c
+    return TruncatedSeries(f.nvars, f.degree_bound, coeffs)
+
+
+def reference_scale(f, factor):
+    return TruncatedSeries(f.nvars, f.degree_bound, {e: c * factor for e, c in f.terms()})
+
+
+def reference_truncate(f, bound):
+    return TruncatedSeries(f.nvars, bound, {e: c for e, c in f.terms() if sum(e) <= bound})
+
+
+def reference_deriv(f, var):
+    """Coefficient at X^e: (e_i + 1) f_{e + e_i}."""
+    coeffs, pos = dict(f.terms()), var - 1
+    return TruncatedSeries(f.nvars, f.degree_bound - 1, {
+        e: (e[pos] + 1) * coeffs.get(shifted(e, pos, 1), F(0))
+        for e in exponent_vectors(f.nvars, f.degree_bound - 1)
+    })
+
+
+def reference_mul_var(f, var):
+    """Coefficient at X^e: f_{e - e_i} where e_i > 0."""
+    coeffs, pos = dict(f.terms()), var - 1
+    return TruncatedSeries(f.nvars, f.degree_bound, {
+        e: coeffs.get(shifted(e, pos, -1), F(0))
+        for e in exponent_vectors(f.nvars, f.degree_bound) if e[pos]
+    })
+
+
+def reference_negate_vars(f):
+    return TruncatedSeries(f.nvars, f.degree_bound, {e: (-1) ** sum(e) * c for e, c in f.terms()})
+
+
+def reference_xi_apply(f, x):
+    """Coefficient at X^e: |e| f_e - sum_i x_i f_{e - e_i} over the i with e_i > 0."""
+    coeffs = dict(f.terms())
+    return TruncatedSeries(f.nvars, f.degree_bound, {
+        e: sum(e) * coeffs.get(e, F(0)) - sum(
+            xi * coeffs.get(shifted(e, i, -1), F(0)) for i, xi in enumerate(x) if e[i]
+        )
+        for e in exponent_vectors(f.nvars, f.degree_bound)
+    })
+
+
+def reference_window(values, nvars, bound):
+    """Coefficient at X^n: values(n) / n!, one Fraction division each."""
+    return TruncatedSeries(nvars, bound, {
+        n: F(values(n)) / math.prod(map(math.factorial, n))
+        for n in exponent_vectors(nvars, bound)
+    })
+
+
+def reference_exp_linear(cvec, bound):
+    """The window of n -> prod_i c_i^n_i, powers taken in Fractions."""
+    return reference_window(
+        lambda n: math.prod(F(c) ** k for c, k in zip(cvec, n)), len(cvec), bound
+    )
+
+
 def same_terms(got, want):
     """Equal bound and equal terms, including any a wrong kernel put above the bound."""
     return (got.nvars, got.degree_bound, list(got.terms())) == (
@@ -468,10 +536,31 @@ kernel_coefficients = st.one_of(
 )
 
 
+# stored denominators above the lcm of the coefficients' denominators, as
+# operator results may keep them
+PADDINGS = (1, 6, LARGE_PRIMES[0])
+
+
+def padded(f, pad):
+    """f with its stored denominator and numerators multiplied by pad."""
+    return f.scale(pad).scale(F(1, pad))
+
+
 def sparse_series(nvars, bound):
-    return st.dictionaries(
+    coeffs = st.dictionaries(
         st.sampled_from(list(exponent_vectors(nvars, bound))), kernel_coefficients, max_size=12
-    ).map(lambda coeffs: TruncatedSeries(nvars, bound, coeffs))
+    )
+    return st.builds(
+        lambda coeffs, pad: padded(TruncatedSeries(nvars, bound, coeffs), pad),
+        coeffs,
+        st.sampled_from(PADDINGS),
+    )
+
+
+def some_series():
+    return st.tuples(st.integers(1, 4), st.integers(0, 6)).flatmap(
+        lambda shape: sparse_series(*shape)
+    )
 
 
 @st.composite
@@ -501,6 +590,69 @@ def test_product_matches_fraction_reference(case):
 def test_substitution_matches_fraction_reference(case):
     f, rows = case
     assert same_terms(subst_linear(f, rows), reference_subst_linear(f, rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_products(), kernel_coefficients)
+def test_linear_operations_match_fraction_references(case, factor):
+    f, g = case
+    assert same_terms(f + g, reference_add(f, g))
+    assert same_terms(f - g, reference_add(f, reference_scale(g, -1)))
+    assert same_terms(f.scale(factor), reference_scale(f, factor))
+    assert same_terms(negate_vars(f), reference_negate_vars(f))
+    for bound in range(f.degree_bound + 1):
+        assert same_terms(f.truncate(bound), reference_truncate(f, bound))
+
+
+@settings(max_examples=100, deadline=None)
+@given(some_series(), st.data())
+def test_variable_operators_match_fraction_references(f, data):
+    var = data.draw(st.integers(1, f.nvars))
+    x = data.draw(st.lists(kernel_coefficients, min_size=f.nvars, max_size=f.nvars))
+    assert same_terms(f.mul_var(var), reference_mul_var(f, var))
+    assert same_terms(xi_apply(f, x), reference_xi_apply(f, x))
+    if f.degree_bound:
+        assert same_terms(f.deriv(var), reference_deriv(f, var))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(kernel_coefficients, min_size=1, max_size=3), st.integers(0, 6))
+def test_exp_linear_matches_fraction_reference(cvec, bound):
+    assert same_terms(exp_linear(cvec, bound), reference_exp_linear(cvec, bound))
+
+
+@st.composite
+def kernel_tables(draw):
+    arity, degree = draw(st.integers(1, 2)), draw(st.integers(0, 5))
+    shape = (degree + 1,) * arity
+    size = math.prod(shape)
+    values = draw(st.lists(kernel_coefficients, min_size=size, max_size=size))
+    return MultiSequenceTable(shape, tuple(values)), degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_tables())
+def test_egf_windows_match_fraction_references(case):
+    table, degree = case
+    r, a = table.arity, zero_extension(table)
+    assert same_terms(from_sequence(table, degree), reference_window(a, r, degree))
+    assert same_terms(
+        F_from_sequence(table, degree),
+        reference_window(lambda e: iterated_delta(a, e[r:], e[:r]), 2 * r, degree),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(some_series(), st.sampled_from(PADDINGS[1:] + LARGE_PRIMES))
+def test_equal_values_over_different_denominators_compare_equal(f, pad):
+    g = padded(f, pad)
+    assert g._den == f._den * pad
+    assert f == g and g == f and same_terms(f, g)
+    # equality cross-multiplies, so a changed coefficient still shows
+    nudge = TruncatedSeries.monomial(f.nvars, f.degree_bound, (0,) * f.nvars, F(1, pad))
+    assert f + nudge != g and g != f + nudge
+    # and it compares up to the smaller bound over either denominator
+    assert g.truncate(0) == f and f == g.truncate(0)
 
 
 def test_kernel_examples():

@@ -7,19 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mhscalc.multiseq import MultiSequenceTable, binomial_transform, iterated_delta
+from mhscalc.nestedsums import random_table
 from pointwise import delta, iterated_delta as pointwise_delta, nabla, tabulate, zero_extension
 
 
 def geometric(x, shape):
     x = F(x)
     return tabulate(lambda idx: math.prod(x**i for i in idx), shape)
-
-
-def random_table(rng, arity, extents):
-    values = tuple(
-        F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(math.prod(extents))
-    )
-    return MultiSequenceTable(tuple(extents), values)
 
 
 def test_iterated_delta_of_constant_vanishes_above_order_zero():
@@ -77,7 +71,7 @@ def test_nabla_geometric_closed_form():
 
 def test_nabla_is_iterated_delta_at_origin():
     rng = Random(1)
-    table = random_table(rng, 2, (4, 4))
+    table = random_table(rng, (4, 4))
     diffs = iterated_delta(table, table.shape)
     assert diffs.shape == (1, 1, 4, 4)
     assert diffs.values == binomial_transform(table).values
@@ -87,7 +81,7 @@ def test_involution_on_random_tables():
     rng = Random(2)
     for _ in range(15):
         arity = rng.randint(1, 2)
-        table = random_table(rng, arity, tuple(rng.randint(2, 6) for _ in range(arity)))
+        table = random_table(rng, tuple(rng.randint(2, 6) for _ in range(arity)))
         assert binomial_transform(binomial_transform(table)) == table
 
 
@@ -136,7 +130,7 @@ def test_index_symmetry_of_nabla_differences():
     rng = Random(3)
     for _ in range(10):
         arity = rng.randint(1, 2)
-        table = random_table(rng, arity, (5,) * arity)
+        table = random_table(rng, (5,) * arity)
         transformed = iterated_delta(binomial_transform(table), (3,) * arity)
         plain = iterated_delta(table, (3,) * arity)
         for n in itertools.product(range(3), repeat=arity):
@@ -148,7 +142,7 @@ def test_iterated_delta_equals_composition():
     rng = Random(4)
     for _ in range(10):
         arity = rng.randint(1, 3)
-        a = zero_extension(random_table(rng, arity, (3,) * arity))
+        a = zero_extension(random_table(rng, (3,) * arity))
         k = tuple(rng.randint(0, 4 if arity == 1 else 2) for _ in range(arity))
         n = tuple(rng.randint(0, 2) for _ in range(arity))
         composed = a
@@ -162,7 +156,7 @@ def test_iterated_delta_equals_composition():
 
 def test_delta_operators_commute():
     rng = Random(5)
-    table = random_table(rng, 2, (5, 5))
+    table = random_table(rng, (5, 5))
     a = zero_extension(table)
     d12 = delta(delta(a, 1), 2)
     d21 = delta(delta(a, 2), 1)
@@ -173,8 +167,8 @@ def test_delta_operators_commute():
 
 def test_delta_and_nabla_are_linear():
     rng = Random(6)
-    a = random_table(rng, 1, (6,))
-    b = random_table(rng, 1, (6,))
+    a = random_table(rng, (6,))
+    b = random_table(rng, (6,))
     alpha, beta = F(3, 7), F(-2, 5)
     combo = MultiSequenceTable(
         (6,), tuple(alpha * u + beta * v for u, v in zip(a.values, b.values))

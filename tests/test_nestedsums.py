@@ -22,10 +22,12 @@ from mhscalc.nestedsums import (
     direct_summand_count,
     enumerate_chains,
     kt_value,
+    parse_shifts,
     random_rational,
     random_shift,
     random_shift_configuration,
     random_spec,
+    random_table,
     recurrence_cell_count,
     two_index_value,
     verify_difference_formula,
@@ -887,6 +889,26 @@ def test_random_shift_configuration_satisfies_hypothesis():
         spec, subset, constant = random_shift_configuration(rng, 3, 3)
         for j in range(spec.p):
             assert sum(spec.xblocks[i - 1][j] for i in subset) == constant
+
+
+@pytest.mark.parametrize("max_r", [1, 0, -3])
+def test_random_shift_configuration_needs_two_slots(max_r):
+    with pytest.raises(ValueError, match=f"max_r must be at least 2.*got {max_r}$"):
+        random_shift_configuration(Random(0), max_r, 2)
+
+
+def test_parse_shifts_blank_is_no_shifts():
+    assert parse_shifts("") == parse_shifts("  ") == ()
+    assert parse_shifts(" 1/2, -3 ") == (F(1, 2), F(-3))
+    assert NestedSumSpec.parse("1/2", " ") == NestedSumSpec(((F(1, 2),),), ())
+    with pytest.raises(ValueError, match="not a rational literal"):
+        parse_shifts("1,,2")
+
+
+def test_random_table_draws_one_rational_per_cell_in_row_major_order():
+    table, rng = random_table(Random(4), (2, 3)), Random(4)
+    assert table.shape == (2, 3)
+    assert table.values == tuple(random_rational(rng) for _ in range(6))
 
 
 def test_random_shift_never_nonpositive_integer():
