@@ -6,7 +6,7 @@ Subcommands:
   embed   print the 0/1 parameter vectors that reproduce s_mu
   c       evaluate a parametric nested sum (direct, recursive, or both)
   verify  run an identity verification sweep; exit 0 only if all exact
-  bench   time direct enumeration against the memoized recurrence (CSV)
+  bench   time direct enumeration against the recurrence fill (CSV)
 
 Exit codes: 0 all checks exact / value computed; 1 an identity comparison
 failed; 2 malformed input (a flag below its floor, --guard included, or a
@@ -21,9 +21,7 @@ whole point is wall-clock measurement.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -42,11 +40,12 @@ from .nestedsums import (
     c_direct,
     direct_summand_count,
     parse_shifts,
+    random_blocks,
     random_spec,
     random_shift_configuration,
     recurrence_cell_count,
 )
-from .report import VerificationReport
+from .report import VerificationReport, render_csv
 
 
 def _parse_index(text: str) -> tuple[int, ...]:
@@ -97,7 +96,7 @@ def _emit_value(args, payload: dict, text_value: str) -> int:
     if args.format == "json":
         _emit(args, json.dumps(payload) + "\n")
     elif args.format == "csv":
-        _emit(args, bench_csv([payload]))
+        _emit(args, render_csv([payload]))
     else:
         _emit(args, text_value + "\n")
     return 0
@@ -371,7 +370,7 @@ def run_bench(
     repeats: int,
     guard: int = DEFAULT_GUARD,
 ) -> list[dict]:
-    """Time c_direct against a cold-memo recurrence pass at each ladder rung.
+    """Time c_direct against a fresh recurrence fill at each ladder rung.
 
     The index at rung n is (n, ..., n); `speedup` is direct/recursive time.
     """
@@ -398,14 +397,6 @@ def run_bench(
     return rows
 
 
-def bench_csv(rows: list[dict]) -> str:
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
 def _cmd_bench(args) -> int:
     _read_flags(args, BENCH_FLAGS, BENCH_FLAGS, "bench")
     rng = Random(args.seed)
@@ -413,11 +404,7 @@ def _cmd_bench(args) -> int:
         spec = NestedSumSpec.parse(args.x, args.t)
     else:
         tparams = parse_shifts(args.t) or (Fraction(1),) * (args.p - 1)
-        xblocks = tuple(
-            tuple(nestedsums.random_rational(rng) for _ in range(args.p))
-            for _ in range(args.r)
-        )
-        spec = NestedSumSpec(xblocks, tparams)
+        spec = NestedSumSpec(random_blocks(rng, args.r, args.p), tparams)
     if args.ladder is not None:
         ladder = sorted(set(_parse_index(args.ladder)))
     else:
@@ -425,7 +412,7 @@ def _cmd_bench(args) -> int:
         n = args.n
         ladder = sorted({min(n, max(1, n // 4)), n // 2, (3 * n) // 4, n})
     rows = run_bench(spec, ladder, args.repeats, args.guard)
-    _emit(args, bench_csv(rows))
+    _emit(args, render_csv(rows))
     return 0 if all(row["equal"] for row in rows) else 1
 
 
@@ -506,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_bench = add_subcommand(
-        "bench", help="CSV timing of direct enumeration vs memoized recurrence"
+        "bench", help="CSV timing of direct enumeration vs the recurrence fill"
     )
     add_flags(p_bench, BENCH_FLAGS)
     add_common(p_bench, with_format=False)

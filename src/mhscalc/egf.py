@@ -40,13 +40,14 @@ from random import Random
 from typing import Iterator, Sequence
 
 from .errors import DEFAULT_GUARD, check_guard
-from .kernel import format_rational
+from .kernel import common_denominator, format_rational
 from .multiseq import MultiSequenceTable, binomial_transform
 from .multiseq import iterated_delta  # noqa: F401  (perfbench's tracer wraps it here)
 from .nestedsums import (
     NestedSumSpec,
     RecurrenceEvaluator,
     c_direct,
+    random_blocks,
     random_rational,
     random_shift,
     random_table,
@@ -98,8 +99,8 @@ class TruncatedSeries:
                     f"exponent vector {exponents} exceeds degree bound {degree_bound}"
                 )
             fractions[exponents] = Fraction(coeff)
-        self._den = den = math.lcm(*(c.denominator for c in fractions.values()))
-        self._nums = {e: c.numerator * (den // c.denominator) for e, c in fractions.items() if c}
+        self._den, nums = common_denominator(fractions.values())
+        self._nums = {e: n for e, n in zip(fractions, nums) if n}
 
     @classmethod
     def _trusted(cls, nvars: int, degree_bound: int, den: int, nums: dict) -> "TruncatedSeries":
@@ -318,21 +319,17 @@ def subst_linear(f: TruncatedSeries, rows: Sequence[Sequence]) -> TruncatedSerie
     image shares the denominator d_f * prod_i q_i^D and the images add up
     as ints.
     """
-    rows = [tuple(Fraction(c) for c in row) for row in rows]
+    rows = [common_denominator(map(Fraction, row)) for row in rows]
     if len(rows) != f.nvars:
         raise ValueError(f"need {f.nvars} image rows, got {len(rows)}")
+    scales, rows = zip(*rows)
     if not rows[0] or any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("image rows must share a positive length")
     nvars_out = len(rows[0])
     bound = f.degree_bound
     units = [tuple(1 if j == pos else 0 for pos in range(nvars_out)) for j in range(nvars_out)]
-    scales = [math.lcm(*(c.denominator for c in row)) for row in rows]
     # form i over q_i; at bound 0 the forms' degree-1 terms are truncated away
-    forms = [
-        {unit: c.numerator * (q // c.denominator) for unit, c in zip(units, row) if c}
-        if bound else {}
-        for row, q in zip(rows, scales)
-    ]
+    forms = [{unit: c for unit, c in zip(units, row) if c} if bound else {} for row in rows]
     # cache form powers as integer numerators; exponents are small (<= bound)
     one = {(0,) * nvars_out: 1}
     power_cache: list[list[dict[Exponents, int]]] = [[one] for _ in forms]
@@ -380,11 +377,9 @@ def xi_apply(f: TruncatedSeries, x: Sequence) -> TruncatedSeries:
     literal mul_var/deriv composite on every degree the composite retains.
     The x_i enter as ints over q, the lcm of their denominators.
     """
-    xvec = [Fraction(c) for c in x]
-    if len(xvec) != f.nvars:
-        raise ValueError(f"need {f.nvars} parameters, got {len(xvec)}")
-    q = math.lcm(*(c.denominator for c in xvec))
-    xnums = [c.numerator * (q // c.denominator) for c in xvec]
+    q, xnums = common_denominator(map(Fraction, x))
+    if len(xnums) != f.nvars:
+        raise ValueError(f"need {f.nvars} parameters, got {len(xnums)}")
     nums: dict[Exponents, int] = {}
     for exponents, n in f._nums.items():
         degree = sum(exponents)
@@ -591,8 +586,7 @@ def verify_operator_suite(
         # nested-sum generating functions: inversion duality and depth reduction
         for p in SUITE_DEPTHS:
             spec = NestedSumSpec(
-                tuple(tuple(random_rational(rng) for _ in range(p)) for _ in range(r)),
-                tuple(random_shift(rng) for _ in range(p - 1)),
+                random_blocks(rng, r, p), tuple(random_shift(rng) for _ in range(p - 1))
             )
             slabel = f"{label} {spec.text()}"
             window = (D + 1,) * r

@@ -4,7 +4,8 @@ Every value this package returns is a `fractions.Fraction`, which already
 provides canonical reduced form (positive denominator, gcd one) and
 structural equality.  This module adds the two coefficient families the
 nested-sum machinery needs, each computed on integers and keeping no state
-between calls, and the canonical text form used in reports, which prints
+between calls, the integer form of a list of rationals over one common
+denominator, and the canonical text form used in reports, which prints
 values of any size.
 """
 
@@ -21,6 +22,7 @@ RationalLike = Union[Fraction, int]
 __all__ = [
     "multinomial",
     "gen_binomial",
+    "common_denominator",
     "format_rational",
     "parse_rational",
 ]
@@ -58,6 +60,16 @@ def gen_binomial(top: RationalLike, k: int) -> Fraction:
     top = Fraction(top)
     a, b = top.numerator, top.denominator
     return Fraction(math.prod(range(a, a - k * b, -b)), b**k * math.factorial(k))
+
+
+def common_denominator(values: Iterable[RationalLike]) -> tuple[int, list[int]]:
+    """(q, numerators): q the lcm of the denominators, value i = numerators[i] / q.
+
+    An int counts as denominator 1, and no input gives (1, []).
+    """
+    values = list(values)
+    q = math.lcm(*(value.denominator for value in values))
+    return q, [value.numerator * (q // value.denominator) for value in values]
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")

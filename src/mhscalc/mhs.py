@@ -111,7 +111,7 @@ def integer_numerators(mu: MultiIndex, n: int) -> bool:
     return mu.depth >= 3 and numerator_table_bits(mu, n) <= NUMERATOR_TABLE_MAX_BITS
 
 
-def mhs_value(mu: MultiIndex, n: int, chain_guard: int = DEFAULT_GUARD) -> Fraction:
+def mhs_value(mu: MultiIndex, n: int, guard: int = DEFAULT_GUARD) -> Fraction:
     """s_mu(n) by direct enumeration of weakly decreasing chains.
 
     Every chain starts at n, and with L = lcm(1..n+1) the rest of each
@@ -123,7 +123,7 @@ def mhs_value(mu: MultiIndex, n: int, chain_guard: int = DEFAULT_GUARD) -> Fract
     """
     if n < 0:
         raise ValueError(f"n must be a natural, got {n}")
-    chains = enumerate_chains(n, mu.depth, chain_guard)
+    chains = enumerate_chains(n, mu.depth, guard)
     if not integer_numerators(mu, n):
         total = Fraction(0)
         for chain in chains:
@@ -145,17 +145,15 @@ def mhs_value(mu: MultiIndex, n: int, chain_guard: int = DEFAULT_GUARD) -> Fract
     return Fraction(total, (n + 1) ** first * lcm ** (mu.weight - first))
 
 
-def mhs_table(
-    mu: MultiIndex, max_n: int, cell_guard: int = DEFAULT_GUARD
-) -> MultiSequenceTable:
+def mhs_table(mu: MultiIndex, max_n: int, guard: int = DEFAULT_GUARD) -> MultiSequenceTable:
     """s_mu(0..max_n) as a 1-D table, by nested prefix sums.
 
     One pass per part, innermost first, fills depth * (max_n+1) cells; a fill
-    of more than `cell_guard` cells raises GuardExceeded before it starts.
+    of more than `guard` cells raises GuardExceeded before it starts.
     """
     if max_n < 0:
         raise ValueError(f"n must be a natural, got {max_n}")
-    check_guard("mhs table cell count", mu.depth * (max_n + 1), cell_guard)
+    check_guard("mhs table cell count", mu.depth * (max_n + 1), guard)
     *outer, last = mu.parts
     row = [Fraction(1, (m + 1) ** last) for m in range(max_n + 1)]
     for part in reversed(outer):

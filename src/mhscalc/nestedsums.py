@@ -49,7 +49,9 @@ from random import Random
 from typing import Iterator, Sequence
 
 from .errors import DEFAULT_GUARD, check_guard
-from .kernel import gen_binomial, multinomial, format_rational, parse_rational
+from .kernel import (
+    common_denominator, gen_binomial, multinomial, format_rational, parse_rational,
+)
 from .multiseq import MultiSequenceTable, binomial_transform, iterated_delta
 from .report import VerificationReport, sweep_report
 
@@ -137,9 +139,7 @@ class NestedSumSpec:
         return f"x={xtext} t={ttext}" if ttext else f"x={xtext}"
 
 
-def enumerate_chains(
-    n: int, p: int, chain_guard: int | None = None
-) -> Iterator[Index]:
+def enumerate_chains(n: int, p: int, guard: int | None = None) -> Iterator[Index]:
     """All chains n = m_1 >= ... >= m_p >= 0, lexicographically descending.
 
     Exactly C(n+p-1, p-1) chains are produced.  The arguments and the guard
@@ -148,8 +148,8 @@ def enumerate_chains(
     """
     if n < 0 or p < 1:
         raise ValueError(f"need natural n and positive p, got ({n}, {p})")
-    if chain_guard is not None:
-        check_guard("chain count", chain_count(n, p), chain_guard)
+    if guard is not None:
+        check_guard("chain count", chain_count(n, p), guard)
     # weakly decreasing tails are multisets drawn from n, n-1, ..., 0; the
     # pool is a tuple of n + 1 entries, so depth 1 (empty tails) takes none
     pool = range(n, -1, -1) if p > 1 else ()
@@ -161,13 +161,18 @@ def chain_count(n: int, p: int) -> int:
     return math.comb(n + p - 1, p - 1)
 
 
+def _chain_steps(chain: Index) -> Index:
+    """The steps v_j = m_j - m_{j+1} of a chain, and v_p = m_p."""
+    return tuple(m - below for m, below in zip(chain, chain[1:])) + chain[-1:]
+
+
 def direct_summand_count(spec: NestedSumSpec, n: Sequence[int]) -> int:
     """Chain tuples the defining sum runs over at index n."""
     return math.prod(chain_count(ni, spec.p) for ni in n)
 
 
 def recurrence_cell_count(spec: NestedSumSpec, n: Sequence[int]) -> int:
-    """Memo cells a recurrence fill up to corner n writes: p * prod(n_i + 1)."""
+    """Cells a recurrence fill up to corner n computes: p * prod(n_i + 1)."""
     return spec.p * math.prod(ni + 1 for ni in n)
 
 
@@ -219,7 +224,7 @@ def _block_chain_data(
     powers = [{v: x**v for v in exponents} for x in block]
     data = []
     for chain in enumerate_chains(n, p):
-        nu = tuple(chain[j] - chain[j + 1] for j in range(p - 1)) + (chain[-1],)
+        nu = _chain_steps(chain)
         weight = Fraction(multinomial(n, nu))
         for j in range(p):
             weight *= powers[j][nu[j]]
@@ -230,7 +235,7 @@ def _block_chain_data(
 def c_direct(
     spec: NestedSumSpec,
     n: Sequence[int],
-    summand_guard: int = DEFAULT_GUARD,
+    guard: int = DEFAULT_GUARD,
 ) -> Fraction:
     """Evaluate the defining sum by chain enumeration.
 
@@ -240,7 +245,7 @@ def c_direct(
     of exact rational operations differs.
     """
     n = _check_index(spec, n)
-    _check_summands(spec, n, summand_guard)
+    _check_summands(spec, n, guard)
     p = spec.p
 
     # key: per-column (sum of m_ij, sum of v_ij) for j < p, accumulated over slots
@@ -304,12 +309,12 @@ class RecurrenceEvaluator:
     from scratch, the box below the componentwise maximum of the old corner
     and the new index.  Every fill, a refill included, raises GuardExceeded
     before it starts when its own cell count (`recurrence_cell_count` of
-    its corner) exceeds `cell_guard`.
+    its corner) exceeds `guard`.
     """
 
-    def __init__(self, spec: NestedSumSpec, cell_guard: int = DEFAULT_GUARD):
+    def __init__(self, spec: NestedSumSpec, guard: int = DEFAULT_GUARD):
         self.spec = spec
-        self.cell_guard = cell_guard
+        self.guard = guard
         self._corner: Index | None = None
         self._strides: Index = ()
         self._numerators: list[int] = []
@@ -340,7 +345,7 @@ class RecurrenceEvaluator:
         return Fraction(self._numerators[flat], self._denominators[sum(m)])
 
     def _fill(self, corner: Index) -> None:
-        _check_cells(self.spec, corner, self.cell_guard)
+        _check_cells(self.spec, corner, self.guard)
         spec = self.spec
         last = spec.p - 1
         top = sum(corner)
@@ -350,20 +355,16 @@ class RecurrenceEvaluator:
         points = list(itertools.product(*(range(c + 1) for c in corner)))
         sums = list(map(sum, points))
         coords = [[m[k] for m in points] for k in range(spec.r)]
-
-        def scaled(level: int) -> tuple[int, list[int]]:
-            """d_l and the integers d_l * x_{k,l} per slot."""
-            column = [block[level] for block in spec.xblocks]
-            d = math.lcm(*(x.denominator for x in column))
-            return d, [(d * x).numerator for x in column]
+        # per level l: d_l and the integers d_l * x_{k,l} per slot
+        columns = [common_denominator(column) for column in zip(*spec.xblocks)]
 
         # level L: N(L, m) = prod_k (d_L x_{k,L})^{m_k}
-        d, ys = scaled(last)
+        d, ys = columns[last]
         powers = [[y**j for j in range(c + 1)] for y, c in zip(ys, corner)]
         numerators = [math.prod(values) for values in itertools.product(*powers)]
         ratio = [d] * (top + 1)  # R_{l+1}(s), here R_L(s)
         for level in range(last - 1, -1, -1):
-            d, ys = scaled(level)
+            d, ys = columns[level]
             a, b = spec.tparams[level].numerator, spec.tparams[level].denominator
             head = [b * rs for rs in ratio]  # b_l R_{l+1}(s)
             tail = [b]  # G_l(s)
@@ -396,16 +397,16 @@ class RecurrenceEvaluator:
 def c_recursive(
     spec: NestedSumSpec,
     n: Sequence[int],
-    cell_guard: int = DEFAULT_GUARD,
+    guard: int = DEFAULT_GUARD,
 ) -> Fraction:
     """One-shot recurrence evaluation; reuse a RecurrenceEvaluator for sweeps."""
-    return RecurrenceEvaluator(spec, cell_guard).value(n)
+    return RecurrenceEvaluator(spec, guard).value(n)
 
 
 def kt_value(
     x: Sequence[Fraction | int],
     n: int,
-    chain_guard: int = DEFAULT_GUARD,
+    guard: int = DEFAULT_GUARD,
 ) -> Fraction:
     """Single-slot parametric sum with harmonic denominators.
 
@@ -422,7 +423,7 @@ def kt_value(
     if n < 0:
         raise ValueError(f"n must be a natural, got {n}")
     total = Fraction(0)
-    for chain in enumerate_chains(n, p, chain_guard):
+    for chain in enumerate_chains(n, p, guard):
         term = Fraction(1)
         for j in range(p - 1):
             term *= x[j] ** (chain[j] - chain[j + 1])
@@ -439,7 +440,7 @@ def two_index_value(
     y: Sequence[Fraction | int],
     n: int,
     k: int,
-    chain_guard: int = DEFAULT_GUARD,
+    guard: int = DEFAULT_GUARD,
 ) -> Fraction:
     """Two-slot sum with the inverse-binomial coefficient normalization.
 
@@ -456,16 +457,16 @@ def two_index_value(
     p = len(x)
     if n < 0 or k < 0:
         raise ValueError(f"indices must be naturals, got ({n}, {k})")
-    check_guard("chain-pair count", chain_count(n, p) * chain_count(k, p), chain_guard)
+    check_guard("chain-pair count", chain_count(n, p) * chain_count(k, p), guard)
     lead = Fraction(1, math.comb(n + k, n))
     total = Fraction(0)
     for m in enumerate_chains(n, p):
-        nu = tuple(m[j] - m[j + 1] for j in range(p - 1)) + (m[-1],)
+        nu = _chain_steps(m)
         xterm = Fraction(1)
         for j in range(p):
             xterm *= x[j] ** nu[j]
         for l in enumerate_chains(k, p):
-            kappa = tuple(l[j] - l[j + 1] for j in range(p - 1)) + (l[-1],)
+            kappa = _chain_steps(l)
             coeff = math.comb(m[-1] + l[-1], m[-1])
             for j in range(p - 1):
                 coeff *= math.comb(nu[j] + kappa[j], nu[j])
@@ -506,18 +507,18 @@ def _corner_and_fills(
     summands, so a fill over the box never trips where the corner passed;
     at depth 1, where every point has one summand, the fills bound the box.
     """
-    cell_guard = oracle.p * guard
+    fill_guard = oracle.p * guard
     _check_summands(oracle, corner, guard)
     for spec, box in fills:
-        _check_cells(spec, _corner(spec, box), cell_guard)
+        _check_cells(spec, _corner(spec, box), fill_guard)
     value = c_direct(oracle, corner, guard)
-    return value, [RecurrenceEvaluator(spec, cell_guard).table(box) for spec, box in fills]
+    return value, [RecurrenceEvaluator(spec, fill_guard).table(box) for spec, box in fills]
 
 
 def verify_duality(
     spec: NestedSumSpec,
     box: Sequence[int],
-    summand_guard: int = DEFAULT_GUARD,
+    guard: int = DEFAULT_GUARD,
 ) -> VerificationReport:
     """Check nabla c[x|t] = c[1-x|t] at every point of the box.
 
@@ -530,7 +531,7 @@ def verify_duality(
     """
     dual = spec.one_minus()
     corner_rhs, (fill, dual_fill) = _corner_and_fills(
-        dual, _corner(spec, box), [(spec, box), (dual, box)], summand_guard
+        dual, _corner(spec, box), [(spec, box), (dual, box)], guard
     )
     lhs = binomial_transform(fill).values
     rhs = dual_fill.values[:-1] + (corner_rhs,)
@@ -541,7 +542,7 @@ def verify_difference_formula(
     spec: NestedSumSpec,
     nbox: Sequence[int],
     kbox: Sequence[int],
-    summand_guard: int = DEFAULT_GUARD,
+    guard: int = DEFAULT_GUARD,
 ) -> VerificationReport:
     """Check that iterated differences of c are c at doubled parameters.
 
@@ -560,7 +561,7 @@ def verify_difference_formula(
     fillbox = tuple(n + k - 1 for n, k in zip(nbox, kbox))
     double = spec.doubled()
     corner_rhs, (fill, double_fill) = _corner_and_fills(
-        double, corner, [(spec, fillbox), (double, pairbox)], summand_guard
+        double, corner, [(spec, fillbox), (double, pairbox)], guard
     )
     return sweep_report(
         "difference-formula",
@@ -577,7 +578,7 @@ def verify_shift_identity(
     subset: Sequence[int],
     constant: Fraction | int,
     box: Sequence[int],
-    summand_guard: int = DEFAULT_GUARD,
+    guard: int = DEFAULT_GUARD,
 ) -> VerificationReport:
     """Check sum_{i in subset} c(n+e_i) = constant * c(n) on the box.
 
@@ -607,7 +608,7 @@ def verify_shift_identity(
                 f"{format_rational(column)}, expected {format_rational(constant)}"
             )
     fillbox = tuple(extent + 1 for extent in box)
-    corner_value, (fill,) = _corner_and_fills(spec, corner, [(spec, fillbox)], summand_guard)
+    corner_value, (fill,) = _corner_and_fills(spec, corner, [(spec, fillbox)], guard)
     points = _points(box)
     return sweep_report(
         "shift",
@@ -625,7 +626,7 @@ def verify_shift_identity(
 def verify_recurrence(
     spec: NestedSumSpec,
     box: Sequence[int],
-    summand_guard: int = DEFAULT_GUARD,
+    guard: int = DEFAULT_GUARD,
 ) -> VerificationReport:
     """Check the recurrence against c_direct at every point of the box.
 
@@ -633,9 +634,9 @@ def verify_recurrence(
     `c_direct` per point.  Guards as in `_corner_and_fills`.
     """
     corner = _corner(spec, box)
-    corner_value, (fill,) = _corner_and_fills(spec, corner, [(spec, box)], summand_guard)
+    corner_value, (fill,) = _corner_and_fills(spec, corner, [(spec, box)], guard)
     points = _points(box)
-    rhs = [c_direct(spec, n, summand_guard) for n in points[:-1]] + [corner_value]
+    rhs = [c_direct(spec, n, guard) for n in points[:-1]] + [corner_value]
     return sweep_report("recurrence", RECURRENCE_STATEMENT, spec.text(), points, fill.values, rhs)
 
 
@@ -664,10 +665,15 @@ def random_shift(rng: Random) -> Fraction:
             return t
 
 
+def random_blocks(rng: Random, r: int, p: int) -> tuple[tuple[Fraction, ...], ...]:
+    """r parameter blocks of p random rationals, drawn block by block."""
+    return tuple(tuple(random_rational(rng) for _ in range(p)) for _ in range(r))
+
+
 def random_spec(rng: Random, max_r: int, max_p: int) -> NestedSumSpec:
     r = rng.randint(1, max_r)
     p = rng.randint(1, max_p)
-    xblocks = tuple(tuple(random_rational(rng) for _ in range(p)) for _ in range(r))
+    xblocks = random_blocks(rng, r, p)
     tparams = tuple(random_shift(rng) for _ in range(p - 1))
     return NestedSumSpec(xblocks, tparams)
 
@@ -689,9 +695,7 @@ def random_shift_configuration(
     q = rng.randint(2, r)
     subset = tuple(sorted(rng.sample(range(1, r + 1), q)))
     constant = random_rational(rng)
-    blocks: list[tuple[Fraction, ...]] = [
-        tuple(random_rational(rng) for _ in range(p)) for _ in range(r)
-    ]
+    blocks = list(random_blocks(rng, r, p))
     last = subset[-1]
     solved = tuple(
         constant - sum(blocks[i - 1][j] for i in subset[:-1])

@@ -3,7 +3,9 @@
 Every verifier emits one `Comparison` per checked point; a report is a named
 bundle of comparisons with text/JSON/CSV renderings.  All orderings are
 deterministic (index order within a sweep, insertion order across sweeps), so
-a report's bytes depend only on its inputs.
+a report's bytes depend only on its inputs.  `render_csv` is the package's
+one CSV writer: a report's rows are its comparisons' `to_dict`, and the
+CLI's value and `bench` outputs use it too.
 """
 
 from __future__ import annotations
@@ -13,9 +15,18 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .kernel import format_rational
+
+
+def render_csv(rows: Sequence[dict], fields: Sequence[str] | None = None) -> str:
+    """A header line, then one line per row: `fields`, else the first row's keys."""
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=fields or list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 @dataclass(frozen=True)
@@ -79,21 +90,12 @@ class VerificationReport:
         )
 
     def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["identity", "spec", "index", "lhs", "rhs", "equal"])
-        for comp in self.comparisons:
-            writer.writerow(
-                [
-                    comp.identity,
-                    comp.spec,
-                    " ".join(str(i) for i in comp.index),
-                    format_rational(comp.lhs),
-                    format_rational(comp.rhs),
-                    comp.equal,
-                ]
-            )
-        return buffer.getvalue()
+        """One row per comparison; the index prints as space-separated entries."""
+        rows = [
+            dict(comp.to_dict(), index=" ".join(map(str, comp.index)))
+            for comp in self.comparisons
+        ]
+        return render_csv(rows, ("identity", "spec", "index", "lhs", "rhs", "equal"))
 
     def to_text(self) -> str:
         lines = [f"identity: {self.identity}", f"statement: {self.statement}"]

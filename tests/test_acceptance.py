@@ -11,7 +11,7 @@ import time
 from fractions import Fraction as F
 from random import Random
 
-from mhscalc.cli import bench_csv, run_bench
+from mhscalc.cli import run_bench
 from mhscalc.egf import verify_operator_suite
 from mhscalc.mhs import (
     MultiIndex,
@@ -36,6 +36,7 @@ from mhscalc.nestedsums import (
     verify_duality,
     verify_shift_identity,
 )
+from mhscalc.report import render_csv
 from pointwise import delta, tabulate, zero_extension
 
 
@@ -256,7 +257,7 @@ def test_criterion_9_recurrence_speedup():
             (F(1), F(1)),
         )
         rows = run_bench(spec, [10, 20, 30, 40], repeats=3)
-        csv_text = bench_csv(rows)
+        csv_text = render_csv(rows)
         assert csv_text.startswith("r,p,n,")
         final = rows[-1]
         assert final["n"] == 40

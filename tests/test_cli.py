@@ -1,15 +1,20 @@
 import hashlib
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import re
 import stat
 import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
+import mhscalc
 from mhscalc import cli, egf, mhs, nestedsums
 from mhscalc.cli import build_parser, main
 from mhscalc.mhs import MultiIndex
@@ -209,6 +214,26 @@ def test_mhs_chain_guard_exit_code_at_large_n(capsys, argv, chains):
     code, out, err = run(capsys, *argv, "--guard", "100")
     assert code == 3 and out == ""
     assert err == f"error: chain count: {chains} exceeds guard 100\n"
+
+
+def test_every_library_work_limit_is_called_guard():
+    """`--guard` reaches the library under one keyword, `guard`, in every module."""
+    guarded = []
+    for module_info in pkgutil.iter_modules(mhscalc.__path__):
+        module = importlib.import_module(f"mhscalc.{module_info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            callables = [obj]
+            if isinstance(obj, type):
+                callables += [getattr(obj, attr) for attr in vars(obj) if not attr.startswith("_")]
+            for fn in filter(callable, callables):
+                parameters = inspect.signature(fn).parameters
+                stray = [p for p in parameters if p.endswith("_guard")]
+                assert not stray, f"{module.__name__}.{name}"
+                if "guard" in parameters:
+                    guarded.append(name)
+    assert {"c_direct", "RecurrenceEvaluator", "mhs_value", "verify_operator_suite"} <= set(guarded)
 
 
 def test_mhs_duality_table_guard_exit_code(capsys):
@@ -753,6 +778,26 @@ def _stub_bench(monkeypatch):
 
     monkeypatch.setattr(cli, "run_bench", stub)
     return calls
+
+
+def test_bench_draws_its_seeded_spec_block_by_block(capsys, monkeypatch):
+    specs = []
+
+    def stub(spec, ladder, repeats, guard):
+        specs.append(spec)
+        return [{"n": n, "equal": True} for n in ladder]
+
+    monkeypatch.setattr(cli, "run_bench", stub)
+    code, _, err = run(capsys, "bench", "--r=2", "--p=3", "--seed=5")
+    assert (code, err) == (0, "")
+    rng = Random(5)
+    blocks = []
+    for _ in range(2):
+        block = []
+        for _ in range(3):
+            block.append(F(rng.randint(-9, 9), rng.randint(1, 9)))
+        blocks.append(tuple(block))
+    assert specs == [nestedsums.NestedSumSpec(tuple(blocks), (1, 1))]
 
 
 @pytest.mark.parametrize("flag", BENCH_VALUES)

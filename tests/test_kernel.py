@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mhscalc.kernel import (
+    common_denominator,
     format_rational,
     gen_binomial,
     multinomial,
@@ -35,6 +36,18 @@ def test_multinomial_rejects_bad_parts():
 def test_multinomial_two_parts_is_binomial(n, k):
     if k <= n:
         assert multinomial(n, [k, n - k]) == math.comb(n, k)
+
+
+@given(st.lists(st.one_of(rationals, st.integers(-20, 20))))
+def test_common_denominator_is_the_lcm_of_the_denominators(values):
+    q, numerators = common_denominator(values)
+    assert q == math.lcm(*(F(v).denominator for v in values))
+    assert [F(n, q) for n in numerators] == values
+    assert all(isinstance(n, int) for n in numerators)
+
+
+def test_common_denominator_of_nothing():
+    assert common_denominator([]) == (1, [])
 
 
 def test_gen_binomial_values():

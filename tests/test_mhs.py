@@ -159,9 +159,9 @@ def test_mhs_table_equals_chain_enumeration():
 
 
 def test_mhs_table_cell_guard():
-    assert mhs_table(MultiIndex((1, 2, 3)), 9, cell_guard=30).values[0] == 1
+    assert mhs_table(MultiIndex((1, 2, 3)), 9, guard=30).values[0] == 1
     with pytest.raises(GuardExceeded) as info:
-        mhs_table(MultiIndex((1, 2, 3)), 10, cell_guard=30)
+        mhs_table(MultiIndex((1, 2, 3)), 10, guard=30)
     assert (info.value.size, info.value.limit) == (33, 30)
 
 
@@ -205,7 +205,7 @@ def test_mhs_value_guard_trips_before_the_table():
     tracemalloc.start()
     try:
         with pytest.raises(GuardExceeded) as info:
-            mhs_value(MultiIndex((1, 1, 1)), 3000, chain_guard=100)
+            mhs_value(MultiIndex((1, 1, 1)), 3000, guard=100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

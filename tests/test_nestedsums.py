@@ -161,13 +161,13 @@ def test_enumerate_chains_matches_recursive_order():
 
 def test_enumerate_chains_guard():
     with pytest.raises(GuardExceeded):
-        list(enumerate_chains(100, 5, chain_guard=1000))
+        list(enumerate_chains(100, 5, guard=1000))
 
 
 def test_enumerate_chains_checks_at_the_call():
     # callers build their tables after the call, so no chain may be needed
     with pytest.raises(GuardExceeded):
-        enumerate_chains(100, 5, chain_guard=1000)
+        enumerate_chains(100, 5, guard=1000)
     with pytest.raises(ValueError):
         enumerate_chains(-1, 2)
 
@@ -207,7 +207,7 @@ def test_direct_guard_and_count():
     spec = NestedSumSpec(((F(1), F(2), F(3)),), (F(1), F(1)))
     assert direct_summand_count(spec, (40,)) == 861  # C(42, 2)
     with pytest.raises(GuardExceeded):
-        c_direct(spec, (40,), summand_guard=800)
+        c_direct(spec, (40,), guard=800)
 
 
 def test_direct_index_validation():
@@ -311,9 +311,9 @@ def test_recurrence_table_matches_direct():
 def test_recurrence_cell_guard():
     spec = NestedSumSpec.parse("1/2,1/3;1/5,2", "2")
     assert recurrence_cell_count(spec, (4, 4)) == 2 * 5 * 5
-    RecurrenceEvaluator(spec, cell_guard=50).table((5, 5))
+    RecurrenceEvaluator(spec, guard=50).table((5, 5))
     with pytest.raises(GuardExceeded):
-        RecurrenceEvaluator(spec, cell_guard=49).value((4, 4))
+        RecurrenceEvaluator(spec, guard=49).value((4, 4))
     with pytest.raises(GuardExceeded):
         c_recursive(spec, (400, 400), 1000)
 
@@ -330,7 +330,7 @@ def test_depth_one_direct_builds_only_the_power_it_reads():
     spec, n = NestedSumSpec.parse("2/3"), 4000
     tracemalloc.start()
     try:
-        value = c_direct(spec, (n,), summand_guard=1)
+        value = c_direct(spec, (n,), guard=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -355,7 +355,7 @@ def test_recurrence_guards_trip_before_any_evaluation(monkeypatch, xtext, ttext,
     monkeypatch.setattr(nestedsums, "c_direct", _refuse)
     monkeypatch.setattr(nestedsums, "_points", _refuse)
     with pytest.raises(GuardExceeded) as info:
-        verify_recurrence(NestedSumSpec.parse(xtext, ttext), (20001,), summand_guard=100)
+        verify_recurrence(NestedSumSpec.parse(xtext, ttext), (20001,), guard=100)
     assert (info.value.what, info.value.size) == (what, size)
 
 
@@ -462,7 +462,7 @@ def test_recurrence_fill_explicit_cases(xtext, ttext, corner):
 def test_recurrence_refill_outside_the_box():
     spec = NestedSumSpec.parse("1/2,1/3;-2/5,3", "-3/2")
     reference = reference_fill(spec, (3, 4))
-    evaluator = RecurrenceEvaluator(spec, cell_guard=2 * 4 * 5)
+    evaluator = RecurrenceEvaluator(spec, guard=2 * 4 * 5)
     earlier = {m: evaluator.value(m) for m in itertools.product(range(4), range(1))}
     assert evaluator.memo_entries == 2 * 4 * 1
     # (0, 4) is outside the 4x1 box: the refill covers the box below (3, 4)
@@ -475,7 +475,7 @@ def test_recurrence_refill_outside_the_box():
 
 def test_recurrence_refill_guard():
     spec = NestedSumSpec.parse("1/2,1/3;1/5,2", "2")
-    evaluator = RecurrenceEvaluator(spec, cell_guard=2 * 5 * 3)
+    evaluator = RecurrenceEvaluator(spec, guard=2 * 5 * 3)
     first = evaluator.value((4, 0))
     assert evaluator.value((0, 2)) == c_direct(spec, (0, 2))  # refill to (4, 2): 30 cells
     with pytest.raises(GuardExceeded) as info:
@@ -577,11 +577,11 @@ def test_duality_fails_on_a_corrupted_fill_value(monkeypatch):
 def test_duality_guard_trips_at_the_corner():
     spec = NestedSumSpec.parse("1/2,1/3", "2")
     with pytest.raises(GuardExceeded) as info:
-        verify_duality(spec, (200,), summand_guard=100)
+        verify_duality(spec, (200,), guard=100)
     assert info.value.what == "direct summand count" and info.value.size == 200
-    assert verify_duality(spec, (100,), summand_guard=100).ok
+    assert verify_duality(spec, (100,), guard=100).ok
     with pytest.raises(ValueError):
-        verify_duality(spec, (0,), summand_guard=0)
+        verify_duality(spec, (0,), guard=0)
 
 
 def test_difference_formula_zero_order_slice():
@@ -753,13 +753,13 @@ def test_difference_formula_guard_trips_at_the_corner_first(monkeypatch):
     spec = NestedSumSpec.parse("1/2,1/3", "2")
     # the doubled corner (9, 9) has 10 * 10 summands
     with pytest.raises(GuardExceeded) as info:
-        verify_difference_formula(spec, (10,), (10,), summand_guard=99)
+        verify_difference_formula(spec, (10,), (10,), guard=99)
     assert info.value.what == "direct summand count" and info.value.size == 100
-    assert verify_difference_formula(spec, (10,), (10,), summand_guard=100).ok
+    assert verify_difference_formula(spec, (10,), (10,), guard=100).ok
     # at depth 1 every point has one summand and the fills bound the box:
     # the doubled fill over (31, 31) has 961 cells
     with pytest.raises(GuardExceeded) as info:
-        verify_difference_formula(NestedSumSpec.parse("1/2"), (31,), (31,), summand_guard=100)
+        verify_difference_formula(NestedSumSpec.parse("1/2"), (31,), (31,), guard=100)
     assert info.value.what == "recurrence cell count" and info.value.size == 961
 
 
@@ -831,13 +831,13 @@ def test_shift_identity_guard_trips_at_the_corner_first():
     # the corner (9, 9) has 10 * 10 summands
     spec = NestedSumSpec(((F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))), (F(2),))
     with pytest.raises(GuardExceeded) as info:
-        verify_shift_identity(spec, (1, 2), 1, (10, 10), summand_guard=99)
+        verify_shift_identity(spec, (1, 2), 1, (10, 10), guard=99)
     assert info.value.what == "direct summand count" and info.value.size == 100
     # the fill over (11, 11) has 2 * 121 cells, over twice the guard
     with pytest.raises(GuardExceeded) as info:
-        verify_shift_identity(spec, (1, 2), 1, (10, 10), summand_guard=100)
+        verify_shift_identity(spec, (1, 2), 1, (10, 10), guard=100)
     assert info.value.what == "recurrence cell count" and info.value.size == 242
-    assert verify_shift_identity(spec, (1, 2), 1, (10, 10), summand_guard=121).ok
+    assert verify_shift_identity(spec, (1, 2), 1, (10, 10), guard=121).ok
 
 
 # x: zero, integers and proper fractions
