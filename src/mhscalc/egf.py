@@ -266,10 +266,11 @@ def from_sequence(table: MultiSequenceTable, degree_bound: int) -> TruncatedSeri
     """EGF window of a sequence: coefficient of X^n is a(n)/n!.
 
     The table must hold every |n| <= D, so each extent is at least D + 1.
+    Its numerators and denominator carry over as they are.
     """
     r = table.arity
-    values = {n: table[n] for n in exponent_vectors(r, degree_bound)}
-    return _egf_window(TruncatedSeries(r, degree_bound, values))
+    nums = {n: table.numerator(n) for n in exponent_vectors(r, degree_bound)}
+    return _egf_window(TruncatedSeries._trusted(r, degree_bound, table.denominator, nums))
 
 
 def F_from_sequence(table: MultiSequenceTable, degree_bound: int) -> TruncatedSeries:
@@ -278,20 +279,19 @@ def F_from_sequence(table: MultiSequenceTable, degree_bound: int) -> TruncatedSe
     Lives in 2r variables; its Y = 0 slice is f_a and its X = 0 slice is
     the EGF of nabla a.  The table must hold every |n| <= D, as in
     `from_sequence`.  One difference table of int numerators over the
-    window's denominator, filled in graded order of k with i the first axis
+    table's denominator, filled in graded order of k with i the first axis
     where k_i > 0, costs one subtraction per coefficient:
     delta^k a(n) = delta^{k-e_i} a(n) - delta^{k-e_i} a(n+e_i).
     """
     r = table.arity
-    a = TruncatedSeries(r, degree_bound, {n: table[n] for n in exponent_vectors(r, degree_bound)})
-    diffs = {n + (0,) * r: a._nums.get(n, 0) for n in exponent_vectors(r, degree_bound)}
+    diffs = {n + (0,) * r: table.numerator(n) for n in exponent_vectors(r, degree_bound)}
     for k in itertools.islice(exponent_vectors(r, degree_bound), 1, None):
         i = next(axis for axis, ki in enumerate(k) if ki)
         lower = k[:i] + (k[i] - 1,) + k[i + 1:]
         for n in exponent_vectors(r, degree_bound - sum(k)):
             raised = n[:i] + (n[i] + 1,) + n[i + 1:]
             diffs[n + k] = diffs[n + lower] - diffs[raised + lower]
-    return _egf_window(TruncatedSeries._trusted(2 * r, degree_bound, a._den, diffs))
+    return _egf_window(TruncatedSeries._trusted(2 * r, degree_bound, table.denominator, diffs))
 
 
 def exp_linear(coefficients: Sequence, degree_bound: int) -> TruncatedSeries:

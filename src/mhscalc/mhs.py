@@ -22,6 +22,10 @@ s_mu(0..N) at once by nested prefix sums, innermost part first:
 
     s_(mu_1..mu_p)(n) = (n+1)^{-mu_1} * sum_{m<=n} s_(mu_2..mu_p)(m).
 
+The prefix sums run on ints over L^weight, L = lcm(1..N+1): the innermost
+row is (L/(m+1))^mu_p over L^mu_p, and each outer part multiplies the
+prefix sums by (L/(m+1))^part, as `mhs_value` scales its chains.
+
 The duality is checked as the generalized one is: the `binomial_transform`
 of the table s_mu(0..N) against the table of s_{mu*}, with `mhs_value` of
 mu* at the corner n = N.
@@ -36,8 +40,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import DEFAULT_GUARD, check_guard
-from .multiseq import MultiSequenceTable, binomial_transform
-from .nestedsums import enumerate_chains
+from .multiseq import MultiSequenceTable, binomial_transform, check_subtractions
+from .nestedsums import check_chains, enumerate_chains
 from .report import VerificationReport, sweep_report
 
 
@@ -88,7 +92,7 @@ def multi_indices_of_weight(weight: int) -> Iterator[MultiIndex]:
             yield MultiIndex(tuple(b - a for a, b in zip(bounds, bounds[1:])))
 
 
-# The largest numerator table, in bits, that `mhs_value` builds: 32 MiB.
+# The largest numerator table, in bits, that `mhs_value` or `mhs_table` builds: 32 MiB.
 NUMERATOR_TABLE_MAX_BITS = 2**28
 
 
@@ -145,23 +149,41 @@ def mhs_value(mu: MultiIndex, n: int, guard: int = DEFAULT_GUARD) -> Fraction:
     return Fraction(total, (n + 1) ** first * lcm ** (mu.weight - first))
 
 
-def mhs_table(mu: MultiIndex, max_n: int, guard: int = DEFAULT_GUARD) -> MultiSequenceTable:
-    """s_mu(0..max_n) as a 1-D table, by nested prefix sums.
+def mhs_table_bits(mu: MultiIndex, n: int) -> int:
+    """A bound on the bits of the numerators `mhs_table` builds up to n.
 
-    One pass per part, innermost first, fills depth * (max_n+1) cells; a fill
-    of more than `guard` cells raises GuardExceeded before it starts.
+    Each of the n+1 numerators is L^weight s_mu(m), L = lcm(1..n+1), with
+    weight * log2 L < weight * 1.5 (n+1) bits as in `numerator_table_bits`,
+    and s_mu(m) <= (n+1)^(depth-1), since each of the
+    C(m+depth-1, depth-1) <= (m+1)^(depth-1) chains adds at most 1.
+    """
+    return (n + 1) * (3 * (n + 1) * mu.weight // 2 + (mu.depth - 1) * (n + 1).bit_length() + 2)
+
+
+def _check_table(mu: MultiIndex, max_n: int, guard: int) -> None:
+    """The guards of `mhs_table`: its cells against `guard`, its bits against the table cap."""
+    check_guard("mhs table cell count", mu.depth * (max_n + 1), guard)
+    check_guard("mhs table numerator bits", mhs_table_bits(mu, max_n), NUMERATOR_TABLE_MAX_BITS)
+
+
+def mhs_table(mu: MultiIndex, max_n: int, guard: int = DEFAULT_GUARD) -> MultiSequenceTable:
+    """s_mu(0..max_n) as a 1-D table, by nested prefix sums on ints.
+
+    One pass per part, innermost first, fills depth * (max_n+1) cells over
+    L^weight.  GuardExceeded is raised before the fill starts when it has
+    more than `guard` cells or `mhs_table_bits` exceeds
+    NUMERATOR_TABLE_MAX_BITS.
     """
     if max_n < 0:
         raise ValueError(f"n must be a natural, got {max_n}")
-    check_guard("mhs table cell count", mu.depth * (max_n + 1), guard)
+    _check_table(mu, max_n, guard)
+    lcm = math.lcm(*range(1, max_n + 2))
+    scaled = [lcm // (m + 1) for m in range(max_n + 1)]
     *outer, last = mu.parts
-    row = [Fraction(1, (m + 1) ** last) for m in range(max_n + 1)]
+    row = [q**last for q in scaled]
     for part in reversed(outer):
-        row = [
-            prefix / (m + 1) ** part
-            for m, prefix in enumerate(itertools.accumulate(row))
-        ]
-    return MultiSequenceTable((max_n + 1,), tuple(row))
+        row = [prefix * q**part for prefix, q in zip(itertools.accumulate(row), scaled)]
+    return MultiSequenceTable._trusted((max_n + 1,), tuple(row), lcm**mu.weight)
 
 
 def dual_index(mu: MultiIndex) -> MultiIndex:
@@ -221,9 +243,9 @@ def verify_mhs_duality(
     value of mu by a nonzero C(max_n, k), so a wrong value anywhere in the
     row fails there.
 
-    The corner's `mhs_value` runs first and checks its chain guard before
-    it tabulates anything, so the guard trips before any work on mu; both
-    tables are guarded at `guard` cells.
+    Every guard of mu is checked before any work on mu: the corner's
+    chains, then each table's cells and bits (`mhs_table`), then the
+    transform's subtractions (`check_subtractions`).
     """
     if mus is None:
         mus = [
@@ -233,8 +255,13 @@ def verify_mhs_duality(
         ]
     report = VerificationReport("mhs-duality", MHS_DUALITY_STATEMENT, [])
     points = [(n,) for n in range(max_n + 1)]
+    line = (max_n + 1,)
     for mu in mus:
         dual = dual_index(mu)
+        check_chains(max_n, dual.depth, guard)
+        _check_table(mu, max_n, guard)
+        _check_table(dual, max_n, guard)
+        check_subtractions(line, line, guard)
         corner_rhs = mhs_value(dual, max_n, guard)
         lhs = binomial_transform(mhs_table(mu, max_n, guard)).values
         rhs = mhs_table(dual, max_n, guard).values[:-1] + (corner_rhs,)

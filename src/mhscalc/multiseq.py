@@ -1,8 +1,9 @@
 """Finite-difference and inversion calculus on tables of multi-sequences N^r -> Q.
 
-A `MultiSequenceTable` holds exact values over one box prod [0, N_i).  It
-is the one input type of the calculus and the shape every identity sweep
-compares point by point.
+A `MultiSequenceTable` holds exact values over one box prod [0, N_i), as
+int numerators over one positive int denominator.  It is the one input
+type of the calculus and the shape every identity sweep compares point by
+point.
 
 Operators follow the classical calculus:
 
@@ -14,42 +15,76 @@ nabla is the multi-dimensional binomial transform and an involution.  Both
 box operators are one pass that runs the forward-difference triangle of
 every line, one axis at a time, with subtractions only: `iterated_delta`
 keeps the first rows (delta^k a(n) for every pair (n, k) the table
-determines), and `binomial_transform` is its n = 0 slice.
+determines), and `binomial_transform` is its n = 0 slice.  The pass is
+linear, so it runs on the numerators and the result keeps the input's
+denominator; `difference_subtractions` counts its work exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import check_guard
+from .kernel import common_denominator
 
-@dataclass(frozen=True)
+# A difference pass may run this many subtractions per unit of a work guard.
+# A unit is one summand or one fill cell, each dearer than one subtraction;
+# at 64, the transform of a line of L <= 129 cells, L(L-1)/2 <= 64 L
+# subtractions, passes wherever the line's cells pass.
+SUBTRACTIONS_PER_GUARD = 64
+
+
 class MultiSequenceTable:
     """Dense window of a multi-sequence over the box prod [0, N_i).
 
-    Values are stored row-major in lexicographic index order, which is also
-    the iteration order.
+    The value at offset i is numerators[i] / denominator, with offsets
+    row-major in lexicographic index order, which is also the iteration
+    order.  The denominator is positive but not necessarily in lowest
+    terms: `values` and `__getitem__` build a Fraction per value read, and
+    `==` cross-multiplies.  The constructor takes rationals and stores
+    them over the lcm of their denominators.
     """
 
-    shape: tuple[int, ...]
-    values: tuple[Fraction, ...]
+    __slots__ = ("shape", "numerators", "denominator")
+
+    def __init__(self, shape: Sequence[int], values: Sequence):
+        shape = tuple(shape)
+        if any(extent < 1 for extent in shape):
+            raise ValueError(f"extents must be >= 1, got {shape}")
+        if len(values) != math.prod(shape):
+            raise ValueError(
+                f"expected {math.prod(shape)} values for shape {shape}, got {len(values)}"
+            )
+        denominator, numerators = common_denominator(map(Fraction, values))
+        self.shape = shape
+        self.numerators = tuple(numerators)
+        self.denominator = denominator
+
+    @classmethod
+    def _trusted(
+        cls, shape: tuple[int, ...], numerators: tuple[int, ...], denominator: int
+    ) -> "MultiSequenceTable":
+        """Wrap int numerators over denominator > 0, one per cell of shape, unchecked."""
+        table = object.__new__(cls)
+        table.shape = shape
+        table.numerators = numerators
+        table.denominator = denominator
+        return table
 
     @property
     def arity(self) -> int:
         return len(self.shape)
 
-    def __post_init__(self):
-        if any(extent < 1 for extent in self.shape):
-            raise ValueError(f"extents must be >= 1, got {self.shape}")
-        if len(self.values) != math.prod(self.shape):
-            raise ValueError(
-                f"expected {math.prod(self.shape)} values for shape {self.shape}, "
-                f"got {len(self.values)}"
-            )
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """Every value as a Fraction, in row-major order."""
+        denominator = self.denominator
+        return tuple(Fraction(n, denominator) for n in self.numerators)
 
-    def __getitem__(self, index: Sequence[int]) -> Fraction:
+    def numerator(self, index: Sequence[int]) -> int:
+        """The numerator at `index`, over `denominator`."""
         index = tuple(index)
         if len(index) != self.arity:
             raise ValueError(
@@ -60,34 +95,50 @@ class MultiSequenceTable:
             if not 0 <= i < extent:
                 raise IndexError(f"index {index} outside box of shape {self.shape}")
             offset = offset * extent + i
-        return self.values[offset]
+        return self.numerators[offset]
+
+    def __getitem__(self, index: Sequence[int]) -> Fraction:
+        return Fraction(self.numerator(index), self.denominator)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MultiSequenceTable):
+            return NotImplemented
+        mine, theirs = other.denominator, self.denominator
+        return self.shape == other.shape and all(
+            a * mine == b * theirs for a, b in zip(self.numerators, other.numerators)
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"MultiSequenceTable({self.shape!r}, {self.values!r})"
 
 
-def _difference_rows(line: Sequence[Fraction], width: int) -> list[list[Fraction]]:
+def _difference_rows(line: Sequence[int], width: int) -> list[Sequence[int]]:
     """The forward-difference triangle of a finite line, rows cut to `width`.
 
     Each row is a_k - a_{k+1} of the row above; rows run while they have
     `width` entries, and row k holds (delta^k a)(n) for n < width.  At
     width 1 row k is [(nabla a)(k)], the one-axis nabla.  Only
-    subtractions, no binomial weights.
+    subtractions, no binomial weights, and no row below the last kept one.
     """
-    rows = []
-    while len(line) >= width:
-        rows.append(line[:width])
+    rows = [line[:width]]
+    while len(line) > width:
         line = [a - b for a, b in zip(line, line[1:])]
+        rows.append(line[:width])
     return rows
 
 
 def _difference_passes(
-    values: Sequence[Fraction], shape: tuple[int, ...], orders: tuple[int, ...]
-) -> list[Fraction]:
+    values: Sequence[int], shape: tuple[int, ...], orders: tuple[int, ...]
+) -> list[int]:
     """One forward-difference pass per axis, with subtractions only.
 
     Axis i of extent L_i becomes N_i = L_i - K_i + 1 entries at its
     position and K_i = orders[i] entries after the last axis, so the
     result lies over (N_1, ..., N_r, K_1, ..., K_r): each line of the axis
     turns into the first K_i rows of its difference triangle, cut to N_i
-    entries.  About |box| * sum(L_i) / 2 subtractions in all.
+    entries.  `difference_subtractions` counts the subtractions.
     """
     outer = 1
     for extent, count in zip(shape, orders):
@@ -108,6 +159,36 @@ def _difference_passes(
     return values
 
 
+def difference_subtractions(shape: Sequence[int], orders: Sequence[int]) -> int:
+    """The subtractions one difference pass over `shape` with `orders` runs.
+
+    Axis i turns each of its lines, of L_i entries, into rows of
+    L_i - 1, ..., N_i entries (N_i = L_i - K_i + 1); its lines number the
+    cells at that axis' pass over L_i, where every axis before it already
+    holds N_j * K_j entries.  A 1-D transform of length L runs L(L-1)/2.
+    """
+    total = 0
+    cells = math.prod(shape)
+    for extent, count in zip(shape, orders):
+        width = extent - count + 1
+        lines = cells // extent
+        total += lines * (extent * (extent - 1) - width * (width - 1)) // 2
+        cells = lines * width * count
+    return total
+
+
+def check_subtractions(shape: Sequence[int], orders: Sequence[int], guard: int) -> None:
+    """Raise GuardExceeded when a pass over `shape` with `orders` is too long.
+
+    The limit is SUBTRACTIONS_PER_GUARD * guard subtractions.
+    """
+    check_guard(
+        "difference-pass subtraction count",
+        difference_subtractions(shape, orders),
+        SUBTRACTIONS_PER_GUARD * guard,
+    )
+
+
 def binomial_transform(table: MultiSequenceTable) -> MultiSequenceTable:
     """nabla over the whole box of `table`: the n = 0 slice of `iterated_delta`.
 
@@ -117,8 +198,8 @@ def binomial_transform(table: MultiSequenceTable) -> MultiSequenceTable:
     |box| * sum(L_i) / 2 subtractions, against |box| * prod(L_i + 1) / 2^r
     weighted terms for nabla point by point.
     """
-    values = _difference_passes(table.values, table.shape, table.shape)
-    return MultiSequenceTable(table.shape, tuple(values))
+    numerators = _difference_passes(table.numerators, table.shape, table.shape)
+    return MultiSequenceTable._trusted(table.shape, tuple(numerators), table.denominator)
 
 
 def iterated_delta(table: MultiSequenceTable, orders: Sequence[int]) -> MultiSequenceTable:
@@ -136,5 +217,5 @@ def iterated_delta(table: MultiSequenceTable, orders: Sequence[int]) -> MultiSeq
     if any(not 1 <= k <= extent for k, extent in zip(orders, table.shape)):
         raise ValueError(f"orders {orders} must lie in 1..extent of shape {table.shape}")
     nbox = tuple(extent - k + 1 for extent, k in zip(table.shape, orders))
-    values = _difference_passes(table.values, table.shape, orders)
-    return MultiSequenceTable(nbox + orders, tuple(values))
+    numerators = _difference_passes(table.numerators, table.shape, orders)
+    return MultiSequenceTable._trusted(nbox + orders, tuple(numerators), table.denominator)

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -52,7 +53,9 @@ from .errors import DEFAULT_GUARD, check_guard
 from .kernel import (
     common_denominator, gen_binomial, multinomial, format_rational, parse_rational,
 )
-from .multiseq import MultiSequenceTable, binomial_transform, iterated_delta
+from .multiseq import (
+    MultiSequenceTable, binomial_transform, check_subtractions, iterated_delta,
+)
 from .report import VerificationReport, sweep_report
 
 Index = tuple[int, ...]
@@ -149,7 +152,7 @@ def enumerate_chains(n: int, p: int, guard: int | None = None) -> Iterator[Index
     if n < 0 or p < 1:
         raise ValueError(f"need natural n and positive p, got ({n}, {p})")
     if guard is not None:
-        check_guard("chain count", chain_count(n, p), guard)
+        check_chains(n, p, guard)
     # weakly decreasing tails are multisets drawn from n, n-1, ..., 0; the
     # pool is a tuple of n + 1 entries, so depth 1 (empty tails) takes none
     pool = range(n, -1, -1) if p > 1 else ()
@@ -159,6 +162,11 @@ def enumerate_chains(n: int, p: int, guard: int | None = None) -> Iterator[Index
 
 def chain_count(n: int, p: int) -> int:
     return math.comb(n + p - 1, p - 1)
+
+
+def check_chains(n: int, p: int, guard: int) -> None:
+    """Raise GuardExceeded when the chains from n of depth p number over `guard`."""
+    check_guard("chain count", chain_count(n, p), guard)
 
 
 def _chain_steps(chain: Index) -> Index:
@@ -302,8 +310,10 @@ class RecurrenceEvaluator:
     R_L(s) = d_L, and G_l(s) = b_l d_l^s P_l(s-1), all tabulated per s, so
     no gcd runs inside the loop.  Each level is one flat list in
     lexicographic order and only two are alive at a time.  The level-0
-    numerators of the box are kept; reading a value costs one Fraction
-    (one gcd), N(0, m) / E_0(|m|).
+    numerators of the box are kept.  `value` reads one Fraction (one gcd),
+    N(0, m) / E_0(|m|); `table` builds none: it scales every numerator to
+    E_0(top), top the largest |m| of its box, since E_0(s) divides
+    E_0(s + 1), and moves the sign into the numerators when E_0(top) < 0.
 
     A fill covers the box below its corner.  A `value` outside it refills,
     from scratch, the box below the componentwise maximum of the old corner
@@ -332,17 +342,26 @@ class RecurrenceEvaluator:
             self._fill(n)
         elif any(ni > ci for ni, ci in zip(n, corner)):
             self._fill(tuple(map(max, n, corner)))
-        return self._read(n)
+        flat = sum(map(operator.mul, n, self._strides))
+        return Fraction(self._numerators[flat], self._denominators[sum(n)])
 
     def table(self, extents: Sequence[int]) -> MultiSequenceTable:
-        """c over the box prod [0, extents_i), read from one fill up to its corner."""
-        self.value(_corner(self.spec, extents))
-        values = tuple(map(self._read, _points(extents)))
-        return MultiSequenceTable(tuple(extents), values)
+        """c over the box prod [0, extents_i), from one fill up to its corner.
 
-    def _read(self, m: Index) -> Fraction:
-        flat = sum(mi * stride for mi, stride in zip(m, self._strides))
-        return Fraction(self._numerators[flat], self._denominators[sum(m)])
+        The numerators are N(0, m) E_0(top) / E_0(|m|) over |E_0(top)|.
+        """
+        corner = _corner(self.spec, extents)
+        self.value(corner)
+        top = sum(corner)
+        denominator = self._denominators[top]
+        sign = -1 if denominator < 0 else 1
+        scales = [sign * denominator // e for e in self._denominators[:top + 1]]
+        numerators, strides = self._numerators, self._strides
+        scaled = tuple(
+            numerators[sum(map(operator.mul, m, strides))] * scales[sum(m)]
+            for m in _points(extents)
+        )
+        return MultiSequenceTable._trusted(tuple(extents), scaled, sign * denominator)
 
     def _fill(self, corner: Index) -> None:
         _check_cells(self.spec, corner, self.guard)
@@ -497,20 +516,25 @@ def _corner_and_fills(
     corner: Index,
     fills: Sequence[tuple[NestedSumSpec, Sequence[int]]],
     guard: int,
+    orders: Sequence[int] | None = None,
 ) -> tuple[Fraction, list[MultiSequenceTable]]:
     """c_direct of `oracle` at `corner`, and one recurrence fill per (spec, box).
 
     Every guard is checked by arithmetic before anything is evaluated: the
     corner's summands (the most of any point of a verifier's box), then
-    each fill's cells at p * guard.  Then the corner's `c_direct` runs,
-    then the fills.  At depth p >= 2 the corner has at least prod(box)
-    summands, so a fill over the box never trips where the corner passed;
-    at depth 1, where every point has one summand, the fills bound the box.
+    each fill's cells at p * guard, then, where the caller runs a
+    difference pass with `orders` over the first fill, its subtractions
+    (`check_subtractions`).  Then the corner's `c_direct` runs, then the
+    fills.  At depth p >= 2 the corner has at least prod(box) summands, so
+    a fill over the box never trips where the corner passed; at depth 1,
+    where every point has one summand, the fills bound the box.
     """
     fill_guard = oracle.p * guard
     _check_summands(oracle, corner, guard)
     for spec, box in fills:
         _check_cells(spec, _corner(spec, box), fill_guard)
+    if orders is not None:
+        check_subtractions(fills[0][1], orders, guard)
     value = c_direct(oracle, corner, guard)
     return value, [RecurrenceEvaluator(spec, fill_guard).table(box) for spec, box in fills]
 
@@ -531,7 +555,7 @@ def verify_duality(
     """
     dual = spec.one_minus()
     corner_rhs, (fill, dual_fill) = _corner_and_fills(
-        dual, _corner(spec, box), [(spec, box), (dual, box)], guard
+        dual, _corner(spec, box), [(spec, box), (dual, box)], guard, box
     )
     lhs = binomial_transform(fill).values
     rhs = dual_fill.values[:-1] + (corner_rhs,)
@@ -561,7 +585,7 @@ def verify_difference_formula(
     fillbox = tuple(n + k - 1 for n, k in zip(nbox, kbox))
     double = spec.doubled()
     corner_rhs, (fill, double_fill) = _corner_and_fills(
-        double, corner, [(spec, fillbox), (double, pairbox)], guard
+        double, corner, [(spec, fillbox), (double, pairbox)], guard, kbox
     )
     return sweep_report(
         "difference-formula",

@@ -21,11 +21,18 @@ from .kernel import format_rational
 
 
 def render_csv(rows: Sequence[dict], fields: Sequence[str] | None = None) -> str:
-    """A header line, then one line per row: `fields`, else the first row's keys."""
+    """A header line, then one line per row: `fields`, else the first row's keys.
+
+    A list field prints as its entries separated by spaces, e.g. `0 1 1 0`.
+    """
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=fields or list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    writer.writerows(rows)
+    writer.writerows(
+        {key: " ".join(map(str, value)) if isinstance(value, list) else value
+         for key, value in row.items()}
+        for row in rows
+    )
     return buffer.getvalue()
 
 
@@ -91,10 +98,7 @@ class VerificationReport:
 
     def to_csv(self) -> str:
         """One row per comparison; the index prints as space-separated entries."""
-        rows = [
-            dict(comp.to_dict(), index=" ".join(map(str, comp.index)))
-            for comp in self.comparisons
-        ]
+        rows = [comp.to_dict() for comp in self.comparisons]
         return render_csv(rows, ("identity", "spec", "index", "lhs", "rhs", "equal"))
 
     def to_text(self) -> str:

@@ -8,6 +8,7 @@ import re
 import stat
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction as F
 from random import Random
@@ -109,6 +110,24 @@ def test_verify_difference_formula_explicit(capsys):
     lines = out.splitlines()
     assert lines[0] == "identity,spec,index,lhs,rhs,equal"
     assert len(lines) == 5  # 2 n-values x 2 k-values
+
+
+@pytest.mark.parametrize(
+    "argv, csv_text, field, entries",
+    [
+        (("c", "--x=1/2;1/3", "--n=2,1"),
+         "command,spec,n,method,value\nc,x=1/2;1/3,2 1,direct,1/12\n", "n", [2, 1]),
+        (("embed", "--mu=(2,1)"),
+         'command,mu,type1,type2\nembed,"(2,1)",0 1 1 0,0 1 0 1\n', "type1", [0, 1, 1, 0]),
+    ],
+)
+def test_value_csv_writes_lists_as_report_csv_writes_an_index(
+    capsys, argv, csv_text, field, entries
+):
+    assert run(capsys, *argv, "--format=csv") == (0, csv_text, "")
+    # the JSON form keeps its lists
+    code, out, _ = run(capsys, *argv, "--format=json")
+    assert code == 0 and json.loads(out)[field] == entries
 
 
 def test_verify_egf_suite(capsys):
@@ -245,6 +264,35 @@ def test_mhs_duality_table_guard_exit_code(capsys):
     )
     assert code == 3 and out == ""
     assert err == "error: mhs table cell count: 93 exceeds guard 10\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--identity=c-duality", "--x=1/2", "--box=200"),
+        ("--identity=difference-formula", "--x=1/2", "--box=1", "--kmax=199"),
+        ("--identity=mhs-duality", "--mu=(1)", "--nmax=199"),
+    ],
+)
+def test_difference_pass_guard_exit_code(capsys, argv):
+    # every other guard passes at 200: one chain or summand at the corner,
+    # fills and tables of 200 cells; the pass over a line of 200 runs
+    # 200 * 199 / 2 subtractions, over 64 per unit of guard
+    code, out, err = run(capsys, "verify", *argv, "--guard=200")
+    assert code == 3 and out == ""
+    assert err == "error: difference-pass subtraction count: 19900 exceeds guard 12800\n"
+    code, _, _ = run(capsys, "verify", *argv, "--guard=311")
+    assert code == 0
+
+
+def test_mhs_duality_guard_trips_at_once_at_large_n(capsys):
+    # mu = (1) up to 200000 passes the chain and cell guards; its table's
+    # numerator bits and its transform's subtractions are over their limits
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--identity=mhs-duality", "--mu=(1)", "--nmax=200000")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == "error: mhs table numerator bits: 60000900003 exceeds guard 268435456\n"
 
 
 def test_box_without_x_exit_code(capsys):
@@ -607,7 +655,7 @@ PINNED_OUTPUTS = [
     (("embed", "--mu=(1,2,3)", "--format=json"),
      "d64a6dee857105033a63246ae938a6537347222cfc7d7dca3ed4bcf9413c3d2a"),
     (("embed", "--mu=(1,2,3)", "--format=csv"),
-     "909dca011d6a34ceba7402e3bec9b010d2624e7c1988368c561fabc6ba2c3118"),
+     "ec4f82066f73833a3308bd5508be7a45f1fdd3976f810ba13bfaaa5a0d246bc1"),
     (("embed", "--mu=(2,1)", "--kind=1"),
      "04cf2435642a2093ae2fa183ed09a50f4d0d5fc083c48169ab27c54f1cf66e99"),
     (("embed", "--mu=(2,1)", "--kind=2", "--format=text"),
@@ -615,7 +663,7 @@ PINNED_OUTPUTS = [
     (("embed", "--mu=(2,1)", "--kind=2", "--format=json"),
      "5c98d69116330fe973188c3956817ab7444b3c21c3ec6804ee9c6b965534a679"),
     (("embed", "--mu=(2,1)", "--kind=2", "--format=csv"),
-     "a329ee0203313927d40afc569884f922299ebd9488f77830f128650d1abe76af"),
+     "c7b28b035c8d893d2c248d07f80613a178a03abec00b8d622d38f5e77d36afbb"),
     (("c", *C_FLAGS),
      "1e351ab612a09d88398722fc85cdfd439062dbe8306c87db030aba2ce5fcf18c"),
     (("c", *C_FLAGS, "--method=recursive", "--format=json"),
@@ -625,7 +673,7 @@ PINNED_OUTPUTS = [
     (("c", *C_FLAGS, "--method=both", "--format=json"),
      "d74341202e31d2894a53ee530ecf2fef91b55bb4e6a066a6b8e847d25553a0fb"),
     (("c", *C_FLAGS, "--method=both", "--format=csv"),
-     "8eb65982386b4dcd2d88fb2e52bc7800e1ecc7b5750af880dcb94d64ba596141"),
+     "f7629f39da31788cb013cc4fa3508580d1a50affb1666b14df682c14e332d9dc"),
     (("verify", "--identity=difference-formula", "--x=1/2,1/3;1/5,2", "--t=-3/2", "--box=3,2",
       "--kmax=1"),
      "1058fec9ba29d248b2de7c3655087972f6ef2f59c264352ac5d40c7fbd5ac6e1"),

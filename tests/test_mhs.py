@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction as F
 
@@ -153,9 +154,32 @@ def test_mhs_duality_corner_is_chain_enumeration(monkeypatch):
 def test_mhs_table_equals_chain_enumeration():
     for weight in range(1, 7):
         for mu in multi_indices_of_weight(weight):
-            table = mhs_table(mu, 8)
-            assert table.shape == (9,)
-            assert list(table.values) == [mhs_value(mu, n) for n in range(9)]
+            table = mhs_table(mu, 12)
+            assert table.shape == (13,)
+            assert list(table.values) == [mhs_value(mu, n) for n in range(13)]
+
+
+def test_mhs_table_bits_bound_the_numerators():
+    for mu in map(MultiIndex, [(1,), (3,), (1, 1, 1, 1), (2, 1, 3), (1, 5)]):
+        for n in (0, 1, 7, 40):
+            table = mhs_table(mu, n)
+            assert table.denominator == math.lcm(*range(1, n + 2)) ** mu.weight
+            bits = sum(numerator.bit_length() for numerator in table.numerators)
+            assert bits <= mhs.mhs_table_bits(mu, n)
+
+
+def test_mhs_table_bits_guard_trips_before_the_table():
+    # mu = (1) up to 200000: 200001 numerators of about 290,000 bits each
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded) as info:
+            mhs_table(MultiIndex((1,)), 200000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.what == "mhs table numerator bits"
+    assert (info.value.size, info.value.limit) == (60_000_900_003, mhs.NUMERATOR_TABLE_MAX_BITS)
+    assert peak < 100_000
 
 
 def test_mhs_table_cell_guard():

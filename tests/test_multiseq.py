@@ -6,7 +6,13 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from mhscalc.multiseq import MultiSequenceTable, binomial_transform, iterated_delta
+from mhscalc.multiseq import (
+    MultiSequenceTable,
+    _difference_passes,
+    binomial_transform,
+    difference_subtractions,
+    iterated_delta,
+)
 from mhscalc.nestedsums import random_table
 from pointwise import delta, iterated_delta as pointwise_delta, nabla, tabulate, zero_extension
 
@@ -85,8 +91,38 @@ def test_involution_on_random_tables():
         assert binomial_transform(binomial_transform(table)) == table
 
 
+def reference_rows(line, width):
+    """The Fraction difference triangle, as the table layer ran it on Fractions."""
+    rows = []
+    while len(line) >= width:
+        rows.append(line[:width])
+        line = [a - b for a, b in zip(line, line[1:])]
+    return rows
+
+
+def reference_passes(values, shape, orders):
+    """The Fraction difference pass: the reference for the pass on numerators."""
+    outer = 1
+    for extent, count in zip(shape, orders):
+        width = extent - count + 1
+        stride = len(values) // (outer * extent)
+        step = stride * count
+        out = [None] * (outer * width * step)
+        for block in range(outer):
+            for inner in range(stride):
+                start = block * extent * stride + inner
+                head = block * width * step + inner * count
+                line = values[start:start + extent * stride:stride]
+                for column in zip(*reference_rows(line, width)):
+                    out[head:head + count] = column
+                    head += step
+        values, outer = out, outer * width
+    return values
+
+
 @st.composite
 def tables(draw):
+    """Tables of mixed denominators, stored over their lcm times 1, 6 or 1,000,003."""
     arity = draw(st.integers(1, 3))
     shape = tuple(draw(st.lists(st.integers(1, 5), min_size=arity, max_size=arity)))
     values = draw(
@@ -96,7 +132,11 @@ def tables(draw):
             max_size=math.prod(shape),
         )
     )
-    return MultiSequenceTable(shape, tuple(values))
+    table = MultiSequenceTable(shape, tuple(values))
+    pad = draw(st.sampled_from((1, 6, 1_000_003)))
+    return MultiSequenceTable._trusted(
+        shape, tuple(n * pad for n in table.numerators), table.denominator * pad
+    )
 
 
 @given(tables())
@@ -123,6 +163,55 @@ def test_iterated_delta_matches_pointwise_alternating_sum(table, data):
     a = zero_extension(table)
     for idx in itertools.product(*map(range, diffs.shape)):
         assert diffs[idx] == pointwise_delta(a, idx[r:], idx[:r])
+
+
+@given(tables(), st.data())
+def test_passes_on_numerators_match_the_fraction_reference(table, data):
+    orders = tuple(data.draw(st.integers(1, extent)) for extent in table.shape)
+    reference = reference_passes(list(table.values), table.shape, table.shape)
+    transformed = binomial_transform(table)
+    assert transformed.denominator == table.denominator
+    assert transformed.values == tuple(reference)
+    reference = reference_passes(list(table.values), table.shape, orders)
+    diffs = iterated_delta(table, orders)
+    assert diffs.denominator == table.denominator
+    assert diffs.values == tuple(reference)
+
+
+class Counted:
+    """A value whose subtractions add to a shared tally."""
+
+    def __init__(self, tally):
+        self.tally = tally
+
+    def __sub__(self, other):
+        self.tally[0] += 1
+        return Counted(self.tally)
+
+
+@given(st.data())
+def test_difference_subtractions_counts_the_pass(data):
+    arity = data.draw(st.integers(1, 3))
+    shape = tuple(data.draw(st.integers(1, 7)) for _ in range(arity))
+    orders = tuple(data.draw(st.integers(1, extent)) for extent in shape)
+    tally = [0]
+    _difference_passes([Counted(tally) for _ in range(math.prod(shape))], shape, orders)
+    assert difference_subtractions(shape, orders) == tally[0]
+
+
+def test_difference_subtractions_of_a_line_transform():
+    assert difference_subtractions((200001,), (200001,)) == 200001 * 200000 // 2
+    assert difference_subtractions((5, 5), (1, 1)) == 0
+
+
+def test_equal_values_over_different_denominators_compare_equal():
+    table = MultiSequenceTable((2, 2), (F(1, 2), F(-1, 3), F(0), F(5)))
+    assert table.denominator == 6
+    padded = MultiSequenceTable._trusted((2, 2), (21, -14, 0, 210), 42)
+    assert padded == table and table == padded
+    assert padded.values == table.values and padded[(0, 1)] == F(-1, 3)
+    assert padded != MultiSequenceTable._trusted((2, 2), (21, -14, 0, 209), 42)
+    assert padded != MultiSequenceTable._trusted((4,), (21, -14, 0, 210), 42)
 
 
 def test_index_symmetry_of_nabla_differences():

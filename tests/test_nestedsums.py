@@ -473,6 +473,30 @@ def test_recurrence_refill_outside_the_box():
     assert evaluator.table((4, 5)).values == tuple(reference.values())
 
 
+@pytest.mark.parametrize(
+    "xtext, ttext",
+    [
+        ("2/3;-1/4", ""),  # p = 1: E_0(s) = d^s
+        ("1/2,1/3;-2/5,3", "-1/2"),  # E_0(0) = -1, and E_0(s) < 0 for every s
+        ("1/2,0,3;-2,1/7,1", "5/3,-7/2"),  # E_0 changes sign with s
+        ("1/3,2,-1/2,4", "-5/4,-1/2,-9/7"),  # three negative shift numerators
+    ],
+)
+def test_recurrence_table_equals_value_at_every_point(xtext, ttext):
+    spec = NestedSumSpec.parse(xtext, ttext)
+    box = (5,) * spec.r
+    evaluator = RecurrenceEvaluator(spec)
+    table = evaluator.table(box)
+    assert table.denominator > 0
+    for m in itertools.product(*map(range, box)):
+        assert table[m] == evaluator.value(m) == c_direct(spec, m)
+    # a table of a smaller box, read from the fill already made
+    small = tuple(range(3, 3 + spec.r))
+    assert evaluator.table(small).values == tuple(
+        evaluator.value(m) for m in itertools.product(*map(range, small))
+    )
+
+
 def test_recurrence_refill_guard():
     spec = NestedSumSpec.parse("1/2,1/3;1/5,2", "2")
     evaluator = RecurrenceEvaluator(spec, guard=2 * 5 * 3)
