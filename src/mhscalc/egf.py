@@ -597,20 +597,18 @@ def verify_operator_suite(
                     "nested-sum-duality", slabel, nabla_series(f_spec), from_sequence(dual, D)
                 )
             )
-            if p >= 2:
-                reduced_spec = spec.reduce_depth()
-                reduced = _egf_window(TruncatedSeries(r, D, {
-                    e: c_direct(reduced_spec, e, guard) for e in exponent_vectors(r, D)
-                }))
-                first_cols = tuple(block[0] for block in spec.xblocks)
-                stepped = xi_apply(f_spec, first_cols) + f_spec.scale(spec.tparams[0])
-                report.extend(
-                    _series_comparisons("depth-reduction-step", slabel, stepped, reduced)
-                )
             telescoped = f_spec
             for j in range(p - 1):
                 cols = tuple(block[j] for block in spec.xblocks)
                 telescoped = xi_apply(telescoped, cols) + telescoped.scale(spec.tparams[j])
+                if j == 0:
+                    reduced_spec = spec.reduce_depth()
+                    reduced = _egf_window(TruncatedSeries(r, D, {
+                        e: c_direct(reduced_spec, e, guard) for e in exponent_vectors(r, D)
+                    }))
+                    report.extend(
+                        _series_comparisons("depth-reduction-step", slabel, telescoped, reduced)
+                    )
             last_cols = tuple(block[p - 1] for block in spec.xblocks)
             report.extend(
                 _series_comparisons(

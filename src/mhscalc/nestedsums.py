@@ -219,13 +219,13 @@ def _points(box: Sequence[int]) -> list[Index]:
     return list(itertools.product(*(range(extent) for extent in box)))
 
 
-def _block_chain_data(
-    block: tuple[Fraction, ...], n: int
-) -> list[tuple[Index, Index, Fraction]]:
-    """Per chain of one slot: (m-vector, v-vector, multinomial * prod x^v).
+def _block_chain_data(block: tuple[Fraction, ...], n: int) -> list[tuple[Index, Fraction]]:
+    """Per chain of one slot: (columns, multinomial * prod x^v).
 
-    Only the powers x^v the chains read are built: every v in 0..n above
-    depth 1, but x^n alone at depth 1, whose one chain costs one summand.
+    The columns (m_1, v_1, ..., m_{p-1}, v_{p-1}) are the chain's share of
+    the denominator key of `c_direct`.  Only the powers x^v the chains read
+    are built: every v in 0..n above depth 1, but x^n alone at depth 1,
+    whose one chain costs one summand.
     """
     p = len(block)
     exponents = range(n + 1) if p > 1 else (n,)
@@ -236,7 +236,8 @@ def _block_chain_data(
         weight = Fraction(multinomial(n, nu))
         for j in range(p):
             weight *= powers[j][nu[j]]
-        data.append((chain, nu, weight))
+        columns = tuple(entry for pair in zip(chain, nu[:-1]) for entry in pair)
+        data.append((columns, weight))
     return data
 
 
@@ -263,12 +264,8 @@ def c_direct(
         chains = _block_chain_data(block, n[i])
         merged: dict[Index, Fraction] = {}
         for key, partial in groups.items():
-            for chain, nu, weight in chains:
-                new_key = tuple(
-                    key[2 * j + s] + (chain[j] if s == 0 else nu[j])
-                    for j in range(p - 1)
-                    for s in (0, 1)
-                )
+            for columns, weight in chains:
+                new_key = tuple(map(operator.add, key, columns))
                 contribution = partial * weight
                 if new_key in merged:
                     merged[new_key] += contribution
@@ -308,58 +305,62 @@ class RecurrenceEvaluator:
 
     with R_l(s) = E_l(s)/E_l(s-1) = d_l (b_l s + a_l) R_{l+1}(s),
     R_L(s) = d_L, and G_l(s) = b_l d_l^s P_l(s-1), all tabulated per s, so
-    no gcd runs inside the loop.  Each level is one flat list in
-    lexicographic order and only two are alive at a time.  The level-0
-    numerators of the box are kept.  `value` reads one Fraction (one gcd),
-    N(0, m) / E_0(|m|); `table` builds none: it scales every numerator to
-    E_0(top), top the largest |m| of its box, since E_0(s) divides
+    no gcd runs inside the loop.  Each level is one flat list in the
+    row-major order of `_points` and only two are alive at a time.  The
+    level-0 numerators of the box are kept.  `value` reads one Fraction (one
+    gcd), N(0, m) / E_0(|m|); `table` builds none: it scales every numerator
+    to E_0(top), top the largest |m| of its box, since E_0(s) divides
     E_0(s + 1), and moves the sign into the numerators when E_0(top) < 0.
 
-    A fill covers the box below its corner.  A `value` outside it refills,
-    from scratch, the box below the componentwise maximum of the old corner
-    and the new index.  Every fill, a refill included, raises GuardExceeded
-    before it starts when its own cell count (`recurrence_cell_count` of
-    its corner) exceeds `guard`.
+    An evaluator holds one fill of one box.  The first `value(n)` or
+    `table(extents)` fills the box below its corner, after checking that
+    the fill's cell count (`recurrence_cell_count` of its corner) is at
+    most `guard`, and raises GuardExceeded otherwise.  Later reads must lie
+    in that box: a `value` outside it, or a `table` of any other box,
+    raises ValueError and leaves the fill as it was.
     """
 
     def __init__(self, spec: NestedSumSpec, guard: int = DEFAULT_GUARD):
         self.spec = spec
         self.guard = guard
         self._corner: Index | None = None
-        self._strides: Index = ()
         self._numerators: list[int] = []
         self._denominators: list[int] = []
 
     @property
     def memo_entries(self) -> int:
-        """(level, index) values the current fill determined: p * prod(corner_i + 1)."""
+        """(level, index) values the fill determined: p * prod(corner_i + 1)."""
         return self.spec.p * len(self._numerators)
 
     def value(self, n: Sequence[int]) -> Fraction:
         n = _check_index(self.spec, n)
         corner = self._corner
         if corner is None:
-            self._fill(n)
-        elif any(ni > ci for ni, ci in zip(n, corner)):
-            self._fill(tuple(map(max, n, corner)))
-        flat = sum(map(operator.mul, n, self._strides))
+            corner = n
+            self._fill(corner)
+        elif any(map(operator.gt, n, corner)):
+            raise ValueError(f"index {n} is outside the filled box below {corner}")
+        flat = 0
+        for ni, ci in zip(n, corner):
+            flat = flat * (ci + 1) + ni
         return Fraction(self._numerators[flat], self._denominators[sum(n)])
 
     def table(self, extents: Sequence[int]) -> MultiSequenceTable:
-        """c over the box prod [0, extents_i), from one fill up to its corner.
+        """c over the box prod [0, extents_i), the box of the fill.
 
         The numerators are N(0, m) E_0(top) / E_0(|m|) over |E_0(top)|.
         """
         corner = _corner(self.spec, extents)
+        if self._corner not in (None, corner):
+            raise ValueError(f"box below {corner} is not the filled box below {self._corner}")
         self.value(corner)
         top = sum(corner)
         denominator = self._denominators[top]
         sign = -1 if denominator < 0 else 1
         scales = [sign * denominator // e for e in self._denominators[:top + 1]]
-        numerators, strides = self._numerators, self._strides
         scaled = tuple(
-            numerators[sum(map(operator.mul, m, strides))] * scales[sum(m)]
-            for m in _points(extents)
+            numerator * scales[sum(m)]
+            for numerator, m in zip(self._numerators, _points(extents))
         )
         return MultiSequenceTable._trusted(tuple(extents), scaled, sign * denominator)
 
@@ -371,7 +372,7 @@ class RecurrenceEvaluator:
         strides = [1] * spec.r
         for k in range(spec.r - 2, -1, -1):
             strides[k] = strides[k + 1] * (corner[k + 1] + 1)
-        points = list(itertools.product(*(range(c + 1) for c in corner)))
+        points = _points([c + 1 for c in corner])
         sums = list(map(sum, points))
         coords = [[m[k] for m in points] for k in range(spec.r)]
         # per level l: d_l and the integers d_l * x_{k,l} per slot
@@ -408,7 +409,6 @@ class RecurrenceEvaluator:
         for s in range(1, top + 1):
             denominators.append(denominators[-1] * ratio[s])
         self._corner = corner
-        self._strides = tuple(strides)
         self._numerators = numerators
         self._denominators = denominators
 
@@ -418,7 +418,7 @@ def c_recursive(
     n: Sequence[int],
     guard: int = DEFAULT_GUARD,
 ) -> Fraction:
-    """One-shot recurrence evaluation; reuse a RecurrenceEvaluator for sweeps."""
+    """One-shot recurrence evaluation: one fill of the box below n."""
     return RecurrenceEvaluator(spec, guard).value(n)
 
 
@@ -444,9 +444,8 @@ def kt_value(
     total = Fraction(0)
     for chain in enumerate_chains(n, p, guard):
         term = Fraction(1)
-        for j in range(p - 1):
-            term *= x[j] ** (chain[j] - chain[j + 1])
-        term *= x[-1] ** chain[-1]
+        for xj, vj in zip(x, _chain_steps(chain)):
+            term *= xj ** vj
         denom = 1
         for j in range(p - 1):
             denom *= chain[j] + 1

@@ -423,12 +423,21 @@ fill_t = st.one_of(
 
 
 @st.composite
-def fill_cases(draw):
-    r, p = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+def fill_cases(draw, max_p=4, max_extent=6):
+    r, p = draw(st.integers(1, 3)), draw(st.integers(1, max_p))
     xblocks = tuple(tuple(draw(fill_x) for _ in range(p)) for _ in range(r))
     tparams = tuple(draw(fill_t) for _ in range(p - 1))
-    extents = tuple(draw(st.integers(1, 6)) for _ in range(r))
+    extents = tuple(draw(st.integers(1, max_extent)) for _ in range(r))
     return NestedSumSpec(xblocks, tparams), extents
+
+
+@settings(max_examples=80, deadline=None)
+@given(fill_cases(max_p=3, max_extent=4))
+def test_direct_matches_literal_product_on_drawn_specs(case):
+    # r, p <= 3 and n_i <= 3 keep the literal cross-product small
+    spec, extents = case
+    n = tuple(extent - 1 for extent in extents)
+    assert c_direct(spec, n) == c_by_literal_product(spec, n)
 
 
 @settings(max_examples=80, deadline=None)
@@ -459,18 +468,23 @@ def test_recurrence_fill_explicit_cases(xtext, ttext, corner):
         assert evaluator.value(m) == value == c_direct(spec, m)
 
 
-def test_recurrence_refill_outside_the_box():
+def test_recurrence_reads_outside_the_fill_raise():
     spec = NestedSumSpec.parse("1/2,1/3;-2/5,3", "-3/2")
-    reference = reference_fill(spec, (3, 4))
-    evaluator = RecurrenceEvaluator(spec, guard=2 * 4 * 5)
-    earlier = {m: evaluator.value(m) for m in itertools.product(range(4), range(1))}
-    assert evaluator.memo_entries == 2 * 4 * 1
-    # (0, 4) is outside the 4x1 box: the refill covers the box below (3, 4)
-    assert evaluator.value((0, 4)) == reference[(0, 4)]
-    assert evaluator.memo_entries == 2 * 4 * 5
+    reference = reference_fill(spec, (3, 1))
+    evaluator = RecurrenceEvaluator(spec)
+    # the first read fills the box below (3, 1); the others read inside it
+    earlier = {m: evaluator.value(m) for m in [(3, 1), *reference]}
+    assert evaluator.memo_entries == 2 * 4 * 2
+    for outside in [(0, 2), (4, 0), (4, 2)]:
+        with pytest.raises(ValueError, match="outside the filled box"):
+            evaluator.value(outside)
+    for box in [(3, 2), (4, 1), (5, 2), (4, 3)]:
+        with pytest.raises(ValueError, match="not the filled box"):
+            evaluator.table(box)
+    assert evaluator.memo_entries == 2 * 4 * 2
     for m, value in earlier.items():
         assert evaluator.value(m) == value == reference[m]
-    assert evaluator.table((4, 5)).values == tuple(reference.values())
+    assert evaluator.table((4, 2)).values == tuple(reference.values())
 
 
 @pytest.mark.parametrize(
@@ -490,23 +504,6 @@ def test_recurrence_table_equals_value_at_every_point(xtext, ttext):
     assert table.denominator > 0
     for m in itertools.product(*map(range, box)):
         assert table[m] == evaluator.value(m) == c_direct(spec, m)
-    # a table of a smaller box, read from the fill already made
-    small = tuple(range(3, 3 + spec.r))
-    assert evaluator.table(small).values == tuple(
-        evaluator.value(m) for m in itertools.product(*map(range, small))
-    )
-
-
-def test_recurrence_refill_guard():
-    spec = NestedSumSpec.parse("1/2,1/3;1/5,2", "2")
-    evaluator = RecurrenceEvaluator(spec, guard=2 * 5 * 3)
-    first = evaluator.value((4, 0))
-    assert evaluator.value((0, 2)) == c_direct(spec, (0, 2))  # refill to (4, 2): 30 cells
-    with pytest.raises(GuardExceeded) as info:
-        evaluator.value((0, 3))  # (4, 3) needs 40 cells, though (0, 3) alone needs 8
-    assert info.value.size == 2 * 5 * 4
-    assert evaluator.memo_entries == 2 * 5 * 3
-    assert evaluator.value((4, 0)) == first
 
 
 # --- identity verifiers ----------------------------------------------------------

@@ -8,6 +8,7 @@ the benchmark's own checks, fails here at once instead of in a benchmark
 run.  The tests only import perfbench's modules; they change nothing there.
 """
 
+import hashlib
 from pathlib import Path
 
 from mhscalc.cli import main
@@ -37,3 +38,33 @@ def test_first_op_of_each_workload_passes_the_benchmark_checks(capsys, monkeypat
         assert workloads.check_output(op, code, out) is None, workload
         if op.argv[0] == "c":
             assert workloads.check_recurrence_value(op, out) is None, workload
+
+
+# sha256 over (argv, exit code, stdout, stderr) of every op of the seed-1
+# round, in round order.
+WORKLOAD_DIGESTS = {
+    "duality-sweep": "959e6829a2bb01b10873f98e06e91d7d4d94d2dc339744e33265f719b1688f43",
+    "recurrence-fill": "8a7f8e0b2556245d4ab10803c25de05eb720016b475b6b34da8910d3bf04a5c3",
+    "egf-suite": "cdb6b05d95bdf602a673738d50da94bcc89bd35fb10000421ff92948c6aae0b8",
+    "mhs-duality": "ba91ed0d985cedc63ff410cfae18b410fcf24007286c061f382259c4ecf3d3de",
+}
+
+
+def test_every_op_of_each_workload_keeps_its_output_bytes(capsys, monkeypatch):
+    """A library change keeps the bytes of every benchmark op's output.
+
+    The digests were taken from the library as it was when they were
+    pinned.  A benchmark change that alters a workload's round (its ops,
+    their flags or their order) re-pins that workload's digest.
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    assert set(WORKLOAD_DIGESTS) == set(workloads.WORKLOADS)
+    for workload, expected in WORKLOAD_DIGESTS.items():
+        digest = hashlib.sha256()
+        for op in workloads.generate(workload, 1):
+            code = main(list(op.argv))
+            out, err = capsys.readouterr()
+            digest.update(repr((op.argv, code, out, err)).encode())
+        assert digest.hexdigest() == expected, workload
