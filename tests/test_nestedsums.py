@@ -468,7 +468,8 @@ def test_recurrence_fill_explicit_cases(xtext, ttext, corner):
         assert evaluator.value(m) == value == c_direct(spec, m)
 
 
-def test_recurrence_reads_outside_the_fill_raise():
+def test_recurrence_refill_outside_the_box():
+    # an evaluator holds one fill: a read outside its box raises, never refills
     spec = NestedSumSpec.parse("1/2,1/3;-2/5,3", "-3/2")
     reference = reference_fill(spec, (3, 1))
     evaluator = RecurrenceEvaluator(spec)
@@ -486,6 +487,21 @@ def test_recurrence_reads_outside_the_fill_raise():
         assert evaluator.value(m) == value == reference[m]
     assert evaluator.table((4, 2)).values == tuple(reference.values())
 
+
+def test_recurrence_refill_guard():
+    spec = NestedSumSpec.parse("1/2,1/3;1/5,2", "2")
+    with pytest.raises(GuardExceeded) as info:
+        RecurrenceEvaluator(spec, guard=2 * 5 * 3 - 1).value((4, 2))
+    assert info.value.size == 2 * 5 * 3
+    evaluator = RecurrenceEvaluator(spec, guard=2 * 5 * 3)
+    first = evaluator.value((4, 2))
+    assert evaluator.memo_entries == 2 * 5 * 3
+    # (4, 3) would need 40 cells: the read raises before any guard is checked
+    with pytest.raises(ValueError, match="outside the filled box"):
+        evaluator.value((0, 3))
+    assert evaluator.memo_entries == 2 * 5 * 3
+    assert evaluator.value((4, 2)) == first == c_direct(spec, (4, 2))
+    assert evaluator.value((0, 2)) == c_direct(spec, (0, 2))
 
 @pytest.mark.parametrize(
     "xtext, ttext",
