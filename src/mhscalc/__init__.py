@@ -4,7 +4,7 @@ Everything runs on arbitrary-precision rationals; every identity the
 package verifies is checked to exact equality, never numerically.
 """
 
-from .errors import GuardExceeded
+from .guards import GuardExceeded
 from .kernel import gen_binomial, multinomial, format_rational, parse_rational
 from .multiseq import MultiSequenceTable, iterated_delta
 from .mhs import (

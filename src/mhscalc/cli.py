@@ -32,25 +32,18 @@ from random import Random
 from typing import Callable, NamedTuple
 
 from . import egf, mhs, nestedsums
-from .errors import DEFAULT_GUARD, GuardExceeded
-from .kernel import format_rational, parse_rational
+from .guards import DEFAULT_GUARD, GuardExceeded, direct_summand_count, recurrence_cell_count
+from .kernel import format_rational, parse_integers, parse_rational
 from .mhs import MultiIndex
 from .nestedsums import (
-    NestedSumSpec,
-    c_direct,
-    direct_summand_count,
-    parse_shifts,
-    random_blocks,
-    random_spec,
-    random_shift_configuration,
-    recurrence_cell_count,
+    NestedSumSpec, c_direct, parse_shifts, random_blocks, random_spec, random_shift_configuration,
 )
 from .report import VerificationReport, render_csv
 
 
 def _parse_index(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(item) for item in text.split(","))
+        return parse_integers(text)
     except ValueError:
         raise ValueError(f"not an index vector: {text!r}") from None
 

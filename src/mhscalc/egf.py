@@ -39,7 +39,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterator, Sequence
 
-from .errors import DEFAULT_GUARD, check_guard
+from .guards import DEFAULT_GUARD, check_product_pairs
 from .kernel import common_denominator, format_rational
 from .multiseq import MultiSequenceTable, binomial_transform
 from .multiseq import iterated_delta  # noqa: F401  (perfbench's tracer wraps it here)
@@ -414,15 +414,6 @@ def _series_comparisons(
     ]
 
 
-def suite_product_pairs(degree: int, max_slots: int) -> int:
-    """Term pairs of the operator suite's largest series product.
-
-    The two-block factorization multiplies two series in 2r variables,
-    each with up to C(D + 2r, 2r) terms, and the product visits every pair.
-    """
-    return math.comb(degree + 2 * max_slots, 2 * max_slots) ** 2
-
-
 # The battery's slot counts r and nested-sum depths p.
 SUITE_SLOT_COUNTS = (1, 2)
 SUITE_DEPTHS = (1, 2, 3)
@@ -450,11 +441,10 @@ def verify_operator_suite(
     (at depth 1, `telescoped-depth-reduction` checks f against exp_linear).
 
     GuardExceeded is raised before any series is built when the term pairs
-    of the largest product (`suite_product_pairs`) exceed `guard`; each
-    fill also checks its own cell count against `guard`.
+    of the largest product (`guards.suite_product_pairs`) exceed `guard`;
+    each fill also checks its own cell count against `guard`.
     """
-    pairs = suite_product_pairs(degree, max(SUITE_SLOT_COUNTS))
-    check_guard("series product term pairs", pairs, guard)
+    check_product_pairs(degree, max(SUITE_SLOT_COUNTS), guard)
     rng = Random(seed)
     report = VerificationReport("egf-suite", EGF_SUITE_STATEMENT, [])
     D = degree

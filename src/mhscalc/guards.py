@@ -1,0 +1,135 @@
+"""Work guards: every work estimate, limit and guard message of the package.
+
+A guarded call runs the `check_*` of each quantity it bounds, by arithmetic
+before any work; each check goes through `check_guard`.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+# The default --guard of every subcommand and of every guarded library call.
+DEFAULT_GUARD = 10**7
+
+# A difference pass may run this many subtractions per unit of a work guard.
+# A unit is one summand or one fill cell, each dearer than one subtraction;
+# at 64, the transform of a line of L <= 129 cells, L(L-1)/2 <= 64 L
+# subtractions, passes wherever the line's cells pass.
+SUBTRACTIONS_PER_GUARD = 64
+
+# The largest numerator table, in bits, that `mhs_value` or `mhs_table` builds: 32 MiB.
+NUMERATOR_TABLE_MAX_BITS = 2**28
+
+
+class GuardExceeded(RuntimeError):
+    """A work-size guard was exceeded before any summation started.
+
+    Carries the offending size and the configured limit so callers (and the
+    CLI) can report actionable numbers.
+    """
+
+    def __init__(self, what: str, size: int, limit: int):
+        super().__init__(f"{what}: {size} exceeds guard {limit}")
+        self.what, self.size, self.limit = what, size, limit
+
+
+def check_guard(what: str, size: int, limit: int) -> None:
+    """Raise GuardExceeded when the work `size` is over its `limit`."""
+    if size > limit:
+        raise GuardExceeded(what, size, limit)
+
+
+def chain_count(n: int, p: int) -> int:
+    """Chains n = m_1 >= ... >= m_p >= 0: C(n+p-1, p-1)."""
+    return math.comb(n + p - 1, p - 1)
+
+
+def direct_summand_count(spec, n: Sequence[int]) -> int:
+    """Chain tuples the defining sum of a `NestedSumSpec` runs over at index n."""
+    return math.prod(chain_count(ni, spec.p) for ni in n)
+
+
+def recurrence_cell_count(spec, n: Sequence[int]) -> int:
+    """Cells a recurrence fill up to corner n computes: p * prod(n_i + 1)."""
+    return spec.p * math.prod(ni + 1 for ni in n)
+
+
+def difference_subtractions(shape: Sequence[int], orders: Sequence[int]) -> int:
+    """The subtractions one difference pass over `shape` with `orders` runs.
+
+    Axis i turns each of its lines, of L_i entries, into rows of
+    L_i - 1, ..., N_i entries (N_i = L_i - K_i + 1); its lines number the
+    cells at that axis' pass over L_i, where every axis before it already
+    holds N_j * K_j entries.  A 1-D transform of length L runs L(L-1)/2.
+    """
+    total = 0
+    cells = math.prod(shape)
+    for extent, count in zip(shape, orders):
+        width = extent - count + 1
+        lines = cells // extent
+        total += lines * (extent * (extent - 1) - width * (width - 1)) // 2
+        cells = lines * width * count
+    return total
+
+
+def numerator_table_bits(mu, n: int) -> int:
+    """A bound on the bits of the numerators `mhs_value` would tabulate.
+
+    The rows of mu_2..mu_p hold n+1 numerators each, of at most
+    mu_j * log2 lcm(1..n+1) < mu_j * 1.5 (n+1) bits, since ln lcm(1..x) =
+    psi(x) < 1.03883 x (Rosser and Schoenfeld).
+    """
+    return 3 * (n + 1) ** 2 * (mu.weight - mu.parts[0]) // 2
+
+
+def mhs_table_bits(mu, n: int) -> int:
+    """A bound on the bits of the numerators `mhs_table` builds up to n.
+
+    Each of the n+1 numerators is L^weight s_mu(m), L = lcm(1..n+1), with
+    weight * log2 L < weight * 1.5 (n+1) bits as in `numerator_table_bits`,
+    and s_mu(m) <= (n+1)^(depth-1), since each of the
+    C(m+depth-1, depth-1) <= (m+1)^(depth-1) chains adds at most 1.
+    """
+    return (n + 1) * (3 * (n + 1) * mu.weight // 2 + (mu.depth - 1) * (n + 1).bit_length() + 2)
+
+
+def suite_product_pairs(degree: int, max_slots: int) -> int:
+    """Term pairs of the operator suite's largest series product.
+
+    The two-block factorization multiplies two series in 2r variables,
+    each with up to C(D + 2r, 2r) terms, and the product visits every pair.
+    """
+    return math.comb(degree + 2 * max_slots, 2 * max_slots) ** 2
+
+
+def check_chains(n: int, p: int, guard: int) -> None:
+    check_guard("chain count", chain_count(n, p), guard)
+
+
+def check_summands(spec, n: Sequence[int], guard: int) -> None:
+    check_guard("direct summand count", direct_summand_count(spec, n), guard)
+
+
+def check_cells(spec, corner: Sequence[int], guard: int) -> None:
+    check_guard("recurrence cell count", recurrence_cell_count(spec, corner), guard)
+
+
+def check_subtractions(shape: Sequence[int], orders: Sequence[int], guard: int) -> None:
+    """A difference pass runs at most SUBTRACTIONS_PER_GUARD * guard subtractions."""
+    limit = SUBTRACTIONS_PER_GUARD * guard
+    check_guard("difference-pass subtraction count", difference_subtractions(shape, orders), limit)
+
+
+def check_mhs_table(mu, max_n: int, guard: int) -> None:
+    """An `mhs_table` holds at most `guard` cells and NUMERATOR_TABLE_MAX_BITS bits."""
+    check_guard("mhs table cell count", mu.depth * (max_n + 1), guard)
+    check_guard("mhs table numerator bits", mhs_table_bits(mu, max_n), NUMERATOR_TABLE_MAX_BITS)
+
+
+def check_chain_pairs(n: int, k: int, p: int, guard: int) -> None:
+    check_guard("chain-pair count", chain_count(n, p) * chain_count(k, p), guard)
+
+
+def check_product_pairs(degree: int, max_slots: int, guard: int) -> None:
+    check_guard("series product term pairs", suite_product_pairs(degree, max_slots), guard)

@@ -5,8 +5,8 @@ provides canonical reduced form (positive denominator, gcd one) and
 structural equality.  This module adds the two coefficient families the
 nested-sum machinery needs, each computed on integers and keeping no state
 between calls, the integer form of a list of rationals over one common
-denominator, and the canonical text form used in reports, which prints
-values of any size.
+denominator, the canonical text form used in reports, which prints values
+of any size, and the one reader of comma-separated integer lists.
 """
 
 from __future__ import annotations
@@ -18,14 +18,6 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int]
-
-__all__ = [
-    "multinomial",
-    "gen_binomial",
-    "common_denominator",
-    "format_rational",
-    "parse_rational",
-]
 
 
 def multinomial(n: int, parts: Iterable[int]) -> int:
@@ -72,7 +64,8 @@ def common_denominator(values: Iterable[RationalLike]) -> tuple[int, list[int]]:
     return q, [value.numerator * (q // value.denominator) for value in values]
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$", re.ASCII)
+_INTEGER_RE = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
 
 def format_rational(value: RationalLike) -> str:
@@ -104,3 +97,11 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational literal: {text!r}")
     numerator, _, denominator = token.partition("/")
     return Fraction(int(Decimal(numerator)), int(Decimal(denominator or "1")))
+
+
+def parse_integers(text: str) -> tuple[int, ...]:
+    """Comma-separated ASCII integers [+-]?[0-9]+, e.g. "2, -1,0"; spaces may surround each."""
+    items = text.split(",")
+    if not all(map(_INTEGER_RE.fullmatch, items)):
+        raise ValueError(f"not a list of integers: {text!r}")
+    return tuple(map(int, items))

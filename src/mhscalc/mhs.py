@@ -39,9 +39,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import DEFAULT_GUARD, check_guard
-from .multiseq import MultiSequenceTable, binomial_transform, check_subtractions
-from .nestedsums import check_chains, enumerate_chains
+from .guards import DEFAULT_GUARD, NUMERATOR_TABLE_MAX_BITS, check_chains, check_mhs_table
+from .guards import check_subtractions, numerator_table_bits
+from .kernel import parse_integers
+from .multiseq import MultiSequenceTable, binomial_transform
+from .nestedsums import enumerate_chains
 from .report import VerificationReport, sweep_report
 
 
@@ -73,7 +75,7 @@ class MultiIndex:
         if token.startswith("(") and token.endswith(")"):
             token = token[1:-1]
         try:
-            parts = tuple(int(item) for item in token.split(","))
+            parts = parse_integers(token)
         except ValueError:
             raise ValueError(f"not a multi-index: {text!r}") from None
         return cls(parts)
@@ -90,20 +92,6 @@ def multi_indices_of_weight(weight: int) -> Iterator[MultiIndex]:
         for positions in itertools.combinations(range(1, weight), cuts):
             bounds = (0,) + positions + (weight,)
             yield MultiIndex(tuple(b - a for a, b in zip(bounds, bounds[1:])))
-
-
-# The largest numerator table, in bits, that `mhs_value` or `mhs_table` builds: 32 MiB.
-NUMERATOR_TABLE_MAX_BITS = 2**28
-
-
-def numerator_table_bits(mu: MultiIndex, n: int) -> int:
-    """A bound on the bits of the numerators `mhs_value` would tabulate.
-
-    The rows of mu_2..mu_p hold n+1 numerators each, of at most
-    mu_j * log2 lcm(1..n+1) < mu_j * 1.5 (n+1) bits, since ln lcm(1..x) =
-    psi(x) < 1.03883 x (Rosser and Schoenfeld).
-    """
-    return 3 * (n + 1) ** 2 * (mu.weight - mu.parts[0]) // 2
 
 
 def integer_numerators(mu: MultiIndex, n: int) -> bool:
@@ -127,7 +115,8 @@ def mhs_value(mu: MultiIndex, n: int, guard: int = DEFAULT_GUARD) -> Fraction:
     """
     if n < 0:
         raise ValueError(f"n must be a natural, got {n}")
-    chains = enumerate_chains(n, mu.depth, guard)
+    check_chains(n, mu.depth, guard)
+    chains = enumerate_chains(n, mu.depth)
     if not integer_numerators(mu, n):
         total = Fraction(0)
         for chain in chains:
@@ -149,34 +138,16 @@ def mhs_value(mu: MultiIndex, n: int, guard: int = DEFAULT_GUARD) -> Fraction:
     return Fraction(total, (n + 1) ** first * lcm ** (mu.weight - first))
 
 
-def mhs_table_bits(mu: MultiIndex, n: int) -> int:
-    """A bound on the bits of the numerators `mhs_table` builds up to n.
-
-    Each of the n+1 numerators is L^weight s_mu(m), L = lcm(1..n+1), with
-    weight * log2 L < weight * 1.5 (n+1) bits as in `numerator_table_bits`,
-    and s_mu(m) <= (n+1)^(depth-1), since each of the
-    C(m+depth-1, depth-1) <= (m+1)^(depth-1) chains adds at most 1.
-    """
-    return (n + 1) * (3 * (n + 1) * mu.weight // 2 + (mu.depth - 1) * (n + 1).bit_length() + 2)
-
-
-def _check_table(mu: MultiIndex, max_n: int, guard: int) -> None:
-    """The guards of `mhs_table`: its cells against `guard`, its bits against the table cap."""
-    check_guard("mhs table cell count", mu.depth * (max_n + 1), guard)
-    check_guard("mhs table numerator bits", mhs_table_bits(mu, max_n), NUMERATOR_TABLE_MAX_BITS)
-
-
 def mhs_table(mu: MultiIndex, max_n: int, guard: int = DEFAULT_GUARD) -> MultiSequenceTable:
     """s_mu(0..max_n) as a 1-D table, by nested prefix sums on ints.
 
     One pass per part, innermost first, fills depth * (max_n+1) cells over
-    L^weight.  GuardExceeded is raised before the fill starts when it has
-    more than `guard` cells or `mhs_table_bits` exceeds
-    NUMERATOR_TABLE_MAX_BITS.
+    L^weight.  `guards.check_mhs_table` bounds its cells and bits before
+    the fill starts.
     """
     if max_n < 0:
         raise ValueError(f"n must be a natural, got {max_n}")
-    _check_table(mu, max_n, guard)
+    check_mhs_table(mu, max_n, guard)
     lcm = math.lcm(*range(1, max_n + 2))
     scaled = [lcm // (m + 1) for m in range(max_n + 1)]
     *outer, last = mu.parts
@@ -259,8 +230,8 @@ def verify_mhs_duality(
     for mu in mus:
         dual = dual_index(mu)
         check_chains(max_n, dual.depth, guard)
-        _check_table(mu, max_n, guard)
-        _check_table(dual, max_n, guard)
+        check_mhs_table(mu, max_n, guard)
+        check_mhs_table(dual, max_n, guard)
         check_subtractions(line, line, guard)
         corner_rhs = mhs_value(dual, max_n, guard)
         lhs = binomial_transform(mhs_table(mu, max_n, guard)).values

@@ -17,7 +17,7 @@ every line, one axis at a time, with subtractions only: `iterated_delta`
 keeps the first rows (delta^k a(n) for every pair (n, k) the table
 determines), and `binomial_transform` is its n = 0 slice.  The pass is
 linear, so it runs on the numerators and the result keeps the input's
-denominator; `difference_subtractions` counts its work exactly.
+denominator; `guards.difference_subtractions` counts its work exactly.
 """
 
 from __future__ import annotations
@@ -26,14 +26,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import check_guard
 from .kernel import common_denominator
-
-# A difference pass may run this many subtractions per unit of a work guard.
-# A unit is one summand or one fill cell, each dearer than one subtraction;
-# at 64, the transform of a line of L <= 129 cells, L(L-1)/2 <= 64 L
-# subtractions, passes wherever the line's cells pass.
-SUBTRACTIONS_PER_GUARD = 64
 
 
 class MultiSequenceTable:
@@ -138,7 +131,7 @@ def _difference_passes(
     position and K_i = orders[i] entries after the last axis, so the
     result lies over (N_1, ..., N_r, K_1, ..., K_r): each line of the axis
     turns into the first K_i rows of its difference triangle, cut to N_i
-    entries.  `difference_subtractions` counts the subtractions.
+    entries.  `guards.difference_subtractions` counts the subtractions.
     """
     outer = 1
     for extent, count in zip(shape, orders):
@@ -157,36 +150,6 @@ def _difference_passes(
                     head += step
         values, outer = out, outer * width
     return values
-
-
-def difference_subtractions(shape: Sequence[int], orders: Sequence[int]) -> int:
-    """The subtractions one difference pass over `shape` with `orders` runs.
-
-    Axis i turns each of its lines, of L_i entries, into rows of
-    L_i - 1, ..., N_i entries (N_i = L_i - K_i + 1); its lines number the
-    cells at that axis' pass over L_i, where every axis before it already
-    holds N_j * K_j entries.  A 1-D transform of length L runs L(L-1)/2.
-    """
-    total = 0
-    cells = math.prod(shape)
-    for extent, count in zip(shape, orders):
-        width = extent - count + 1
-        lines = cells // extent
-        total += lines * (extent * (extent - 1) - width * (width - 1)) // 2
-        cells = lines * width * count
-    return total
-
-
-def check_subtractions(shape: Sequence[int], orders: Sequence[int], guard: int) -> None:
-    """Raise GuardExceeded when a pass over `shape` with `orders` is too long.
-
-    The limit is SUBTRACTIONS_PER_GUARD * guard subtractions.
-    """
-    check_guard(
-        "difference-pass subtraction count",
-        difference_subtractions(shape, orders),
-        SUBTRACTIONS_PER_GUARD * guard,
-    )
 
 
 def binomial_transform(table: MultiSequenceTable) -> MultiSequenceTable:

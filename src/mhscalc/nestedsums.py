@@ -49,13 +49,11 @@ from fractions import Fraction
 from random import Random
 from typing import Iterator, Sequence
 
-from .errors import DEFAULT_GUARD, check_guard
-from .kernel import (
-    common_denominator, gen_binomial, multinomial, format_rational, parse_rational,
-)
-from .multiseq import (
-    MultiSequenceTable, binomial_transform, check_subtractions, iterated_delta,
-)
+from .guards import DEFAULT_GUARD, check_cells, check_chain_pairs, check_chains, check_subtractions
+from .guards import check_summands
+from .guards import direct_summand_count  # noqa: F401  (perfbench's tracer reads it here)
+from .kernel import common_denominator, gen_binomial, multinomial, format_rational, parse_rational
+from .multiseq import MultiSequenceTable, binomial_transform, iterated_delta
 from .report import VerificationReport, sweep_report
 
 Index = tuple[int, ...]
@@ -142,17 +140,15 @@ class NestedSumSpec:
         return f"x={xtext} t={ttext}" if ttext else f"x={xtext}"
 
 
-def enumerate_chains(n: int, p: int, guard: int | None = None) -> Iterator[Index]:
+def enumerate_chains(n: int, p: int) -> Iterator[Index]:
     """All chains n = m_1 >= ... >= m_p >= 0, lexicographically descending.
 
-    Exactly C(n+p-1, p-1) chains are produced.  The arguments and the guard
-    are checked at the call, before the caller does any other work; only
-    the chains themselves are lazy.
+    Exactly C(n+p-1, p-1) chains are produced (`guards.chain_count`).  The
+    arguments are checked at the call; only the chains themselves are lazy.
+    Callers that bound their work run `guards.check_chains` first.
     """
     if n < 0 or p < 1:
         raise ValueError(f"need natural n and positive p, got ({n}, {p})")
-    if guard is not None:
-        check_chains(n, p, guard)
     # weakly decreasing tails are multisets drawn from n, n-1, ..., 0; the
     # pool is a tuple of n + 1 entries, so depth 1 (empty tails) takes none
     pool = range(n, -1, -1) if p > 1 else ()
@@ -160,36 +156,9 @@ def enumerate_chains(n: int, p: int, guard: int | None = None) -> Iterator[Index
     return ((n,) + tail for tail in tails)
 
 
-def chain_count(n: int, p: int) -> int:
-    return math.comb(n + p - 1, p - 1)
-
-
-def check_chains(n: int, p: int, guard: int) -> None:
-    """Raise GuardExceeded when the chains from n of depth p number over `guard`."""
-    check_guard("chain count", chain_count(n, p), guard)
-
-
 def _chain_steps(chain: Index) -> Index:
     """The steps v_j = m_j - m_{j+1} of a chain, and v_p = m_p."""
     return tuple(m - below for m, below in zip(chain, chain[1:])) + chain[-1:]
-
-
-def direct_summand_count(spec: NestedSumSpec, n: Sequence[int]) -> int:
-    """Chain tuples the defining sum runs over at index n."""
-    return math.prod(chain_count(ni, spec.p) for ni in n)
-
-
-def recurrence_cell_count(spec: NestedSumSpec, n: Sequence[int]) -> int:
-    """Cells a recurrence fill up to corner n computes: p * prod(n_i + 1)."""
-    return spec.p * math.prod(ni + 1 for ni in n)
-
-
-def _check_summands(spec: NestedSumSpec, n: Sequence[int], guard: int) -> None:
-    check_guard("direct summand count", direct_summand_count(spec, n), guard)
-
-
-def _check_cells(spec: NestedSumSpec, corner: Sequence[int], guard: int) -> None:
-    check_guard("recurrence cell count", recurrence_cell_count(spec, corner), guard)
 
 
 def _check_index(spec: NestedSumSpec, n: Sequence[int]) -> Index:
@@ -254,7 +223,7 @@ def c_direct(
     of exact rational operations differs.
     """
     n = _check_index(spec, n)
-    _check_summands(spec, n, guard)
+    check_summands(spec, n, guard)
     p = spec.p
 
     # key: per-column (sum of m_ij, sum of v_ij) for j < p, accumulated over slots
@@ -314,7 +283,7 @@ class RecurrenceEvaluator:
 
     An evaluator holds one fill of one box.  The first `value(n)` or
     `table(extents)` fills the box below its corner, after checking that
-    the fill's cell count (`recurrence_cell_count` of its corner) is at
+    the fill's cell count (`guards.recurrence_cell_count` of its corner) is at
     most `guard`, and raises GuardExceeded otherwise.  Later reads must lie
     in that box: a `value` outside it, or a `table` of any other box,
     raises ValueError and leaves the fill as it was.
@@ -365,7 +334,7 @@ class RecurrenceEvaluator:
         return MultiSequenceTable._trusted(tuple(extents), scaled, sign * denominator)
 
     def _fill(self, corner: Index) -> None:
-        _check_cells(self.spec, corner, self.guard)
+        check_cells(self.spec, corner, self.guard)
         spec = self.spec
         last = spec.p - 1
         top = sum(corner)
@@ -441,8 +410,9 @@ def kt_value(
         raise ValueError("need at least one parameter")
     if n < 0:
         raise ValueError(f"n must be a natural, got {n}")
+    check_chains(n, p, guard)
     total = Fraction(0)
-    for chain in enumerate_chains(n, p, guard):
+    for chain in enumerate_chains(n, p):
         term = Fraction(1)
         for xj, vj in zip(x, _chain_steps(chain)):
             term *= xj ** vj
@@ -475,7 +445,7 @@ def two_index_value(
     p = len(x)
     if n < 0 or k < 0:
         raise ValueError(f"indices must be naturals, got ({n}, {k})")
-    check_guard("chain-pair count", chain_count(n, p) * chain_count(k, p), guard)
+    check_chain_pairs(n, k, p, guard)
     lead = Fraction(1, math.comb(n + k, n))
     total = Fraction(0)
     for m in enumerate_chains(n, p):
@@ -529,9 +499,9 @@ def _corner_and_fills(
     where every point has one summand, the fills bound the box.
     """
     fill_guard = oracle.p * guard
-    _check_summands(oracle, corner, guard)
+    check_summands(oracle, corner, guard)
     for spec, box in fills:
-        _check_cells(spec, _corner(spec, box), fill_guard)
+        check_cells(spec, _corner(spec, box), fill_guard)
     if orders is not None:
         check_subtractions(fills[0][1], orders, guard)
     value = c_direct(oracle, corner, guard)

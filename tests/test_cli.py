@@ -965,3 +965,40 @@ def test_malformed_literal_exit_code(capsys, x):
     code, out, err = run(capsys, "c", f"--x={x}", "--n=1")
     assert code == 2 and out == ""
     assert "not a rational literal" in err
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (("c", "--x", "1/2", "--n", "1_0"), "1_0"),
+        (("c", "--x", "1/2;1/3", "--n", "١,2"), "١,2"),
+        (("c", "--x", "1/2", "--n", "１２"), "１２"),
+        (("verify", "--identity", "c-duality", "--x", "1/2", "--box", "٣"), "٣"),
+        (("bench", "--ladder", "1,,2"), "1,,2"),
+    ],
+)
+def test_index_vector_takes_ascii_integers_only(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: not an index vector: {text!r}\n"
+
+
+@pytest.mark.parametrize("mu", ["(١,2)", "(1_0)", "２", "(1,,2)"])
+def test_multi_index_takes_ascii_integers_only(capsys, mu):
+    code, out, err = run(capsys, "s", "--mu", mu, "--n", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: not a multi-index: {mu!r}\n"
+
+
+def test_index_entries_may_have_spaces_around_them(capsys):
+    # c[1/2; 1/3](2, 1) = (1/2)^2 (1/3)
+    assert run(capsys, "c", "--x", "1/2;1/3", "--n", " 2 , 1 ") == (0, "1/12\n", "")
+    spaced = run(capsys, "s", "--mu", " ( 1 , 2 ) ", "--n", "1", "--format", "json")
+    assert spaced == run(capsys, "s", "--mu", "(1,2)", "--n", "1", "--format", "json")
+
+
+@pytest.mark.parametrize("x", ["٣/4", "１２"])
+def test_non_ascii_digits_are_not_a_rational_literal(capsys, x):
+    code, out, err = run(capsys, "c", f"--x={x}", "--n=1")
+    assert (code, out) == (2, "")
+    assert err == f"error: not a rational literal: {x!r}\n"

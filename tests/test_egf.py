@@ -16,11 +16,10 @@ from mhscalc.egf import (
     nabla_series,
     negate_vars,
     subst_linear,
-    suite_product_pairs,
     verify_operator_suite,
     xi_apply,
 )
-from mhscalc.errors import GuardExceeded
+from mhscalc.guards import GuardExceeded, suite_product_pairs
 from mhscalc.multiseq import MultiSequenceTable
 from mhscalc.nestedsums import NestedSumSpec, RecurrenceEvaluator, random_table
 from pointwise import c_sequence, iterated_delta, nabla, tabulate, zero_extension

@@ -10,6 +10,7 @@ from mhscalc.kernel import (
     format_rational,
     gen_binomial,
     multinomial,
+    parse_integers,
     parse_rational,
 )
 
@@ -105,10 +106,26 @@ def test_parse_roundtrip(text):
     assert format_rational(parse_rational(text)) == format_rational(F(text))
 
 
-@pytest.mark.parametrize("text", ["3.14", "1/-2", "1/0", "a/b", "", "2 /3", "1e3"])
+@pytest.mark.parametrize(
+    "text", ["3.14", "1/-2", "1/0", "a/b", "", "2 /3", "1e3", "\u0663", "\uff11\uff12"]
+)
 def test_parse_rejects_non_grammar(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+@pytest.mark.parametrize(
+    "text,values", [("2,1", (2, 1)), (" 3 , -1,+0 ", (3, -1, 0)), ("007", (7,))]
+)
+def test_parse_integers(text, values):
+    assert parse_integers(text) == values
+
+
+# underscores, non-ASCII digits (Arabic-Indic three, fullwidth one), empty entries
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "\uff11", "1,,2", "", "1.0", "2 3", "--1"])
+def test_parse_integers_rejects_non_grammar(text):
+    with pytest.raises(ValueError):
+        parse_integers(text)
 
 
 def test_format_rational_converts_other_values():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mhscalc import mhs
+from mhscalc import guards, mhs
 from mhscalc.mhs import (
     MultiIndex,
     dual_index,
@@ -16,7 +16,7 @@ from mhscalc.mhs import (
     multi_indices_of_weight,
     verify_mhs_duality,
 )
-from mhscalc.errors import GuardExceeded
+from mhscalc.guards import GuardExceeded
 from mhscalc.multiseq import MultiSequenceTable
 from mhscalc.nestedsums import enumerate_chains, kt_value
 
@@ -165,7 +165,7 @@ def test_mhs_table_bits_bound_the_numerators():
             table = mhs_table(mu, n)
             assert table.denominator == math.lcm(*range(1, n + 2)) ** mu.weight
             bits = sum(numerator.bit_length() for numerator in table.numerators)
-            assert bits <= mhs.mhs_table_bits(mu, n)
+            assert bits <= guards.mhs_table_bits(mu, n)
 
 
 def test_mhs_table_bits_guard_trips_before_the_table():

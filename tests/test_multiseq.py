@@ -6,11 +6,11 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+from mhscalc.guards import difference_subtractions
 from mhscalc.multiseq import (
     MultiSequenceTable,
     _difference_passes,
     binomial_transform,
-    difference_subtractions,
     iterated_delta,
 )
 from mhscalc.nestedsums import random_table

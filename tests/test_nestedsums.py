@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mhscalc import nestedsums
-from mhscalc.errors import GuardExceeded
+from mhscalc.guards import GuardExceeded, chain_count, direct_summand_count, recurrence_cell_count
 from mhscalc.kernel import format_rational, gen_binomial, multinomial
 from mhscalc.multiseq import MultiSequenceTable
 from mhscalc.nestedsums import (
@@ -18,8 +18,6 @@ from mhscalc.nestedsums import (
     RecurrenceEvaluator,
     c_direct,
     c_recursive,
-    chain_count,
-    direct_summand_count,
     enumerate_chains,
     kt_value,
     parse_shifts,
@@ -28,7 +26,6 @@ from mhscalc.nestedsums import (
     random_shift_configuration,
     random_spec,
     random_table,
-    recurrence_cell_count,
     two_index_value,
     verify_difference_formula,
     verify_duality,
@@ -159,17 +156,38 @@ def test_enumerate_chains_matches_recursive_order():
             assert list(enumerate_chains(n, p)) == _recursive_chains(n, p)
 
 
-def test_enumerate_chains_guard():
-    with pytest.raises(GuardExceeded):
-        list(enumerate_chains(100, 5, guard=1000))
-
-
 def test_enumerate_chains_checks_at_the_call():
     # callers build their tables after the call, so no chain may be needed
-    with pytest.raises(GuardExceeded):
-        enumerate_chains(100, 5, guard=1000)
     with pytest.raises(ValueError):
         enumerate_chains(-1, 2)
+    with pytest.raises(ValueError):
+        enumerate_chains(2, 0)
+
+
+def _refuse_chains(n, p):
+    raise AssertionError(f"chains ({n}, {p}) listed before the guard was checked")
+
+
+def test_kt_value_chain_guard_trips_before_any_chain(monkeypatch):
+    # C(102, 2) = 5151 chains
+    monkeypatch.setattr(nestedsums, "enumerate_chains", _refuse_chains)
+    with pytest.raises(GuardExceeded) as info:
+        kt_value((1, 1, 1), 100, guard=5150)
+    assert str(info.value) == "chain count: 5151 exceeds guard 5150"
+    monkeypatch.undo()
+    # at x = 1 each m_2 adds (m_2 + 1) / ((100 + 1)(m_2 + 1)), so the sum is 1
+    assert kt_value((1, 1, 1), 100, guard=5151) == 1
+
+
+def test_two_index_chain_pair_guard_trips_before_any_chain(monkeypatch):
+    # 11 chains from 10 at depth 2 in each slot
+    monkeypatch.setattr(nestedsums, "enumerate_chains", _refuse_chains)
+    with pytest.raises(GuardExceeded) as info:
+        two_index_value((1, 2), (1, 2), 10, 10, guard=120)
+    assert str(info.value) == "chain-pair count: 121 exceeds guard 120"
+    monkeypatch.undo()
+    spec = NestedSumSpec(((F(1), F(2)), (F(1), F(2))), (F(1),))
+    assert two_index_value((1, 2), (1, 2), 10, 10, guard=121) == c_direct(spec, (10, 10))
 
 
 # --- direct evaluation ---------------------------------------------------------

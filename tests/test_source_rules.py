@@ -1,0 +1,108 @@
+"""Static rules over the package source, checked on its syntax trees.
+
+* Every imported name is read in its module, except the bindings in
+  KEPT_FOR_TRACING.
+* Only `guards.py` calls `check_guard` or constructs `GuardExceeded`, so
+  every work estimate, limit and guard message stays in that one module.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mhscalc"
+MODULES = sorted(path.name for path in SRC.glob("*.py"))
+
+# (module, name) -> why the module binds an import it never reads.
+KEPT_FOR_TRACING = {
+    ("egf.py", "iterated_delta"): (
+        "perfbench's tracer wraps multiseq.iterated_delta in every namespace that binds "
+        "it, and its selftest expects the egf binding"
+    ),
+    ("nestedsums.py", "direct_summand_count"): (
+        "perfbench's tracer counts c_direct summands through nestedsums.direct_summand_count"
+    ),
+}
+
+GUARD_OWNER = "guards.py"
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((SRC / module).read_text(encoding="utf-8"), module)
+
+
+def unused_imports(tree: ast.Module) -> set[str]:
+    """Names bound by an import that nothing in the module reads.
+
+    A name counts as read where it appears as an expression (an attribute
+    chain counts for its root) or as a string in `__all__`.
+    """
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read.update(item.value for item in node.value.elts)
+    return imported - read
+
+
+def _callee(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def guard_raisers(tree: ast.Module) -> list[str]:
+    """Calls of `check_guard` and constructions or raises of `GuardExceeded`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _callee(node) in ("check_guard", "GuardExceeded"):
+            found.append((node.lineno, f"{_callee(node)}(...)"))
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            if _callee(node.exc) == "GuardExceeded" and not isinstance(node.exc, ast.Call):
+                found.append((node.lineno, "raise GuardExceeded"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_read(module):
+    kept = {name for (owner, name) in KEPT_FOR_TRACING if owner == module}
+    assert unused_imports(_tree(module)) == kept
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {GUARD_OWNER}))
+def test_only_the_guard_module_raises_guards(module):
+    assert guard_raisers(_tree(module)) == []
+
+
+def test_the_guard_module_raises_the_guards():
+    assert guard_raisers(_tree(GUARD_OWNER))
+
+
+def test_the_rules_see_what_they_forbid():
+    tree = ast.parse(
+        "import os.path\n"
+        "from math import comb, prod as product\n"
+        "from .guards import GuardExceeded, check_guard\n"
+        "__all__ = ['comb']\n"
+        "def f(size):\n"
+        "    check_guard('x', size, 1)\n"
+        "    raise GuardExceeded\n"
+        "def g():\n"
+        "    raise guards.GuardExceeded('x', 2, 1)\n"
+    )
+    assert unused_imports(tree) == {"os", "product"}
+    assert guard_raisers(tree) == [
+        "line 6: check_guard(...)", "line 7: raise GuardExceeded", "line 9: GuardExceeded(...)",
+    ]
