@@ -48,6 +48,19 @@ def _parse_index(text: str) -> tuple[int, ...]:
         raise ValueError(f"not an index vector: {text!r}") from None
 
 
+def _parse_int(text: str) -> int:
+    """One ASCII integer, read as `parse_integers` reads an entry.
+
+    The type of every int flag: argparse names the flag in the message and
+    exits 2, where `int` would take `_` separators and non-ASCII digits.
+    """
+    try:
+        (value,) = parse_integers(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    return value
+
+
 def _write_atomic(path: str, text: str) -> None:
     """Write a temporary file next to `path`, then rename it over `path`.
 
@@ -178,33 +191,33 @@ class _Flag(NamedTuple):
 # random draw is undefined, or `bench` has no spec, no rung or no timing.
 VERIFY_FLAGS = {
     "mu": _Flag(None, "restrict mhs-duality to one multi-index"),
-    "wmax": _Flag(6, "mhs-duality weight sweep bound", int, 1, unread_with="mu"),
+    "wmax": _Flag(6, "mhs-duality weight sweep bound", _parse_int, 1, unread_with="mu"),
     "x": _Flag(None, "explicit parameter blocks (otherwise seeded random specs)"),
     "t": _Flag("", "explicit shift parameters", needs_x="random cases draw their own shifts"),
     "subset": _Flag(
         None, 'shift identity slots, e.g. "1,2"', needs_x="random cases draw their own subset"
     ),
     "c": _Flag("1", "shift identity constant", needs_x="random cases draw their own constant"),
-    "nmax": _Flag(3, "index sweep bound per slot", int, 0, unread_with="box"),
-    "kmax": _Flag(2, "difference order bound per slot", int, 0),
+    "nmax": _Flag(3, "index sweep bound per slot", _parse_int, 0, unread_with="box"),
+    "kmax": _Flag(2, "difference order bound per slot", _parse_int, 0),
     "box": _Flag(
         None, 'explicit extents, e.g. "4,4"', needs_x="random cases take their boxes from --nmax"
     ),
-    "count": _Flag(20, "number of random specs", int, 1, unread_with="x"),
-    "rmax": _Flag(3, "random spec slot bound", int, 1, unread_with="x"),
-    "pmax": _Flag(3, "random spec depth bound", int, 1, unread_with="x"),
-    "seed": _Flag(0, "random cases and egf-suite data", int, unread_with="x"),
-    "degree": _Flag(6, "egf-suite truncation degree", int, 1),
+    "count": _Flag(20, "number of random specs", _parse_int, 1, unread_with="x"),
+    "rmax": _Flag(3, "random spec slot bound", _parse_int, 1, unread_with="x"),
+    "pmax": _Flag(3, "random spec depth bound", _parse_int, 1, unread_with="x"),
+    "seed": _Flag(0, "random cases and egf-suite data", _parse_int, unread_with="x"),
+    "degree": _Flag(6, "egf-suite truncation degree", _parse_int, 1),
 }
 BENCH_FLAGS = {
-    "r": _Flag(1, "random spec slots", int, 1, unread_with="x"),
-    "p": _Flag(3, "random spec depth", int, 1, unread_with="x"),
-    "n": _Flag(40, "largest ladder rung", int, 0, unread_with="ladder"),
+    "r": _Flag(1, "random spec slots", _parse_int, 1, unread_with="x"),
+    "p": _Flag(3, "random spec depth", _parse_int, 1, unread_with="x"),
+    "n": _Flag(40, "largest ladder rung", _parse_int, 0, unread_with="ladder"),
     "ladder": _Flag(None, 'explicit rungs, e.g. "10,20,40"'),
     "x": _Flag(None, "explicit blocks (otherwise seeded random)"),
     "t": _Flag("", "explicit shifts (default all 1)"),
-    "seed": _Flag(0, "random spec seed", int, unread_with="x"),
-    "repeats": _Flag(3, "best-of timing repeats", int, 1),
+    "seed": _Flag(0, "random spec seed", _parse_int, unread_with="x"),
+    "repeats": _Flag(3, "best-of timing repeats", _parse_int, 1),
 }
 
 
@@ -444,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.add_argument(
             "--guard",
-            type=int,
+            type=_parse_int,
             default=DEFAULT_GUARD,
             help="summand/cell guard before refusing to enumerate",
         )
@@ -456,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_s = add_subcommand("s", help="evaluate s_mu(n)")
     p_s.add_argument("--mu", required=True, help='multi-index, e.g. "(1,2,3)"')
-    p_s.add_argument("--n", type=int, required=True)
+    p_s.add_argument("--n", type=_parse_int, required=True)
     add_common(p_s)
     p_s.set_defaults(handler=_cmd_s)
 

@@ -15,8 +15,11 @@ positive or a non-integer rational, hence nonzero.
 
 Two independent evaluation routes are provided:
 
-* `c_direct` enumerates the chain tuples of the defining sum (grouping
-  summands that share a denominator, which is an exact regrouping);
+* `c_direct` enumerates the chain tuples of the defining sum, grouping
+  summands that share a denominator (an exact regrouping).  It runs on
+  ints: chain weights of slot i over d_i^{n_i}, d_i the lcm of the
+  denominators of block i, group sums over prod_i d_i^{n_i}, and one
+  Fraction per call;
 * `c_recursive` runs the depth-reduction recurrence
 
       c(n) = [ sum_k x_{k1} n_k c(n - e_k) + c_reduced(n) ] / (|n| + t_1)
@@ -188,26 +191,29 @@ def _points(box: Sequence[int]) -> list[Index]:
     return list(itertools.product(*(range(extent) for extent in box)))
 
 
-def _block_chain_data(block: tuple[Fraction, ...], n: int) -> list[tuple[Index, Fraction]]:
-    """Per chain of one slot: (columns, multinomial * prod x^v).
+def _block_chain_data(block: tuple[Fraction, ...], n: int) -> tuple[int, list[tuple[Index, int]]]:
+    """d**n and, per chain of one slot, (columns, multinomial * prod y^v).
 
-    The columns (m_1, v_1, ..., m_{p-1}, v_{p-1}) are the chain's share of
-    the denominator key of `c_direct`.  Only the powers x^v the chains read
-    are built: every v in 0..n above depth 1, but x^n alone at depth 1,
-    whose one chain costs one summand.
+    With d, ys = `common_denominator(block)`, each chain's weight
+    multinomial * prod x^v is that int over d**n, since its steps v sum to
+    n.  The columns (m_1, v_1, ..., m_{p-1}, v_{p-1}) are the chain's share
+    of the denominator key of `c_direct`.  Only the powers y^v the chains
+    read are built: every v in 0..n above depth 1, but y^n alone at depth
+    1, whose one chain costs one summand.
     """
     p = len(block)
+    d, ys = common_denominator(block)
     exponents = range(n + 1) if p > 1 else (n,)
-    powers = [{v: x**v for v in exponents} for x in block]
+    powers = [{v: y**v for v in exponents} for y in ys]
     data = []
     for chain in enumerate_chains(n, p):
         nu = _chain_steps(chain)
-        weight = Fraction(multinomial(n, nu))
+        weight = multinomial(n, nu)
         for j in range(p):
             weight *= powers[j][nu[j]]
         columns = tuple(entry for pair in zip(chain, nu[:-1]) for entry in pair)
         data.append((columns, weight))
-    return data
+    return d**n, data
 
 
 def c_direct(
@@ -215,12 +221,18 @@ def c_direct(
     n: Sequence[int],
     guard: int = DEFAULT_GUARD,
 ) -> Fraction:
-    """Evaluate the defining sum by chain enumeration.
+    """Evaluate the defining sum by chain enumeration, on ints.
 
-    Summands sharing the per-column sums (sum_i m_ij, sum_i v_ij) share a
-    denominator, so their numerators are accumulated first and each group is
-    divided once.  The set of summands is the defining one; only the order
-    of exact rational operations differs.
+    Each slot's chain weights are ints over d_i**n_i (`_block_chain_data`),
+    so the merged numerator of every group of summands sharing the
+    per-column sums (sum_i m_ij, sum_i v_ij) is an int over
+    prod_i d_i**n_i, built with no gcd.  Each group is then divided by its
+    denominator prod_j C(col_m + t_j - 1, col_v) (col_m + t_j), whose
+    factors come from `gen_binomial` once per distinct (j, col_m, col_v) in
+    this call, into a running int pair over the lcm of the group
+    denominators: one gcd per group, and one Fraction per call.  The set of
+    summands is the defining one; only the order of exact operations
+    differs.
     """
     n = _check_index(spec, n)
     check_summands(spec, n, guard)
@@ -228,10 +240,12 @@ def c_direct(
 
     # key: per-column (sum of m_ij, sum of v_ij) for j < p, accumulated over slots
     empty: Index = (0,) * (2 * (p - 1))
-    groups: dict[Index, Fraction] = {empty: Fraction(1)}
+    groups: dict[Index, int] = {empty: 1}
+    scale = 1
     for i, block in enumerate(spec.xblocks):
-        chains = _block_chain_data(block, n[i])
-        merged: dict[Index, Fraction] = {}
+        block_scale, chains = _block_chain_data(block, n[i])
+        scale *= block_scale
+        merged: dict[Index, int] = {}
         for key, partial in groups.items():
             for columns, weight in chains:
                 new_key = tuple(map(operator.add, key, columns))
@@ -242,16 +256,26 @@ def c_direct(
                     merged[new_key] = contribution
         groups = merged
 
-    total = Fraction(0)
+    # (j, col_m, col_v) -> (numerator, denominator) of the column's factor
+    factors: dict[Index, tuple[int, int]] = {}
+    total_num, total_den = 0, 1
     for key, numerator in groups.items():
-        denominator = Fraction(1)
+        denominator = 1
         for j in range(p - 1):
-            col_m, col_v = key[2 * j], key[2 * j + 1]
-            linear = col_m + spec.tparams[j]
-            denominator *= gen_binomial(linear - 1, col_v) * linear
-        assert denominator != 0, "zero denominator despite shift-parameter invariant"
-        total += numerator / denominator
-    return total
+            column = j, key[2 * j], key[2 * j + 1]
+            if column not in factors:
+                _, col_m, col_v = column
+                linear = col_m + spec.tparams[j]
+                factor = gen_binomial(linear - 1, col_v) * linear
+                assert factor != 0, "zero denominator despite shift-parameter invariant"
+                factors[column] = factor.numerator, factor.denominator
+            factor_num, factor_den = factors[column]
+            numerator *= factor_den
+            denominator *= factor_num
+        g = math.gcd(total_den, denominator)
+        total_num = total_num * (denominator // g) + numerator * (total_den // g)
+        total_den *= denominator // g
+    return Fraction(total_num, total_den * scale)
 
 
 class RecurrenceEvaluator:

@@ -1002,3 +1002,44 @@ def test_non_ascii_digits_are_not_a_rational_literal(capsys, x):
     code, out, err = run(capsys, "c", f"--x={x}", "--n=1")
     assert (code, out) == (2, "")
     assert err == f"error: not a rational literal: {x!r}\n"
+
+
+def _int_flags():
+    """(subcommand argv, flag) for every int flag of every subcommand."""
+    subcommands = [("s", "--mu", "(1,2)"), ("dual", "--mu", "(1,2)"), ("embed", "--mu", "(1,2)"),
+                   ("c", "--x", "1/2", "--n", "1"), ("verify", "--identity", "c-duality"),
+                   ("bench",)]
+    cases = [(argv, "--guard") for argv in subcommands]
+    cases.append((("s", "--mu", "(1,2)"), "--n"))
+    for name, flag in cli.VERIFY_FLAGS.items():
+        if flag.type is cli._parse_int:
+            cases.append((("verify", "--identity", "c-duality"), f"--{name}"))
+    for name, flag in cli.BENCH_FLAGS.items():
+        if flag.type is cli._parse_int:
+            cases.append((("bench",), f"--{name}"))
+    return cases
+
+
+def test_every_int_flag_is_read_as_ascii():
+    """No parser action reads its value with `int`, which takes `_` and non-ASCII digits."""
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if a.choices and "verify" in a.choices]
+    for name, subparser in subparsers.choices.items():
+        for action in subparser._actions:
+            assert action.type is not int, (name, action.dest)
+    assert len(_int_flags()) == 6 + 1 + 8 + 5
+
+
+@pytest.mark.parametrize("text", ["1_0", "١", "٥", "２", "1,2", "", "1.0"])
+@pytest.mark.parametrize("argv,flag", _int_flags())
+def test_int_flags_take_ascii_integers_only(capsys, argv, flag, text):
+    code, out, err = run(capsys, *argv, f"{flag}={text}")
+    assert (code, out) == (2, "")
+    assert err.endswith(f": error: argument {flag}: not an integer: {text!r}\n")
+
+
+def test_int_flags_take_signs_and_spaces_around(capsys):
+    spaced = run(capsys, "s", "--mu", "(1,2)", "--n", " 1 ", "--guard", "+5")
+    assert spaced == run(capsys, "s", "--mu", "(1,2)", "--n", "+1") == (0, "5/8\n", "")
+    code, _, err = run(capsys, "s", "--mu", "(1,2)", "--n", "-1")
+    assert code == 2 and "argument" not in err

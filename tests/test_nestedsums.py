@@ -1,14 +1,15 @@
 import itertools
+import operator
 import tracemalloc
 from fractions import Fraction as F
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mhscalc import nestedsums
 from mhscalc.guards import GuardExceeded, chain_count, direct_summand_count, recurrence_cell_count
-from mhscalc.kernel import format_rational, gen_binomial, multinomial
+from mhscalc.kernel import common_denominator, format_rational, gen_binomial, multinomial
 from mhscalc.multiseq import MultiSequenceTable
 from mhscalc.nestedsums import (
     C_DUALITY_STATEMENT,
@@ -55,6 +56,48 @@ def c_by_literal_product(spec, n):
             denominator *= gen_binomial(linear - 1, col_v) * linear
         total += numerator / denominator
     return total
+
+
+def c_direct_by_fraction_groups(spec, n):
+    """`c_direct` as it ran before its int form, kept as its reference.
+
+    The same grouping of summands by per-column sums (sum_i m_ij,
+    sum_i v_ij), with every chain weight, group sum and division a Fraction.
+    """
+    p = spec.p
+    groups = {(0,) * (2 * (p - 1)): F(1)}
+    for block, ni in zip(spec.xblocks, n):
+        merged = {}
+        for key, partial in groups.items():
+            for chain in enumerate_chains(ni, p):
+                nu = tuple(chain[j] - chain[j + 1] for j in range(p - 1)) + (chain[-1],)
+                weight = F(multinomial(ni, nu))
+                for x, v in zip(block, nu):
+                    weight *= x**v
+                columns = tuple(entry for pair in zip(chain, nu[:-1]) for entry in pair)
+                new_key = tuple(map(operator.add, key, columns))
+                merged[new_key] = merged.get(new_key, 0) + partial * weight
+        groups = merged
+    total = F(0)
+    for key, numerator in groups.items():
+        denominator = F(1)
+        for j in range(p - 1):
+            linear = key[2 * j] + spec.tparams[j]
+            denominator *= gen_binomial(linear - 1, key[2 * j + 1]) * linear
+        total += numerator / denominator
+    return total
+
+
+def direct_denominator_columns(spec, n):
+    """The distinct (j, sum_i m_ij, sum_i v_ij), j < p - 1, over all chain tuples."""
+    columns = set()
+    chains_per_slot = [list(enumerate_chains(ni, spec.p)) for ni in n]
+    for combo in itertools.product(*chains_per_slot):
+        for j in range(spec.p - 1):
+            col_m = sum(chain[j] for chain in combo)
+            col_v = sum(chain[j] - chain[j + 1] for chain in combo)
+            columns.add((j, col_m, col_v))
+    return columns
 
 
 # --- spec construction -------------------------------------------------------
@@ -456,6 +499,77 @@ def test_direct_matches_literal_product_on_drawn_specs(case):
     spec, extents = case
     n = tuple(extent - 1 for extent in extents)
     assert c_direct(spec, n) == c_by_literal_product(spec, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fill_cases(max_p=3, max_extent=5))
+@example((NestedSumSpec(((F(0), F(0), F(0)), (F(0), F(1, 2), F(0))), (F(1), F(2))), (4, 3)))
+@example((NestedSumSpec(((F(1, 2), F(-2, 3), F(5, 7)),), (F(3), F(1, 4))), (5,)))
+@example((NestedSumSpec(((F(1, 2), F(1, 3)), (F(-4, 9), F(2)), (F(1, 6), F(0))), (F(-5, 2),)),
+          (3, 4, 2)))
+@example((NestedSumSpec(((F(3, 4), F(-1, 5), F(2, 9)),), (F(-7, 3), F(-1, 2))), (5,)))
+def test_direct_matches_fraction_group_reference(case):
+    # r <= 3, depths 1-3, n_i <= 4; the examples pin zero parameters,
+    # denominators that differ within a block, and negative non-integer
+    # shifts, where gen_binomial changes sign
+    spec, extents = case
+    n = tuple(extent - 1 for extent in extents)
+    assert c_direct(spec, n) == c_direct_by_fraction_groups(spec, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(fill_x, min_size=1, max_size=3), st.integers(0, 6))
+def test_block_chain_weights_are_ints_over_d_to_the_n(block, n):
+    block = tuple(block)
+    scale, data = nestedsums._block_chain_data(block, n)
+    assert scale == common_denominator(block)[0] ** n
+    chains = list(enumerate_chains(n, len(block)))
+    assert len(data) == len(chains)
+    for chain, (columns, weight) in zip(chains, data):
+        nu = tuple(m - below for m, below in zip(chain, chain[1:])) + chain[-1:]
+        expected = F(multinomial(n, nu))
+        for x, v in zip(block, nu):
+            expected *= x**v
+        assert isinstance(weight, int) and F(weight, scale) == expected
+        assert columns == tuple(entry for pair in zip(chain, nu[:-1]) for entry in pair)
+
+
+def test_direct_reads_no_recurrence_fill(monkeypatch):
+    def refuse(self, corner):
+        raise AssertionError("c_direct read a recurrence fill")
+
+    rng = Random(17)
+    cases = [(spec, tuple(rng.randint(0, 3) for _ in range(spec.r)))
+             for spec in (random_spec(rng, 3, 3) for _ in range(12))]
+    expected = [c_direct_by_fraction_groups(spec, n) for spec, n in cases]
+    monkeypatch.setattr(RecurrenceEvaluator, "_fill", refuse)
+    with pytest.raises(AssertionError, match="read a recurrence fill"):
+        c_recursive(*cases[0])
+    assert [c_direct(spec, n) for spec, n in cases] == expected
+
+
+@pytest.mark.parametrize(
+    "spec,n",
+    [
+        (NestedSumSpec(((F(1, 2), F(1, 3), F(-2)),), (F(2), F(-3, 2))), (6,)),
+        (NestedSumSpec(((F(1, 2), F(1, 3)), (F(0), F(5, 4))), (F(1, 3),)), (4, 3)),
+        (NestedSumSpec(((F(1), F(2), F(3)),) * 3, (F(1), F(7, 2))), (2, 3, 2)),
+    ],
+)
+def test_direct_builds_each_column_factor_once_per_call(monkeypatch, spec, n):
+    calls = []
+
+    def counting(top, k):
+        calls.append((top, k))
+        return gen_binomial(top, k)
+
+    monkeypatch.setattr(nestedsums, "gen_binomial", counting)
+    first = c_direct(spec, n)
+    per_call = len(calls)
+    assert c_direct(spec, n) == first == c_by_literal_product(spec, n)
+    # the second call builds every factor again: no cache outlives a call
+    assert len(calls) == 2 * per_call
+    assert per_call == len(direct_denominator_columns(spec, n))
 
 
 @settings(max_examples=80, deadline=None)
