@@ -355,7 +355,7 @@ def _cmd_verify(args) -> int:
         cases = [case]
     report, *rest = (identity.verify(args, case) for case in cases)
     for part in rest:
-        report.extend(part.comparisons)
+        report.rows.extend(part.rows)
     return _emit_report(args, report)
 
 

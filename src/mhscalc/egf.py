@@ -52,7 +52,7 @@ from .nestedsums import (
     random_shift,
     random_table,
 )
-from .report import Comparison, VerificationReport
+from .report import Row, VerificationReport, comparison_row
 
 Exponents = tuple[int, ...]
 
@@ -404,12 +404,18 @@ EGF_SUITE_STATEMENT = (
 
 def _series_comparisons(
     identity: str, label: str, lhs: TruncatedSeries, rhs: TruncatedSeries
-) -> list[Comparison]:
-    """One comparison per exponent vector up to the shared bound."""
+) -> list[Row]:
+    """One report row per exponent vector up to the shared bound.
+
+    A row holds the two int numerators as stored (0 where absent) over the
+    series' own denominators, compared by cross-multiplication; no
+    coefficient is reduced here.
+    """
     if lhs.nvars != rhs.nvars:
         raise ValueError("cannot compare series in different variable counts")
+    lnums, ld, rnums, rd = lhs._nums, lhs._den, rhs._nums, rhs._den
     return [
-        Comparison(identity, label, e, lhs.coefficient(e), rhs.coefficient(e))
+        comparison_row(identity, label, e, lnums.get(e, 0), ld, rnums.get(e, 0), rd)
         for e in exponent_vectors(lhs.nvars, min(lhs.degree_bound, rhs.degree_bound))
     ]
 
@@ -468,7 +474,7 @@ def verify_operator_suite(
             ],
         )
         factor = exp_linear((0,) * r + (1,) * r, D)
-        report.extend(
+        report.rows.extend(
             _series_comparisons("two-block-factorization", label, F_a, shifted * factor)
         )
 
@@ -477,7 +483,7 @@ def verify_operator_suite(
             tuple(1 if j == (i + r) % (2 * r) else 0 for j in range(2 * r))
             for i in range(2 * r)
         ]
-        report.extend(
+        report.rows.extend(
             _series_comparisons(
                 "inversion-swaps-blocks",
                 label,
@@ -491,7 +497,7 @@ def verify_operator_suite(
             annihilated = (
                 F_a.deriv(i) + F_a.deriv(r + i) - F_a.truncate(D - 1)
             )
-            report.extend(
+            report.rows.extend(
                 _series_comparisons(
                     "shift-annihilates-two-block",
                     f"{label} i={i}",
@@ -503,18 +509,18 @@ def verify_operator_suite(
         # series inversion: closed form matches the sequence-level transform,
         # and is an involution
         inv = nabla_series(f_a)
-        report.extend(
+        report.rows.extend(
             _series_comparisons(
                 "inversion-closed-form", label, inv, from_sequence(nabla_a, D)
             )
         )
-        report.extend(
+        report.rows.extend(
             _series_comparisons("inversion-involution", label, nabla_series(inv), f_a)
         )
 
         # conjugation of the basic operators by the inversion
         for i in range(1, r + 1):
-            report.extend(
+            report.rows.extend(
                 _series_comparisons(
                     "inversion-conjugates-mul",
                     f"{label} i={i}",
@@ -522,7 +528,7 @@ def verify_operator_suite(
                     inv.mul_var(i).scale(-1),
                 )
             )
-            report.extend(
+            report.rows.extend(
                 _series_comparisons(
                     "inversion-conjugates-deriv",
                     f"{label} i={i}",
@@ -534,7 +540,7 @@ def verify_operator_suite(
         # conjugating xi complements its parameters
         xvec = tuple(random_rational(rng) for _ in range(r))
         ones_minus = tuple(1 - c for c in xvec)
-        report.extend(
+        report.rows.extend(
             _series_comparisons(
                 "inversion-conjugates-xi",
                 f"{label} x={','.join(format_rational(c) for c in xvec)}",
@@ -564,7 +570,7 @@ def verify_operator_suite(
         for exponents in exponent_vectors(r, D - 1):
             mono = TruncatedSeries.monomial(r, D, exponents)
             commutator = shift_op(xi_plus_t(mono)) - xi_plus_t(shift_op(mono))
-            report.extend(
+            report.rows.extend(
                 _series_comparisons(
                     "commutator-reduction",
                     f"{mono_label} e={exponents}",
@@ -582,7 +588,7 @@ def verify_operator_suite(
             window = (D + 1,) * r
             f_spec = from_sequence(RecurrenceEvaluator(spec, guard).table(window), D)
             dual = RecurrenceEvaluator(spec.one_minus(), guard).table(window)
-            report.extend(
+            report.rows.extend(
                 _series_comparisons(
                     "nested-sum-duality", slabel, nabla_series(f_spec), from_sequence(dual, D)
                 )
@@ -596,11 +602,11 @@ def verify_operator_suite(
                     reduced = _egf_window(TruncatedSeries(r, D, {
                         e: c_direct(reduced_spec, e, guard) for e in exponent_vectors(r, D)
                     }))
-                    report.extend(
+                    report.rows.extend(
                         _series_comparisons("depth-reduction-step", slabel, telescoped, reduced)
                     )
             last_cols = tuple(block[p - 1] for block in spec.xblocks)
-            report.extend(
+            report.rows.extend(
                 _series_comparisons(
                     "telescoped-depth-reduction",
                     slabel,

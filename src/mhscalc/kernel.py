@@ -5,8 +5,9 @@ provides canonical reduced form (positive denominator, gcd one) and
 structural equality.  This module adds the two coefficient families the
 nested-sum machinery needs, each computed on integers and keeping no state
 between calls, the integer form of a list of rationals over one common
-denominator, the canonical text form used in reports, which prints values
-of any size, and the one reader of comma-separated integer lists.
+denominator, the canonical text form used in reports (of a Fraction or of
+an int numerator/denominator pair), which prints values of any size, and
+the one reader of comma-separated integer lists.
 """
 
 from __future__ import annotations
@@ -68,20 +69,34 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$", re.ASCII)
 _INTEGER_RE = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
 
-def format_rational(value: RationalLike) -> str:
-    """Canonical text form: sign on the numerator, "/q" omitted when q = 1.
+def _format_reduced(numerator: int, denominator: int) -> str:
+    """Canonical text of a pair in lowest terms with denominator > 0.
 
-    Exact at any size: `str` of an int refuses more digits than
-    `sys.get_int_max_str_digits()`, and `Decimal` converts such an int
-    exactly.  A Fraction prints as it is; other values convert first.
+    The sign goes on the numerator and "/q" is omitted when q = 1.  Exact at
+    any size: `str` of an int refuses more digits than
+    `sys.get_int_max_str_digits()`, and `Decimal` converts such an int exactly.
+    """
+    try:
+        return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+    except ValueError:
+        text = str(Decimal(numerator))
+        return text if denominator == 1 else f"{text}/{Decimal(denominator)}"
+
+
+def format_ratio(numerator: int, denominator: int) -> str:
+    """Canonical text of numerator / denominator for denominator > 0, reduced first."""
+    divisor = math.gcd(numerator, denominator)
+    return _format_reduced(numerator // divisor, denominator // divisor)
+
+
+def format_rational(value: RationalLike) -> str:
+    """Canonical text form of a rational, as `format_ratio` prints its pair.
+
+    A Fraction is already reduced; other values convert first.
     """
     if not isinstance(value, Fraction):
         value = Fraction(value)
-    try:
-        return str(value)
-    except ValueError:
-        text = str(Decimal(value.numerator))
-        return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
+    return _format_reduced(value.numerator, value.denominator)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -239,5 +239,5 @@ def verify_mhs_duality(
         part = sweep_report(
             "mhs-duality", MHS_DUALITY_STATEMENT, f"mu={mu} mu*={dual}", points, lhs, rhs
         )
-        report.extend(part.comparisons)
+        report.rows.extend(part.rows)
     return report

@@ -1,11 +1,22 @@
 """Comparison reports produced by the identity verifiers.
 
-Every verifier emits one `Comparison` per checked point; a report is a named
-bundle of comparisons with text/JSON/CSV renderings.  All orderings are
-deterministic (index order within a sweep, insertion order across sweeps), so
-a report's bytes depend only on its inputs.  `render_csv` is the package's
-one CSV writer: a report's rows are its comparisons' `to_dict`, and the
-CLI's value and `bench` outputs use it too.
+A report stores one row of ints per checked point:
+
+    (identity, label, index, lhs numerator, lhs denominator,
+     rhs numerator, rhs denominator, equal)
+
+Both denominators are positive but need not be in lowest terms, and `equal`
+is decided by cross-multiplication, so a verifier appends rows straight from
+the int numerators of its tables and series.  The verdict and the text, JSON
+and CSV renderings read the rows: an equal row is reduced once and its text
+printed for both sides, a FAIL row formats each side.  A `Comparison` (one
+check with reduced Fractions) is built only where a caller reads one, from
+`comparisons` or `failures`; `extend` takes Comparisons from library callers.
+
+All orderings are deterministic (index order within a sweep, insertion order
+across sweeps), so a report's bytes depend only on its inputs.  `render_csv`
+is the package's one CSV writer: the reports and the CLI's value and `bench`
+outputs use it.
 """
 
 from __future__ import annotations
@@ -13,11 +24,22 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
 
-from .kernel import format_rational
+from .kernel import format_ratio, format_rational
+
+# (identity, label, index, lhs numerator, lhs denominator, rhs numerator,
+#  rhs denominator, equal); denominators > 0.
+Row = tuple[str, str, tuple[int, ...], int, int, int, int, bool]
+
+
+def comparison_row(
+    identity: str, label: str, index: tuple[int, ...], ln: int, ld: int, rn: int, rd: int
+) -> Row:
+    """The row comparing ln/ld with rn/rd (ld, rd > 0) by cross-multiplication."""
+    return (identity, label, index, ln, ld, rn, rd, ln * rd == rn * ld)
 
 
 def render_csv(rows: Sequence[dict], fields: Sequence[str] | None = None) -> str:
@@ -61,28 +83,78 @@ class Comparison:
         }
 
 
-@dataclass
+def _comparison(row: Row) -> Comparison:
+    identity, label, index, ln, ld, rn, rd, _ = row
+    return Comparison(identity, label, index, Fraction(ln, ld), Fraction(rn, rd))
+
+
+class _Comparisons(Sequence):
+    """A read-only view of report rows as Comparisons, each built when read."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: list[Row]):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, position):
+        if isinstance(position, slice):
+            return [_comparison(row) for row in self._rows[position]]
+        return _comparison(self._rows[position])
+
+    def __iter__(self) -> Iterator[Comparison]:
+        return map(_comparison, self._rows)
+
+
 class VerificationReport:
-    """All comparisons from one verification run.
+    """All comparisons from one verification run, stored as `rows`.
 
     `statement` is the identity being checked, written as a formula; it
-    heads the text rendering and is embedded in the JSON envelope.
+    heads the text rendering and is embedded in the JSON envelope.  Another
+    report's checks join this one by `report.rows.extend(part.rows)`.
     """
 
-    identity: str
-    statement: str
-    comparisons: list[Comparison]
+    def __init__(self, identity: str, statement: str, comparisons: Iterable[Comparison] = ()):
+        self.identity = identity
+        self.statement = statement
+        self.rows: list[Row] = []
+        self.extend(comparisons)
+
+    @property
+    def comparisons(self) -> Sequence[Comparison]:
+        return _Comparisons(self.rows)
 
     @property
     def ok(self) -> bool:
-        return all(comp.equal for comp in self.comparisons)
+        return all(row[7] for row in self.rows)
 
     @property
     def failures(self) -> list[Comparison]:
-        return [comp for comp in self.comparisons if not comp.equal]
+        return [_comparison(row) for row in self.rows if not row[7]]
 
     def extend(self, comparisons: Iterable[Comparison]) -> None:
-        self.comparisons.extend(comparisons)
+        self.rows.extend(
+            (comp.identity, comp.spec, comp.index, comp.lhs.numerator, comp.lhs.denominator,
+             comp.rhs.numerator, comp.rhs.denominator, comp.equal)
+            for comp in comparisons
+        )
+
+    def _dicts(self) -> list[dict]:
+        """Each row as `Comparison.to_dict` would give it."""
+        out = []
+        for identity, label, index, ln, ld, rn, rd, equal in self.rows:
+            left = format_ratio(ln, ld)
+            out.append({
+                "identity": identity,
+                "spec": label,
+                "index": list(index),
+                "lhs": left,
+                "rhs": left if equal else format_ratio(rn, rd),
+                "equal": equal,
+            })
+        return out
 
     def to_json(self) -> str:
         return json.dumps(
@@ -90,27 +162,29 @@ class VerificationReport:
                 "identity": self.identity,
                 "statement": self.statement,
                 "ok": self.ok,
-                "checked": len(self.comparisons),
-                "comparisons": [comp.to_dict() for comp in self.comparisons],
+                "checked": len(self.rows),
+                "comparisons": self._dicts(),
             },
             indent=2,
         )
 
     def to_csv(self) -> str:
         """One row per comparison; the index prints as space-separated entries."""
-        rows = [comp.to_dict() for comp in self.comparisons]
-        return render_csv(rows, ("identity", "spec", "index", "lhs", "rhs", "equal"))
+        return render_csv(self._dicts(), ("identity", "spec", "index", "lhs", "rhs", "equal"))
 
     def to_text(self) -> str:
         lines = [f"identity: {self.identity}", f"statement: {self.statement}"]
-        for comp in self.comparisons:
-            mark = "ok  " if comp.equal else "FAIL"
-            lines.append(
-                f"{mark} {comp.spec} @ {comp.index}: "
-                f"lhs={format_rational(comp.lhs)} rhs={format_rational(comp.rhs)}"
-            )
-        verdict = "PASS" if self.ok else f"FAIL ({len(self.failures)} of {len(self.comparisons)})"
-        lines.append(f"result: {verdict}, {len(self.comparisons)} comparisons")
+        failed = 0
+        for _, label, index, ln, ld, rn, rd, equal in self.rows:
+            left = format_ratio(ln, ld)
+            if equal:
+                lines.append(f"ok   {label} @ {index}: lhs={left} rhs={left}")
+            else:
+                failed += 1
+                lines.append(f"FAIL {label} @ {index}: lhs={left} rhs={format_ratio(rn, rd)}")
+        checked = len(self.rows)
+        verdict = f"FAIL ({failed} of {checked})" if failed else "PASS"
+        lines.append(f"result: {verdict}, {checked} comparisons")
         return "\n".join(lines) + "\n"
 
 
@@ -122,16 +196,18 @@ def sweep_report(
     lhs: Iterable[Fraction],
     rhs: Iterable[Fraction],
 ) -> VerificationReport:
-    """One comparison per point: the i-th point with the i-th lhs and rhs.
+    """One row per point: the i-th point with the i-th lhs and rhs.
 
     The three iterables are consumed in lockstep, so generators keep each
-    point's evaluation next to its comparison.
+    point's evaluation next to its comparison.  A value may be a Fraction
+    or an int.
     """
-    return VerificationReport(
-        identity,
-        statement,
-        [
-            Comparison(identity, label, index, left, right)
-            for index, left, right in zip(points, lhs, rhs, strict=True)
-        ],
-    )
+    report = VerificationReport(identity, statement)
+    report.rows = [
+        comparison_row(
+            identity, label, index, left.numerator, left.denominator, right.numerator,
+            right.denominator,
+        )
+        for index, left, right in zip(points, lhs, rhs, strict=True)
+    ]
+    return report

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from mhscalc.kernel import (
     common_denominator,
     format_rational,
+    format_ratio,
     gen_binomial,
     multinomial,
     parse_integers,
@@ -132,6 +133,26 @@ def test_format_rational_converts_other_values():
     assert format_rational(-3) == "-3"
     big = 10**5000 + 1
     assert format_rational(-big) == "-1" + "0" * 4999 + "1"
+
+
+@pytest.mark.parametrize(
+    "numerator,denominator,text",
+    [(2, 4, "1/2"), (-6, 3, "-2"), (0, 7, "0"), (5, 1, "5"), (-10, 4, "-5/2")],
+)
+def test_format_ratio_reduces(numerator, denominator, text):
+    assert format_ratio(numerator, denominator) == text
+
+
+@given(rationals, st.integers(1, 10**30))
+def test_format_ratio_is_format_rational(value, scale):
+    text = format_rational(value)
+    assert format_ratio(value.numerator * scale, value.denominator * scale) == text
+
+
+def test_format_ratio_past_the_digit_limit():
+    big = 10**5000
+    text = format_ratio(-3 * (big + 1), 6 * big)
+    assert text == "-1" + "0" * 4999 + "1/2" + "0" * 5000
 
 
 def test_parse_rational_past_the_digit_limit():

@@ -1,0 +1,123 @@
+"""The row report against the Comparison-list reference, and the hot path."""
+
+import sys
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mhscalc import report as report_module
+from mhscalc.cli import main
+from mhscalc.report import Comparison, VerificationReport, comparison_row, sweep_report
+from reference_report import ReferenceReport, to_dict
+
+BIG = 10 ** (sys.get_int_max_str_digits() + 100)
+
+integers = st.one_of(
+    st.integers(-60, 60),
+    st.integers(-3, 3).map(lambda k: k * BIG + 7),
+)
+denominators = st.one_of(st.integers(1, 60), st.just(BIG + 1))
+scales = st.integers(1, 6)
+
+
+@st.composite
+def sides(draw):
+    """(ln, ld, rn, rd): equal over different unreduced denominators, or independent."""
+    numerator, denominator = draw(integers), draw(denominators)
+    left, right = draw(scales), draw(scales)
+    if draw(st.booleans()):
+        return numerator * left, denominator * left, numerator * right, denominator * right
+    return numerator * left, denominator * left, draw(integers), draw(denominators)
+
+
+rows = st.lists(
+    st.tuples(
+        st.sampled_from(["c-duality", "egf-suite"]),
+        st.text(st.sampled_from('ab ,;="/|'), max_size=6),
+        st.lists(st.integers(0, 12), min_size=1, max_size=3).map(tuple),
+        sides(),
+    ).map(lambda drawn: comparison_row(*drawn[:3], *drawn[3])),
+    max_size=12,
+)
+
+
+def _reference(report: VerificationReport, row_list) -> ReferenceReport:
+    return ReferenceReport(report.identity, report.statement, [
+        Comparison(identity, label, index, F(ln, ld), F(rn, rd))
+        for identity, label, index, ln, ld, rn, rd, _ in row_list
+    ])
+
+
+def test_equal_rows_over_unreduced_denominators():
+    row = comparison_row("c-duality", "spec", (0,), 2, 4, 1, 2)
+    assert row[-1] is True
+    assert comparison_row("c-duality", "spec", (0,), 0, 3, 0, 5)[-1] is True
+    assert comparison_row("c-duality", "spec", (0,), -1, 2, 1, 2)[-1] is False
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows)
+def test_row_report_matches_the_reference(row_list):
+    report = VerificationReport("c-duality", "statement")
+    report.rows.extend(row_list)
+    reference = _reference(report, row_list)
+    assert report.to_text() == reference.to_text()
+    assert report.to_json() == reference.to_json()
+    assert report.to_csv() == reference.to_csv()
+    assert report.ok == reference.ok
+    assert report.failures == reference.failures
+    assert len(report.comparisons) == len(reference.comparisons)
+    assert list(report.comparisons) == reference.comparisons
+    assert [comp.to_dict() for comp in report.comparisons] == list(
+        map(to_dict, reference.comparisons)
+    )
+
+
+def test_comparisons_read_as_a_sequence():
+    report = sweep_report("c-duality", "statement", "spec", [(0,), (1,), (2,)],
+                          [F(1, 2), 3, F(-1)], [F(2, 4), 3, F(1)])
+    view = report.comparisons
+    assert len(view) == 3 and view[0] == Comparison("c-duality", "spec", (0,), F(1, 2), F(1, 2))
+    assert view[-1].equal is False and view[1:] == [view[1], view[2]]
+    assert [comp.index for comp in report.failures] == [(2,)]
+    with pytest.raises(IndexError):
+        view[3]
+    with pytest.raises(TypeError):
+        view[0] = view[1]
+
+
+def test_extend_takes_comparisons():
+    report = VerificationReport("c-duality", "statement", [
+        Comparison("c-duality", "spec", (0,), F(1, 3), F(1, 3)),
+    ])
+    report.extend([Comparison("c-duality", "spec", (1,), F(1), F(2))])
+    assert report.rows == [
+        ("c-duality", "spec", (0,), 1, 3, 1, 3, True),
+        ("c-duality", "spec", (1,), 1, 1, 2, 1, False),
+    ]
+    assert not report.ok and report.to_text().endswith("result: FAIL (1 of 2), 2 comparisons\n")
+
+
+HOT_PATH_COMMANDS = [
+    ("verify", "--identity=egf-suite", "--degree=2"),
+    ("verify", "--identity=c-duality", "--x=1/2,1/3;2,-1", "--t=3/2", "--nmax=2"),
+    ("verify", "--identity=mhs-duality", "--wmax=3", "--nmax=3"),
+    ("verify", "--identity=recurrence", "--count=2", "--seed=7"),
+]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a Comparison was built")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv", HOT_PATH_COMMANDS, ids=[argv[1] for argv in HOT_PATH_COMMANDS])
+def test_verify_builds_no_comparison(capsys, monkeypatch, argv, fmt):
+    assert main([*argv, f"--format={fmt}"]) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(report_module, "Comparison", _refuse)
+    assert main([*argv, f"--format={fmt}"]) == 0
+    assert capsys.readouterr().out == expected
+    with pytest.raises(AssertionError, match="Comparison was built"):
+        sweep_report("c-duality", "statement", "spec", [(0,)], [F(1)], [F(1)]).comparisons[0]

@@ -4,6 +4,8 @@
   KEPT_FOR_TRACING.
 * Only `guards.py` calls `check_guard` or constructs `GuardExceeded`, so
   every work estimate, limit and guard message stays in that one module.
+* Only `report.py` constructs `Comparison`, so the verifiers append rows of
+  ints to their reports and build no object per checked point.
 """
 
 import ast
@@ -26,6 +28,7 @@ KEPT_FOR_TRACING = {
 }
 
 GUARD_OWNER = "guards.py"
+COMPARISON_OWNER = "report.py"
 
 
 def _tree(module: str) -> ast.Module:
@@ -75,6 +78,16 @@ def guard_raisers(tree: ast.Module) -> list[str]:
     return [f"line {line}: {what}" for line, what in sorted(found)]
 
 
+def comparison_builders(tree: ast.Module) -> list[str]:
+    """Calls that construct a `Comparison`."""
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _callee(node) == "Comparison"
+    )
+    return [f"line {line}: Comparison(...)" for line in lines]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_read(module):
     kept = {name for (owner, name) in KEPT_FOR_TRACING if owner == module}
@@ -88,6 +101,24 @@ def test_only_the_guard_module_raises_guards(module):
 
 def test_the_guard_module_raises_the_guards():
     assert guard_raisers(_tree(GUARD_OWNER))
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {COMPARISON_OWNER}))
+def test_only_the_report_module_builds_comparisons(module):
+    assert comparison_builders(_tree(module)) == []
+
+
+def test_the_report_module_builds_comparisons():
+    assert comparison_builders(_tree(COMPARISON_OWNER))
+
+
+def test_the_comparison_rule_sees_a_construction():
+    tree = ast.parse(
+        "from .report import Comparison\n"
+        "rows = [Comparison('c', 'spec', (0,), 1, 1)]\n"
+        "more = report.Comparison('c', 'spec', (1,), 1, 2)\n"
+    )
+    assert comparison_builders(tree) == ["line 2: Comparison(...)", "line 3: Comparison(...)"]
 
 
 def test_the_rules_see_what_they_forbid():
