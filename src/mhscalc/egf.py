@@ -28,7 +28,11 @@ Operators:
 (the generating-function forms of the duality and difference machinery) on
 seeded random sequences and parameter specs, coefficient by coefficient.
 Its nested-sum windows come from recurrence fills; the reduced side of
-depth reduction stays chain enumeration, which checks the fills.
+depth reduction stays chain enumeration (one `direct_window` per reduced
+spec), which checks the fills.  `exponent_vectors` returns a graded list
+whose prefixes are the lists at lower bounds, so the suite builds one list
+per variable count and reads every lower bound as a prefix; like the rest
+of the package it keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .multiseq import iterated_delta  # noqa: F401  (perfbench's tracer wraps it
 from .nestedsums import (
     NestedSumSpec,
     RecurrenceEvaluator,
-    c_direct,
+    direct_window,
     random_blocks,
     random_rational,
     random_shift,
@@ -57,20 +61,30 @@ from .report import Row, VerificationReport, comparison_row
 Exponents = tuple[int, ...]
 
 
-def exponent_vectors(nvars: int, bound: int) -> Iterator[Exponents]:
-    """Exponent vectors with total degree <= bound, graded lexicographic."""
+def exponent_vectors(nvars: int, bound: int) -> list[Exponents]:
+    """Exponent vectors with total degree <= bound, graded lexicographic.
+
+    Built degree by degree, one variable at a time: the vectors of degree s
+    in m variables are (h,) + v for h = 0..s and v of degree s - h in the
+    last m - 1.  Those of degree <= b < bound are the first C(nvars + b,
+    nvars) of the list (`_up_to`), so one list serves every lower bound.
+    """
     if nvars < 1:
         raise ValueError(f"nvars must be positive, got {nvars}")
+    # by_degree[s]: the vectors of degree s in the variables added so far
+    by_degree = [[(s,)] for s in range(bound + 1)]
+    for _ in range(nvars - 1):
+        by_degree = [
+            [(head,) + rest for head in range(s + 1) for rest in by_degree[s - head]]
+            for s in range(bound + 1)
+        ]
+    return [e for vectors in by_degree for e in vectors]
 
-    def compositions(total: int, length: int) -> Iterator[Exponents]:
-        if length == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in compositions(total - head, length - 1):
-                yield (head,) + rest
 
-    return (e for total in range(bound + 1) for e in compositions(total, nvars))
+def _up_to(vectors: list[Exponents], bound: int) -> list[Exponents]:
+    """The vectors of degree <= bound, a prefix of a longer `exponent_vectors` list."""
+    nvars = len(vectors[0])
+    return vectors[:math.comb(nvars + bound, nvars)]
 
 
 class TruncatedSeries:
@@ -284,11 +298,12 @@ def F_from_sequence(table: MultiSequenceTable, degree_bound: int) -> TruncatedSe
     delta^k a(n) = delta^{k-e_i} a(n) - delta^{k-e_i} a(n+e_i).
     """
     r = table.arity
-    diffs = {n + (0,) * r: table.numerator(n) for n in exponent_vectors(r, degree_bound)}
-    for k in itertools.islice(exponent_vectors(r, degree_bound), 1, None):
+    vectors = exponent_vectors(r, degree_bound)
+    diffs = {n + (0,) * r: table.numerator(n) for n in vectors}
+    for k in vectors[1:]:
         i = next(axis for axis, ki in enumerate(k) if ki)
         lower = k[:i] + (k[i] - 1,) + k[i + 1:]
-        for n in exponent_vectors(r, degree_bound - sum(k)):
+        for n in _up_to(vectors, degree_bound - sum(k)):
             raised = n[:i] + (n[i] + 1,) + n[i + 1:]
             diffs[n + k] = diffs[n + lower] - diffs[raised + lower]
     return _egf_window(TruncatedSeries._trusted(2 * r, degree_bound, table.denominator, diffs))
@@ -298,14 +313,13 @@ def exp_linear(coefficients: Sequence, degree_bound: int) -> TruncatedSeries:
     """Window of e^{c_1 X_1 + ... + c_m X_m}, the EGF window of n -> c^n.
 
     With c_i = a_i / b_i, the power c^n has numerator prod_i a_i^n_i b_i^(D - n_i)
-    over prod_i b_i^D.
+    over prod_i b_i^D; row i lists a_i^k b_i^(D - k) for k = 0..D.
     """
     cvec = [Fraction(c) for c in coefficients]
     D = degree_bound
-    powers = {
-        n: math.prod(c.numerator**k * c.denominator ** (D - k) for c, k in zip(cvec, n))
-        for n in exponent_vectors(len(cvec), D)
-    }
+    vectors = exponent_vectors(len(cvec), D)
+    rows = [[c.numerator**k * c.denominator ** (D - k) for k in range(D + 1)] for c in cvec]
+    powers = {n: math.prod(map(list.__getitem__, rows, n)) for n in vectors}
     den = math.prod(c.denominator**D for c in cvec)
     return _egf_window(TruncatedSeries._trusted(len(cvec), D, den, powers))
 
@@ -393,6 +407,21 @@ def xi_apply(f: TruncatedSeries, x: Sequence) -> TruncatedSeries:
     return TruncatedSeries._trusted(f.nvars, f.degree_bound, f._den * q, nums)
 
 
+def _direct_series(
+    spec: NestedSumSpec, degree_bound: int, vectors: list[Exponents], guard: int
+) -> TruncatedSeries:
+    """The EGF window of c[spec] up to the bound, by chain enumeration.
+
+    `vectors` is `exponent_vectors(spec.r, degree_bound)`.  `direct_window`
+    gives each value as an int pair, and the window holds them over the lcm
+    of the denominators.
+    """
+    values = direct_window(spec, vectors, guard)
+    den = math.lcm(*(d for _, d in values))
+    nums = {e: n * (den // d) for e, (n, d) in zip(vectors, values)}
+    return _egf_window(TruncatedSeries._trusted(spec.r, degree_bound, den, nums))
+
+
 # --- operator-identity battery ----------------------------------------------
 
 EGF_SUITE_STATEMENT = (
@@ -403,20 +432,25 @@ EGF_SUITE_STATEMENT = (
 
 
 def _series_comparisons(
-    identity: str, label: str, lhs: TruncatedSeries, rhs: TruncatedSeries
+    identity: str,
+    label: str,
+    lhs: TruncatedSeries,
+    rhs: TruncatedSeries,
+    vectors: list[Exponents],
 ) -> list[Row]:
     """One report row per exponent vector up to the shared bound.
 
-    A row holds the two int numerators as stored (0 where absent) over the
-    series' own denominators, compared by cross-multiplication; no
-    coefficient is reduced here.
+    `vectors` is `exponent_vectors` in the series' variables at that bound
+    or above.  A row holds the two int numerators as stored (0 where
+    absent) over the series' own denominators, compared by
+    cross-multiplication; no coefficient is reduced here.
     """
     if lhs.nvars != rhs.nvars:
         raise ValueError("cannot compare series in different variable counts")
     lnums, ld, rnums, rd = lhs._nums, lhs._den, rhs._nums, rhs._den
     return [
         comparison_row(identity, label, e, lnums.get(e, 0), ld, rnums.get(e, 0), rd)
-        for e in exponent_vectors(lhs.nvars, min(lhs.degree_bound, rhs.degree_bound))
+        for e in _up_to(vectors, min(lhs.degree_bound, rhs.degree_bound))
     ]
 
 
@@ -441,19 +475,27 @@ def verify_operator_suite(
 
     The windows f of c[x|t] and of c[1-x|t] are read from one recurrence
     fill each; the reduced side of `depth-reduction-step` stays chain
-    enumeration (`c_direct`).  That identity is the recurrence in EGF form,
-    (|e| + t_1) f_e - sum_i x_{i1} f_{e-e_i} = reduced_e with |e| + t_1 != 0,
-    so it fixes f from the enumerated values and a wrong fill value fails it
-    (at depth 1, `telescoped-depth-reduction` checks f against exp_linear).
+    enumeration (`direct_window`).  That identity is the recurrence in EGF
+    form, (|e| + t_1) f_e - sum_i x_{i1} f_{e-e_i} = reduced_e with
+    |e| + t_1 != 0, so it fixes f from the enumerated values and a wrong fill
+    value fails it (at depth 1, `telescoped-depth-reduction` checks f
+    against exp_linear).  Each variable count's `exponent_vectors` list is
+    built once, at the degree, and read by every comparison in those
+    variables.
 
     GuardExceeded is raised before any series is built when the term pairs
     of the largest product (`guards.suite_product_pairs`) exceed `guard`;
-    each fill also checks its own cell count against `guard`.
+    each fill and each window also checks its own work against `guard`.
     """
     check_product_pairs(degree, max(SUITE_SLOT_COUNTS), guard)
     rng = Random(seed)
     report = VerificationReport("egf-suite", EGF_SUITE_STATEMENT, [])
     D = degree
+    variable_counts = {k * r for r in SUITE_SLOT_COUNTS for k in (1, 2)}
+    vectors = {m: exponent_vectors(m, D) for m in variable_counts}
+
+    def compare(identity: str, label: str, lhs: TruncatedSeries, rhs: TruncatedSeries) -> None:
+        report.rows.extend(_series_comparisons(identity, label, lhs, rhs, vectors[lhs.nvars]))
 
     for r in SUITE_SLOT_COUNTS:
         table = random_table(rng, (D + 1,) * r)  # exact for every |n| <= D read
@@ -474,22 +516,15 @@ def verify_operator_suite(
             ],
         )
         factor = exp_linear((0,) * r + (1,) * r, D)
-        report.rows.extend(
-            _series_comparisons("two-block-factorization", label, F_a, shifted * factor)
-        )
+        compare("two-block-factorization", label, F_a, shifted * factor)
 
         # F_{nabla a}(X, Y) = F_a(Y, X)
         swap = [
             tuple(1 if j == (i + r) % (2 * r) else 0 for j in range(2 * r))
             for i in range(2 * r)
         ]
-        report.rows.extend(
-            _series_comparisons(
-                "inversion-swaps-blocks",
-                label,
-                F_from_sequence(nabla_a, D),
-                subst_linear(F_a, swap),
-            )
+        compare(
+            "inversion-swaps-blocks", label, F_from_sequence(nabla_a, D), subst_linear(F_a, swap)
         )
 
         # (d_{X_i} + d_{Y_i} - 1) F_a = 0
@@ -497,56 +532,42 @@ def verify_operator_suite(
             annihilated = (
                 F_a.deriv(i) + F_a.deriv(r + i) - F_a.truncate(D - 1)
             )
-            report.rows.extend(
-                _series_comparisons(
-                    "shift-annihilates-two-block",
-                    f"{label} i={i}",
-                    annihilated,
-                    TruncatedSeries.zero(2 * r, D - 1),
-                )
+            compare(
+                "shift-annihilates-two-block",
+                f"{label} i={i}",
+                annihilated,
+                TruncatedSeries.zero(2 * r, D - 1),
             )
 
         # series inversion: closed form matches the sequence-level transform,
         # and is an involution
         inv = nabla_series(f_a)
-        report.rows.extend(
-            _series_comparisons(
-                "inversion-closed-form", label, inv, from_sequence(nabla_a, D)
-            )
-        )
-        report.rows.extend(
-            _series_comparisons("inversion-involution", label, nabla_series(inv), f_a)
-        )
+        compare("inversion-closed-form", label, inv, from_sequence(nabla_a, D))
+        compare("inversion-involution", label, nabla_series(inv), f_a)
 
         # conjugation of the basic operators by the inversion
         for i in range(1, r + 1):
-            report.rows.extend(
-                _series_comparisons(
-                    "inversion-conjugates-mul",
-                    f"{label} i={i}",
-                    nabla_series(f_a.mul_var(i)),
-                    inv.mul_var(i).scale(-1),
-                )
+            compare(
+                "inversion-conjugates-mul",
+                f"{label} i={i}",
+                nabla_series(f_a.mul_var(i)),
+                inv.mul_var(i).scale(-1),
             )
-            report.rows.extend(
-                _series_comparisons(
-                    "inversion-conjugates-deriv",
-                    f"{label} i={i}",
-                    nabla_series(f_a.deriv(i)),
-                    inv.truncate(D - 1) - inv.deriv(i),
-                )
+            compare(
+                "inversion-conjugates-deriv",
+                f"{label} i={i}",
+                nabla_series(f_a.deriv(i)),
+                inv.truncate(D - 1) - inv.deriv(i),
             )
 
         # conjugating xi complements its parameters
         xvec = tuple(random_rational(rng) for _ in range(r))
         ones_minus = tuple(1 - c for c in xvec)
-        report.rows.extend(
-            _series_comparisons(
-                "inversion-conjugates-xi",
-                f"{label} x={','.join(format_rational(c) for c in xvec)}",
-                nabla_series(xi_apply(f_a, xvec)),
-                xi_apply(inv, ones_minus),
-            )
+        compare(
+            "inversion-conjugates-xi",
+            f"{label} x={','.join(format_rational(c) for c in xvec)}",
+            nabla_series(xi_apply(f_a, xvec)),
+            xi_apply(inv, ones_minus),
         )
 
         # commutator reduction on every monomial below the bound
@@ -567,16 +588,11 @@ def verify_operator_suite(
             f"{label} S={subset} x={','.join(format_rational(c) for c in xvec)} "
             f"t={format_rational(t)}"
         )
-        for exponents in exponent_vectors(r, D - 1):
+        for exponents in _up_to(vectors[r], D - 1):
             mono = TruncatedSeries.monomial(r, D, exponents)
             commutator = shift_op(xi_plus_t(mono)) - xi_plus_t(shift_op(mono))
-            report.rows.extend(
-                _series_comparisons(
-                    "commutator-reduction",
-                    f"{mono_label} e={exponents}",
-                    commutator,
-                    shift_op(mono),
-                )
+            compare(
+                "commutator-reduction", f"{mono_label} e={exponents}", commutator, shift_op(mono)
             )
 
         # nested-sum generating functions: inversion duality and depth reduction
@@ -588,30 +604,18 @@ def verify_operator_suite(
             window = (D + 1,) * r
             f_spec = from_sequence(RecurrenceEvaluator(spec, guard).table(window), D)
             dual = RecurrenceEvaluator(spec.one_minus(), guard).table(window)
-            report.rows.extend(
-                _series_comparisons(
-                    "nested-sum-duality", slabel, nabla_series(f_spec), from_sequence(dual, D)
-                )
-            )
+            compare("nested-sum-duality", slabel, nabla_series(f_spec), from_sequence(dual, D))
             telescoped = f_spec
             for j in range(p - 1):
                 cols = tuple(block[j] for block in spec.xblocks)
                 telescoped = xi_apply(telescoped, cols) + telescoped.scale(spec.tparams[j])
                 if j == 0:
-                    reduced_spec = spec.reduce_depth()
-                    reduced = _egf_window(TruncatedSeries(r, D, {
-                        e: c_direct(reduced_spec, e, guard) for e in exponent_vectors(r, D)
-                    }))
-                    report.rows.extend(
-                        _series_comparisons("depth-reduction-step", slabel, telescoped, reduced)
+                    compare(
+                        "depth-reduction-step",
+                        slabel,
+                        telescoped,
+                        _direct_series(spec.reduce_depth(), D, vectors[r], guard),
                     )
             last_cols = tuple(block[p - 1] for block in spec.xblocks)
-            report.rows.extend(
-                _series_comparisons(
-                    "telescoped-depth-reduction",
-                    slabel,
-                    telescoped,
-                    exp_linear(last_cols, D),
-                )
-            )
+            compare("telescoped-depth-reduction", slabel, telescoped, exp_linear(last_cols, D))
     return report

@@ -15,11 +15,13 @@ positive or a non-integer rational, hence nonzero.
 
 Two independent evaluation routes are provided:
 
-* `c_direct` enumerates the chain tuples of the defining sum, grouping
-  summands that share a denominator (an exact regrouping).  It runs on
-  ints: chain weights of slot i over d_i^{n_i}, d_i the lcm of the
-  denominators of block i, group sums over prod_i d_i^{n_i}, and one
-  Fraction per call;
+* `direct_window` enumerates the chain tuples of the defining sum at each
+  point of a list, grouping summands that share a denominator (an exact
+  regrouping).  It runs on ints: chain weights of slot i over d_i^{n_i},
+  d_i the lcm of the denominators of block i, group sums over
+  prod_i d_i^{n_i}, and one int pair per point.  The chains of a
+  (slot, n_i) and each column's denominator factor are built once per
+  window; `c_direct` is its one-point call, with one Fraction;
 * `c_recursive` runs the depth-reduction recurrence
 
       c(n) = [ sum_k x_{k1} n_k c(n - e_k) + c_reduced(n) ] / (|n| + t_1)
@@ -35,8 +37,8 @@ have their own classical coefficient normalizations; both must (and are
 verified to) coincide with `c_direct` at t = 1.
 
 Verifiers at the bottom check, on finite boxes and each over the whole box
-at once from recurrence fills, the recurrence against c_direct at every
-point, and with c_direct at the corner the duality (nabla c[x;t] =
+at once from recurrence fills, the recurrence against chain enumeration at
+every point, and with c_direct at the corner the duality (nabla c[x;t] =
 c[1-x;t]), the difference formula (iterated differences of c are again c at
 doubled parameters) and the shift identity for parameter blocks summing to
 a constant vector.
@@ -197,7 +199,7 @@ def _block_chain_data(block: tuple[Fraction, ...], n: int) -> tuple[int, list[tu
     With d, ys = `common_denominator(block)`, each chain's weight
     multinomial * prod x^v is that int over d**n, since its steps v sum to
     n.  The columns (m_1, v_1, ..., m_{p-1}, v_{p-1}) are the chain's share
-    of the denominator key of `c_direct`.  Only the powers y^v the chains
+    of the denominator key of `direct_window`.  Only the powers y^v the chains
     read are built: every v in 0..n above depth 1, but y^n alone at depth
     1, whose one chain costs one summand.
     """
@@ -216,66 +218,89 @@ def _block_chain_data(block: tuple[Fraction, ...], n: int) -> tuple[int, list[tu
     return d**n, data
 
 
+def direct_window(
+    spec: NestedSumSpec,
+    points: Sequence[Sequence[int]],
+    guard: int = DEFAULT_GUARD,
+) -> list[tuple[int, int]]:
+    """Evaluate the defining sum at every point by chain enumeration, on ints.
+
+    Returns one (numerator, denominator > 0) pair per point, in order and
+    not necessarily in lowest terms.  Every point's summands are checked
+    against `guard` before any chain is listed.
+
+    Each slot's chain weights are ints over d_i**n_i (`_block_chain_data`,
+    built once per distinct (slot, n_i) of the window), so the merged
+    numerator of every group of summands sharing the per-column sums
+    (sum_i m_ij, sum_i v_ij) is an int over prod_i d_i**n_i, built with no
+    gcd.  Each group is then divided by its denominator
+    prod_j C(col_m + t_j - 1, col_v) (col_m + t_j), whose factors come from
+    `gen_binomial` once per distinct (j, col_m, col_v) of the window, into a
+    running int pair over the lcm of the group denominators: one gcd per
+    group.  The set of summands is the defining one; only the order of
+    exact operations differs.
+    """
+    points = [_check_index(spec, n) for n in points]
+    for n in points:
+        check_summands(spec, n, guard)
+    p = spec.p
+    # key: per-column (sum of m_ij, sum of v_ij) for j < p, accumulated over slots
+    empty: Index = (0,) * (2 * (p - 1))
+    # (slot, n_i) -> d_i**n_i and the slot's (columns, weight) per chain
+    slot_chains: dict[Index, tuple[int, list[tuple[Index, int]]]] = {}
+    # (j, col_m, col_v) -> (numerator, denominator) of the column's factor
+    factors: dict[Index, tuple[int, int]] = {}
+    values = []
+    for n in points:
+        groups: dict[Index, int] = {empty: 1}
+        scale = 1
+        for i, ni in enumerate(n):
+            if (i, ni) not in slot_chains:
+                slot_chains[i, ni] = _block_chain_data(spec.xblocks[i], ni)
+            block_scale, chains = slot_chains[i, ni]
+            scale *= block_scale
+            merged: dict[Index, int] = {}
+            for key, partial in groups.items():
+                for columns, weight in chains:
+                    new_key = tuple(map(operator.add, key, columns))
+                    contribution = partial * weight
+                    if new_key in merged:
+                        merged[new_key] += contribution
+                    else:
+                        merged[new_key] = contribution
+            groups = merged
+
+        total_num, total_den = 0, 1
+        for key, numerator in groups.items():
+            denominator = 1
+            for j in range(p - 1):
+                column = j, key[2 * j], key[2 * j + 1]
+                if column not in factors:
+                    _, col_m, col_v = column
+                    linear = col_m + spec.tparams[j]
+                    factor = gen_binomial(linear - 1, col_v) * linear
+                    assert factor != 0, "zero denominator despite shift-parameter invariant"
+                    factors[column] = factor.numerator, factor.denominator
+                factor_num, factor_den = factors[column]
+                numerator *= factor_den
+                denominator *= factor_num
+            g = math.gcd(total_den, denominator)
+            total_num = total_num * (denominator // g) + numerator * (total_den // g)
+            total_den *= denominator // g
+        if total_den < 0:
+            total_num, total_den = -total_num, -total_den
+        values.append((total_num, total_den * scale))
+    return values
+
+
 def c_direct(
     spec: NestedSumSpec,
     n: Sequence[int],
     guard: int = DEFAULT_GUARD,
 ) -> Fraction:
-    """Evaluate the defining sum by chain enumeration, on ints.
-
-    Each slot's chain weights are ints over d_i**n_i (`_block_chain_data`),
-    so the merged numerator of every group of summands sharing the
-    per-column sums (sum_i m_ij, sum_i v_ij) is an int over
-    prod_i d_i**n_i, built with no gcd.  Each group is then divided by its
-    denominator prod_j C(col_m + t_j - 1, col_v) (col_m + t_j), whose
-    factors come from `gen_binomial` once per distinct (j, col_m, col_v) in
-    this call, into a running int pair over the lcm of the group
-    denominators: one gcd per group, and one Fraction per call.  The set of
-    summands is the defining one; only the order of exact operations
-    differs.
-    """
-    n = _check_index(spec, n)
-    check_summands(spec, n, guard)
-    p = spec.p
-
-    # key: per-column (sum of m_ij, sum of v_ij) for j < p, accumulated over slots
-    empty: Index = (0,) * (2 * (p - 1))
-    groups: dict[Index, int] = {empty: 1}
-    scale = 1
-    for i, block in enumerate(spec.xblocks):
-        block_scale, chains = _block_chain_data(block, n[i])
-        scale *= block_scale
-        merged: dict[Index, int] = {}
-        for key, partial in groups.items():
-            for columns, weight in chains:
-                new_key = tuple(map(operator.add, key, columns))
-                contribution = partial * weight
-                if new_key in merged:
-                    merged[new_key] += contribution
-                else:
-                    merged[new_key] = contribution
-        groups = merged
-
-    # (j, col_m, col_v) -> (numerator, denominator) of the column's factor
-    factors: dict[Index, tuple[int, int]] = {}
-    total_num, total_den = 0, 1
-    for key, numerator in groups.items():
-        denominator = 1
-        for j in range(p - 1):
-            column = j, key[2 * j], key[2 * j + 1]
-            if column not in factors:
-                _, col_m, col_v = column
-                linear = col_m + spec.tparams[j]
-                factor = gen_binomial(linear - 1, col_v) * linear
-                assert factor != 0, "zero denominator despite shift-parameter invariant"
-                factors[column] = factor.numerator, factor.denominator
-            factor_num, factor_den = factors[column]
-            numerator *= factor_den
-            denominator *= factor_num
-        g = math.gcd(total_den, denominator)
-        total_num = total_num * (denominator // g) + numerator * (total_den // g)
-        total_den *= denominator // g
-    return Fraction(total_num, total_den * scale)
+    """The defining sum at one point: `direct_window` of that point, one Fraction."""
+    ((numerator, denominator),) = direct_window(spec, (n,), guard)
+    return Fraction(numerator, denominator)
 
 
 class RecurrenceEvaluator:
@@ -645,15 +670,16 @@ def verify_recurrence(
     box: Sequence[int],
     guard: int = DEFAULT_GUARD,
 ) -> VerificationReport:
-    """Check the recurrence against c_direct at every point of the box.
+    """Check the recurrence against chain enumeration at every point of the box.
 
     The left side is one recurrence fill of the box, the right side
-    `c_direct` per point.  Guards as in `_corner_and_fills`.
+    `c_direct` at the corner and one `direct_window` over the other points.
+    Guards as in `_corner_and_fills`.
     """
     corner = _corner(spec, box)
     corner_value, (fill,) = _corner_and_fills(spec, corner, [(spec, box)], guard)
     points = _points(box)
-    rhs = [c_direct(spec, n, guard) for n in points[:-1]] + [corner_value]
+    rhs = [Fraction(*pair) for pair in direct_window(spec, points[:-1], guard)] + [corner_value]
     return sweep_report("recurrence", RECURRENCE_STATEMENT, spec.text(), points, fill.values, rhs)
 
 

@@ -61,6 +61,32 @@ def test_exponent_vectors_graded_lex():
     assert len(list(exponent_vectors(4, 6))) == math.comb(10, 4)
 
 
+def recursive_exponent_vectors(nvars, bound):
+    """`exponent_vectors` as a recursive generator, as it was before its list form."""
+
+    def compositions(total, length):
+        if length == 1:
+            yield (total,)
+            return
+        for head in range(total + 1):
+            for rest in compositions(total - head, length - 1):
+                yield (head,) + rest
+
+    return (e for total in range(bound + 1) for e in compositions(total, nvars))
+
+
+@pytest.mark.parametrize("nvars", range(1, 7))
+def test_exponent_vectors_match_the_recursive_reference(nvars):
+    longest = exponent_vectors(nvars, 8)
+    for bound in range(9):
+        vectors = exponent_vectors(nvars, bound)
+        assert isinstance(vectors, list)
+        assert vectors == list(recursive_exponent_vectors(nvars, bound))
+        # every lower bound is a prefix of the list at a higher one
+        assert vectors == longest[:math.comb(nvars + bound, nvars)]
+        assert egf._up_to(longest, bound) == vectors
+
+
 def test_series_normalization_and_equality():
     f = series(1, 3, {(1,): 2, (2,): 0})
     assert f.coefficient((2,)) == 0
@@ -399,24 +425,21 @@ def test_operator_suite_fails_depth_reduction_on_a_corrupted_fill(monkeypatch):
 
 
 def test_operator_suite_enumerates_every_reduced_window(monkeypatch):
-    # the reduced side of depth reduction is chain enumeration, point by point
+    # the reduced side of depth reduction is chain enumeration, one window per spec
     calls = []
-    c_direct = egf.c_direct
+    direct_window = egf.direct_window
 
-    def recording(spec, n, *guard):
-        calls.append((spec.text(), spec.r, n))
-        return c_direct(spec, n, *guard)
+    def recording(spec, points, *guard):
+        calls.append((spec.r, list(points)))
+        return direct_window(spec, points, *guard)
 
-    monkeypatch.setattr(egf, "c_direct", recording)
+    monkeypatch.setattr(egf, "direct_window", recording)
     degree = 3
     assert verify_operator_suite(degree=degree, seed=5).ok
-    windows = {}
-    for text, r, n in calls:
-        windows.setdefault((text, r), []).append(n)
     # one reduced spec per (r, p) with p = 2, 3, each over its whole window
-    assert sorted(r for _, r in windows) == [1, 1, 2, 2]
-    for (_, r), points in windows.items():
-        assert sorted(points) == sorted(exponent_vectors(r, degree))
+    assert sorted(r for r, _ in calls) == [1, 1, 2, 2]
+    for r, points in calls:
+        assert points == exponent_vectors(r, degree)
 
 
 # --- the int form against Fraction-dict references -------------------------

@@ -19,6 +19,7 @@ from mhscalc.nestedsums import (
     RecurrenceEvaluator,
     c_direct,
     c_recursive,
+    direct_window,
     enumerate_chains,
     kt_value,
     parse_shifts,
@@ -570,6 +571,105 @@ def test_direct_builds_each_column_factor_once_per_call(monkeypatch, spec, n):
     # the second call builds every factor again: no cache outlives a call
     assert len(calls) == 2 * per_call
     assert per_call == len(direct_denominator_columns(spec, n))
+
+
+# --- windows: chain enumeration over a list of points -----------------------
+
+
+@st.composite
+def window_cases(draw):
+    """A spec with r, p <= 3 and up to 8 points with entries <= 3, repeats and zeros allowed."""
+    r, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    xblocks = tuple(tuple(draw(fill_x) for _ in range(p)) for _ in range(r))
+    tparams = tuple(draw(fill_t) for _ in range(p - 1))
+    point = st.tuples(*[st.integers(0, 3)] * r)
+    points = draw(st.lists(point, max_size=6))
+    repeats = draw(st.lists(st.sampled_from(points), max_size=2)) if points else []
+    return NestedSumSpec(xblocks, tparams), points + repeats
+
+
+def window_value(pair):
+    numerator, denominator = pair
+    assert isinstance(numerator, int) and isinstance(denominator, int) and denominator > 0
+    return F(numerator, denominator)
+
+
+@settings(max_examples=80, deadline=None)
+@given(window_cases())
+@example((NestedSumSpec(((F(1, 2), F(-2, 3), F(5, 7)), (F(0), F(1, 3), F(0))),
+                       (F(-7, 3), F(-1, 2))),
+          [(0, 0), (2, 3), (0, 3), (2, 3), (3, 0), (0, 0)]))
+@example((NestedSumSpec(((F(3, 4), F(-1, 5)),), (F(-5, 2),)), [(3,), (0,), (3,), (1,)]))
+def test_window_matches_fraction_group_reference(case):
+    # repeated points, zero entries and negative non-integer shifts, where
+    # gen_binomial changes sign, each give the pointwise reference value
+    spec, points = case
+    values = direct_window(spec, points)
+    assert len(values) == len(points)
+    assert [window_value(pair) for pair in values] == [
+        c_direct_by_fraction_groups(spec, n) for n in points
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec,points",
+    [
+        (NestedSumSpec(((F(1, 2), F(1, 3), F(-2)),), (F(2), F(-3, 2))),
+         [(n,) for n in range(6)] + [(2,), (4,)]),
+        (NestedSumSpec(((F(1, 2), F(1, 3)), (F(0), F(5, 4))), (F(1, 3),)),
+         list(itertools.product(range(4), range(3)))),
+        (NestedSumSpec(((F(1), F(2), F(3)),) * 3, (F(1), F(7, 2))),
+         [(2, 3, 2), (0, 1, 2), (2, 2, 2), (0, 1, 2)]),
+    ],
+)
+def test_window_builds_chains_per_slot_entry_and_factors_per_column(monkeypatch, spec, points):
+    chain_calls, binomial_calls = [], []
+    block_chain_data = nestedsums._block_chain_data
+
+    def counting_chains(block, n):
+        chain_calls.append((block, n))
+        return block_chain_data(block, n)
+
+    def counting_binomial(top, k):
+        binomial_calls.append((top, k))
+        return gen_binomial(top, k)
+
+    monkeypatch.setattr(nestedsums, "_block_chain_data", counting_chains)
+    monkeypatch.setattr(nestedsums, "gen_binomial", counting_binomial)
+    values = direct_window(spec, points)
+    assert [window_value(pair) for pair in values] == [c_direct(spec, n) for n in points]
+    chain_calls.clear()
+    binomial_calls.clear()
+    direct_window(spec, points)
+    # the second call builds everything again, since no cache outlives a
+    # call: one chain list per distinct (slot, n_i), one factor per column
+    slot_entries = {(i, n[i]) for n in points for i in range(spec.r)}
+    assert sorted(chain_calls) == sorted((spec.xblocks[i], ni) for i, ni in slot_entries)
+    columns = set().union(*(direct_denominator_columns(spec, n) for n in points))
+    assert len(binomial_calls) == len(set(binomial_calls)) == len(columns)
+
+
+def test_window_reads_no_recurrence_fill(monkeypatch):
+    def refuse(self, corner):
+        raise AssertionError("direct_window read a recurrence fill")
+
+    rng = Random(23)
+    cases = [(spec, list(itertools.product(range(3), repeat=spec.r)))
+             for spec in (random_spec(rng, 3, 3) for _ in range(8))]
+    expected = [[c_direct_by_fraction_groups(spec, n) for n in points] for spec, points in cases]
+    monkeypatch.setattr(RecurrenceEvaluator, "_fill", refuse)
+    assert [[window_value(pair) for pair in direct_window(spec, points)]
+            for spec, points in cases] == expected
+
+
+def test_window_checks_every_point_before_any_chain(monkeypatch):
+    spec = NestedSumSpec(((F(1), F(2), F(3)),), (F(1), F(1)))
+    monkeypatch.setattr(nestedsums, "_block_chain_data", _refuse)
+    monkeypatch.setattr(nestedsums, "enumerate_chains", _refuse)
+    # 861 summands at n = 40, the last of the window
+    with pytest.raises(GuardExceeded, match="^direct summand count: 861 exceeds guard 800$"):
+        direct_window(spec, [(0,), (3,), (40,)], guard=800)
+    assert direct_window(spec, [], guard=800) == []
 
 
 @settings(max_examples=80, deadline=None)

@@ -6,6 +6,10 @@
   every work estimate, limit and guard message stays in that one module.
 * Only `report.py` constructs `Comparison`, so the verifiers append rows of
   ints to their reports and build no object per checked point.
+* No module uses `functools.cache`, `lru_cache` or `cached_property`, except
+  the uses in KEPT_CACHES: the library keeps no state between calls, so
+  whatever a computation shares (chain lists, column factors, exponent
+  vectors) lives in one call.
 """
 
 import ast
@@ -29,6 +33,15 @@ KEPT_FOR_TRACING = {
 
 GUARD_OWNER = "guards.py"
 COMPARISON_OWNER = "report.py"
+CACHES = {"cache", "lru_cache", "cached_property"}
+
+# (module, use) -> why a memoizing decorator is kept.
+KEPT_CACHES = {
+    ("cli.py", "build_parser: functools.cache"): (
+        "the argparse parser holds no computed value and is never changed after it is "
+        "built; test_parser_is_built_once pins that `main` builds it once per process"
+    ),
+}
 
 
 def _tree(module: str) -> ast.Module:
@@ -88,6 +101,46 @@ def comparison_builders(tree: ast.Module) -> list[str]:
     return [f"line {line}: Comparison(...)" for line in lines]
 
 
+def cache_uses(tree: ast.Module) -> list[str]:
+    """Uses of functools' memoizing decorators, named by what they decorate.
+
+    A decorator (bare or called, read off a functools import or imported
+    from it by name) reports as `name: functools.<decorator>`; any other
+    reference reports its line.
+    """
+    modules, names = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == "functools")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update((alias.asname or alias.name, alias.name)
+                         for alias in node.names if alias.name in CACHES)
+
+    def cache(node: ast.expr) -> str | None:
+        if isinstance(node, ast.Call):
+            node = node.func
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules and node.attr in CACHES:
+                return node.attr
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        return None
+
+    found, decorators = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for decorator in node.decorator_list:
+                if cache(decorator):
+                    decorators.add(id(getattr(decorator, "func", decorator)))
+                    found.append(f"{node.name}: functools.{cache(decorator)}")
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Attribute, ast.Name)) and id(node) not in decorators:
+            if cache(node):
+                found.append(f"line {node.lineno}: functools.{cache(node)}")
+    return sorted(found)
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_read(module):
     kept = {name for (owner, name) in KEPT_FOR_TRACING if owner == module}
@@ -136,4 +189,34 @@ def test_the_rules_see_what_they_forbid():
     assert unused_imports(tree) == {"os", "product"}
     assert guard_raisers(tree) == [
         "line 6: check_guard(...)", "line 7: raise GuardExceeded", "line 9: GuardExceeded(...)",
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_caches_across_calls(module):
+    kept = sorted(use for (owner, use) in KEPT_CACHES if owner == module)
+    assert cache_uses(_tree(module)) == kept
+
+
+def test_the_cache_rule_sees_a_cache():
+    tree = ast.parse(
+        "import functools\n"
+        "import functools as ft\n"
+        "from functools import lru_cache, reduce\n"
+        "@functools.cache\n"
+        "def f(n):\n"
+        "    cache = {}\n"
+        "    return cache\n"
+        "class A:\n"
+        "    @ft.cached_property\n"
+        "    def g(self):\n"
+        "        return reduce(max, [1])\n"
+        "    @lru_cache(maxsize=None)\n"
+        "    def h(self):\n"
+        "        return functools.partial(max, 1)\n"
+        "memo = ft.lru_cache(len)\n"
+    )
+    assert cache_uses(tree) == [
+        "f: functools.cache", "g: functools.cached_property", "h: functools.lru_cache",
+        "line 15: functools.lru_cache",
     ]
