@@ -37,8 +37,8 @@ have their own classical coefficient normalizations; both must (and are
 verified to) coincide with `c_direct` at t = 1.
 
 Verifiers at the bottom check, on finite boxes and each over the whole box
-at once from recurrence fills, the recurrence against chain enumeration at
-every point, and with c_direct at the corner the duality (nabla c[x;t] =
+at once from recurrence fills, the recurrence against c_direct at every
+point, and with c_direct at the corner the duality (nabla c[x;t] =
 c[1-x;t]), the difference formula (iterated differences of c are again c at
 doubled parameters) and the shift identity for parameter blocks summing to
 a constant vector.
@@ -670,16 +670,15 @@ def verify_recurrence(
     box: Sequence[int],
     guard: int = DEFAULT_GUARD,
 ) -> VerificationReport:
-    """Check the recurrence against chain enumeration at every point of the box.
+    """Check the recurrence against c_direct at every point of the box.
 
     The left side is one recurrence fill of the box, the right side
-    `c_direct` at the corner and one `direct_window` over the other points.
-    Guards as in `_corner_and_fills`.
+    `c_direct` per point.  Guards as in `_corner_and_fills`.
     """
     corner = _corner(spec, box)
     corner_value, (fill,) = _corner_and_fills(spec, corner, [(spec, box)], guard)
     points = _points(box)
-    rhs = [Fraction(*pair) for pair in direct_window(spec, points[:-1], guard)] + [corner_value]
+    rhs = [c_direct(spec, n, guard) for n in points[:-1]] + [corner_value]
     return sweep_report("recurrence", RECURRENCE_STATEMENT, spec.text(), points, fill.values, rhs)
 
 

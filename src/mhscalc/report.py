@@ -157,36 +157,15 @@ class VerificationReport:
         return out
 
     def to_json(self) -> str:
-        """The bytes of `json.dumps(..., indent=2)` of the envelope, written by hand.
-
-        With an indent `json.dumps` runs the pure-Python encoder.  Here the
-        layout is fixed text and each label goes through `json.dumps` once
-        per call; a rational's text holds only digits, "-" and "/", which
-        JSON prints as they are.
-        """
-        quoted: dict[str, str] = {}
-
-        def quote(text: str) -> str:
-            if text not in quoted:
-                quoted[text] = json.dumps(text)
-            return quoted[text]
-
-        blocks = []
-        for identity, label, index, ln, ld, rn, rd, equal in self.rows:
-            left = format_ratio(ln, ld)
-            right = left if equal else format_ratio(rn, rd)
-            entries = ",\n        ".join(map(str, index))
-            index_text = f"[\n        {entries}\n      ]" if index else "[]"
-            blocks.append(
-                f'    {{\n      "identity": {quote(identity)},\n      "spec": {quote(label)},\n'
-                f'      "index": {index_text},\n      "lhs": "{left}",\n'
-                f'      "rhs": "{right}",\n      "equal": {"true" if equal else "false"}\n    }}'
-            )
-        comparisons = "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
-        return (
-            f'{{\n  "identity": {quote(self.identity)},\n'
-            f'  "statement": {quote(self.statement)},\n  "ok": {"true" if self.ok else "false"},\n'
-            f'  "checked": {len(self.rows)},\n  "comparisons": {comparisons}\n}}'
+        return json.dumps(
+            {
+                "identity": self.identity,
+                "statement": self.statement,
+                "ok": self.ok,
+                "checked": len(self.rows),
+                "comparisons": self._dicts(),
+            },
+            indent=2,
         )
 
     def to_csv(self) -> str:

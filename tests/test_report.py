@@ -1,6 +1,5 @@
 """The row report against the Comparison-list reference, and the hot path."""
 
-import json
 import sys
 from fractions import Fraction as F
 
@@ -73,36 +72,6 @@ def test_row_report_matches_the_reference(row_list):
     assert [comp.to_dict() for comp in report.comparisons] == list(
         map(to_dict, reference.comparisons)
     )
-
-
-# labels with quotes, backslashes, control and non-ASCII characters
-labels = st.text(st.sampled_from('ab ,;="/|\\\n\t\u00e9\u2207\U0001d49e'), max_size=6)
-json_rows = st.lists(
-    st.tuples(
-        labels,
-        labels,
-        st.lists(st.integers(0, 12), max_size=3).map(tuple),
-        sides(),
-    ).map(lambda drawn: comparison_row(*drawn[:3], *drawn[3])),
-    max_size=6,
-)
-
-
-@settings(max_examples=120, deadline=None)
-@given(labels, labels, json_rows)
-def test_json_report_matches_the_indented_encoder(identity, statement, row_list):
-    # empty reports, empty indices, escaped labels and values past the int
-    # digit limit all keep the bytes of json.dumps(..., indent=2)
-    report = VerificationReport(identity, statement)
-    report.rows.extend(row_list)
-    envelope = {
-        "identity": identity,
-        "statement": statement,
-        "ok": report.ok,
-        "checked": len(row_list),
-        "comparisons": report._dicts(),
-    }
-    assert report.to_json() == json.dumps(envelope, indent=2)
 
 
 def test_comparisons_read_as_a_sequence():
