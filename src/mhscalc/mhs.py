@@ -15,10 +15,15 @@ inside {1, ..., weight-1}; `dual_index` below is validated both against the
 known small duals and, sweep-wise, against the duality identity itself.
 
 Two routes compute s_mu.  `mhs_value` enumerates the chains of the
-definition (from depth 3 on, integer numerators over one common denominator
-and one division at the end), so it serves as an independent oracle for the parametric nested
-sums that embed s_mu and for the second route.  `mhs_table` fills
-s_mu(0..N) at once by nested prefix sums, innermost part first:
+definition, so it serves as an independent oracle for the parametric nested
+sums that embed s_mu and for the second route.  From depth 3 on it adds
+integer numerators over one common denominator and divides once at the end:
+it walks the chain prefixes (m_1..m_{p-1}), forms each prefix's product of
+factors once, and adds that product times the last factor at every
+m_p <= m_{p-1}.  Each chain's summand is still its own product, added once;
+no factor comes out of a sum, so no partial sum is shared between chains.
+`mhs_table` fills s_mu(0..N) at once by nested prefix sums, innermost part
+first:
 
     s_(mu_1..mu_p)(n) = (n+1)^{-mu_1} * sum_{m<=n} s_(mu_2..mu_p)(m).
 
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -112,14 +118,20 @@ def mhs_value(mu: MultiIndex, n: int, guard: int = DEFAULT_GUARD) -> Fraction:
     of (L/(m+1))^mu_j and one Fraction is built at the end; elsewhere they
     add one Fraction each.  Both sum the same summands exactly.  The chain
     guard is checked before either starts.
+
+    The integer route lists the depth-(p-1) chains, the prefixes of the
+    depth-p ones.  It multiplies each prefix's factors once and adds the
+    prefix product times each last factor (L/(m_p+1))^mu_p, m_p <= m_{p-1},
+    in one pass of C-level `map` and `sum`.  That is one product and one
+    addition per chain, in O(n) extra memory.  Unlike `mhs_table`, it keeps
+    no running sum across prefixes, so the two routes stay independent.
     """
     if n < 0:
         raise ValueError(f"n must be a natural, got {n}")
     check_chains(n, mu.depth, guard)
-    chains = enumerate_chains(n, mu.depth)
     if not integer_numerators(mu, n):
         total = Fraction(0)
-        for chain in chains:
+        for chain in enumerate_chains(n, mu.depth):
             denom = 1
             for m, part in zip(chain, mu.parts):
                 denom *= (m + 1) ** part
@@ -127,14 +139,13 @@ def mhs_value(mu: MultiIndex, n: int, guard: int = DEFAULT_GUARD) -> Fraction:
         return total
     first, *rest = mu.parts
     lcm = math.lcm(*range(1, n + 2))
-    # scaled[j][m] = (L / (m+1))^{mu_(j+2)}, the numerator of part j+2 at m
-    scaled = [[(lcm // (m + 1)) ** part for m in range(n + 1)] for part in rest]
+    # row j holds (L / (m+1))^{mu_(j+2)} at m, the numerator of part j+2;
+    # the last row (part p) is the leaf
+    *inner, leaf = [[(lcm // (m + 1)) ** part for m in range(n + 1)] for part in rest]
     total = 0
-    for chain in chains:
-        term = 1
-        for row, m in zip(scaled, chain[1:]):
-            term *= row[m]
-        total += term
+    for prefix in enumerate_chains(n, mu.depth - 1):
+        head = math.prod(map(operator.getitem, inner, prefix[1:]))
+        total += sum(map(head.__mul__, leaf[: prefix[-1] + 1]))
     return Fraction(total, (n + 1) ** first * lcm ** (mu.weight - first))
 
 
@@ -234,8 +245,8 @@ def verify_mhs_duality(
         check_mhs_table(dual, max_n, guard)
         check_subtractions(line, line, guard)
         corner_rhs = mhs_value(dual, max_n, guard)
-        lhs = binomial_transform(mhs_table(mu, max_n, guard)).values
-        rhs = mhs_table(dual, max_n, guard).values[:-1] + (corner_rhs,)
+        lhs = binomial_transform(mhs_table(mu, max_n, guard)).pairs()
+        rhs = mhs_table(dual, max_n, guard).pairs()[:-1] + [corner_rhs.as_integer_ratio()]
         part = sweep_report(
             "mhs-duality", MHS_DUALITY_STATEMENT, f"mu={mu} mu*={dual}", points, lhs, rhs
         )

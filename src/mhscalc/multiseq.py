@@ -35,9 +35,9 @@ class MultiSequenceTable:
     The value at offset i is numerators[i] / denominator, with offsets
     row-major in lexicographic index order, which is also the iteration
     order.  The denominator is positive but not necessarily in lowest
-    terms: `values` and `__getitem__` build a Fraction per value read, and
-    `==` cross-multiplies.  The constructor takes rationals and stores
-    them over the lcm of their denominators.
+    terms: `values` and `__getitem__` build a Fraction per value read,
+    `pairs` gives int pairs, and `==` cross-multiplies.  The constructor
+    takes rationals and stores them over the lcm of their denominators.
     """
 
     __slots__ = ("shape", "numerators", "denominator")
@@ -75,6 +75,11 @@ class MultiSequenceTable:
         """Every value as a Fraction, in row-major order."""
         denominator = self.denominator
         return tuple(Fraction(n, denominator) for n in self.numerators)
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """Every value as its int pair (numerator, denominator), in row-major order."""
+        denominator = self.denominator
+        return [(n, denominator) for n in self.numerators]
 
     def numerator(self, index: Sequence[int]) -> int:
         """The numerator at `index`, over `denominator`."""

@@ -575,8 +575,8 @@ def verify_duality(
     corner_rhs, (fill, dual_fill) = _corner_and_fills(
         dual, _corner(spec, box), [(spec, box), (dual, box)], guard, box
     )
-    lhs = binomial_transform(fill).values
-    rhs = dual_fill.values[:-1] + (corner_rhs,)
+    lhs = binomial_transform(fill).pairs()
+    rhs = dual_fill.pairs()[:-1] + [corner_rhs.as_integer_ratio()]
     return sweep_report("c-duality", C_DUALITY_STATEMENT, spec.text(), _points(box), lhs, rhs)
 
 
@@ -610,8 +610,8 @@ def verify_difference_formula(
         DIFFERENCE_STATEMENT,
         spec.text(),
         _points(pairbox),
-        iterated_delta(fill, kbox).values,
-        double_fill.values[:-1] + (corner_rhs,),
+        iterated_delta(fill, kbox).pairs(),
+        double_fill.pairs()[:-1] + [corner_rhs.as_integer_ratio()],
     )
 
 
@@ -652,16 +652,18 @@ def verify_shift_identity(
     fillbox = tuple(extent + 1 for extent in box)
     corner_value, (fill,) = _corner_and_fills(spec, corner, [(spec, fillbox)], guard)
     points = _points(box)
+    lhs = (
+        sum((fill[n[: i - 1] + (n[i - 1] + 1,) + n[i:]] for i in subset), Fraction(0))
+        for n in points
+    )
+    rhs = [constant * fill[n] for n in points[:-1]] + [constant * corner_value]
     return sweep_report(
         "shift",
         SHIFT_STATEMENT,
         f"{spec.text()} S={subset} gamma={format_rational(constant)}",
         points,
-        (
-            sum((fill[n[: i - 1] + (n[i - 1] + 1,) + n[i:]] for i in subset), Fraction(0))
-            for n in points
-        ),
-        [constant * fill[n] for n in points[:-1]] + [constant * corner_value],
+        map(Fraction.as_integer_ratio, lhs),
+        map(Fraction.as_integer_ratio, rhs),
     )
 
 
@@ -679,7 +681,10 @@ def verify_recurrence(
     corner_value, (fill,) = _corner_and_fills(spec, corner, [(spec, box)], guard)
     points = _points(box)
     rhs = [c_direct(spec, n, guard) for n in points[:-1]] + [corner_value]
-    return sweep_report("recurrence", RECURRENCE_STATEMENT, spec.text(), points, fill.values, rhs)
+    return sweep_report(
+        "recurrence", RECURRENCE_STATEMENT, spec.text(), points, fill.pairs(),
+        map(Fraction.as_integer_ratio, rhs),
+    )
 
 
 # --- seeded random parameter grids ------------------------------------------

@@ -193,21 +193,20 @@ def sweep_report(
     statement: str,
     label: str,
     points: Iterable[tuple[int, ...]],
-    lhs: Iterable[Fraction],
-    rhs: Iterable[Fraction],
+    lhs: Iterable[tuple[int, int]],
+    rhs: Iterable[tuple[int, int]],
 ) -> VerificationReport:
     """One row per point: the i-th point with the i-th lhs and rhs.
 
-    The three iterables are consumed in lockstep, so generators keep each
-    point's evaluation next to its comparison.  A value may be a Fraction
-    or an int.
+    Each value is an int pair (numerator, denominator > 0), not necessarily
+    reduced: a table side is `MultiSequenceTable.pairs`, and a Fraction or
+    an int gives its pair by `as_integer_ratio`.  The three iterables are
+    consumed in lockstep, so generators keep each point's evaluation next
+    to its comparison.
     """
     report = VerificationReport(identity, statement)
     report.rows = [
-        comparison_row(
-            identity, label, index, left.numerator, left.denominator, right.numerator,
-            right.denominator,
-        )
-        for index, left, right in zip(points, lhs, rhs, strict=True)
+        comparison_row(identity, label, index, ln, ld, rn, rd)
+        for index, (ln, ld), (rn, rd) in zip(points, lhs, rhs, strict=True)
     ]
     return report

@@ -1,9 +1,10 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mhscalc import guards, mhs
 from mhscalc.mhs import (
@@ -211,6 +212,67 @@ def test_mhs_value_routes_agree(monkeypatch):
     monkeypatch.setattr(mhs, "NUMERATOR_TABLE_MAX_BITS", -1)
     assert not any(mhs.integer_numerators(mu, 8) for mu in mus)
     assert [mhs_value(mu, n) for mu in mus for n in range(9)] == integer
+
+
+def mhs_value_by_chain_products(mu, n):
+    """s_mu(n) as the integer route summed it before prefixes: one loop per chain."""
+    first, *rest = mu.parts
+    lcm = math.lcm(*range(1, n + 2))
+    scaled = [[(lcm // (m + 1)) ** part for m in range(n + 1)] for part in rest]
+    total = 0
+    for chain in enumerate_chains(n, mu.depth):
+        term = 1
+        for row, m in zip(scaled, chain[1:]):
+            term *= row[m]
+        total += term
+    return F(total, (n + 1) ** first * lcm ** (mu.weight - first))
+
+
+deep_indices = st.lists(st.integers(1, 4), min_size=3, max_size=7).map(
+    lambda parts: MultiIndex(tuple(parts))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(deep_indices, st.integers(0, 14))
+@example(MultiIndex((2, 1, 3)), 0)
+@example(MultiIndex((1, 4, 2)), 9)
+@example(MultiIndex((1,) * 7), 12)
+def test_prefix_products_match_the_per_chain_loop(mu, n):
+    # depth >= 3 at these sizes takes the integer route
+    assert mhs.integer_numerators(mu, n)
+    assert mhs_value(mu, n) == mhs_value_by_chain_products(mu, n)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("mhs_value read a prefix sum")
+
+
+def test_mhs_value_reads_no_table(monkeypatch):
+    mus = [mu for weight in range(1, 8) for mu in multi_indices_of_weight(weight)]
+    expected = [mhs_value(mu, n) for mu in mus for n in (0, 1, 5, 8)]
+    monkeypatch.setattr(mhs, "mhs_table", _refuse)
+    monkeypatch.setattr(itertools, "accumulate", _refuse)
+    assert [mhs_value(mu, n) for mu in mus for n in (0, 1, 5, 8)] == expected
+
+
+@pytest.mark.parametrize("parts,n", [((1, 1, 1), 0), ((2, 1, 3), 6), ((1,) * 7, 12)])
+def test_mhs_value_walks_each_prefix_once(monkeypatch, parts, n):
+    mu = MultiIndex(parts)
+    calls, prefixes = [], []
+
+    def counting(n, p):
+        calls.append((n, p))
+        chains = list(enumerate_chains(n, p))
+        prefixes.extend(chains)
+        return iter(chains)
+
+    monkeypatch.setattr(mhs, "enumerate_chains", counting)
+    assert mhs_value(mu, n) == mhs_value_by_chain_products(mu, n)
+    assert calls == [(n, mu.depth - 1)]
+    assert len(prefixes) == guards.chain_count(n, mu.depth - 1)
+    # one summand per last factor m_p <= m_(p-1): one per depth-p chain
+    assert sum(prefix[-1] + 1 for prefix in prefixes) == guards.chain_count(n, mu.depth)
 
 
 def test_integer_numerators_bound():

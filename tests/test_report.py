@@ -76,7 +76,7 @@ def test_row_report_matches_the_reference(row_list):
 
 def test_comparisons_read_as_a_sequence():
     report = sweep_report("c-duality", "statement", "spec", [(0,), (1,), (2,)],
-                          [F(1, 2), 3, F(-1)], [F(2, 4), 3, F(1)])
+                          [(1, 2), (3, 1), (-1, 1)], [(2, 4), (3, 1), (1, 1)])
     view = report.comparisons
     assert len(view) == 3 and view[0] == Comparison("c-duality", "spec", (0,), F(1, 2), F(1, 2))
     assert view[-1].equal is False and view[1:] == [view[1], view[2]]
@@ -120,4 +120,4 @@ def test_verify_builds_no_comparison(capsys, monkeypatch, argv, fmt):
     assert main([*argv, f"--format={fmt}"]) == 0
     assert capsys.readouterr().out == expected
     with pytest.raises(AssertionError, match="Comparison was built"):
-        sweep_report("c-duality", "statement", "spec", [(0,)], [F(1)], [F(1)]).comparisons[0]
+        sweep_report("c-duality", "statement", "spec", [(0,)], [(1, 1)], [(1, 1)]).comparisons[0]

@@ -10,6 +10,10 @@
   the uses in KEPT_CACHES: the library keeps no state between calls, so
   whatever a computation shares (chain lists, column factors, exponent
   vectors) lives in one call.
+* Only `nestedsums.py` reads `combinations_with_replacement`: the package
+  has one chain enumerator, `enumerate_chains`, and every route that walks
+  chains (`c_direct`, `kt_value`, `two_index_value`, `mhs_value`) goes
+  through it.
 """
 
 import ast
@@ -33,6 +37,7 @@ KEPT_FOR_TRACING = {
 
 GUARD_OWNER = "guards.py"
 COMPARISON_OWNER = "report.py"
+CHAIN_OWNER = "nestedsums.py"
 CACHES = {"cache", "lru_cache", "cached_property"}
 
 # (module, use) -> why a memoizing decorator is kept.
@@ -99,6 +104,23 @@ def comparison_builders(tree: ast.Module) -> list[str]:
         if isinstance(node, ast.Call) and _callee(node) == "Comparison"
     )
     return [f"line {line}: Comparison(...)" for line in lines]
+
+
+def chain_enumerators(tree: ast.Module) -> list[str]:
+    """Reads and imports of `combinations_with_replacement`, by line.
+
+    Any read counts, not only a call, so an alias bound to it is caught
+    where it is bound.
+    """
+    name = "combinations_with_replacement"
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names))
+    )
+    return [f"line {line}: {name}" for line in lines]
 
 
 def cache_uses(tree: ast.Module) -> list[str]:
@@ -172,6 +194,29 @@ def test_the_comparison_rule_sees_a_construction():
         "more = report.Comparison('c', 'spec', (1,), 1, 2)\n"
     )
     assert comparison_builders(tree) == ["line 2: Comparison(...)", "line 3: Comparison(...)"]
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {CHAIN_OWNER}))
+def test_only_nestedsums_enumerates_chains(module):
+    assert chain_enumerators(_tree(module)) == []
+
+
+def test_nestedsums_enumerates_the_chains():
+    assert chain_enumerators(_tree(CHAIN_OWNER))
+
+
+def test_the_chain_rule_sees_an_enumerator():
+    tree = ast.parse(
+        "import itertools\n"
+        "from itertools import combinations, combinations_with_replacement as tails\n"
+        "chains = itertools.combinations_with_replacement(range(3), 2)\n"
+        "pairs = combinations(range(3), 2)\n"
+        "enumerate = itertools.combinations_with_replacement\n"
+    )
+    assert chain_enumerators(tree) == [
+        "line 2: combinations_with_replacement", "line 3: combinations_with_replacement",
+        "line 5: combinations_with_replacement",
+    ]
 
 
 def test_the_rules_see_what_they_forbid():
