@@ -39,7 +39,7 @@ from .egf import (
     verify_operator_suite,
     xi_apply,
 )
-from .report import Comparison, VerificationReport
+from .report import VerificationReport
 
 __version__ = "0.1.0"
 
@@ -77,7 +77,6 @@ __all__ = [
     "subst_linear",
     "verify_operator_suite",
     "xi_apply",
-    "Comparison",
     "VerificationReport",
     "__version__",
 ]

@@ -355,7 +355,7 @@ def _cmd_verify(args) -> int:
         cases = [case]
     report, *rest = (identity.verify(args, case) for case in cases)
     for part in rest:
-        report.rows.extend(part.rows)
+        report.comparisons.extend(part.comparisons)
     return _emit_report(args, report)
 
 

@@ -489,13 +489,13 @@ def verify_operator_suite(
     """
     check_product_pairs(degree, max(SUITE_SLOT_COUNTS), guard)
     rng = Random(seed)
-    report = VerificationReport("egf-suite", EGF_SUITE_STATEMENT, [])
+    report = VerificationReport("egf-suite", EGF_SUITE_STATEMENT)
     D = degree
     variable_counts = {k * r for r in SUITE_SLOT_COUNTS for k in (1, 2)}
     vectors = {m: exponent_vectors(m, D) for m in variable_counts}
 
     def compare(identity: str, label: str, lhs: TruncatedSeries, rhs: TruncatedSeries) -> None:
-        report.rows.extend(_series_comparisons(identity, label, lhs, rhs, vectors[lhs.nvars]))
+        report.comparisons += _series_comparisons(identity, label, lhs, rhs, vectors[lhs.nvars])
 
     for r in SUITE_SLOT_COUNTS:
         table = random_table(rng, (D + 1,) * r)  # exact for every |n| <= D read

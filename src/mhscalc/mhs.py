@@ -235,7 +235,7 @@ def verify_mhs_duality(
             for weight in range(1, max_weight + 1)
             for mu in multi_indices_of_weight(weight)
         ]
-    report = VerificationReport("mhs-duality", MHS_DUALITY_STATEMENT, [])
+    report = VerificationReport("mhs-duality", MHS_DUALITY_STATEMENT)
     points = [(n,) for n in range(max_n + 1)]
     line = (max_n + 1,)
     for mu in mus:
@@ -250,5 +250,5 @@ def verify_mhs_duality(
         part = sweep_report(
             "mhs-duality", MHS_DUALITY_STATEMENT, f"mu={mu} mu*={dual}", points, lhs, rhs
         )
-        report.rows.extend(part.rows)
+        report.comparisons.extend(part.comparisons)
     return report

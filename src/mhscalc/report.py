@@ -7,11 +7,10 @@ A report stores one row of ints per checked point:
 
 Both denominators are positive but need not be in lowest terms, and `equal`
 is decided by cross-multiplication, so a verifier appends rows straight from
-the int numerators of its tables and series.  The verdict and the text, JSON
-and CSV renderings read the rows: an equal row is reduced once and its text
-printed for both sides, a FAIL row formats each side.  A `Comparison` (one
-check with reduced Fractions) is built only where a caller reads one, from
-`comparisons` or `failures`; `extend` takes Comparisons from library callers.
+the int numerators of its tables and series.  A report's `comparisons` is
+the list of its rows; the verdict and the text, JSON and CSV renderings read
+it: an equal row is reduced once and its text printed for both sides, a FAIL
+row formats each side.
 
 All orderings are deterministic (index order within a sweep, insertion order
 across sweeps), so a report's bytes depend only on its inputs.  `render_csv`
@@ -24,11 +23,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections.abc import Iterable, Sequence
 
-from .kernel import format_ratio, format_rational
+from .kernel import format_ratio
 
 # (identity, label, index, lhs numerator, lhs denominator, rhs numerator,
 #  rhs denominator, equal); denominators > 0.
@@ -58,93 +55,28 @@ def render_csv(rows: Sequence[dict], fields: Sequence[str] | None = None) -> str
     return buffer.getvalue()
 
 
-@dataclass(frozen=True)
-class Comparison:
-    """One exact lhs-vs-rhs check at a concrete index."""
-
-    identity: str
-    spec: str
-    index: tuple[int, ...]
-    lhs: Fraction
-    rhs: Fraction
-    equal: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "equal", self.lhs == self.rhs)
-
-    def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "spec": self.spec,
-            "index": list(self.index),
-            "lhs": format_rational(self.lhs),
-            "rhs": format_rational(self.rhs),
-            "equal": self.equal,
-        }
-
-
-def _comparison(row: Row) -> Comparison:
-    identity, label, index, ln, ld, rn, rd, _ = row
-    return Comparison(identity, label, index, Fraction(ln, ld), Fraction(rn, rd))
-
-
-class _Comparisons(Sequence):
-    """A read-only view of report rows as Comparisons, each built when read."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: list[Row]):
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, position):
-        if isinstance(position, slice):
-            return [_comparison(row) for row in self._rows[position]]
-        return _comparison(self._rows[position])
-
-    def __iter__(self) -> Iterator[Comparison]:
-        return map(_comparison, self._rows)
-
-
 class VerificationReport:
-    """All comparisons from one verification run, stored as `rows`.
+    """All comparisons from one verification run, one `Row` each.
 
     `statement` is the identity being checked, written as a formula; it
     heads the text rendering and is embedded in the JSON envelope.  Another
-    report's checks join this one by `report.rows.extend(part.rows)`.
+    report's checks join this one by
+    `report.comparisons.extend(part.comparisons)`.
     """
 
-    def __init__(self, identity: str, statement: str, comparisons: Iterable[Comparison] = ()):
+    def __init__(self, identity: str, statement: str, comparisons: list[Row] | None = None):
         self.identity = identity
         self.statement = statement
-        self.rows: list[Row] = []
-        self.extend(comparisons)
-
-    @property
-    def comparisons(self) -> Sequence[Comparison]:
-        return _Comparisons(self.rows)
+        self.comparisons: list[Row] = [] if comparisons is None else comparisons
 
     @property
     def ok(self) -> bool:
-        return all(row[7] for row in self.rows)
-
-    @property
-    def failures(self) -> list[Comparison]:
-        return [_comparison(row) for row in self.rows if not row[7]]
-
-    def extend(self, comparisons: Iterable[Comparison]) -> None:
-        self.rows.extend(
-            (comp.identity, comp.spec, comp.index, comp.lhs.numerator, comp.lhs.denominator,
-             comp.rhs.numerator, comp.rhs.denominator, comp.equal)
-            for comp in comparisons
-        )
+        return all(row[7] for row in self.comparisons)
 
     def _dicts(self) -> list[dict]:
-        """Each row as `Comparison.to_dict` would give it."""
+        """Each row as the dict its JSON and CSV renderings print."""
         out = []
-        for identity, label, index, ln, ld, rn, rd, equal in self.rows:
+        for identity, label, index, ln, ld, rn, rd, equal in self.comparisons:
             left = format_ratio(ln, ld)
             out.append({
                 "identity": identity,
@@ -162,7 +94,7 @@ class VerificationReport:
                 "identity": self.identity,
                 "statement": self.statement,
                 "ok": self.ok,
-                "checked": len(self.rows),
+                "checked": len(self.comparisons),
                 "comparisons": self._dicts(),
             },
             indent=2,
@@ -175,14 +107,14 @@ class VerificationReport:
     def to_text(self) -> str:
         lines = [f"identity: {self.identity}", f"statement: {self.statement}"]
         failed = 0
-        for _, label, index, ln, ld, rn, rd, equal in self.rows:
+        for _, label, index, ln, ld, rn, rd, equal in self.comparisons:
             left = format_ratio(ln, ld)
             if equal:
                 lines.append(f"ok   {label} @ {index}: lhs={left} rhs={left}")
             else:
                 failed += 1
                 lines.append(f"FAIL {label} @ {index}: lhs={left} rhs={format_ratio(rn, rd)}")
-        checked = len(self.rows)
+        checked = len(self.comparisons)
         verdict = f"FAIL ({failed} of {checked})" if failed else "PASS"
         lines.append(f"result: {verdict}, {checked} comparisons")
         return "\n".join(lines) + "\n"
@@ -204,9 +136,7 @@ def sweep_report(
     consumed in lockstep, so generators keep each point's evaluation next
     to its comparison.
     """
-    report = VerificationReport(identity, statement)
-    report.rows = [
+    return VerificationReport(identity, statement, [
         comparison_row(identity, label, index, ln, ld, rn, rd)
         for index, (ln, ld), (rn, rd) in zip(points, lhs, rhs, strict=True)
-    ]
-    return report
+    ])

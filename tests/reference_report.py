@@ -3,14 +3,31 @@
 This is the report as it was before rows of ints: each comparison holds two
 reduced Fractions and its own verdict, and every rendering formats both
 sides of every comparison.  `test_report.py` checks that the row report
-gives the same bytes, verdict and failures.
+gives the same bytes and verdict, and the pointwise routes of the verifier
+tests build their expected reports here.
 """
 
 import json
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 
-from mhscalc.report import Comparison, render_csv
+from mhscalc.report import render_csv
+
+
+@dataclass(frozen=True)
+class Comparison:
+    """One exact lhs-vs-rhs check at a concrete index."""
+
+    identity: str
+    spec: str
+    index: tuple[int, ...]
+    lhs: Fraction
+    rhs: Fraction
+    equal: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "equal", self.lhs == self.rhs)
 
 
 def format_fraction(value: Fraction) -> str:

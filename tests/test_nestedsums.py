@@ -34,8 +34,8 @@ from mhscalc.nestedsums import (
     verify_recurrence,
     verify_shift_identity,
 )
-from mhscalc.report import Comparison, VerificationReport
 from pointwise import c_sequence, iterated_delta, nabla
+from reference_report import Comparison, ReferenceReport
 
 
 def c_by_literal_product(spec, n):
@@ -757,14 +757,19 @@ def test_recurrence_table_equals_value_at_every_point(xtext, ttext):
 # --- identity verifiers ----------------------------------------------------------
 
 
+def failed(report):
+    """The indices of the report's failing rows, in report order."""
+    return [index for _, _, index, *_, equal in report.comparisons if not equal]
+
+
 def test_duality_depth_two_frozen_value():
     # both sides at n=1 equal ((1-x1) + t(1-x2)) / (t(1+t)) = 11/36
     spec = NestedSumSpec(((F(1, 2), F(1, 3)),), (F(2),))
     report = verify_duality(spec, (2,))
     assert report.ok
-    at_one = report.comparisons[1]
-    assert at_one.index == (1,)
-    assert at_one.lhs == at_one.rhs == F(11, 36)
+    _, _, index, ln, ld, rn, rd, _ = report.comparisons[1]
+    assert index == (1,)
+    assert F(ln, ld) == F(rn, rd) == F(11, 36)
 
 
 def test_duality_depth_one_is_complement_power():
@@ -772,8 +777,8 @@ def test_duality_depth_one_is_complement_power():
     report = verify_duality(spec, (3, 3))
     assert report.ok
     rule = c_sequence(spec.one_minus())
-    for comp in report.comparisons:
-        assert comp.rhs == rule(comp.index)
+    for _, _, index, _, _, rn, rd, _ in report.comparisons:
+        assert F(rn, rd) == rule(index)
 
 
 def test_duality_self_dual_at_one_half():
@@ -782,8 +787,8 @@ def test_duality_self_dual_at_one_half():
     assert report.ok
     # one_minus fixes the spec, so the transform reproduces c itself
     rule = c_sequence(spec)
-    for comp in report.comparisons:
-        assert comp.lhs == rule(comp.index)
+    for _, _, index, ln, ld, *_ in report.comparisons:
+        assert F(ln, ld) == rule(index)
 
 
 def test_duality_with_negative_noninteger_shift():
@@ -804,7 +809,7 @@ def pointwise_duality(spec, box):
     """The duality report built point by point: nabla of direct values."""
     transformed = nabla(c_sequence(spec))
     dual = spec.one_minus()
-    return VerificationReport(
+    return ReferenceReport(
         "c-duality",
         C_DUALITY_STATEMENT,
         [
@@ -837,7 +842,7 @@ def test_duality_fails_on_a_corrupted_fill_value(monkeypatch):
     monkeypatch.setattr(RecurrenceEvaluator, "table", corrupted)
     report = verify_duality(spec, (4, 4))
     # nabla at n reads every value below n, so exactly the points above (1, 2) fail
-    assert {comp.index for comp in report.failures} == {
+    assert set(failed(report)) == {
         (i, j) for i in range(1, 4) for j in range(2, 4)
     }
     assert report.to_text().endswith("result: FAIL (6 of 16), 16 comparisons\n")
@@ -857,10 +862,9 @@ def test_difference_formula_zero_order_slice():
     spec = NestedSumSpec.parse("0,1", "1")
     report = verify_difference_formula(spec, (3,), (1,))
     assert report.ok
-    for comp in report.comparisons:
-        n, k = comp.index
+    for _, _, (n, k), ln, ld, *_ in report.comparisons:
         if k == 0:
-            assert comp.lhs == c_direct(spec, (n,))
+            assert F(ln, ld) == c_direct(spec, (n,))
 
 
 def test_difference_formula_origin_slice_is_duality():
@@ -869,10 +873,10 @@ def test_difference_formula_origin_slice_is_duality():
     dual = verify_duality(spec, (4,))
     assert diff.ok and dual.ok
     diff_at_origin = {
-        comp.index[1]: comp.lhs for comp in diff.comparisons if comp.index[0] == 0
+        k: F(ln, ld) for _, _, (n, k), ln, ld, *_ in diff.comparisons if n == 0
     }
-    for comp in dual.comparisons:
-        assert diff_at_origin[comp.index[0]] == comp.lhs
+    for _, _, (n,), ln, ld, *_ in dual.comparisons:
+        assert diff_at_origin[n] == F(ln, ld)
 
 
 def test_difference_formula_explicit_instance():
@@ -889,8 +893,8 @@ def test_shift_identity_two_slot_product():
     assert report.ok
     rule = c_sequence(spec)
     assert rule((1, 1)) == F(2, 9)
-    at_11 = next(c for c in report.comparisons if c.index == (1, 1))
-    assert at_11.lhs == at_11.rhs == F(2, 9)
+    _, _, _, ln, ld, rn, rd, _ = next(row for row in report.comparisons if row[2] == (1, 1))
+    assert F(ln, ld) == F(rn, rd) == F(2, 9)
 
 
 def test_shift_identity_single_slot_constant_block():
@@ -934,7 +938,7 @@ FIXED_DIFFERENCE_CASES = [
 def pointwise_difference_formula(spec, nbox, kbox):
     """The difference-formula report built point by point from direct values."""
     c, double = c_sequence(spec), spec.doubled()
-    return VerificationReport(
+    return ReferenceReport(
         "difference-formula",
         DIFFERENCE_STATEMENT,
         [
@@ -987,7 +991,7 @@ def test_difference_formula_fails_exactly_where_a_fill_value_is_read(monkeypatch
             corrupt_fill(patch, spec, lambda index, value: value + (index == m))
             report = verify_difference_formula(spec, nbox, kbox)
         # (delta^k c)(n) weights c(m) by +-C(k, m - n), nonzero for n <= m <= n + k
-        assert {comp.index for comp in report.failures} == {
+        assert set(failed(report)) == {
             n + k for n, k in pairs
             if all(ni <= mi <= ni + ki for ni, mi, ki in zip(n, m, k))
         }, m
@@ -1000,7 +1004,7 @@ def test_difference_formula_doubled_fill_is_checked_but_at_the_corner(monkeypatc
             corrupt_fill(patch, spec.doubled(), lambda index, value: value + (index == m))
             report = verify_difference_formula(spec, (3, 3), (3, 2))
         # the corner's right side is c_direct, not the fill
-        assert {comp.index for comp in report.failures} == failures
+        assert set(failed(report)) == failures
 
 
 def test_difference_formula_corner_is_chain_enumeration(monkeypatch):
@@ -1015,7 +1019,7 @@ def test_difference_formula_corner_is_chain_enumeration(monkeypatch):
         ),
     )
     report = verify_difference_formula(spec, (3, 3), (3, 2))
-    assert [comp.index for comp in report.failures] == [(2, 2, 2, 1)]
+    assert failed(report) == [(2, 2, 2, 1)]
 
 
 def test_difference_formula_guard_trips_at_the_corner_first(monkeypatch):
@@ -1050,21 +1054,21 @@ def test_shift_identity_fails_exactly_where_a_fill_value_is_read(monkeypatch):
             n = m[: i - 1] + (m[i - 1] - 1,) + m[i:]
             if n in points:
                 expected.add(n)
-        assert {comp.index for comp in report.failures} == expected, m
+        assert set(failed(report)) == expected, m
 
 
 def test_shift_identity_corner_is_chain_enumeration(monkeypatch):
     with monkeypatch.context() as patch:
         corrupt_fill(patch, SHIFT_SPEC, lambda index, value: 2 * value)
         report = verify_shift_identity(SHIFT_SPEC, (1, 2), 1, (3, 2, 2))
-    assert [comp.index for comp in report.failures] == [(2, 1, 1)]
+    assert failed(report) == [(2, 1, 1)]
 
 
 def pointwise_shift(spec, subset, constant, box):
     """The shift report built point by point from direct values."""
     c, constant = c_sequence(spec), F(constant)
     label = f"{spec.text()} S={tuple(subset)} gamma={format_rational(constant)}"
-    return VerificationReport(
+    return ReferenceReport(
         "shift",
         SHIFT_STATEMENT,
         [
@@ -1148,8 +1152,8 @@ def test_duality_reduces_to_single_slot_duality():
         report = verify_duality(spec, (4,))
         assert report.ok
         complement = tuple(1 - v for v in x)
-        for comp in report.comparisons:
-            assert comp.rhs == kt_value(complement, comp.index[0])
+        for _, _, (n,), _, _, rn, rd, _ in report.comparisons:
+            assert F(rn, rd) == kt_value(complement, n)
 
 
 def test_random_shift_configuration_satisfies_hypothesis():

@@ -2,10 +2,12 @@
 
 perfbench/selftest.py lists, per traced layer, the mhscalc namespaces that
 bind the layer's function by name; a call through a namespace the tracer
-misses is not counted.  perfbench/workloads.py checks every op's output.
-A library change that drops one of those names, or that makes an op fail
-the benchmark's own checks, fails here at once instead of in a benchmark
-run.  The tests only import perfbench's modules; they change nothing there.
+misses is not counted.  perfbench/tracing.py reads each rendered report's
+comparison count off the report, and perfbench/workloads.py checks every
+op's output.  A library change that drops one of those names, that renames
+what the tracer reads, or that makes an op fail the benchmark's own checks,
+fails here at once instead of in a benchmark run.  The tests only import
+perfbench's modules; they change nothing there.
 """
 
 import hashlib
@@ -38,6 +40,23 @@ def test_first_op_of_each_workload_passes_the_benchmark_checks(capsys, monkeypat
         assert workloads.check_output(op, code, out) is None, workload
         if op.argv[0] == "c":
             assert workloads.check_recurrence_value(op, out) is None, workload
+
+
+def test_tracer_counts_each_verify_report(capsys, monkeypatch):
+    """The tracer reads a report's comparison count off the report it renders."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    for workload in workloads.WORKLOADS:
+        ops = [op for op in workloads.generate(workload, 1) if op.argv[0] == "verify"]
+        if not ops:
+            continue
+        tracer = tracing.Tracer()
+        with tracer.installed(count=True):
+            assert main(list(ops[0].argv)) == 0, workload
+        capsys.readouterr()
+        assert tracer.work()["report.render"] == (1, ops[0].comparisons), workload
 
 
 # sha256 over (argv, exit code, stdout, stderr) of every op of the seed-1
