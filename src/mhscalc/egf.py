@@ -1,7 +1,6 @@
 """Truncated multivariate power series and the operator algebra on them.
 
-Series live in Q[[X_1..X_m]] truncated at a total degree bound D, stored as
-sparse exponent-to-coefficient maps in the ordinary monomial basis.  A
+Series live in Q[[X_1..X_m]] truncated at a total degree bound D.  A
 sequence a: N^r -> Q enters through its exponential generating function
 
     f_a = sum a(n) X^n / n!        (n! meaning n_1! ... n_r!)
@@ -12,10 +11,13 @@ would need unseen data), while multiplication by X_i, the Euler-type
 operator xi, and the inversion nabla keep it (they never consult degrees
 above what they produce).  Equality compares up to the smaller bound.
 
-A series stores one positive int denominator and an int numerator per
-nonzero coefficient, and every operator runs on that form (a sum over the
-lcm of the two denominators, a product over their product, a rational
-parameter over the lcm of its own); a Fraction is built only on reading.
+A series is dense: one int numerator per exponent vector of degree <= D,
+in the graded order of `exponent_vectors`, over one positive int
+denominator.  Every operator runs on that form (a sum over the lcm of the
+two denominators, a product over their product, a rational parameter over
+the lcm of its own); a Fraction is built only on reading.  A graded space
+(`_Space`) gives each vector an additive int code, so the kernels find
+positions by int addition and a dict lookup and build no exponent tuple.
 
 Operators:
 
@@ -29,19 +31,20 @@ Operators:
 seeded random sequences and parameter specs, coefficient by coefficient.
 Its nested-sum windows come from recurrence fills; the reduced side of
 depth reduction stays chain enumeration (one `direct_window` per reduced
-spec), which checks the fills.  `exponent_vectors` returns a graded list
-whose prefixes are the lists at lower bounds, so the suite builds one list
-per variable count and reads every lower bound as a prefix; like the rest
-of the package it keeps nothing between calls.
+spec), which checks the fills.  A space serves every lower bound as a
+prefix, so the series the suite builds share two spaces per slot count,
+those of its first windows; like the rest of the package it keeps nothing
+between calls.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .guards import DEFAULT_GUARD, check_product_pairs
 from .kernel import common_denominator, format_rational
@@ -61,48 +64,77 @@ from .report import Row, VerificationReport, comparison_row
 Exponents = tuple[int, ...]
 
 
-def exponent_vectors(nvars: int, bound: int) -> list[Exponents]:
-    """Exponent vectors with total degree <= bound, graded lexicographic.
+class _Space:
+    """The exponent vectors of degree <= bound in nvars variables, with codes.
 
-    Built degree by degree, one variable at a time: the vectors of degree s
-    in m variables are (h,) + v for h = 0..s and v of degree s - h in the
-    last m - 1.  Those of degree <= b < bound are the first C(nvars + b,
-    nvars) of the list (`_up_to`), so one list serves every lower bound.
+    The vectors are graded lexicographic, built degree by degree one
+    variable at a time: those of degree s in m variables are (h,) + v for
+    h = 0..s and v of degree s - h in the last m - 1.  So those of degree
+    <= b are the first sizes[b] = C(nvars + b, nvars), and a series at any
+    bound <= `bound` stores its numerators by position in this list.  The
+    code of v is sum_i v_i (bound + 1)^i, so code(v) + code(w) = code(v + w)
+    while |v| + |w| <= bound, and `pos` maps a code back to its position.
+    `factorials[k]` is prod_i v_i! for the k-th vector v.
     """
-    if nvars < 1:
-        raise ValueError(f"nvars must be positive, got {nvars}")
-    # by_degree[s]: the vectors of degree s in the variables added so far
-    by_degree = [[(s,)] for s in range(bound + 1)]
-    for _ in range(nvars - 1):
-        by_degree = [
-            [(head,) + rest for head in range(s + 1) for rest in by_degree[s - head]]
-            for s in range(bound + 1)
-        ]
-    return [e for vectors in by_degree for e in vectors]
+
+    __slots__ = ("nvars", "vectors", "degrees", "sizes", "steps", "codes", "pos", "factorials")
+
+    def __init__(self, nvars: int, bound: int):
+        if nvars < 1:
+            raise ValueError(f"nvars must be positive, got {nvars}")
+        radix = bound + 1
+        # by_degree[s]: (vector, code, factorials) of degree s in the variables added so far
+        by_degree = [[((s,), s, math.factorial(s))] for s in range(radix)]
+        for _ in range(nvars - 1):
+            by_degree = [
+                [((head,) + v, head + radix * code, math.factorial(head) * fact)
+                 for head in range(s + 1) for v, code, fact in by_degree[s - head]]
+                for s in range(radix)
+            ]
+        self.nvars = nvars
+        self.vectors, self.codes, self.factorials = map(list, zip(*itertools.chain(*by_degree)))
+        self.degrees = [s for s in range(radix) for _ in by_degree[s]]
+        self.sizes = list(itertools.accumulate(map(len, by_degree)))
+        self.steps = [radix**i for i in range(nvars)]
+        self.pos = dict(zip(self.codes, range(len(self.codes))))
+
+    def code(self, exponents: Exponents) -> int:
+        return sum(map(int.__mul__, exponents, self.steps))
+
+    def raised(self, bound: int, step: int) -> Iterator[int]:
+        """Positions of v + e_i, step = code(e_i), for the vectors v of degree < bound."""
+        below = self.codes[: self.sizes[bound - 1]] if bound else ()
+        return map(self.pos.__getitem__, map(step.__add__, below))
 
 
-def _up_to(vectors: list[Exponents], bound: int) -> list[Exponents]:
-    """The vectors of degree <= bound, a prefix of a longer `exponent_vectors` list."""
-    nvars = len(vectors[0])
-    return vectors[:math.comb(nvars + bound, nvars)]
+def exponent_vectors(nvars: int, bound: int) -> list[Exponents]:
+    """Exponent vectors with total degree <= bound, graded lexicographic (see `_Space`)."""
+    return _Space(nvars, bound).vectors
+
+
+def _rational(value) -> int | Fraction:
+    """An int or Fraction as it is, anything else as a Fraction."""
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
 
 
 class TruncatedSeries:
-    """Sparse series over Q, exact up to a total degree bound.
+    """Dense series over Q, exact up to a total degree bound.
 
-    The coefficient of X^e is _nums[e] / _den, with _den > 0 not necessarily
-    in lowest terms: `coefficient` and `terms` reduce, and `==` cross-multiplies.
+    _nums holds one int numerator per vector of degree <= degree_bound, by
+    position in the graded list of _space (a `_Space` of bound >= the
+    series' bound), over one _den > 0 not necessarily in lowest terms:
+    `coefficient` and `terms` reduce, and `==` cross-multiplies.  Positions
+    agree across spaces of one variable count, codes do not, so a binary
+    operation reads every position from one operand's space.
     """
 
-    __slots__ = ("nvars", "degree_bound", "_den", "_nums")
+    __slots__ = ("nvars", "degree_bound", "_den", "_nums", "_space")
 
     def __init__(self, nvars: int, degree_bound: int, coeffs: dict | None = None):
         if nvars < 1:
             raise ValueError(f"nvars must be positive, got {nvars}")
         if degree_bound < 0:
             raise ValueError(f"degree bound must be a natural, got {degree_bound}")
-        self.nvars = nvars
-        self.degree_bound = degree_bound
         fractions: dict[Exponents, Fraction] = {}
         for exponents, coeff in (coeffs or {}).items():
             exponents = tuple(exponents)
@@ -113,17 +145,19 @@ class TruncatedSeries:
                     f"exponent vector {exponents} exceeds degree bound {degree_bound}"
                 )
             fractions[exponents] = Fraction(coeff)
-        self._den, nums = common_denominator(fractions.values())
-        self._nums = {e: n for e, n in zip(fractions, nums) if n}
+        self.nvars, self.degree_bound = nvars, degree_bound
+        self._space = space = _Space(nvars, degree_bound)
+        self._den, values = common_denominator(fractions.values())
+        self._nums = [0] * len(space.codes)
+        for exponents, n in zip(fractions, values):
+            self._nums[space.pos[space.code(exponents)]] = n
 
     @classmethod
-    def _trusted(cls, nvars: int, degree_bound: int, den: int, nums: dict) -> "TruncatedSeries":
-        """Wrap int numerators over den > 0 (tuple keys within the bound) unchecked."""
+    def _trusted(cls, space: _Space, degree_bound: int, den: int, nums: list) -> "TruncatedSeries":
+        """Wrap the int numerators of positions < space.sizes[degree_bound] over den > 0."""
         series = object.__new__(cls)
-        series.nvars = nvars
-        series.degree_bound = degree_bound
-        series._den = den
-        series._nums = {e: n for e, n in nums.items() if n}
+        series.nvars, series.degree_bound, series._space = space.nvars, degree_bound, space
+        series._den, series._nums = den, nums
         return series
 
     # --- constructors ---
@@ -141,37 +175,36 @@ class TruncatedSeries:
     # --- access ---
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return Fraction(self._nums.get(tuple(exponents), 0), self._den)
+        e, space = tuple(exponents), self._space
+        if len(e) != self.nvars or min(e) < 0 or sum(e) > self.degree_bound:
+            return Fraction(0)
+        return Fraction(self._nums[space.pos[space.code(e)]], self._den)
 
     def terms(self) -> Iterator[tuple[Exponents, Fraction]]:
-        """(exponents, coefficient) pairs in graded lexicographic order."""
-        for exponents in sorted(self._nums, key=lambda e: (sum(e), e)):
-            yield exponents, Fraction(self._nums[exponents], self._den)
+        """(exponents, coefficient) pairs of the nonzero terms, graded lexicographic."""
+        for exponents, n in zip(self._space.vectors, self._nums):
+            if n:
+                yield exponents, Fraction(n, self._den)
 
     def __bool__(self) -> bool:
-        return bool(self._nums)
+        return any(self._nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         if self.nvars != other.nvars:
             return False
-        bound = min(self.degree_bound, other.degree_bound)
-        mine = {e: n * other._den for e, n in self._nums.items() if sum(e) <= bound}
-        theirs = {e: n * self._den for e, n in other._nums.items() if sum(e) <= bound}
-        return mine == theirs
+        size = self._space.sizes[min(self.degree_bound, other.degree_bound)]
+        a, b = other._den, self._den
+        return [a * n for n in self._nums[:size]] == [b * n for n in other._nums[:size]]
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        head = ", ".join(
-            f"{e}: {format_rational(c)}" for e, c in itertools.islice(self.terms(), 4)
-        )
-        more = "..." if len(self._nums) > 4 else ""
-        return (
-            f"TruncatedSeries(nvars={self.nvars}, D={self.degree_bound}, "
-            f"{{{head}{more}}})"
-        )
+        shown = itertools.islice(self.terms(), 4)
+        head = ", ".join(f"{e}: {format_rational(c)}" for e, c in shown)
+        more = "..." if sum(map(bool, self._nums)) > 4 else ""
+        return f"TruncatedSeries(nvars={self.nvars}, D={self.degree_bound}, {{{head}{more}}})"
 
     # --- ring operations (matching nvars and bound required) ---
 
@@ -184,96 +217,97 @@ class TruncatedSeries:
                 "truncate explicitly first"
             )
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Sum over the lcm of the two denominators."""
+    def _over_lcm(self, other: "TruncatedSeries") -> tuple[int, int, int]:
+        """The lcm of the two denominators, and what brings each numerator over it."""
         self._check_compatible(other)
         den = math.lcm(self._den, other._den)
-        mine, theirs = den // self._den, den // other._den
-        nums = {e: n * mine for e, n in self._nums.items()}
-        for exponents, n in other._nums.items():
-            nums[exponents] = nums.get(exponents, 0) + n * theirs
-        return TruncatedSeries._trusted(self.nvars, self.degree_bound, den, nums)
+        return den, den // self._den, den // other._den
+
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        den, a, b = self._over_lcm(other)
+        nums = [x * a + y * b for x, y in zip(self._nums, other._nums)]
+        return TruncatedSeries._trusted(self._space, self.degree_bound, den, nums)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + other.scale(-1)
+        den, a, b = self._over_lcm(other)
+        nums = [x * a - y * b for x, y in zip(self._nums, other._nums)]
+        return TruncatedSeries._trusted(self._space, self.degree_bound, den, nums)
 
     def scale(self, factor) -> "TruncatedSeries":
-        factor = Fraction(factor)
-        nums = {e: n * factor.numerator for e, n in self._nums.items()}
+        factor = _rational(factor)
+        a = factor.numerator
+        nums = [a * n for n in self._nums]
         den = self._den * factor.denominator
-        return TruncatedSeries._trusted(self.nvars, self.degree_bound, den, nums)
+        return TruncatedSeries._trusted(self._space, self.degree_bound, den, nums)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Truncated product: the numerators convolve as ints over d1 * d2."""
+        """Truncated product: the numerators convolve as ints over d1 * d2.
+
+        Each nonzero term of the sparser factor, at degree d, meets the
+        nonzero terms of the other of degree <= D - d, a prefix of them in
+        graded order; each product lands at the position of the code sum.
+        """
         self._check_compatible(other)
-        products = _mul_numerators(self._nums, other._nums, self.degree_bound)
-        return TruncatedSeries._trusted(
-            self.nvars, self.degree_bound, self._den * other._den, products
-        )
+        outer, inner = self._nums, other._nums
+        if sum(map(bool, outer)) > sum(map(bool, inner)):
+            outer, inner = inner, outer
+        space, bound, out = self._space, self.degree_bound, [0] * len(inner)
+        codes, pos, sizes = space.codes, space.pos, space.sizes
+        nonzero = list(itertools.compress(range(len(inner)), inner))
+        inner_codes = list(map(codes.__getitem__, nonzero))
+        inner = list(itertools.compress(inner, inner))
+        for code, degree, a in zip(codes, space.degrees, outer):
+            if a:
+                room = bisect.bisect_left(nonzero, sizes[bound - degree])
+                targets = map(pos.__getitem__, map(code.__add__, inner_codes[:room]))
+                for target, product in zip(targets, map(a.__mul__, inner[:room])):
+                    out[target] += product
+        return TruncatedSeries._trusted(space, bound, self._den * other._den, out)
 
     def truncate(self, new_bound: int) -> "TruncatedSeries":
         """Lower the degree bound (raising it would fabricate information)."""
         if new_bound > self.degree_bound:
             raise ValueError(f"cannot raise bound {self.degree_bound} to {new_bound}")
-        nums = {e: n for e, n in self._nums.items() if sum(e) <= new_bound}
-        return TruncatedSeries._trusted(self.nvars, new_bound, self._den, nums)
+        nums = self._nums[: self._space.sizes[new_bound]]
+        return TruncatedSeries._trusted(self._space, new_bound, self._den, nums)
 
     # --- operators ---
 
-    def deriv(self, var: int) -> "TruncatedSeries":
-        """Partial derivative in the 1-based variable; bound drops by one."""
+    def _axis(self, var: int) -> int:
         if not 1 <= var <= self.nvars:
             raise ValueError(f"variable {var} out of range 1..{self.nvars}")
+        return var - 1
+
+    def deriv(self, var: int) -> "TruncatedSeries":
+        """Partial derivative in the 1-based variable; bound drops by one.
+
+        The coefficient at X^v is (v_i + 1) times the one at X^(v + e_i).
+        """
+        axis = self._axis(var)
         if self.degree_bound == 0:
             raise ValueError("cannot differentiate a degree-0 window")
-        pos = var - 1
-        nums: dict[Exponents, int] = {}
-        for exponents, n in self._nums.items():
-            if exponents[pos] == 0:
-                continue
-            lowered = exponents[:pos] + (exponents[pos] - 1,) + exponents[pos + 1:]
-            nums[lowered] = n * exponents[pos]
-        return TruncatedSeries._trusted(self.nvars, self.degree_bound - 1, self._den, nums)
+        space, nums = self._space, self._nums
+        sources = space.raised(self.degree_bound, space.steps[axis])
+        lowered = [nums[source] * (v[axis] + 1) for source, v in zip(sources, space.vectors)]
+        return TruncatedSeries._trusted(space, self.degree_bound - 1, self._den, lowered)
 
     def mul_var(self, var: int) -> "TruncatedSeries":
         """Multiply by the 1-based variable, truncating at the bound."""
-        if not 1 <= var <= self.nvars:
-            raise ValueError(f"variable {var} out of range 1..{self.nvars}")
-        pos = var - 1
-        nums: dict[Exponents, int] = {}
-        for exponents, n in self._nums.items():
-            if sum(exponents) + 1 > self.degree_bound:
-                continue
-            raised = exponents[:pos] + (exponents[pos] + 1,) + exponents[pos + 1:]
-            nums[raised] = n
-        return TruncatedSeries._trusted(self.nvars, self.degree_bound, self._den, nums)
+        space, raised = self._space, [0] * len(self._nums)
+        targets = space.raised(self.degree_bound, space.steps[self._axis(var)])
+        for target, n in itertools.compress(zip(targets, self._nums), self._nums):
+            raised[target] = n
+        return TruncatedSeries._trusted(space, self.degree_bound, self._den, raised)
 
 
-def _mul_numerators(
-    left: dict[Exponents, int], right: dict[Exponents, int], bound: int
-) -> dict[Exponents, int]:
-    """Truncated convolution on ints; right's terms sorted by degree end each row early."""
-    by_degree = sorted(((sum(e), e, n) for e, n in right.items()), key=lambda term: term[0])
-    out: dict[Exponents, int] = {}
-    for e1, n1 in left.items():
-        room = bound - sum(e1)
-        for degree, e2, n2 in by_degree:
-            if degree > room:
-                break
-            key = tuple([a + b for a, b in zip(e1, e2)])
-            out[key] = out.get(key, 0) + n1 * n2
-    return out
-
-
-def _egf_window(values: TruncatedSeries) -> TruncatedSeries:
-    """The series whose coefficient at X^n is that of `values` over n!.
+def _egf_window(space: _Space, bound: int, den: int, values: Iterable[int]) -> TruncatedSeries:
+    """The series whose coefficient at X^n is values[n] / (den n!), by position.
 
     Every n! with |n| <= D divides D!, so the numerators stay ints over den * D!.
     """
-    top = math.factorial(values.degree_bound)
-    return TruncatedSeries._trusted(values.nvars, values.degree_bound, values._den * top, {
-        e: n * (top // math.prod(map(math.factorial, e))) for e, n in values._nums.items()
-    })
+    top = math.factorial(bound)
+    nums = [value * (top // weight) for value, weight in zip(values, space.factorials)]
+    return TruncatedSeries._trusted(space, bound, den * top, nums)
 
 
 def from_sequence(table: MultiSequenceTable, degree_bound: int) -> TruncatedSeries:
@@ -282,9 +316,13 @@ def from_sequence(table: MultiSequenceTable, degree_bound: int) -> TruncatedSeri
     The table must hold every |n| <= D, so each extent is at least D + 1.
     Its numerators and denominator carry over as they are.
     """
-    r = table.arity
-    nums = {n: table.numerator(n) for n in exponent_vectors(r, degree_bound)}
-    return _egf_window(TruncatedSeries._trusted(r, degree_bound, table.denominator, nums))
+    space = _Space(table.arity, degree_bound)
+    return _egf_window(space, degree_bound, table.denominator, map(table.numerator, space.vectors))
+
+
+def _first_axis(exponents: Exponents) -> int:
+    """The first i with exponents[i] > 0 (the entries before it are 0)."""
+    return exponents.index(next(filter(None, exponents)))
 
 
 def F_from_sequence(table: MultiSequenceTable, degree_bound: int) -> TruncatedSeries:
@@ -295,18 +333,30 @@ def F_from_sequence(table: MultiSequenceTable, degree_bound: int) -> TruncatedSe
     `from_sequence`.  One difference table of int numerators over the
     table's denominator, filled in graded order of k with i the first axis
     where k_i > 0, costs one subtraction per coefficient:
-    delta^k a(n) = delta^{k-e_i} a(n) - delta^{k-e_i} a(n+e_i).
+    delta^k a(n) = delta^{k-e_i} a(n) - delta^{k-e_i} a(n+e_i), keyed by
+    the code of (n, k) in 2r variables, code(n) + (D + 1)^r code(k).
     """
-    r = table.arity
-    vectors = exponent_vectors(r, degree_bound)
-    diffs = {n + (0,) * r: table.numerator(n) for n in vectors}
-    for k in vectors[1:]:
-        i = next(axis for axis, ki in enumerate(k) if ki)
-        lower = k[:i] + (k[i] - 1,) + k[i + 1:]
-        for n in _up_to(vectors, degree_bound - sum(k)):
-            raised = n[:i] + (n[i] + 1,) + n[i + 1:]
-            diffs[n + k] = diffs[n + lower] - diffs[raised + lower]
-    return _egf_window(TruncatedSeries._trusted(2 * r, degree_bound, table.denominator, diffs))
+    r, D = table.arity, degree_bound
+    half, space = _Space(r, D), _Space(2 * r, D)
+    shift = space.steps[r]
+    diffs = dict(zip(half.codes, map(table.numerator, half.vectors)))
+    for k, code, degree in zip(half.vectors[1:], half.codes[1:], half.degrees[1:]):
+        step = half.steps[_first_axis(k)]
+        # the codes of (0, k), (0, k - e_i) and (e_i, k - e_i)
+        target, lower = shift * code, shift * (code - step)
+        raised = lower + step
+        for n in half.codes[: half.sizes[D - degree]]:
+            diffs[target + n] = diffs[lower + n] - diffs[raised + n]
+    return _egf_window(space, D, table.denominator, map(diffs.__getitem__, space.codes))
+
+
+def _exp_linear(coefficients: Sequence, degree_bound: int, space: _Space) -> TruncatedSeries:
+    """`exp_linear` stored by position in `space`."""
+    D, cvec = degree_bound, list(map(_rational, coefficients))
+    rows = [[c.numerator**k * c.denominator ** (D - k) for k in range(D + 1)] for c in cvec]
+    powers = [math.prod(map(list.__getitem__, rows, n)) for n in space.vectors[: space.sizes[D]]]
+    den = math.prod(c.denominator**D for c in cvec)
+    return _egf_window(space, D, den, powers)
 
 
 def exp_linear(coefficients: Sequence, degree_bound: int) -> TruncatedSeries:
@@ -315,62 +365,53 @@ def exp_linear(coefficients: Sequence, degree_bound: int) -> TruncatedSeries:
     With c_i = a_i / b_i, the power c^n has numerator prod_i a_i^n_i b_i^(D - n_i)
     over prod_i b_i^D; row i lists a_i^k b_i^(D - k) for k = 0..D.
     """
-    cvec = [Fraction(c) for c in coefficients]
-    D = degree_bound
-    vectors = exponent_vectors(len(cvec), D)
-    rows = [[c.numerator**k * c.denominator ** (D - k) for k in range(D + 1)] for c in cvec]
-    powers = {n: math.prod(map(list.__getitem__, rows, n)) for n in vectors}
-    den = math.prod(c.denominator**D for c in cvec)
-    return _egf_window(TruncatedSeries._trusted(len(cvec), D, den, powers))
+    return _exp_linear(coefficients, degree_bound, _Space(len(coefficients), degree_bound))
 
 
 def subst_linear(f: TruncatedSeries, rows: Sequence[Sequence]) -> TruncatedSeries:
     """Substitute X_i -> sum_j rows[i][j] Z_j (linear forms, no constants).
 
     Linear substitution preserves total degree, so the bound carries over.
-    Row i is scaled to integers over q_i, the lcm of its denominators, and
-    each term of f is scaled by prod_i q_i^(D - e_i), so every term's
-    image shares the denominator d_f * prod_i q_i^D and the images add up
-    as ints.
+    Row i is scaled to integers over q_i, the lcm of its denominators, as
+    the form L_i.  With Q = prod_i q_i^D, the image of X^e is held as the
+    int form Q prod_i (L_i / q_i)^e_i, built in graded order as
+    image(e) = (image(e - e_i) / q_i) L_i, i the first axis with e_i > 0:
+    one product by a linear form per vector, and every image is over d_f * Q.
     """
-    rows = [common_denominator(map(Fraction, row)) for row in rows]
+    rows = [common_denominator(map(_rational, row)) for row in rows]
     if len(rows) != f.nvars:
         raise ValueError(f"need {f.nvars} image rows, got {len(rows)}")
     scales, rows = zip(*rows)
     if not rows[0] or any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("image rows must share a positive length")
-    nvars_out = len(rows[0])
-    bound = f.degree_bound
-    units = [tuple(1 if j == pos else 0 for pos in range(nvars_out)) for j in range(nvars_out)]
-    # form i over q_i; at bound 0 the forms' degree-1 terms are truncated away
-    forms = [{unit: c for unit, c in zip(units, row) if c} if bound else {} for row in rows]
-    # cache form powers as integer numerators; exponents are small (<= bound)
-    one = {(0,) * nvars_out: 1}
-    power_cache: list[list[dict[Exponents, int]]] = [[one] for _ in forms]
-
-    def form_power(i: int, e: int) -> dict[Exponents, int]:
-        cache = power_cache[i]
-        while len(cache) <= e:
-            cache.append(_mul_numerators(cache[-1], forms[i], bound))
-        return cache[e]
-
-    out: dict[Exponents, int] = {}
-    for exponents, numerator in f._nums.items():
-        image = one
-        for i, e in enumerate(exponents):
-            if e:
-                image = _mul_numerators(image, form_power(i, e), bound)
-            numerator *= scales[i] ** (bound - e)
-        for key, value in image.items():
-            out[key] = out.get(key, 0) + numerator * value
-    den = f._den * math.prod(q**bound for q in scales)
-    return TruncatedSeries._trusted(nvars_out, bound, den, out)
+    bound, source = f.degree_bound, f._space
+    space = source if len(rows[0]) == f.nvars else _Space(len(rows[0]), bound)
+    codes, pos = space.codes, space.pos
+    forms = [[(step, c) for step, c in zip(space.steps, row) if c] for row in rows]
+    top = math.prod(q**bound for q in scales)
+    images: list[dict[int, int]] = [{0: top}]  # image(e) as {output position: int}
+    out = [0] * space.sizes[bound]
+    terms = zip(source.vectors, source.codes, f._nums)
+    for index, (exponents, code, numerator) in enumerate(terms):
+        if index:
+            axis, image = _first_axis(exponents), {}
+            q = scales[axis]
+            for at, value in images[source.pos[code - source.steps[axis]]].items():
+                value //= q
+                for step, c in forms[axis]:
+                    target = pos[codes[at] + step]
+                    image[target] = image.get(target, 0) + value * c
+            images.append(image)
+        if numerator:
+            for at, value in images[index].items():
+                out[at] += numerator * value
+    return TruncatedSeries._trusted(space, bound, f._den * top, out)
 
 
 def negate_vars(f: TruncatedSeries) -> TruncatedSeries:
     """X_i -> -X_i, done directly on exponent parities."""
-    nums = {e: (-n if sum(e) % 2 else n) for e, n in f._nums.items()}
-    return TruncatedSeries._trusted(f.nvars, f.degree_bound, f._den, nums)
+    nums = [-n if degree & 1 else n for n, degree in zip(f._nums, f._space.degrees)]
+    return TruncatedSeries._trusted(f._space, f.degree_bound, f._den, nums)
 
 
 def nabla_series(f: TruncatedSeries) -> TruncatedSeries:
@@ -380,7 +421,7 @@ def nabla_series(f: TruncatedSeries) -> TruncatedSeries:
     and it is an involution.  The bound is kept: every product coefficient
     at degree <= D only consults f below degree D.
     """
-    return negate_vars(f) * exp_linear((1,) * f.nvars, f.degree_bound)
+    return negate_vars(f) * _exp_linear((1,) * f.nvars, f.degree_bound, f._space)
 
 
 def xi_apply(f: TruncatedSeries, x: Sequence) -> TruncatedSeries:
@@ -391,35 +432,28 @@ def xi_apply(f: TruncatedSeries, x: Sequence) -> TruncatedSeries:
     literal mul_var/deriv composite on every degree the composite retains.
     The x_i enter as ints over q, the lcm of their denominators.
     """
-    q, xnums = common_denominator(map(Fraction, x))
+    q, xnums = common_denominator(map(_rational, x))
     if len(xnums) != f.nvars:
         raise ValueError(f"need {f.nvars} parameters, got {len(xnums)}")
-    nums: dict[Exponents, int] = {}
-    for exponents, n in f._nums.items():
-        degree = sum(exponents)
-        if degree:
-            nums[exponents] = nums.get(exponents, 0) + degree * q * n
-        if degree + 1 <= f.degree_bound:
-            for i, xi in enumerate(xnums):
-                if xi:
-                    raised = exponents[:i] + (exponents[i] + 1,) + exponents[i + 1:]
-                    nums[raised] = nums.get(raised, 0) - xi * n
-    return TruncatedSeries._trusted(f.nvars, f.degree_bound, f._den * q, nums)
+    space, bound = f._space, f.degree_bound
+    nums = [q * degree * n for degree, n in zip(space.degrees, f._nums)]
+    for step, xi in zip(space.steps, xnums):
+        if xi:
+            for target, n in itertools.compress(zip(space.raised(bound, step), f._nums), f._nums):
+                nums[target] -= xi * n
+    return TruncatedSeries._trusted(space, bound, f._den * q, nums)
 
 
-def _direct_series(
-    spec: NestedSumSpec, degree_bound: int, vectors: list[Exponents], guard: int
-) -> TruncatedSeries:
+def _direct_series(spec: NestedSumSpec, bound: int, space: _Space, guard: int) -> TruncatedSeries:
     """The EGF window of c[spec] up to the bound, by chain enumeration.
 
-    `vectors` is `exponent_vectors(spec.r, degree_bound)`.  `direct_window`
+    `space` is in spec.r variables at the bound or above.  `direct_window`
     gives each value as an int pair, and the window holds them over the lcm
     of the denominators.
     """
-    values = direct_window(spec, vectors, guard)
+    values = direct_window(spec, space.vectors[: space.sizes[bound]], guard)
     den = math.lcm(*(d for _, d in values))
-    nums = {e: n * (den // d) for e, (n, d) in zip(vectors, values)}
-    return _egf_window(TruncatedSeries._trusted(spec.r, degree_bound, den, nums))
+    return _egf_window(space, bound, den, [n * (den // d) for n, d in values])
 
 
 # --- operator-identity battery ----------------------------------------------
@@ -432,25 +466,21 @@ EGF_SUITE_STATEMENT = (
 
 
 def _series_comparisons(
-    identity: str,
-    label: str,
-    lhs: TruncatedSeries,
-    rhs: TruncatedSeries,
-    vectors: list[Exponents],
+    identity: str, label: str, lhs: TruncatedSeries, rhs: TruncatedSeries
 ) -> list[Row]:
     """One report row per exponent vector up to the shared bound.
 
-    `vectors` is `exponent_vectors` in the series' variables at that bound
-    or above.  A row holds the two int numerators as stored (0 where
-    absent) over the series' own denominators, compared by
-    cross-multiplication; no coefficient is reduced here.
+    A row holds the two int numerators as stored over the series' own
+    denominators, compared by cross-multiplication; no coefficient is
+    reduced here.  The vectors and positions are read from lhs's space.
     """
     if lhs.nvars != rhs.nvars:
         raise ValueError("cannot compare series in different variable counts")
-    lnums, ld, rnums, rd = lhs._nums, lhs._den, rhs._nums, rhs._den
+    ld, rd, space = lhs._den, rhs._den, lhs._space
+    size = space.sizes[min(lhs.degree_bound, rhs.degree_bound)]
     return [
-        comparison_row(identity, label, e, lnums.get(e, 0), ld, rnums.get(e, 0), rd)
-        for e in _up_to(vectors, min(lhs.degree_bound, rhs.degree_bound))
+        comparison_row(identity, label, e, ln, ld, rn, rd)
+        for e, ln, rn in zip(space.vectors[:size], lhs._nums, rhs._nums)
     ]
 
 
@@ -479,23 +509,22 @@ def verify_operator_suite(
     form, (|e| + t_1) f_e - sum_i x_{i1} f_{e-e_i} = reduced_e with
     |e| + t_1 != 0, so it fixes f from the enumerated values and a wrong fill
     value fails it (at depth 1, `telescoped-depth-reduction` checks f
-    against exp_linear).  Each variable count's `exponent_vectors` list is
-    built once, at the degree, and read by every comparison in those
-    variables.
+    against exp_linear).  The series the suite builds itself (exponentials,
+    monomials, zeros, enumerated windows) share the graded spaces of f_a and
+    F_a, its first windows in r and 2r variables; the public constructors
+    build one per call, and an operator's result keeps its operand's.
 
-    GuardExceeded is raised before any series is built when the term pairs
-    of the largest product (`guards.suite_product_pairs`) exceed `guard`;
-    each fill and each window also checks its own work against `guard`.
+    GuardExceeded is raised before any series is built when an upper bound
+    on the term pairs of the largest product (`guards.suite_product_pairs`)
+    exceeds `guard`; each fill and window also checks its work against it.
     """
     check_product_pairs(degree, max(SUITE_SLOT_COUNTS), guard)
     rng = Random(seed)
     report = VerificationReport("egf-suite", EGF_SUITE_STATEMENT)
     D = degree
-    variable_counts = {k * r for r in SUITE_SLOT_COUNTS for k in (1, 2)}
-    vectors = {m: exponent_vectors(m, D) for m in variable_counts}
 
     def compare(identity: str, label: str, lhs: TruncatedSeries, rhs: TruncatedSeries) -> None:
-        report.comparisons += _series_comparisons(identity, label, lhs, rhs, vectors[lhs.nvars])
+        report.comparisons += _series_comparisons(identity, label, lhs, rhs)
 
     for r in SUITE_SLOT_COUNTS:
         table = random_table(rng, (D + 1,) * r)  # exact for every |n| <= D read
@@ -503,6 +532,7 @@ def verify_operator_suite(
         f_a = from_sequence(table, D)
         F_a = F_from_sequence(table, D)
         nabla_a = binomial_transform(table)
+        half, whole = f_a._space, F_a._space
 
         # F_a = f_a(X - Y) e^{sum Y}
         shifted = subst_linear(
@@ -515,7 +545,7 @@ def verify_operator_suite(
                 for i in range(r)
             ],
         )
-        factor = exp_linear((0,) * r + (1,) * r, D)
+        factor = _exp_linear((0,) * r + (1,) * r, D, whole)
         compare("two-block-factorization", label, F_a, shifted * factor)
 
         # F_{nabla a}(X, Y) = F_a(Y, X)
@@ -536,7 +566,7 @@ def verify_operator_suite(
                 "shift-annihilates-two-block",
                 f"{label} i={i}",
                 annihilated,
-                TruncatedSeries.zero(2 * r, D - 1),
+                TruncatedSeries._trusted(whole, D - 1, 1, [0] * len(annihilated._nums)),
             )
 
         # series inversion: closed form matches the sequence-level transform,
@@ -588,8 +618,9 @@ def verify_operator_suite(
             f"{label} S={subset} x={','.join(format_rational(c) for c in xvec)} "
             f"t={format_rational(t)}"
         )
-        for exponents in _up_to(vectors[r], D - 1):
-            mono = TruncatedSeries.monomial(r, D, exponents)
+        for index, exponents in enumerate(half.vectors[: half.sizes[D - 1]]):
+            mono = TruncatedSeries._trusted(half, D, 1, [0] * half.sizes[D])
+            mono._nums[index] = 1
             commutator = shift_op(xi_plus_t(mono)) - xi_plus_t(shift_op(mono))
             compare(
                 "commutator-reduction", f"{mono_label} e={exponents}", commutator, shift_op(mono)
@@ -614,8 +645,9 @@ def verify_operator_suite(
                         "depth-reduction-step",
                         slabel,
                         telescoped,
-                        _direct_series(spec.reduce_depth(), D, vectors[r], guard),
+                        _direct_series(spec.reduce_depth(), D, half, guard),
                     )
             last_cols = tuple(block[p - 1] for block in spec.xblocks)
-            compare("telescoped-depth-reduction", slabel, telescoped, exp_linear(last_cols, D))
+            last = _exp_linear(last_cols, D, half)
+            compare("telescoped-depth-reduction", slabel, telescoped, last)
     return report

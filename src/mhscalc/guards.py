@@ -95,10 +95,12 @@ def mhs_table_bits(mu, n: int) -> int:
 
 
 def suite_product_pairs(degree: int, max_slots: int) -> int:
-    """Term pairs of the operator suite's largest series product.
+    """An upper bound on the term pairs of the operator suite's largest product.
 
-    The two-block factorization multiplies two series in 2r variables,
-    each with up to C(D + 2r, 2r) terms, and the product visits every pair.
+    The two-block factorization multiplies two series in 2r variables, each
+    with up to C(D + 2r, 2r) terms; the bound is the square of that.  The
+    truncated product meets only the C(D + 4r, 4r) pairs of total degree
+    <= D (3,003 at D = 6, r = 2, where the bound is 44,100).
     """
     return math.comb(degree + 2 * max_slots, 2 * max_slots) ** 2
 

@@ -49,7 +49,7 @@ from .guards import DEFAULT_GUARD, NUMERATOR_TABLE_MAX_BITS, check_chains, check
 from .guards import check_subtractions, numerator_table_bits
 from .kernel import parse_integers
 from .multiseq import MultiSequenceTable, binomial_transform
-from .nestedsums import enumerate_chains
+from .nestedsums import chain_tails, enumerate_chains
 from .report import VerificationReport, sweep_report
 
 
@@ -120,8 +120,9 @@ def mhs_value(mu: MultiIndex, n: int, guard: int = DEFAULT_GUARD) -> Fraction:
     guard is checked before either starts.
 
     The integer route lists the depth-(p-1) chains, the prefixes of the
-    depth-p ones.  It multiplies each prefix's factors once and adds the
-    prefix product times each last factor (L/(m_p+1))^mu_p, m_p <= m_{p-1},
+    depth-p ones, by their tails after m_1 = n (`chain_tails`), the entries
+    that index its rows.  It multiplies each prefix's factors once and adds
+    the prefix product times each last factor (L/(m_p+1))^mu_p, m_p <= m_{p-1},
     in one pass of C-level `map` and `sum`.  That is one product and one
     addition per chain, in O(n) extra memory.  Unlike `mhs_table`, it keeps
     no running sum across prefixes, so the two routes stay independent.
@@ -143,9 +144,9 @@ def mhs_value(mu: MultiIndex, n: int, guard: int = DEFAULT_GUARD) -> Fraction:
     # the last row (part p) is the leaf
     *inner, leaf = [[(lcm // (m + 1)) ** part for m in range(n + 1)] for part in rest]
     total = 0
-    for prefix in enumerate_chains(n, mu.depth - 1):
-        head = math.prod(map(operator.getitem, inner, prefix[1:]))
-        total += sum(map(head.__mul__, leaf[: prefix[-1] + 1]))
+    for tail in chain_tails(n, mu.depth - 1):
+        head = math.prod(map(operator.getitem, inner, tail))
+        total += sum(map(head.__mul__, leaf[: tail[-1] + 1]))
     return Fraction(total, (n + 1) ** first * lcm ** (mu.weight - first))
 
 

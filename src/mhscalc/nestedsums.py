@@ -145,6 +145,15 @@ class NestedSumSpec:
         return f"x={xtext} t={ttext}" if ttext else f"x={xtext}"
 
 
+def chain_tails(n: int, p: int) -> Iterator[Index]:
+    """(m_2, ..., m_p) of each chain of `enumerate_chains(n, p)`, in its order."""
+    if n < 0 or p < 1:
+        raise ValueError(f"need natural n and positive p, got ({n}, {p})")
+    # weakly decreasing tails are multisets drawn from n, n-1, ..., 0; the
+    # pool is a tuple of n + 1 entries, so depth 1 (empty tails) takes none
+    return itertools.combinations_with_replacement(range(n, -1, -1) if p > 1 else (), p - 1)
+
+
 def enumerate_chains(n: int, p: int) -> Iterator[Index]:
     """All chains n = m_1 >= ... >= m_p >= 0, lexicographically descending.
 
@@ -152,13 +161,7 @@ def enumerate_chains(n: int, p: int) -> Iterator[Index]:
     arguments are checked at the call; only the chains themselves are lazy.
     Callers that bound their work run `guards.check_chains` first.
     """
-    if n < 0 or p < 1:
-        raise ValueError(f"need natural n and positive p, got ({n}, {p})")
-    # weakly decreasing tails are multisets drawn from n, n-1, ..., 0; the
-    # pool is a tuple of n + 1 entries, so depth 1 (empty tails) takes none
-    pool = range(n, -1, -1) if p > 1 else ()
-    tails = itertools.combinations_with_replacement(pool, p - 1)
-    return ((n,) + tail for tail in tails)
+    return ((n,) + tail for tail in chain_tails(n, p))
 
 
 def _chain_steps(chain: Index) -> Index:

@@ -77,14 +77,14 @@ def recursive_exponent_vectors(nvars, bound):
 
 @pytest.mark.parametrize("nvars", range(1, 7))
 def test_exponent_vectors_match_the_recursive_reference(nvars):
-    longest = exponent_vectors(nvars, 8)
+    longest, sizes = exponent_vectors(nvars, 8), egf._Space(nvars, 8).sizes
     for bound in range(9):
         vectors = exponent_vectors(nvars, bound)
         assert isinstance(vectors, list)
         assert vectors == list(recursive_exponent_vectors(nvars, bound))
         # every lower bound is a prefix of the list at a higher one
         assert vectors == longest[:math.comb(nvars + bound, nvars)]
-        assert egf._up_to(longest, bound) == vectors
+        assert longest[:sizes[bound]] == vectors
 
 
 def test_series_normalization_and_equality():
@@ -701,3 +701,151 @@ def test_nabla_series_is_a_series_product(monkeypatch):
 
     monkeypatch.setattr(egf, "binomial_transform", refuse)
     assert nabla_series(exp_linear((F(2, 7),), 5)) == exp_linear((F(5, 7),), 5)
+
+
+# --- graded spaces: codes, positions shared across bounds, edge positions ---
+
+
+@pytest.mark.parametrize("nvars", range(1, 5))
+def test_space_codes_are_additive_and_map_back_to_positions(nvars):
+    for bound in range(9):
+        space = egf._Space(nvars, bound)
+        vectors = exponent_vectors(nvars, bound)
+        assert space.vectors == vectors
+        assert space.codes == [space.code(v) for v in vectors]
+        assert [space.pos[code] for code in space.codes] == list(range(len(vectors)))
+        assert space.degrees == [sum(v) for v in vectors]
+        assert space.sizes == [math.comb(nvars + b, nvars) for b in range(bound + 1)]
+        assert space.factorials == [math.prod(map(math.factorial, v)) for v in vectors]
+        for v, degree in zip(vectors, space.degrees):
+            for w in vectors[: space.sizes[bound - degree]]:
+                total = tuple(a + b for a, b in zip(v, w))
+                assert space.code(v) + space.code(w) == space.code(total)
+                assert vectors[space.pos[space.code(total)]] == total
+
+
+@st.composite
+def series_across_spaces(draw):
+    """(own, shared): one series in its own space at bound b, one truncated
+    to b from a space of bound B > b, in the same variables."""
+    nvars, bound = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    wider = draw(st.integers(bound + 1, 6))
+    own = draw(sparse_series(nvars, bound))
+    shared = draw(sparse_series(nvars, wider)).truncate(bound)
+    return own, shared
+
+
+def reference_rows(f, g):
+    """(index, lhs, rhs, equal) of each comparison row, read by coefficient."""
+    return [
+        (e, f.coefficient(e), g.coefficient(e), f.coefficient(e) == g.coefficient(e))
+        for e in exponent_vectors(f.nvars, min(f.degree_bound, g.degree_bound))
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_across_spaces())
+def test_binary_operations_across_spaces_match_fraction_references(case):
+    own, shared = case
+    assert len(shared._space.codes) > len(own._space.codes)
+    for f, g in ((own, shared), (shared, own)):
+        assert same_terms(f + g, reference_add(f, g))
+        assert same_terms(f - g, reference_add(f, reference_scale(g, -1)))
+        assert same_terms(f * g, reference_mul(f, g))
+        assert (f == g) == (list(f.terms()) == list(g.terms()))
+        rows = egf._series_comparisons("identity", "label", f, g)
+        assert [(row[2], F(row[3], row[4]), F(row[5], row[6]), row[7]) for row in rows] == (
+            reference_rows(f, g)
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_across_spaces(), st.data())
+def test_unary_operators_in_a_wider_space_match_fraction_references(case, data):
+    _, f = case
+    nvars_out = data.draw(st.integers(1, 4))
+    row = st.lists(kernel_coefficients, min_size=nvars_out, max_size=nvars_out)
+    rows = data.draw(st.lists(row, min_size=f.nvars, max_size=f.nvars))
+    # into the same variable count the image reuses f's space, else a new one
+    for target in (rows, [[int(i == j) for j in range(f.nvars)] for i in range(f.nvars)]):
+        assert same_terms(subst_linear(f, target), reference_subst_linear(f, target))
+    var = data.draw(st.integers(1, f.nvars))
+    x = data.draw(st.lists(kernel_coefficients, min_size=f.nvars, max_size=f.nvars))
+    assert same_terms(f.mul_var(var), reference_mul_var(f, var))
+    assert same_terms(xi_apply(f, x), reference_xi_apply(f, x))
+    assert same_terms(negate_vars(f), reference_negate_vars(f))
+    exp_window = reference_exp_linear((1,) * f.nvars, f.degree_bound)
+    assert same_terms(nabla_series(f), reference_mul(reference_negate_vars(f), exp_window))
+    if f.degree_bound:
+        assert same_terms(f.deriv(var), reference_deriv(f, var))
+
+
+@st.composite
+def zero_beside_a_higher_entry(draw):
+    """A series whose first term has e_i = 0 beside some e_j > 0, j > i, and that i.
+
+    X_(i+1) X^e sits at code(e) + (D + 1)^i; subtracting that step from
+    code(e) instead borrows from the higher entry and lands on another
+    valid vector, so a kernel that reads X^(e - e_i) there is wrong.
+    """
+    nvars, bound = draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    axis = draw(st.integers(0, nvars - 2))
+    candidates = [
+        e for e in exponent_vectors(nvars, bound) if e[axis] == 0 and any(e[axis + 1:])
+    ]
+    e = draw(st.sampled_from(candidates))
+    coeffs = draw(st.dictionaries(
+        st.sampled_from(exponent_vectors(nvars, bound)), kernel_coefficients, max_size=6
+    ))
+    coeffs[e] = draw(kernel_coefficients.filter(bool))
+    wider = draw(st.integers(bound, bound + 2))
+    return TruncatedSeries(nvars, wider, coeffs).truncate(bound), axis + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(zero_beside_a_higher_entry(), st.data())
+def test_raising_a_zero_entry_does_not_borrow(case, data):
+    f, var = case
+    x = data.draw(st.lists(kernel_coefficients, min_size=f.nvars, max_size=f.nvars))
+    assert same_terms(f.mul_var(var), reference_mul_var(f, var))
+    assert same_terms(xi_apply(f, x), reference_xi_apply(f, x))
+    assert same_terms(f.deriv(var), reference_deriv(f, var))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_bound_zero_series_match_fraction_references(nvars, data):
+    f, g = data.draw(sparse_series(nvars, 0)), data.draw(sparse_series(nvars, 0))
+    x = data.draw(st.lists(kernel_coefficients, min_size=nvars, max_size=nvars))
+    assert same_terms(f * g, reference_mul(f, g))
+    assert same_terms(f + g, reference_add(f, g))
+    assert same_terms(f.mul_var(nvars), reference_mul_var(f, nvars))
+    assert same_terms(xi_apply(f, x), reference_xi_apply(f, x))
+    assert same_terms(subst_linear(f, [x] * nvars), reference_subst_linear(f, [x] * nvars))
+    assert same_terms(exp_linear(x, 0), reference_exp_linear(x, 0))
+
+
+# --- the suite's independent routes catch a broken fast kernel ---------------
+
+
+def nudged(series):
+    """The series with its constant coefficient raised by one."""
+    nums = [series._nums[0] + series._den] + series._nums[1:]
+    return TruncatedSeries._trusted(series._space, series.degree_bound, series._den, nums)
+
+
+def failed_identities(report):
+    return {row[0] for row in report.comparisons if not row[7]}
+
+
+@pytest.mark.parametrize("owner,name,caught", [
+    (TruncatedSeries, "__mul__", {"two-block-factorization", "inversion-closed-form"}),
+    (egf, "subst_linear", {"two-block-factorization", "inversion-swaps-blocks"}),
+    (TruncatedSeries, "deriv", {"shift-annihilates-two-block", "inversion-conjugates-deriv"}),
+], ids=["product", "subst_linear", "deriv"])
+def test_operator_suite_catches_a_broken_kernel(monkeypatch, owner, name, caught):
+    kernel = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: nudged(kernel(*args)))
+    report = verify_operator_suite(degree=3, seed=1)
+    assert not report.ok
+    assert caught <= failed_identities(report)

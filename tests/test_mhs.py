@@ -19,7 +19,7 @@ from mhscalc.mhs import (
 )
 from mhscalc.guards import GuardExceeded
 from mhscalc.multiseq import MultiSequenceTable
-from mhscalc.nestedsums import enumerate_chains, kt_value
+from mhscalc.nestedsums import chain_tails, enumerate_chains, kt_value
 
 multi_indices = st.lists(st.integers(1, 4), min_size=1, max_size=5).map(
     lambda parts: MultiIndex(tuple(parts))
@@ -264,11 +264,13 @@ def test_mhs_value_walks_each_prefix_once(monkeypatch, parts, n):
 
     def counting(n, p):
         calls.append((n, p))
-        chains = list(enumerate_chains(n, p))
-        prefixes.extend(chains)
-        return iter(chains)
+        tails = list(chain_tails(n, p))
+        prefixes.extend((n,) + tail for tail in tails)
+        return iter(tails)
 
-    monkeypatch.setattr(mhs, "enumerate_chains", counting)
+    monkeypatch.setattr(mhs, "chain_tails", counting)
+    # the prefixes are read as tails; no whole chain is built
+    monkeypatch.setattr(mhs, "enumerate_chains", _refuse)
     assert mhs_value(mu, n) == mhs_value_by_chain_products(mu, n)
     assert calls == [(n, mu.depth - 1)]
     assert len(prefixes) == guards.chain_count(n, mu.depth - 1)

@@ -19,6 +19,7 @@ from mhscalc.nestedsums import (
     RecurrenceEvaluator,
     c_direct,
     c_recursive,
+    chain_tails,
     direct_window,
     enumerate_chains,
     kt_value,
@@ -198,6 +199,16 @@ def test_enumerate_chains_matches_recursive_order():
     for n in range(9):
         for p in range(1, 6):
             assert list(enumerate_chains(n, p)) == _recursive_chains(n, p)
+
+
+def test_chain_tails_are_the_chains_without_their_head():
+    for n in range(6):
+        for p in range(1, 5):
+            assert [(n,) + tail for tail in chain_tails(n, p)] == list(enumerate_chains(n, p))
+    assert list(chain_tails(3, 1)) == [()]
+    for n, p in ((-1, 2), (2, 0)):
+        with pytest.raises(ValueError):
+            chain_tails(n, p)
 
 
 def test_enumerate_chains_checks_at_the_call():

@@ -9,9 +9,9 @@
   whatever a computation shares (chain lists, column factors, exponent
   vectors) lives in one call.
 * Only `nestedsums.py` reads `combinations_with_replacement`: the package
-  has one chain enumerator, `enumerate_chains`, and every route that walks
-  chains (`c_direct`, `kt_value`, `two_index_value`, `mhs_value`) goes
-  through it.
+  has one chain enumerator, `chain_tails` and `enumerate_chains` built on
+  it, and every route that walks chains (`c_direct`, `kt_value`,
+  `two_index_value`, `mhs_value`) goes through it.
 """
 
 import ast
