@@ -50,6 +50,14 @@ def direct_summand_count(spec, n: Sequence[int]) -> int:
     return math.prod(chain_count(ni, spec.p) for ni in n)
 
 
+def sweep_summand_count(spec, box: Sequence[int]) -> int:
+    """Chain tuples the defining sums at every point of the box prod [0, box_i) run over.
+
+    Per slot, sum_{n < box_i} C(n+p-1, p-1) = C(box_i+p-1, p).
+    """
+    return math.prod(math.comb(extent + spec.p - 1, spec.p) for extent in box)
+
+
 def recurrence_cell_count(spec, n: Sequence[int]) -> int:
     """Cells a recurrence fill up to corner n computes: p * prod(n_i + 1)."""
     return spec.p * math.prod(ni + 1 for ni in n)
@@ -111,6 +119,10 @@ def check_chains(n: int, p: int, guard: int) -> None:
 
 def check_summands(spec, n: Sequence[int], guard: int) -> None:
     check_guard("direct summand count", direct_summand_count(spec, n), guard)
+
+
+def check_sweep_summands(spec, box: Sequence[int], guard: int) -> None:
+    check_guard("sweep summand count", sweep_summand_count(spec, box), guard)
 
 
 def check_cells(spec, corner: Sequence[int], guard: int) -> None:

@@ -198,14 +198,12 @@ def embed_type1(mu: MultiIndex) -> tuple[int, ...]:
 
 
 def embed_type2(mu: MultiIndex) -> tuple[int, ...]:
-    """The second 0/1 embedding: last block is mu_p zeros then a one."""
-    out: list[int] = []
-    for part in mu.parts[:-1]:
-        out.extend([0] * (part - 1))
-        out.append(1)
-    out.extend([0] * mu.parts[-1])
-    out.append(1)
-    return tuple(out)
+    """The second 0/1 embedding: last block is mu_p zeros then a one.
+
+    Type 1 ends 0^(mu_p - 1), 1, 0, so type 2 is type 1 with those last two
+    entries made 0, 1.
+    """
+    return embed_type1(mu)[:-2] + (0, 1)
 
 
 MHS_DUALITY_STATEMENT = "sum_{k<=n} (-1)^k C(n,k) s_mu(k) = s_{mu*}(n)"

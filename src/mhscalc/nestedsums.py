@@ -37,11 +37,12 @@ have their own classical coefficient normalizations; both must (and are
 verified to) coincide with `c_direct` at t = 1.
 
 Verifiers at the bottom check, on finite boxes and each over the whole box
-at once from recurrence fills, the recurrence against c_direct at every
-point, and with c_direct at the corner the duality (nabla c[x;t] =
+at once from recurrence fills, the recurrence against `direct_window` at
+every point, and with c_direct at the corner the duality (nabla c[x;t] =
 c[1-x;t]), the difference formula (iterated differences of c are again c at
 doubled parameters) and the shift identity for parameter blocks summing to
-a constant vector.
+a constant vector.  They pass int pairs to `sweep_report` and build no
+Fraction per point.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from random import Random
 from typing import Iterator, Sequence
 
 from .guards import DEFAULT_GUARD, check_cells, check_chain_pairs, check_chains, check_subtractions
-from .guards import check_summands
+from .guards import check_summands, check_sweep_summands
 from .guards import direct_summand_count  # noqa: F401  (perfbench's tracer reads it here)
 from .kernel import common_denominator, gen_binomial, multinomial, format_rational, parse_rational
 from .multiseq import MultiSequenceTable, binomial_transform, iterated_delta
@@ -374,7 +375,7 @@ class RecurrenceEvaluator:
         corner = _corner(self.spec, extents)
         if self._corner not in (None, corner):
             raise ValueError(f"box below {corner} is not the filled box below {self._corner}")
-        self.value(corner)
+        self.value(corner)  # the fill runs inside `value`, the span perfbench traces
         top = sum(corner)
         denominator = self._denominators[top]
         sign = -1 if denominator < 0 else 1
@@ -538,8 +539,8 @@ def _corner_and_fills(
     fills: Sequence[tuple[NestedSumSpec, Sequence[int]]],
     guard: int,
     orders: Sequence[int] | None = None,
-) -> tuple[Fraction, list[MultiSequenceTable]]:
-    """c_direct of `oracle` at `corner`, and one recurrence fill per (spec, box).
+) -> tuple[tuple[int, int], list[MultiSequenceTable]]:
+    """The int pair of `oracle` at `corner`, and one recurrence fill per (spec, box).
 
     Every guard is checked by arithmetic before anything is evaluated: the
     corner's summands (the most of any point of a verifier's box), then
@@ -556,7 +557,8 @@ def _corner_and_fills(
         check_cells(spec, _corner(spec, box), fill_guard)
     if orders is not None:
         check_subtractions(fills[0][1], orders, guard)
-    value = c_direct(oracle, corner, guard)
+    # c_direct, not direct_window: the corner counts in perfbench's c_direct span
+    value = c_direct(oracle, corner, guard).as_integer_ratio()
     return value, [RecurrenceEvaluator(spec, fill_guard).table(box) for spec, box in fills]
 
 
@@ -579,7 +581,7 @@ def verify_duality(
         dual, _corner(spec, box), [(spec, box), (dual, box)], guard, box
     )
     lhs = binomial_transform(fill).pairs()
-    rhs = dual_fill.pairs()[:-1] + [corner_rhs.as_integer_ratio()]
+    rhs = dual_fill.pairs()[:-1] + [corner_rhs]
     return sweep_report("c-duality", C_DUALITY_STATEMENT, spec.text(), _points(box), lhs, rhs)
 
 
@@ -608,13 +610,10 @@ def verify_difference_formula(
     corner_rhs, (fill, double_fill) = _corner_and_fills(
         double, corner, [(spec, fillbox), (double, pairbox)], guard, kbox
     )
+    lhs = iterated_delta(fill, kbox).pairs()
+    rhs = double_fill.pairs()[:-1] + [corner_rhs]
     return sweep_report(
-        "difference-formula",
-        DIFFERENCE_STATEMENT,
-        spec.text(),
-        _points(pairbox),
-        iterated_delta(fill, kbox).pairs(),
-        double_fill.pairs()[:-1] + [corner_rhs.as_integer_ratio()],
+        "difference-formula", DIFFERENCE_STATEMENT, spec.text(), _points(pairbox), lhs, rhs
     )
 
 
@@ -630,13 +629,14 @@ def verify_shift_identity(
     `subset` holds distinct 1-based slot numbers whose blocks must sum to
     the constant vector (the identity's hypothesis, enforced here).
 
-    Both sides read one recurrence fill of the box one larger in every
-    slot, except the right side at the corner, which is constant times
-    chain enumeration (`c_direct`).  The left side at the corner is the
-    only reader of the fill values at corner + e_i (i in subset), so the
-    corner anchors their sum.  Guards as in `_corner_and_fills`; this fill
-    is one larger than the box, so at depth p >= 2 it can trip where the
-    corner passed.
+    Both sides read the numerators N of one recurrence fill N/d of the box
+    one larger in every slot: with constant a/b, the left side is
+    (sum_{i in S} N(n+e_i), d) and the right side (a N(n), b d), except at
+    the corner, where it is a/b times chain enumeration (`c_direct`).  The
+    left side at the corner is the only reader of the fill values at
+    corner + e_i (i in subset), so the corner anchors their sum.  Guards as
+    in `_corner_and_fills`; this fill is one larger than the box, so at
+    depth p >= 2 it can trip where the corner passed.
     """
     corner = _corner(spec, box)
     subset = tuple(subset)
@@ -653,21 +653,17 @@ def verify_shift_identity(
                 f"{format_rational(column)}, expected {format_rational(constant)}"
             )
     fillbox = tuple(extent + 1 for extent in box)
-    corner_value, (fill,) = _corner_and_fills(spec, corner, [(spec, fillbox)], guard)
+    (c_num, c_den), (fill,) = _corner_and_fills(spec, corner, [(spec, fillbox)], guard)
+    a, b = constant.numerator, constant.denominator
+    numerators, d = fill.numerators, fill.denominator
+    # n lies at offset sum_k n_k strides_k of the fill's row-major order
+    strides = [math.prod(fillbox[k + 1:]) for k in range(spec.r)]
     points = _points(box)
-    lhs = (
-        sum((fill[n[: i - 1] + (n[i - 1] + 1,) + n[i:]] for i in subset), Fraction(0))
-        for n in points
-    )
-    rhs = [constant * fill[n] for n in points[:-1]] + [constant * corner_value]
-    return sweep_report(
-        "shift",
-        SHIFT_STATEMENT,
-        f"{spec.text()} S={subset} gamma={format_rational(constant)}",
-        points,
-        map(Fraction.as_integer_ratio, lhs),
-        map(Fraction.as_integer_ratio, rhs),
-    )
+    offsets = [sum(map(operator.mul, n, strides)) for n in points]
+    lhs = [(sum(numerators[at + strides[i - 1]] for i in subset), d) for at in offsets]
+    rhs = [(a * numerators[at], b * d) for at in offsets[:-1]] + [(a * c_num, b * c_den)]
+    label = f"{spec.text()} S={subset} gamma={format_rational(constant)}"
+    return sweep_report("shift", SHIFT_STATEMENT, label, points, lhs, rhs)
 
 
 def verify_recurrence(
@@ -675,19 +671,23 @@ def verify_recurrence(
     box: Sequence[int],
     guard: int = DEFAULT_GUARD,
 ) -> VerificationReport:
-    """Check the recurrence against c_direct at every point of the box.
+    """Check the recurrence against chain enumeration at every point of the box.
 
-    The left side is one recurrence fill of the box, the right side
-    `c_direct` per point.  Guards as in `_corner_and_fills`.
+    The left side is one recurrence fill, the right side one `direct_window`
+    pair per point, corner included, evaluated as the report compares it: a
+    window over the box would hold every slot's chains at once.  The guards
+    run first: the corner's summands, the fill's cells at p * guard, then
+    the summands of the whole sweep.
     """
     corner = _corner(spec, box)
-    corner_value, (fill,) = _corner_and_fills(spec, corner, [(spec, box)], guard)
+    fill_guard = spec.p * guard
+    check_summands(spec, corner, guard)
+    check_cells(spec, corner, fill_guard)
+    check_sweep_summands(spec, box, guard)
     points = _points(box)
-    rhs = [c_direct(spec, n, guard) for n in points[:-1]] + [corner_value]
-    return sweep_report(
-        "recurrence", RECURRENCE_STATEMENT, spec.text(), points, fill.pairs(),
-        map(Fraction.as_integer_ratio, rhs),
-    )
+    fill = RecurrenceEvaluator(spec, fill_guard).table(box)
+    rhs = (direct_window(spec, (n,), guard)[0] for n in points)
+    return sweep_report("recurrence", RECURRENCE_STATEMENT, spec.text(), points, fill.pairs(), rhs)
 
 
 # --- seeded random parameter grids ------------------------------------------

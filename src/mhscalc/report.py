@@ -131,10 +131,9 @@ def sweep_report(
     """One row per point: the i-th point with the i-th lhs and rhs.
 
     Each value is an int pair (numerator, denominator > 0), not necessarily
-    reduced: a table side is `MultiSequenceTable.pairs`, and a Fraction or
-    an int gives its pair by `as_integer_ratio`.  The three iterables are
-    consumed in lockstep, so generators keep each point's evaluation next
-    to its comparison.
+    reduced, as a table's `pairs`, a fill's numerators or chain enumeration
+    give it.  The three iterables are consumed in lockstep, so generators
+    keep each point's evaluation next to its comparison.
     """
     return VerificationReport(identity, statement, [
         comparison_row(identity, label, index, ln, ld, rn, rd)

@@ -189,6 +189,18 @@ def test_recurrence_fill_guard_exit_code(capsys):
     assert "recurrence cell count" in err and "guard 100" in err
 
 
+def test_recurrence_sweep_guard_exit_code(capsys):
+    # the corner's 100000 summands and the fill's 200000 cells pass the
+    # default guard; the sweep's points list C(100001, 2) summands in all
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "verify", "--identity=recurrence", "--x=1/2,1/3", "--t=2", "--box=100000"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.endswith("sweep summand count: 5000050000 exceeds guard 10000000\n")
+
+
 def test_difference_formula_fill_guard_exit_code(capsys):
     # depth 1 has one summand per point, so the doubled fill's 31 * 31 cells
     # bound the box

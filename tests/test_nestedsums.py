@@ -9,7 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from mhscalc import nestedsums
 from mhscalc.guards import GuardExceeded, chain_count, direct_summand_count, recurrence_cell_count
+from mhscalc.guards import sweep_summand_count
 from mhscalc.kernel import common_denominator, format_rational, gen_binomial, multinomial
+from mhscalc.mhs import verify_mhs_duality
 from mhscalc.multiseq import MultiSequenceTable
 from mhscalc.nestedsums import (
     C_DUALITY_STATEMENT,
@@ -391,6 +393,15 @@ def test_recurrence_cell_guard():
         c_recursive(spec, (400, 400), 1000)
 
 
+def test_sweep_summand_count_sums_every_point_of_the_box():
+    for r, p in itertools.product(range(1, 4), range(1, 5)):
+        spec = NestedSumSpec(((F(1),) * p,) * r, (F(1),) * (p - 1))
+        for box in itertools.product(range(1, 5), repeat=r):
+            points = itertools.product(*map(range, box))
+            total = sum(direct_summand_count(spec, n) for n in points)
+            assert sweep_summand_count(spec, box) == total, (r, p, box)
+
+
 def test_verify_recurrence_report():
     spec = NestedSumSpec.parse("1/2,1/3;0,1", "2")
     report = verify_recurrence(spec, (3, 3))
@@ -426,10 +437,23 @@ def _refuse(*args, **kwargs):
 )
 def test_recurrence_guards_trip_before_any_evaluation(monkeypatch, xtext, ttext, what, size):
     monkeypatch.setattr(nestedsums, "c_direct", _refuse)
+    monkeypatch.setattr(nestedsums, "direct_window", _refuse)
     monkeypatch.setattr(nestedsums, "_points", _refuse)
     with pytest.raises(GuardExceeded) as info:
         verify_recurrence(NestedSumSpec.parse(xtext, ttext), (20001,), guard=100)
     assert (info.value.what, info.value.size) == (what, size)
+
+
+def test_recurrence_sweep_guard_trips_before_any_evaluation(monkeypatch):
+    # the corner's 20 summands and the fill's 40 cells pass; the sweep's
+    # points list C(21, 2) = 210 summands in all
+    monkeypatch.setattr(nestedsums, "direct_window", _refuse)
+    monkeypatch.setattr(nestedsums, "_points", _refuse)
+    with pytest.raises(GuardExceeded) as info:
+        verify_recurrence(NestedSumSpec.parse("1/2,1/3", "2"), (20,), guard=100)
+    assert (info.value.what, info.value.size) == ("sweep summand count", 210)
+    monkeypatch.undo()
+    assert verify_recurrence(NestedSumSpec.parse("1/2,1/3", "2"), (20,), guard=210).ok
 
 
 @pytest.mark.parametrize(
@@ -448,6 +472,7 @@ def test_verifiers_check_every_guard_before_any_work(monkeypatch, verify, xtext,
     # and at depth 1 the corner's one summand holds powers x^(10^6 - 1)
     monkeypatch.setattr(nestedsums, "_points", _refuse)
     monkeypatch.setattr(nestedsums, "c_direct", _refuse)
+    monkeypatch.setattr(nestedsums, "direct_window", _refuse)
     with pytest.raises(GuardExceeded):
         verify(NestedSumSpec.parse(xtext, ttext), (10**6, 10**6), 100)
 
@@ -1073,6 +1098,61 @@ def test_shift_identity_corner_is_chain_enumeration(monkeypatch):
         corrupt_fill(patch, SHIFT_SPEC, lambda index, value: 2 * value)
         report = verify_shift_identity(SHIFT_SPEC, (1, 2), 1, (3, 2, 2))
     assert failed(report) == [(2, 1, 1)]
+
+
+RECURRENCE_SPEC = NestedSumSpec.parse("1/2,1/3;1/5,2", "2")
+
+
+def test_recurrence_fails_exactly_where_a_fill_value_is_wrong(monkeypatch):
+    # each point compares its own fill value with its own chain enumeration
+    for m in itertools.product(range(3), range(3)):
+        with monkeypatch.context() as patch:
+            corrupt_fill(patch, RECURRENCE_SPEC, lambda index, value: value + (index == m))
+            report = verify_recurrence(RECURRENCE_SPEC, (3, 3))
+        assert failed(report) == [m], m
+
+
+def test_recurrence_fails_exactly_where_a_direct_value_is_wrong(monkeypatch):
+    window = nestedsums.direct_window
+    for m in itertools.product(range(3), range(3)):
+
+        def nudged(spec, points, guard):
+            pairs = window(spec, points, guard)
+            return [(num + den * (n == m), den) for n, (num, den) in zip(points, pairs)]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(nestedsums, "direct_window", nudged)
+            report = verify_recurrence(RECURRENCE_SPEC, (3, 3))
+        assert failed(report) == [m], m
+
+
+def test_sweeps_enumerate_chains_once_per_corner_and_read_no_table_fraction(monkeypatch):
+    calls = {}
+    for name in ("c_direct", "direct_window"):
+
+        def counted(*args, name=name, original=getattr(nestedsums, name), **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(nestedsums, name, counted)
+
+    def no_fraction(self, index):
+        raise AssertionError("a sweep read a Fraction off a table")
+
+    monkeypatch.setattr(MultiSequenceTable, "__getitem__", no_fraction)
+    spec = RECURRENCE_SPEC
+    # (sweep, c_direct calls, direct_window calls); c_direct runs one window
+    sweeps = {
+        "c-duality": (lambda: verify_duality(spec, (3, 3)), 1, 1),
+        "difference-formula": (lambda: verify_difference_formula(spec, (3, 3), (3, 2)), 1, 1),
+        "shift": (lambda: verify_shift_identity(SHIFT_SPEC, (1, 2), 1, (3, 2, 2)), 1, 1),
+        "recurrence": (lambda: verify_recurrence(spec, (3, 3)), 0, 9),
+    }
+    for identity, (sweep, c_direct_calls, window_calls) in sweeps.items():
+        calls.update(c_direct=0, direct_window=0)
+        assert sweep().ok, identity
+        assert calls == {"c_direct": c_direct_calls, "direct_window": window_calls}, identity
+    assert verify_mhs_duality(3, 4).ok
 
 
 def pointwise_shift(spec, subset, constant, box):

@@ -87,3 +87,48 @@ def test_every_op_of_each_workload_keeps_its_output_bytes(capsys, monkeypatch):
             out, err = capsys.readouterr()
             digest.update(repr((op.argv, code, out, err)).encode())
         assert digest.hexdigest() == expected, workload
+
+
+# (calls, work) per traced layer and the leaf kernel calls of the first op of
+# each workload's seed-1 round.  Work moved off a traced entry point (a
+# corner evaluated past `c_direct`, a fill run past `value`) changes a count
+# here, where a benchmark row would only read 0 for that layer.
+LAYER_WORK = {
+    "duality-sweep": (
+        {"nestedsums.c_direct": (1, 225), "nestedsums.recurrence": (2, 150),
+         "report.render": (1, 25)},
+        {"kernel.gen_binomial": 54, "kernel.multinomial": 30},
+    ),
+    "recurrence-fill": (
+        {"nestedsums.recurrence": (1, 10985)},
+        {"kernel.gen_binomial": 0, "kernel.multinomial": 0},
+    ),
+    "egf-suite": (
+        {"egf.from_sequence": (16, 0), "egf.F_from_sequence": (4, 0),
+         "egf.subst_linear": (4, 0), "egf.mul": (20, 0), "egf.nabla_series": (18, 0),
+         "egf.xi_apply": (64, 0), "nestedsums.recurrence": (12, 672),
+         "report.render": (1, 1722)},
+        {"kernel.gen_binomial": 56, "kernel.multinomial": 105},
+    ),
+    "mhs-duality": (
+        {"mhs.mhs_value": (1, 1), "report.render": (1, 13)},
+        {"kernel.gen_binomial": 0, "kernel.multinomial": 0},
+    ),
+}
+
+
+def test_tracer_counts_each_layers_work_on_the_first_op(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    assert set(LAYER_WORK) == set(workloads.WORKLOADS)
+    for workload, (work, leaves) in LAYER_WORK.items():
+        op = workloads.generate(workload, 1)[0]
+        tracer = tracing.Tracer()
+        with tracer.installed(count=True):
+            main(list(op.argv))
+        capsys.readouterr()
+        traced = {name: counts for name, counts in tracer.work().items() if name != "cli.main"}
+        assert traced == work, workload
+        assert tracer.leaf_calls == leaves, workload
