@@ -4,10 +4,11 @@ Every value this package returns is a `fractions.Fraction`, which already
 provides canonical reduced form (positive denominator, gcd one) and
 structural equality.  This module adds the two coefficient families the
 nested-sum machinery needs, each computed on integers and keeping no state
-between calls, the integer form of a list of rationals over one common
-denominator, the canonical text form used in reports (of a Fraction or of
-an int numerator/denominator pair), which prints values of any size, and
-the one reader of comma-separated integer lists.
+between calls (the generalized binomial also as an unreduced int pair),
+the integer form of a list of rationals over one common denominator, the
+canonical text form used in reports (of a Fraction or of an int
+numerator/denominator pair), which prints values of any size, and the one
+reader of comma-separated integer lists.
 """
 
 from __future__ import annotations
@@ -40,19 +41,25 @@ def multinomial(n: int, parts: Iterable[int]) -> int:
     return out
 
 
-def gen_binomial(top: RationalLike, k: int) -> Fraction:
-    """Generalized binomial C(top, k) = prod_{i<k}(top - i) / k! for rational top.
+def gen_binomial_pair(a: int, b: int, k: int) -> tuple[int, int]:
+    """C(a/b, k) for b > 0 as the int pair (prod_{i<k}(a - i b), b^k k!).
 
-    With top = a/b this is prod_{i<k}(a - i b) / (b^k k!): an integer
-    falling factorial over an integer, so it is exact for every rational top
-    (no Gamma functions), runs no gcd until the one Fraction it returns, and
-    keeps no state between calls.  k = 0 gives 1 (empty product).
+    The one definition of the generalized binomial C(top, k) =
+    prod_{i<k}(top - i) / k! at rational top = a/b: an integer falling
+    product over an integer, so it is exact for every rational top (no
+    Gamma functions), runs no gcd and keeps no state between calls.  The
+    pair is not in lowest terms; its denominator is positive.  k = 0 gives
+    (1, 1) (empty product).
     """
     if k < 0:
         raise ValueError(f"gen_binomial requires natural k, got {k}")
+    return math.prod(range(a, a - k * b, -b)), b**k * math.factorial(k)
+
+
+def gen_binomial(top: RationalLike, k: int) -> Fraction:
+    """Generalized binomial C(top, k) for rational top: the Fraction of `gen_binomial_pair`."""
     top = Fraction(top)
-    a, b = top.numerator, top.denominator
-    return Fraction(math.prod(range(a, a - k * b, -b)), b**k * math.factorial(k))
+    return Fraction(*gen_binomial_pair(top.numerator, top.denominator, k))
 
 
 def common_denominator(values: Iterable[RationalLike]) -> tuple[int, list[int]]:

@@ -18,9 +18,11 @@ Two independent evaluation routes are provided:
 * `direct_window` enumerates the chain tuples of the defining sum at each
   point of a list, grouping summands that share a denominator (an exact
   regrouping).  It runs on ints: chain weights of slot i over d_i^{n_i},
-  d_i the lcm of the denominators of block i, group sums over
-  prod_i d_i^{n_i}, and one int pair per point.  The chains of a
-  (slot, n_i) and each column's denominator factor are built once per
+  d_i the lcm of the denominators of block i, group keys packed into one
+  int each (so merging two groups' keys is one int addition), group sums
+  over prod_i d_i^{n_i}, column factors as reduced int pairs of
+  `kernel.gen_binomial_pair`, and one int pair per point.  The chains of
+  a (slot, n_i) and each column's denominator factor are built once per
   window; `c_direct` is its one-point call, with one Fraction;
 * `c_recursive` runs the depth-reduction recurrence
 
@@ -58,7 +60,9 @@ from typing import Iterator, Sequence
 from .guards import DEFAULT_GUARD, check_cells, check_chain_pairs, check_chains, check_subtractions
 from .guards import check_summands, check_sweep_summands
 from .guards import direct_summand_count  # noqa: F401  (perfbench's tracer reads it here)
-from .kernel import common_denominator, gen_binomial, multinomial, format_rational, parse_rational
+from .kernel import common_denominator, gen_binomial_pair, multinomial, format_rational
+from .kernel import parse_rational
+from .kernel import gen_binomial  # noqa: F401  (perfbench's tracer wraps it here)
 from .multiseq import MultiSequenceTable, binomial_transform, iterated_delta
 from .report import VerificationReport, sweep_report
 
@@ -197,15 +201,18 @@ def _points(box: Sequence[int]) -> list[Index]:
     return list(itertools.product(*(range(extent) for extent in box)))
 
 
-def _block_chain_data(block: tuple[Fraction, ...], n: int) -> tuple[int, list[tuple[Index, int]]]:
-    """d**n and, per chain of one slot, (columns, multinomial * prod y^v).
+def _block_chain_data(
+    block: tuple[Fraction, ...], n: int, radix: int
+) -> tuple[int, list[tuple[int, int]]]:
+    """d**n and, per chain of one slot, (code, multinomial * prod y^v).
 
     With d, ys = `common_denominator(block)`, each chain's weight
     multinomial * prod x^v is that int over d**n, since its steps v sum to
-    n.  The columns (m_1, v_1, ..., m_{p-1}, v_{p-1}) are the chain's share
-    of the denominator key of `direct_window`.  Only the powers y^v the chains
-    read are built: every v in 0..n above depth 1, but y^n alone at depth
-    1, whose one chain costs one summand.
+    n.  The code packs the chain's columns (m_1, v_1, ..., m_{p-1}, v_{p-1})
+    as the digits of one int base `radix`, m_1 the most significant: the
+    chain's share of the group code of `direct_window`.  Only the powers y^v
+    the chains read are built: every v in 0..n above depth 1, but y^n alone
+    at depth 1, whose one chain costs one summand and has code 0.
     """
     p = len(block)
     d, ys = common_denominator(block)
@@ -217,8 +224,10 @@ def _block_chain_data(block: tuple[Fraction, ...], n: int) -> tuple[int, list[tu
         weight = multinomial(n, nu)
         for j in range(p):
             weight *= powers[j][nu[j]]
-        columns = tuple(entry for pair in zip(chain, nu[:-1]) for entry in pair)
-        data.append((columns, weight))
+        code = 0
+        for m, v in zip(chain, nu[:-1]):
+            code = (code * radix + m) * radix + v
+        data.append((code, weight))
     return d**n, data
 
 
@@ -237,36 +246,48 @@ def direct_window(
     built once per distinct (slot, n_i) of the window), so the merged
     numerator of every group of summands sharing the per-column sums
     (sum_i m_ij, sum_i v_ij) is an int over prod_i d_i**n_i, built with no
-    gcd.  Each group is then divided by its denominator
-    prod_j C(col_m + t_j - 1, col_v) (col_m + t_j), whose factors come from
-    `gen_binomial` once per distinct (j, col_m, col_v) of the window, into a
-    running int pair over the lcm of the group denominators: one gcd per
-    group.  The set of summands is the defining one; only the order of
-    exact operations differs.
+    gcd.  A chain list is dropped after the last point of the window that
+    reads it, so a window holds only the lists its remaining points share.
+    A group's key is one int, those sums packed as digits base
+    R = max |n| + 1 over the window: every column sum is at most |n| < R,
+    so the key of a chain tuple is the sum of its chains' codes, with no
+    carry.  Each group is then divided by its denominator
+    prod_j C(col_m + t_j - 1, col_v) (col_m + t_j), whose digits are read
+    back with divmod, into a running int pair over the lcm of the group
+    denominators: one gcd per group.  With t_j = a/b a column's factor is
+    the int pair of `gen_binomial_pair(b col_m + a, b, col_v + 1)` with its
+    denominator divided by col_v + 1, reduced by one gcd, once per distinct
+    (j, col_m, col_v) of the window.  The set of summands is the defining
+    one; only the order of exact operations differs.
     """
     points = [_check_index(spec, n) for n in points]
     for n in points:
         check_summands(spec, n, guard)
     p = spec.p
-    # key: per-column (sum of m_ij, sum of v_ij) for j < p, accumulated over slots
-    empty: Index = (0,) * (2 * (p - 1))
-    # (slot, n_i) -> d_i**n_i and the slot's (columns, weight) per chain
-    slot_chains: dict[Index, tuple[int, list[tuple[Index, int]]]] = {}
-    # (j, col_m, col_v) -> (numerator, denominator) of the column's factor
-    factors: dict[Index, tuple[int, int]] = {}
+    radix = max(map(sum, points), default=0) + 1
+    square = radix * radix
+    shifts = [(t.numerator, t.denominator) for t in spec.tparams]
+    # (slot, n_i) -> d_i**n_i and the slot's (code, weight) per chain, held
+    # from its first reader up to its last (`last_reader`)
+    slot_chains: dict[Index, tuple[int, list[tuple[int, int]]]] = {}
+    last_reader = {(i, ni): at for at, n in enumerate(points) for i, ni in enumerate(n)}
+    # per column j: col_m * radix + col_v -> reduced (numerator, denominator > 0) of its factor
+    factors: list[dict[int, tuple[int, int]]] = [{} for _ in shifts]
     values = []
-    for n in points:
-        groups: dict[Index, int] = {empty: 1}
+    for at, n in enumerate(points):
+        groups: dict[int, int] = {0: 1}
         scale = 1
         for i, ni in enumerate(n):
             if (i, ni) not in slot_chains:
-                slot_chains[i, ni] = _block_chain_data(spec.xblocks[i], ni)
+                slot_chains[i, ni] = _block_chain_data(spec.xblocks[i], ni, radix)
             block_scale, chains = slot_chains[i, ni]
+            if last_reader[i, ni] == at:
+                del slot_chains[i, ni]
             scale *= block_scale
-            merged: dict[Index, int] = {}
+            merged: dict[int, int] = {}
             for key, partial in groups.items():
-                for columns, weight in chains:
-                    new_key = tuple(map(operator.add, key, columns))
+                for code, weight in chains:
+                    new_key = key + code
                     contribution = partial * weight
                     if new_key in merged:
                         merged[new_key] += contribution
@@ -277,15 +298,19 @@ def direct_window(
         total_num, total_den = 0, 1
         for key, numerator in groups.items():
             denominator = 1
-            for j in range(p - 1):
-                column = j, key[2 * j], key[2 * j + 1]
-                if column not in factors:
-                    _, col_m, col_v = column
-                    linear = col_m + spec.tparams[j]
-                    factor = gen_binomial(linear - 1, col_v) * linear
-                    assert factor != 0, "zero denominator despite shift-parameter invariant"
-                    factors[column] = factor.numerator, factor.denominator
-                factor_num, factor_den = factors[column]
+            for j in range(p - 2, -1, -1):
+                key, column = divmod(key, square)
+                factor = factors[j].get(column)
+                if factor is None:
+                    col_m, col_v = divmod(column, radix)
+                    a, b = shifts[j]
+                    # C(m + t - 1, v) (m + t) = (v + 1) C(m + t, v + 1)
+                    factor_num, factor_den = gen_binomial_pair(b * col_m + a, b, col_v + 1)
+                    factor_den //= col_v + 1
+                    assert factor_num != 0, "zero denominator despite shift-parameter invariant"
+                    g = math.gcd(factor_num, factor_den)
+                    factor = factors[j][column] = factor_num // g, factor_den // g
+                factor_num, factor_den = factor
                 numerator *= factor_den
                 denominator *= factor_num
             g = math.gcd(total_den, denominator)
@@ -673,11 +698,14 @@ def verify_recurrence(
 ) -> VerificationReport:
     """Check the recurrence against chain enumeration at every point of the box.
 
-    The left side is one recurrence fill, the right side one `direct_window`
-    pair per point, corner included, evaluated as the report compares it: a
-    window over the box would hold every slot's chains at once.  The guards
-    run first: the corner's summands, the fill's cells at p * guard, then
-    the summands of the whole sweep.
+    The left side is one recurrence fill, the right side chain enumeration
+    at every point, corner included: one `direct_window` per line of the
+    last axis, in row-major order, evaluated as the report reaches it.  A
+    line's points share their chain lists for slots 1..r-1, and only one
+    line's chains are alive at a time, where a window over the box would
+    hold every slot's at once.  The guards run first: the corner's
+    summands, the fill's cells at p * guard, then the summands of the
+    whole sweep.
     """
     corner = _corner(spec, box)
     fill_guard = spec.p * guard
@@ -686,7 +714,10 @@ def verify_recurrence(
     check_sweep_summands(spec, box, guard)
     points = _points(box)
     fill = RecurrenceEvaluator(spec, fill_guard).table(box)
-    rhs = (direct_window(spec, (n,), guard)[0] for n in points)
+    line = box[-1]
+    rhs = itertools.chain.from_iterable(
+        direct_window(spec, points[at:at + line], guard) for at in range(0, len(points), line)
+    )
     return sweep_report("recurrence", RECURRENCE_STATEMENT, spec.text(), points, fill.pairs(), rhs)
 
 

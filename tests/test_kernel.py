@@ -10,6 +10,7 @@ from mhscalc.kernel import (
     format_rational,
     format_ratio,
     gen_binomial,
+    gen_binomial_pair,
     multinomial,
     parse_integers,
     parse_rational,
@@ -72,6 +73,35 @@ def test_gen_binomial_deep_cold_call():
     expected = F(math.prod(1 - 3 * i for i in range(k)), 3**k * math.factorial(k))
     assert gen_binomial(top, k) == expected
     assert gen_binomial(top, k - 1) * (top - (k - 1)) / k == expected
+
+
+# tops: integers, and negative non-integers, where C(top, k) has sign (-1)^k
+binomial_tops = st.one_of(
+    st.integers(-12, 12).map(F),
+    st.fractions(min_value=-20, max_value=-1, max_denominator=12).filter(
+        lambda t: t.denominator > 1
+    ),
+    rationals,
+)
+
+
+@given(binomial_tops, st.one_of(st.just(0), st.integers(0, 10)))
+def test_gen_binomial_is_the_fraction_of_its_pair(top, k):
+    pair = gen_binomial_pair(top.numerator, top.denominator, k)
+    assert all(isinstance(entry, int) for entry in pair) and pair[1] > 0
+    literal = F(1)
+    for i in range(k):
+        literal *= (top - i) / (i + 1)
+    assert F(*pair) == gen_binomial(top, k) == literal
+    if k == 0:
+        assert pair == (1, 1)
+    if top < 0:
+        assert (literal > 0) == (k % 2 == 0)
+
+
+def test_gen_binomial_pair_rejects_negative_k():
+    with pytest.raises(ValueError, match="requires natural k"):
+        gen_binomial_pair(1, 2, -1)
 
 
 @given(st.integers(0, 15), st.integers(0, 15))

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from mhscalc import nestedsums
 from mhscalc.guards import GuardExceeded, chain_count, direct_summand_count, recurrence_cell_count
 from mhscalc.guards import sweep_summand_count
-from mhscalc.kernel import common_denominator, format_rational, gen_binomial, multinomial
+from mhscalc.kernel import common_denominator, format_rational, gen_binomial, gen_binomial_pair
+from mhscalc.kernel import multinomial
 from mhscalc.mhs import verify_mhs_duality
 from mhscalc.multiseq import MultiSequenceTable
 from mhscalc.nestedsums import (
@@ -554,21 +555,33 @@ def test_direct_matches_fraction_group_reference(case):
     assert c_direct(spec, n) == c_direct_by_fraction_groups(spec, n)
 
 
+def decode_columns(code, radix, p):
+    """The columns (m_1, v_1, ..., m_{p-1}, v_{p-1}) packed in a code base `radix`."""
+    digits = []
+    for _ in range(2 * (p - 1)):
+        code, digit = divmod(code, radix)
+        digits.append(digit)
+    assert code == 0
+    return tuple(reversed(digits))
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.lists(fill_x, min_size=1, max_size=3), st.integers(0, 6))
-def test_block_chain_weights_are_ints_over_d_to_the_n(block, n):
-    block = tuple(block)
-    scale, data = nestedsums._block_chain_data(block, n)
+@given(st.lists(fill_x, min_size=1, max_size=3), st.integers(0, 6), st.integers(1, 4))
+def test_block_chain_weights_are_ints_over_d_to_the_n(block, n, extra):
+    # any radix above n holds every column entry as one digit
+    block, radix = tuple(block), n + extra
+    scale, data = nestedsums._block_chain_data(block, n, radix)
     assert scale == common_denominator(block)[0] ** n
     chains = list(enumerate_chains(n, len(block)))
     assert len(data) == len(chains)
-    for chain, (columns, weight) in zip(chains, data):
+    for chain, (code, weight) in zip(chains, data):
         nu = tuple(m - below for m, below in zip(chain, chain[1:])) + chain[-1:]
         expected = F(multinomial(n, nu))
         for x, v in zip(block, nu):
             expected *= x**v
         assert isinstance(weight, int) and F(weight, scale) == expected
-        assert columns == tuple(entry for pair in zip(chain, nu[:-1]) for entry in pair)
+        columns = tuple(entry for pair in zip(chain, nu[:-1]) for entry in pair)
+        assert decode_columns(code, radix, len(block)) == columns
 
 
 def test_direct_reads_no_recurrence_fill(monkeypatch):
@@ -596,11 +609,11 @@ def test_direct_reads_no_recurrence_fill(monkeypatch):
 def test_direct_builds_each_column_factor_once_per_call(monkeypatch, spec, n):
     calls = []
 
-    def counting(top, k):
-        calls.append((top, k))
-        return gen_binomial(top, k)
+    def counting(a, b, k):
+        calls.append((a, b, k))
+        return gen_binomial_pair(a, b, k)
 
-    monkeypatch.setattr(nestedsums, "gen_binomial", counting)
+    monkeypatch.setattr(nestedsums, "gen_binomial_pair", counting)
     first = c_direct(spec, n)
     per_call = len(calls)
     assert c_direct(spec, n) == first == c_by_literal_product(spec, n)
@@ -636,9 +649,14 @@ def window_value(pair):
                        (F(-7, 3), F(-1, 2))),
           [(0, 0), (2, 3), (0, 3), (2, 3), (3, 0), (0, 0)]))
 @example((NestedSumSpec(((F(3, 4), F(-1, 5)),), (F(-5, 2),)), [(3,), (0,), (3,), (1,)]))
+@example((NestedSumSpec(((F(2, 3), F(-1, 4), F(5)), (F(-3, 2), F(1, 7), F(2, 5))),
+                       (F(-7, 3), F(5, 2))),
+          [(0, 1), (6, 5), (1, 0), (2, 2), (6, 5)]))
 def test_window_matches_fraction_group_reference(case):
     # repeated points, zero entries and negative non-integer shifts, where
-    # gen_binomial changes sign, each give the pointwise reference value
+    # gen_binomial changes sign, each give the pointwise reference value;
+    # the last example's (6, 5) sets the key radix R = 12, and its column
+    # sums reach R - 1 = 11 next to the small points' codes
     spec, points = case
     values = direct_window(spec, points)
     assert len(values) == len(points)
@@ -662,16 +680,16 @@ def test_window_builds_chains_per_slot_entry_and_factors_per_column(monkeypatch,
     chain_calls, binomial_calls = [], []
     block_chain_data = nestedsums._block_chain_data
 
-    def counting_chains(block, n):
+    def counting_chains(block, n, radix):
         chain_calls.append((block, n))
-        return block_chain_data(block, n)
+        return block_chain_data(block, n, radix)
 
-    def counting_binomial(top, k):
-        binomial_calls.append((top, k))
-        return gen_binomial(top, k)
+    def counting_binomial(a, b, k):
+        binomial_calls.append((a, b, k))
+        return gen_binomial_pair(a, b, k)
 
     monkeypatch.setattr(nestedsums, "_block_chain_data", counting_chains)
-    monkeypatch.setattr(nestedsums, "gen_binomial", counting_binomial)
+    monkeypatch.setattr(nestedsums, "gen_binomial_pair", counting_binomial)
     values = direct_window(spec, points)
     assert [window_value(pair) for pair in values] == [c_direct(spec, n) for n in points]
     chain_calls.clear()
@@ -683,6 +701,23 @@ def test_window_builds_chains_per_slot_entry_and_factors_per_column(monkeypatch,
     assert sorted(chain_calls) == sorted((spec.xblocks[i], ni) for i, ni in slot_entries)
     columns = set().union(*(direct_denominator_columns(spec, n) for n in points))
     assert len(binomial_calls) == len(set(binomial_calls)) == len(columns)
+
+
+def test_window_drops_each_chain_list_after_its_last_reader():
+    # a line of the last axis, as the recurrence sweep passes it, reads each
+    # chain list at one point only: holding all 30 lists peaks near 5x one
+    # corner window, dropping each after its reader near 2x
+    spec = NestedSumSpec.parse("1/2,-1/3,2/7", "5/2,-1/3")
+    tracemalloc.start()
+    try:
+        direct_window(spec, [(29,)])
+        _, corner_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        direct_window(spec, [(n,) for n in range(30)])
+        _, line_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert line_peak < 3.5 * corner_peak
 
 
 def test_window_reads_no_recurrence_fill(monkeypatch):
@@ -1126,6 +1161,35 @@ def test_recurrence_fails_exactly_where_a_direct_value_is_wrong(monkeypatch):
         assert failed(report) == [m], m
 
 
+def test_recurrence_builds_each_lines_chains_once(monkeypatch):
+    # one window per line of the last axis: a line builds the chains of
+    # slots 1..r-1 once, and those of slot r once per entry of the line
+    windows = []
+    window, block_chain_data = nestedsums.direct_window, nestedsums._block_chain_data
+
+    def counting_window(spec, points, guard):
+        windows.append((list(points), []))
+        return window(spec, points, guard)
+
+    def counting_chains(block, n, radix):
+        windows[-1][1].append((block, n))
+        return block_chain_data(block, n, radix)
+
+    monkeypatch.setattr(nestedsums, "direct_window", counting_window)
+    monkeypatch.setattr(nestedsums, "_block_chain_data", counting_chains)
+    spec = NestedSumSpec.parse("1/2,1/3;1/5,2;-3/4,2/7", "5/2")
+    box = (2, 3, 4)
+    assert verify_recurrence(spec, box).ok
+    heads = list(itertools.product(range(2), range(3)))
+    assert [points for points, _ in windows] == [[head + (c,) for c in range(4)] for head in heads]
+    for head, (_, builds) in zip(heads, windows):
+        expected = [(spec.xblocks[i], ni) for i, ni in enumerate(head)]
+        expected += [(spec.xblocks[2], c) for c in range(4)]
+        assert sorted(builds) == sorted(expected), head
+    # 6 lines of 2 + 4 builds, where a window per point builds 24 * 3
+    assert sum(len(builds) for _, builds in windows) == 36
+
+
 def test_sweeps_enumerate_chains_once_per_corner_and_read_no_table_fraction(monkeypatch):
     calls = {}
     for name in ("c_direct", "direct_window"):
@@ -1146,7 +1210,7 @@ def test_sweeps_enumerate_chains_once_per_corner_and_read_no_table_fraction(monk
         "c-duality": (lambda: verify_duality(spec, (3, 3)), 1, 1),
         "difference-formula": (lambda: verify_difference_formula(spec, (3, 3), (3, 2)), 1, 1),
         "shift": (lambda: verify_shift_identity(SHIFT_SPEC, (1, 2), 1, (3, 2, 2)), 1, 1),
-        "recurrence": (lambda: verify_recurrence(spec, (3, 3)), 0, 9),
+        "recurrence": (lambda: verify_recurrence(spec, (3, 3)), 0, 3),
     }
     for identity, (sweep, c_direct_calls, window_calls) in sweeps.items():
         calls.update(c_direct=0, direct_window=0)

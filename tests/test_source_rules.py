@@ -33,6 +33,10 @@ KEPT_FOR_TRACING = {
     ("nestedsums.py", "direct_summand_count"): (
         "perfbench's tracer counts c_direct summands through nestedsums.direct_summand_count"
     ),
+    ("nestedsums.py", "gen_binomial"): (
+        "perfbench's tracer wraps kernel.gen_binomial in every namespace that binds it, and "
+        "its selftest expects the nestedsums binding; the column factors use gen_binomial_pair"
+    ),
 }
 
 GUARD_OWNER = "guards.py"
