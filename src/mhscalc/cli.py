@@ -244,56 +244,45 @@ class _Identity(NamedTuple):
     """How `verify` builds and checks the cases of one identity.
 
     `reads` names the sweep flags the identity reads (`_read_flags`
-    refuses any other).  `explicit(args)` is the case the flags name, or
-    None when they name none; then `random(rng, args)`, where the identity
-    has one, draws --count cases from Random(--seed), and otherwise None is
-    the one case.  `verify(args, case)` looks its verifier up in the module
-    at call time, so a patched module attribute is the one that runs.
+    refuses any other).  `cases(args)` lists the cases the flags name: an
+    explicit one, or --count drawn from Random(--seed).  `verify(args,
+    case)` checks one case and looks its verifier up in the module at call
+    time, so a patched module attribute is the one that runs.
     """
 
     reads: tuple[str, ...]
-    explicit: Callable
-    random: Callable | None
+    cases: Callable
     verify: Callable
 
 
-def _explicit_spec(args):
-    """(spec, box) from --x/--t and --box, whose default is --nmax + 1 per slot."""
+def _spec_cases(args) -> list:
+    """(spec, box) cases: --x/--t with --box, or else --count drawn specs.
+
+    The box defaults to --nmax + 1 per slot, the one box of a drawn spec.
+    """
     if args.x is None:
-        return None
+        rng = Random(args.seed)
+        specs = [random_spec(rng, args.rmax, args.pmax) for _ in range(args.count)]
+        return [(spec, (args.nmax + 1,) * spec.r) for spec in specs]
     spec = NestedSumSpec.parse(args.x, args.t)
-    if args.box is None:
-        return spec, (args.nmax + 1,) * spec.r
-    box = _parse_index(args.box)
+    box = (args.nmax + 1,) * spec.r if args.box is None else _parse_index(args.box)
     if len(box) != spec.r:
         raise ValueError(f"--box {args.box!r} must list {spec.r} extents")
-    return spec, box
+    return [(spec, box)]
 
 
-def _random_spec(rng: Random, args):
-    spec = random_spec(rng, args.rmax, args.pmax)
-    return spec, (args.nmax + 1,) * spec.r
-
-
-def _explicit_shift(args):
-    case = _explicit_spec(args)
-    if case is None:
-        return None
+def _shift_cases(args) -> list:
+    """(spec, subset, constant, box) cases, explicit or drawn as in `_spec_cases`."""
+    if args.x is None:
+        if args.rmax < 2:
+            raise ValueError(f"--rmax must be at least 2 for --identity shift, got {args.rmax}")
+        rng = Random(args.seed)
+        draws = [random_shift_configuration(rng, args.rmax, args.pmax) for _ in range(args.count)]
+        return [(*draw, (args.nmax + 1,) * draw[0].r) for draw in draws]
+    [(spec, box)] = _spec_cases(args)
     if args.subset is None:
         raise ValueError("--subset is required with an explicit --x")
-    spec, box = case
-    return spec, _parse_index(args.subset), parse_rational(args.c), box
-
-
-def _random_shift(rng: Random, args):
-    if args.rmax < 2:
-        raise ValueError(f"--rmax must be at least 2 for --identity shift, got {args.rmax}")
-    spec, subset, constant = random_shift_configuration(rng, args.rmax, args.pmax)
-    return spec, subset, constant, (args.nmax + 1,) * spec.r
-
-
-def _mhs_indices(args):
-    return None if args.mu is None else [MultiIndex.parse(args.mu)]
+    return [(spec, _parse_index(args.subset), parse_rational(args.c), box)]
 
 
 # The flags every c[x|t] identity reads: an explicit spec and its box, or
@@ -303,40 +292,34 @@ SPEC_FLAGS = ("x", "t", "box", "nmax", "count", "rmax", "pmax", "seed")
 IDENTITIES = {
     "mhs-duality": _Identity(
         ("mu", "wmax", "nmax"),
-        _mhs_indices,
-        None,
+        lambda args: [None if args.mu is None else [MultiIndex.parse(args.mu)]],
         lambda args, mus: mhs.verify_mhs_duality(args.wmax, args.nmax, mus, args.guard),
     ),
     "c-duality": _Identity(
         SPEC_FLAGS,
-        _explicit_spec,
-        _random_spec,
+        _spec_cases,
         lambda args, case: nestedsums.verify_duality(*case, args.guard),
     ),
     "difference-formula": _Identity(
         SPEC_FLAGS + ("kmax",),
-        _explicit_spec,
-        _random_spec,
+        _spec_cases,
         lambda args, case: nestedsums.verify_difference_formula(
             *case, (args.kmax + 1,) * case[0].r, args.guard
         ),
     ),
     "recurrence": _Identity(
         SPEC_FLAGS,
-        _explicit_spec,
-        _random_spec,
+        _spec_cases,
         lambda args, case: nestedsums.verify_recurrence(*case, args.guard),
     ),
     "shift": _Identity(
         SPEC_FLAGS + ("subset", "c"),
-        _explicit_shift,
-        _random_shift,
+        _shift_cases,
         lambda args, case: nestedsums.verify_shift_identity(*case, args.guard),
     ),
     "egf-suite": _Identity(
         ("degree", "seed"),
-        lambda args: args.seed,
-        None,
+        lambda args: [args.seed],
         lambda args, seed: egf.verify_operator_suite(
             degree=args.degree, seed=seed, guard=args.guard
         ),
@@ -347,13 +330,7 @@ IDENTITIES = {
 def _cmd_verify(args) -> int:
     identity = IDENTITIES[args.identity]
     _read_flags(args, VERIFY_FLAGS, identity.reads, f"--identity {args.identity}")
-    case = identity.explicit(args)
-    if case is None and identity.random is not None:
-        rng = Random(args.seed)
-        cases = (identity.random(rng, args) for _ in range(args.count))
-    else:
-        cases = [case]
-    report, *rest = (identity.verify(args, case) for case in cases)
+    report, *rest = (identity.verify(args, case) for case in identity.cases(args))
     for part in rest:
         report.comparisons.extend(part.comparisons)
     return _emit_report(args, report)

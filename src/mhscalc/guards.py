@@ -117,6 +117,14 @@ def check_chains(n: int, p: int, guard: int) -> None:
     check_guard("chain count", chain_count(n, p), guard)
 
 
+def check_mhs_value(mu, n: int, guard: int) -> None:
+    """The chains of `mhs_value` and, from depth 3 on, the bits of the numerators it tabulates."""
+    check_chains(n, mu.depth, guard)
+    if mu.depth >= 3:
+        bits = numerator_table_bits(mu, n)
+        check_guard("mhs value numerator bits", bits, NUMERATOR_TABLE_MAX_BITS)
+
+
 def check_summands(spec, n: Sequence[int], guard: int) -> None:
     check_guard("direct summand count", direct_summand_count(spec, n), guard)
 

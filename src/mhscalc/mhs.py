@@ -22,6 +22,9 @@ it walks the chain prefixes (m_1..m_{p-1}), forms each prefix's product of
 factors once, and adds that product times the last factor at every
 m_p <= m_{p-1}.  Each chain's summand is still its own product, added once;
 no factor comes out of a sum, so no partial sum is shared between chains.
+Past `guards.NUMERATOR_TABLE_MAX_BITS` of tabulated numerators it refuses
+the input (`GuardExceeded`) before any work; at depth 1 and 2 it tabulates
+nothing and adds one Fraction per chain.
 `mhs_table` fills s_mu(0..N) at once by nested prefix sums, innermost part
 first:
 
@@ -45,8 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .guards import DEFAULT_GUARD, NUMERATOR_TABLE_MAX_BITS, check_chains, check_mhs_table
-from .guards import check_subtractions, numerator_table_bits
+from .guards import DEFAULT_GUARD, check_mhs_table, check_mhs_value, check_subtractions
 from .kernel import parse_integers
 from .multiseq import MultiSequenceTable, binomial_transform
 from .nestedsums import chain_tails, enumerate_chains
@@ -100,24 +102,18 @@ def multi_indices_of_weight(weight: int) -> Iterator[MultiIndex]:
             yield MultiIndex(tuple(b - a for a, b in zip(bounds, bounds[1:])))
 
 
-def integer_numerators(mu: MultiIndex, n: int) -> bool:
-    """Whether `mhs_value` sums integer numerators rather than Fractions.
-
-    It does where the chains outnumber the numerators it tabulates (depth 3
-    and more) and the table stays within NUMERATOR_TABLE_MAX_BITS.
-    """
-    return mu.depth >= 3 and numerator_table_bits(mu, n) <= NUMERATOR_TABLE_MAX_BITS
-
-
 def mhs_value(mu: MultiIndex, n: int, guard: int = DEFAULT_GUARD) -> Fraction:
     """s_mu(n) by direct enumeration of weakly decreasing chains.
 
     Every chain starts at n, and with L = lcm(1..n+1) the rest of each
-    summand is an integer over L^(weight - mu_1).  Where
-    `integer_numerators` holds, the chains add those integers from a table
-    of (L/(m+1))^mu_j and one Fraction is built at the end; elsewhere they
-    add one Fraction each.  Both sum the same summands exactly.  The chain
-    guard is checked before either starts.
+    summand is an integer over L^(weight - mu_1).  From depth 3 on, the
+    chains add those integers from a table of (L/(m+1))^mu_j and one
+    Fraction is built at the end; at depth 1 and 2, where the chains number
+    no more than the table's entries, they add one Fraction each.  Both sum
+    the same summands exactly.  `guards.check_mhs_value` bounds the chains
+    and, from depth 3 on, the table's bits before either starts.  A table
+    over NUMERATOR_TABLE_MAX_BITS is refused, not summed as Fractions: its
+    summands are then so wide that one Fraction per chain is no faster.
 
     The integer route lists the depth-(p-1) chains, the prefixes of the
     depth-p ones, by their tails after m_1 = n (`chain_tails`), the entries
@@ -129,8 +125,8 @@ def mhs_value(mu: MultiIndex, n: int, guard: int = DEFAULT_GUARD) -> Fraction:
     """
     if n < 0:
         raise ValueError(f"n must be a natural, got {n}")
-    check_chains(n, mu.depth, guard)
-    if not integer_numerators(mu, n):
+    check_mhs_value(mu, n, guard)
+    if mu.depth < 3:
         total = Fraction(0)
         for chain in enumerate_chains(n, mu.depth):
             denom = 1
@@ -224,9 +220,9 @@ def verify_mhs_duality(
     value of mu by a nonzero C(max_n, k), so a wrong value anywhere in the
     row fails there.
 
-    Every guard of mu is checked before any work on mu: the corner's
-    chains, then each table's cells and bits (`mhs_table`), then the
-    transform's subtractions (`check_subtractions`).
+    Every guard of mu is checked before any work on mu: the corner's chains
+    and bits (`mhs_value`), then each table's cells and bits (`mhs_table`),
+    then the transform's subtractions (`check_subtractions`).
     """
     if mus is None:
         mus = [
@@ -239,7 +235,7 @@ def verify_mhs_duality(
     line = (max_n + 1,)
     for mu in mus:
         dual = dual_index(mu)
-        check_chains(max_n, dual.depth, guard)
+        check_mhs_value(dual, max_n, guard)
         check_mhs_table(mu, max_n, guard)
         check_mhs_table(dual, max_n, guard)
         check_subtractions(line, line, guard)

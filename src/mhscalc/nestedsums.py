@@ -202,20 +202,20 @@ def _points(box: Sequence[int]) -> list[Index]:
 
 
 def _block_chain_data(
-    block: tuple[Fraction, ...], n: int, radix: int
+    d: int, ys: Sequence[int], n: int, radix: int
 ) -> tuple[int, list[tuple[int, int]]]:
     """d**n and, per chain of one slot, (code, multinomial * prod y^v).
 
-    With d, ys = `common_denominator(block)`, each chain's weight
-    multinomial * prod x^v is that int over d**n, since its steps v sum to
-    n.  The code packs the chain's columns (m_1, v_1, ..., m_{p-1}, v_{p-1})
-    as the digits of one int base `radix`, m_1 the most significant: the
-    chain's share of the group code of `direct_window`.  Only the powers y^v
-    the chains read are built: every v in 0..n above depth 1, but y^n alone
-    at depth 1, whose one chain costs one summand and has code 0.
+    With d, ys = `common_denominator(block)` of the slot's block x, each
+    chain's weight multinomial * prod x^v is that int over d**n, since its
+    steps v sum to n.  The code packs the chain's columns (m_1, v_1, ...,
+    m_{p-1}, v_{p-1}) as the digits of one int base `radix`, m_1 the most
+    significant: the chain's share of the group code of `direct_window`.
+    Only the powers y^v the chains read are built: every v in 0..n above
+    depth 1, but y^n alone at depth 1, whose one chain costs one summand and
+    has code 0.
     """
-    p = len(block)
-    d, ys = common_denominator(block)
+    p = len(ys)
     exponents = range(n + 1) if p > 1 else (n,)
     powers = [{v: y**v for v in exponents} for y in ys]
     data = []
@@ -243,7 +243,8 @@ def direct_window(
     against `guard` before any chain is listed.
 
     Each slot's chain weights are ints over d_i**n_i (`_block_chain_data`,
-    built once per distinct (slot, n_i) of the window), so the merged
+    built once per distinct (slot, n_i) of the window, from d_i and the
+    block's numerators over it, built once per slot), so the merged
     numerator of every group of summands sharing the per-column sums
     (sum_i m_ij, sum_i v_ij) is an int over prod_i d_i**n_i, built with no
     gcd.  A chain list is dropped after the last point of the window that
@@ -267,6 +268,8 @@ def direct_window(
     radix = max(map(sum, points), default=0) + 1
     square = radix * radix
     shifts = [(t.numerator, t.denominator) for t in spec.tparams]
+    # per slot i: d_i and block i's numerators over d_i
+    blocks = [common_denominator(block) for block in spec.xblocks]
     # (slot, n_i) -> d_i**n_i and the slot's (code, weight) per chain, held
     # from its first reader up to its last (`last_reader`)
     slot_chains: dict[Index, tuple[int, list[tuple[int, int]]]] = {}
@@ -279,7 +282,7 @@ def direct_window(
         scale = 1
         for i, ni in enumerate(n):
             if (i, ni) not in slot_chains:
-                slot_chains[i, ni] = _block_chain_data(spec.xblocks[i], ni, radix)
+                slot_chains[i, ni] = _block_chain_data(*blocks[i], ni, radix)
             block_scale, chains = slot_chains[i, ni]
             if last_reader[i, ni] == at:
                 del slot_chains[i, ni]

@@ -307,6 +307,22 @@ def test_mhs_duality_guard_trips_at_once_at_large_n(capsys):
     assert err == "error: mhs table numerator bits: 60000900003 exceeds guard 268435456\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("s", "--mu=(1,1,100)", "--n=1340"),
+    # mu* = (1,1,100) is the corner's index
+    ("verify", "--identity=mhs-duality", f"--mu={mhs.dual_index(MultiIndex((1, 1, 100)))}",
+     "--nmax=1340"),
+])
+def test_mhs_value_bits_guard_trips_at_once(capsys, argv):
+    # 899,811 chains pass the chain guard, and the depth-3 numerator table is
+    # over its bit limit
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == "error: mhs value numerator bits: 272439571 exceeds guard 268435456\n"
+
+
 def test_box_without_x_exit_code(capsys):
     code, out, err = run(
         capsys, "verify", "--identity", "c-duality", "--box", "2", "--count", "1",
@@ -418,6 +434,26 @@ def test_out_of_memory_exit_code():
     )
     assert done.returncode == 3 and done.stdout == ""
     assert done.stderr.startswith("error: out of memory") and "Traceback" not in done.stderr
+
+
+def test_memory_error_exit_code(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(mhs, "mhs_value", exhausted)
+    code, out, err = run(capsys, "s", "--mu=(1,2)", "--n=3")
+    assert code == 3 and out == ""
+    assert err == "error: out of memory; lower the index, box or degree\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--identity=c-duality", "--x=1/2", "--box=2,2"), "--box '2,2' must list 1 extents"),
+    (("--identity=shift", "--x=1/2;1/2"), "--subset is required with an explicit --x"),
+])
+def test_explicit_case_error_exit_code(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_unwritable_out_exit_code(tmp_path, capsys):

@@ -335,6 +335,20 @@ def test_zero_variables_are_refused(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TruncatedSeries(1, -1), "degree bound must be a natural, got -1"),
+        (lambda: one(1, 0).deriv(1), "cannot differentiate a degree-0 window"),
+        (lambda: xi_apply(one(2, 3), (1,)), "need 2 parameters, got 1"),
+    ],
+    ids=["negative bound", "deriv at bound 0", "xi_apply arity"],
+)
+def test_malformed_series_input_is_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_operator_results_drop_zero_coefficients():
     f = series(2, 3, {(0, 0): 1, (1, 0): F(1, 2), (1, 1): -3})
     g = series(2, 3, {(0, 0): -1, (1, 0): F(1, 2)})

@@ -33,6 +33,20 @@ def test_multi_index_validation():
         MultiIndex((1, 0, 2))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mhs_value(MultiIndex((1, 2)), -1), "n must be a natural, got -1"),
+        (lambda: mhs_table(MultiIndex((1, 2)), -1), "n must be a natural, got -1"),
+        (lambda: next(multi_indices_of_weight(0)), "weight must be positive, got 0"),
+    ],
+    ids=["mhs_value", "mhs_table", "multi_indices_of_weight"],
+)
+def test_malformed_sum_input_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_multi_index_parse_and_str():
     mu = MultiIndex.parse("(1,2,3)")
     assert mu.parts == (1, 2, 3)
@@ -180,7 +194,7 @@ def test_mhs_table_bits_guard_trips_before_the_table():
     finally:
         tracemalloc.stop()
     assert info.value.what == "mhs table numerator bits"
-    assert (info.value.size, info.value.limit) == (60_000_900_003, mhs.NUMERATOR_TABLE_MAX_BITS)
+    assert (info.value.size, info.value.limit) == (60_000_900_003, guards.NUMERATOR_TABLE_MAX_BITS)
     assert peak < 100_000
 
 
@@ -207,12 +221,12 @@ def test_mhs_value_equals_fraction_sum(mu, n):
     assert mhs_value(mu, n) == _fraction_sum(mu, n)
 
 
-def test_mhs_value_routes_agree(monkeypatch):
+def test_mhs_value_routes_agree():
+    # one Fraction per chain at depth 1 and 2, integer numerators from depth
+    # 3 on: every mu of weight <= 6 up to n = 8 against the Fraction sum
     mus = [mu for weight in range(1, 7) for mu in multi_indices_of_weight(weight)]
-    integer = [mhs_value(mu, n) for mu in mus for n in range(9)]
-    monkeypatch.setattr(mhs, "NUMERATOR_TABLE_MAX_BITS", -1)
-    assert not any(mhs.integer_numerators(mu, 8) for mu in mus)
-    assert [mhs_value(mu, n) for mu in mus for n in range(9)] == integer
+    expected = [_fraction_sum(mu, n) for mu in mus for n in range(9)]
+    assert [mhs_value(mu, n) for mu in mus for n in range(9)] == expected
 
 
 def mhs_value_by_chain_products(mu, n):
@@ -240,8 +254,7 @@ deep_indices = st.lists(st.integers(1, 4), min_size=3, max_size=7).map(
 @example(MultiIndex((1, 4, 2)), 9)
 @example(MultiIndex((1,) * 7), 12)
 def test_prefix_products_match_the_per_chain_loop(mu, n):
-    # depth >= 3 at these sizes takes the integer route
-    assert mhs.integer_numerators(mu, n)
+    # depth >= 3 takes the integer route
     assert mhs_value(mu, n) == mhs_value_by_chain_products(mu, n)
 
 
@@ -278,15 +291,35 @@ def test_mhs_value_walks_each_prefix_once(monkeypatch, parts, n):
     assert sum(prefix[-1] + 1 for prefix in prefixes) == guards.chain_count(n, mu.depth)
 
 
-def test_integer_numerators_bound():
-    # depth 3 and more, up to 2^28 bits of tabulated numerators
-    assert mhs.NUMERATOR_TABLE_MAX_BITS == 2**28
-    assert not mhs.integer_numerators(MultiIndex((1, 1)), 12)
-    assert mhs.integer_numerators(MultiIndex((1, 1, 1)), 12)
-    assert mhs.numerator_table_bits(MultiIndex((1, 1, 1)), 9458) == 268_418_043
-    assert mhs.integer_numerators(MultiIndex((1, 1, 1)), 9458)
-    assert not mhs.integer_numerators(MultiIndex((1, 1, 1)), 9459)
-    assert not mhs.integer_numerators(MultiIndex((1, 1, 500)), 4000)
+def test_mhs_value_bits_guard_boundary():
+    # depth 3 and more tabulates up to 2^28 bits of numerators
+    assert guards.NUMERATOR_TABLE_MAX_BITS == 2**28
+    mu = MultiIndex((1, 1, 1))
+    assert guards.numerator_table_bits(mu, 9458) == 268_418_043
+    guards.check_mhs_value(mu, 9458, 10**8)
+    with pytest.raises(GuardExceeded) as info:
+        guards.check_mhs_value(mu, 9459, 10**8)
+    assert info.value.what == "mhs value numerator bits"
+    assert (info.value.size, info.value.limit) == (268_474_800, 2**28)
+    # depth 1 and 2 tabulate nothing, so only their chains are bounded
+    guards.check_mhs_value(MultiIndex((1, 500)), 10**6, 10**7)
+    with pytest.raises(GuardExceeded, match="^mhs value numerator bits: 12030012751 "):
+        mhs_value(MultiIndex((1, 1, 500)), 4000)
+
+
+def test_mhs_value_bits_guard_trips_before_the_table():
+    # 899,811 chains pass the chain guard; the table's rows of (L/(m+1))^1 and
+    # (L/(m+1))^100, m <= 1340, would hold about 2^28 bits
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded) as info:
+            mhs_value(MultiIndex((1, 1, 100)), 1340)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.what == "mhs value numerator bits"
+    assert (info.value.size, info.value.limit) == (272_439_571, 2**28)
+    assert peak < 100_000
 
 
 def test_mhs_value_guard_trips_before_the_table():

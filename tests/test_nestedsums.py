@@ -109,6 +109,10 @@ def direct_denominator_columns(spec, n):
 
 
 def test_spec_validation():
+    with pytest.raises(ValueError, match="^need at least one parameter block$"):
+        NestedSumSpec((), ())
+    with pytest.raises(ValueError, match="^blocks must be nonempty$"):
+        NestedSumSpec(((),), ())
     with pytest.raises(ValueError):
         NestedSumSpec(((F(1), F(2)), (F(3),)), (F(1),))  # ragged blocks
     with pytest.raises(ValueError):
@@ -303,6 +307,20 @@ def test_kt_small_values():
         assert kt_value(x, 0) == 1
     for n in range(5):
         assert kt_value((F(-2, 3),), n) == F(-2, 3) ** n
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: kt_value((), 1), "need at least one parameter"),
+        (lambda: kt_value((1, 2), -1), "n must be a natural, got -1"),
+        (lambda: two_index_value((1,), (1, 2), 1, 1), "parameter vectors must share a depth"),
+        (lambda: two_index_value((1,), (2,), 1, -1), r"indices must be naturals, got \(1, -1\)"),
+    ],
+)
+def test_classical_sums_refuse_malformed_input(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_kt_reduces_to_direct():
@@ -570,7 +588,7 @@ def decode_columns(code, radix, p):
 def test_block_chain_weights_are_ints_over_d_to_the_n(block, n, extra):
     # any radix above n holds every column entry as one digit
     block, radix = tuple(block), n + extra
-    scale, data = nestedsums._block_chain_data(block, n, radix)
+    scale, data = nestedsums._block_chain_data(*common_denominator(block), n, radix)
     assert scale == common_denominator(block)[0] ** n
     chains = list(enumerate_chains(n, len(block)))
     assert len(data) == len(chains)
@@ -582,6 +600,12 @@ def test_block_chain_weights_are_ints_over_d_to_the_n(block, n, extra):
         assert isinstance(weight, int) and F(weight, scale) == expected
         columns = tuple(entry for pair in zip(chain, nu[:-1]) for entry in pair)
         assert decode_columns(code, radix, len(block)) == columns
+
+
+def over_common_denominator(block):
+    """A block as `direct_window` passes it to `_block_chain_data`: d and the numerators over d."""
+    d, numerators = common_denominator(block)
+    return d, tuple(numerators)
 
 
 def test_direct_reads_no_recurrence_fill(monkeypatch):
@@ -665,24 +689,24 @@ def test_window_matches_fraction_group_reference(case):
     ]
 
 
-@pytest.mark.parametrize(
-    "spec,points",
-    [
-        (NestedSumSpec(((F(1, 2), F(1, 3), F(-2)),), (F(2), F(-3, 2))),
-         [(n,) for n in range(6)] + [(2,), (4,)]),
-        (NestedSumSpec(((F(1, 2), F(1, 3)), (F(0), F(5, 4))), (F(1, 3),)),
-         list(itertools.product(range(4), range(3)))),
-        (NestedSumSpec(((F(1), F(2), F(3)),) * 3, (F(1), F(7, 2))),
-         [(2, 3, 2), (0, 1, 2), (2, 2, 2), (0, 1, 2)]),
-    ],
-)
+WINDOW_CASES = [
+    (NestedSumSpec(((F(1, 2), F(1, 3), F(-2)),), (F(2), F(-3, 2))),
+     [(n,) for n in range(6)] + [(2,), (4,)]),
+    (NestedSumSpec(((F(1, 2), F(1, 3)), (F(0), F(5, 4))), (F(1, 3),)),
+     list(itertools.product(range(4), range(3)))),
+    (NestedSumSpec(((F(1), F(2), F(3)),) * 3, (F(1), F(7, 2))),
+     [(2, 3, 2), (0, 1, 2), (2, 2, 2), (0, 1, 2)]),
+]
+
+
+@pytest.mark.parametrize("spec,points", WINDOW_CASES)
 def test_window_builds_chains_per_slot_entry_and_factors_per_column(monkeypatch, spec, points):
     chain_calls, binomial_calls = [], []
     block_chain_data = nestedsums._block_chain_data
 
-    def counting_chains(block, n, radix):
-        chain_calls.append((block, n))
-        return block_chain_data(block, n, radix)
+    def counting_chains(d, numerators, n, radix):
+        chain_calls.append(((d, tuple(numerators)), n))
+        return block_chain_data(d, numerators, n, radix)
 
     def counting_binomial(a, b, k):
         binomial_calls.append((a, b, k))
@@ -698,9 +722,28 @@ def test_window_builds_chains_per_slot_entry_and_factors_per_column(monkeypatch,
     # the second call builds everything again, since no cache outlives a
     # call: one chain list per distinct (slot, n_i), one factor per column
     slot_entries = {(i, n[i]) for n in points for i in range(spec.r)}
-    assert sorted(chain_calls) == sorted((spec.xblocks[i], ni) for i, ni in slot_entries)
+    assert sorted(chain_calls) == sorted(
+        (over_common_denominator(spec.xblocks[i]), ni) for i, ni in slot_entries
+    )
     columns = set().union(*(direct_denominator_columns(spec, n) for n in points))
     assert len(binomial_calls) == len(set(binomial_calls)) == len(columns)
+
+
+@pytest.mark.parametrize("spec,points", WINDOW_CASES)
+def test_window_builds_one_common_denominator_per_slot(monkeypatch, spec, points):
+    blocks = []
+
+    def counting(values):
+        values = tuple(values)
+        blocks.append(values)
+        return common_denominator(values)
+
+    monkeypatch.setattr(nestedsums, "common_denominator", counting)
+    values = direct_window(spec, points)
+    expected = [c_direct_by_fraction_groups(spec, n) for n in points]
+    assert [window_value(pair) for pair in values] == expected
+    # once per slot for the whole window, not once per distinct (slot, n_i)
+    assert blocks == list(spec.xblocks)
 
 
 def test_window_drops_each_chain_list_after_its_last_reader():
@@ -1171,9 +1214,9 @@ def test_recurrence_builds_each_lines_chains_once(monkeypatch):
         windows.append((list(points), []))
         return window(spec, points, guard)
 
-    def counting_chains(block, n, radix):
-        windows[-1][1].append((block, n))
-        return block_chain_data(block, n, radix)
+    def counting_chains(d, numerators, n, radix):
+        windows[-1][1].append(((d, tuple(numerators)), n))
+        return block_chain_data(d, numerators, n, radix)
 
     monkeypatch.setattr(nestedsums, "direct_window", counting_window)
     monkeypatch.setattr(nestedsums, "_block_chain_data", counting_chains)
@@ -1183,8 +1226,9 @@ def test_recurrence_builds_each_lines_chains_once(monkeypatch):
     heads = list(itertools.product(range(2), range(3)))
     assert [points for points, _ in windows] == [[head + (c,) for c in range(4)] for head in heads]
     for head, (_, builds) in zip(heads, windows):
-        expected = [(spec.xblocks[i], ni) for i, ni in enumerate(head)]
-        expected += [(spec.xblocks[2], c) for c in range(4)]
+        blocks = list(map(over_common_denominator, spec.xblocks))
+        expected = [(blocks[i], ni) for i, ni in enumerate(head)]
+        expected += [(blocks[2], c) for c in range(4)]
         assert sorted(builds) == sorted(expected), head
     # 6 lines of 2 + 4 builds, where a window per point builds 24 * 3
     assert sum(len(builds) for _, builds in windows) == 36

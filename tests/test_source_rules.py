@@ -2,6 +2,9 @@
 
 * Every imported name is read in its module, except the bindings in
   KEPT_FOR_TRACING, and every name in `mhscalc.__all__` resolves.
+* Every module-level private name (a def, class or assignment named
+  `_name`) is read in its module, so a helper that a change stops calling
+  goes with it.
 * Only `guards.py` calls `check_guard` or constructs `GuardExceeded`, so
   every work estimate, limit and guard message stays in that one module.
 * No module uses `functools.cache`, `lru_cache` or `cached_property`, except
@@ -75,6 +78,29 @@ def unused_imports(tree: ast.Module) -> set[str]:
         ):
             read.update(item.value for item in node.value.elts)
     return imported - read
+
+
+def unread_private_names(tree: ast.Module) -> set[str]:
+    """Module-level `_name` bindings that nothing in the module reads.
+
+    A binding is a top-level def, class or assignment target; a read is the
+    name loaded anywhere in the module.  Dunder names are not private.
+    """
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(
+                name.id for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            )
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return {name for name in bound - read if name.startswith("_") and not name.startswith("__")}
 
 
 def _callee(node: ast.expr) -> str | None:
@@ -160,6 +186,31 @@ def cache_uses(tree: ast.Module) -> list[str]:
 def test_every_import_is_read(module):
     kept = {name for (owner, name) in KEPT_FOR_TRACING if owner == module}
     assert unused_imports(_tree(module)) == kept
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_private_name_is_read(module):
+    assert unread_private_names(_tree(module)) == set()
+
+
+def test_the_private_name_rule_sees_an_unread_helper():
+    tree = ast.parse(
+        "import math\n"
+        "__version__ = '1'\n"
+        "_LIMIT, _SPARE = 3, 4\n"
+        "_table: dict = {}\n"
+        "def _used(n):\n"
+        "    return _LIMIT * n\n"
+        "def _left_behind(n):\n"
+        "    _local = n\n"
+        "    return _local\n"
+        "class _Case:\n"
+        "    _field = 1\n"
+        "def public():\n"
+        "    _table['a'] = _used(1)\n"
+        "    _SPARE = 5\n"
+    )
+    assert unread_private_names(tree) == {"_SPARE", "_left_behind", "_Case"}
 
 
 def test_every_exported_name_resolves():
