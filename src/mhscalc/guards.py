@@ -18,7 +18,8 @@ DEFAULT_GUARD = 10**7
 # subtractions, passes wherever the line's cells pass.
 SUBTRACTIONS_PER_GUARD = 64
 
-# The largest numerator table, in bits, that `mhs_value` or `mhs_table` builds: 32 MiB.
+# The largest numerator table, in bits, that `mhs_value`, `mhs_table` or a
+# recurrence fill builds: 32 MiB.
 NUMERATOR_TABLE_MAX_BITS = 2**28
 
 
@@ -61,6 +62,44 @@ def sweep_summand_count(spec, box: Sequence[int]) -> int:
 def recurrence_cell_count(spec, n: Sequence[int]) -> int:
     """Cells a recurrence fill up to corner n computes: p * prod(n_i + 1)."""
     return spec.p * math.prod(ni + 1 for ni in n)
+
+
+def _log2_rising(a: int, b: int, count: int) -> float:
+    """log2 |t (t+1) ... (t+count-1)| for t = a/b off {0, -1, -2, ...}, b > 0.
+
+    That is log2 |Gamma(t+count) / Gamma(t)|, from two log-gammas.  Past
+    |t| = 2**40, where their difference loses its bits, or where t sits
+    within float precision of a pole, it is bounded above by
+    count * log2(|t| + count) instead.
+    """
+    if abs(a) < b << 40:
+        t = a / b
+        try:
+            return (math.lgamma(t + count) - math.lgamma(t)) / math.log(2)
+        except ValueError:
+            pass
+    return count * (math.log2(abs(a) + count * b) - math.log2(b))
+
+
+def fill_bits(spec, corner: Sequence[int]) -> int:
+    """The bits of the table a recurrence fill up to `corner` scales.
+
+    The table holds prod(n_i + 1) numerators over E_0(top), top = |corner|
+    (see `nestedsums.RecurrenceEvaluator`), so this is prod(n_i + 1) times
+    the ceiling of
+
+        log2 |E_0(top)| = top log2 D_0
+                          + sum_l [(top+1) log2 b_l + log2 |Gamma(top+1+t_l) / Gamma(t_l)|],
+
+    D_0 the lcm of every x-denominator and t_l = a_l/b_l: O(p) float
+    operations, within one bit of `abs(E_0(top)).bit_length()` per cell.
+    """
+    top = sum(corner)
+    bits = top * math.log2(math.lcm(*[x.denominator for block in spec.xblocks for x in block]))
+    for t in spec.tparams:
+        a, b = t.numerator, t.denominator
+        bits += (top + 1) * math.log2(b) + _log2_rising(a, b, top + 1)
+    return math.prod([ni + 1 for ni in corner]) * math.ceil(bits)
 
 
 def difference_subtractions(shape: Sequence[int], orders: Sequence[int]) -> int:
@@ -134,7 +173,9 @@ def check_sweep_summands(spec, box: Sequence[int], guard: int) -> None:
 
 
 def check_cells(spec, corner: Sequence[int], guard: int) -> None:
+    """A recurrence fill has at most `guard` cells and scales at most NUMERATOR_TABLE_MAX_BITS bits."""
     check_guard("recurrence cell count", recurrence_cell_count(spec, corner), guard)
+    check_guard("recurrence fill bits", fill_bits(spec, corner), NUMERATOR_TABLE_MAX_BITS)
 
 
 def check_subtractions(shape: Sequence[int], orders: Sequence[int], guard: int) -> None:

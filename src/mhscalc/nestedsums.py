@@ -30,9 +30,12 @@ Two independent evaluation routes are provided:
 
   over the whole box below n, turning the exponential chain count into
   O(p * prod(n_i + 1) * r) steps.  The steps run on integers: level l
-  stores the numerators of c over one known denominator E_l(|m|) per
-  (level, |m|) (see `RecurrenceEvaluator`), so no gcd runs in the loop and
-  each value read costs one Fraction.
+  stores the numerators of c over one known denominator
+  E_l(|m|) = D_l^|m| Q_l(|m|) per (level, |m|), D_l the lcm of the
+  x-denominators of levels l..p-1 (see `RecurrenceEvaluator`), so no gcd
+  runs in the loop and each value read costs one Fraction.  The fill walks
+  the box one row of the last axis at a time, the earlier slots' terms as
+  C-level maps over earlier rows.
 
 The single-slot sums `kt_value` and the two-slot sums `two_index_value`
 have their own classical coefficient normalizations; both must (and are
@@ -340,34 +343,46 @@ class RecurrenceEvaluator:
 
     Level l = 0..L (L = p-1) is the spec with the first l components of
     every block dropped, so level L is the monomial prod_k x_{k,L}^{m_k}.
-    Write d_l for the lcm of the denominators of x_{k,l} over k and
-    t_l = a_l/b_l (b_l > 0).  The denominator of c(l, m) divides, with
-    s = |m|,
+    Write D_l for the lcm of the denominators of the x_{k,l'} over every
+    slot k and level l' >= l, and t_l = a_l/b_l (b_l > 0).  The denominator
+    of c(l, m) divides, with s = |m|,
 
-        E_L(s) = d_L^s,   E_l(s) = d_l^s * P_l(s) * E_{l+1}(s),
-        P_l(s) = prod_{u=0}^{s} (b_l u + a_l),
+        E_l(s) = D_l^s * Q_l(s),   Q_l(s) = prod_{l' >= l} P_l'(s),
+        P_l(s) = prod_{u=0}^{s} (b_l u + a_l) (l < L),   P_L(s) = 1,
 
     where no factor b_l u + a_l is zero because t_l is not in {0, -1, ...}.
     The fill computes the integer numerators N(l, m) = c(l, m) E_l(s):
 
-        N(l, m) = b_l R_{l+1}(s) sum_k (d_l x_{k,l}) m_k N(l, m - e_k)
-                  + G_l(s) N(l+1, m),
+        N(l, m) = H_l(s) sum_k (D_l x_{k,l}) m_k N(l, m - e_k) + G_l(s) N(l+1, m),
 
-    with R_l(s) = E_l(s)/E_l(s-1) = d_l (b_l s + a_l) R_{l+1}(s),
-    R_L(s) = d_L, and G_l(s) = b_l d_l^s P_l(s-1), all tabulated per s, so
-    no gcd runs inside the loop.  Each level is one flat list in the
-    row-major order of `_points` and only two are alive at a time.  The
-    level-0 numerators of the box are kept.  `value` reads one Fraction (one
-    gcd), N(0, m) / E_0(|m|); `table` builds none: it scales every numerator
-    to E_0(top), top the largest |m| of its box, since E_0(s) divides
-    E_0(s + 1), and moves the sign into the numerators when E_0(top) < 0.
+    with H_l(s) = b_l Q_{l+1}(s)/Q_{l+1}(s-1) and
+    G_l(s) = b_l (D_l/D_{l+1})^s P_l(s-1), all ints tabulated per s, so no
+    gcd runs inside the loop.
+
+    Each level is one flat list in the row-major order of `_points`, and
+    only two are alive at a time.  The fill walks a level one row of the
+    last axis at a time.  Along a row the entries m_k of the earlier slots
+    are constant, so their terms, read from earlier rows, are C-level maps
+    of the constants (D_l x_{k,l}) m_k over slices, summed into c.  The
+    last slot's term reads the cell just filled, so each row runs one
+    loop, value = H_l(s) (c + (D_l x_{r,l}) m_r value) + G_l(s) N(l+1, m).
+    Level L is built row by row as a scalar times the powers of the last
+    slot.
+
+    The level-0 numerators of the box are kept.  `value` reads one Fraction
+    (one gcd), N(0, m) / E_0(|m|); `table` builds none: it scales every
+    numerator to E_0(top), top the largest |m| of its box, since E_0(s)
+    divides E_0(s + 1), and moves the sign into the numerators when
+    E_0(top) < 0.
 
     An evaluator holds one fill of one box.  The first `value(n)` or
     `table(extents)` fills the box below its corner, after checking that
-    the fill's cell count (`guards.recurrence_cell_count` of its corner) is at
-    most `guard`, and raises GuardExceeded otherwise.  Later reads must lie
-    in that box: a `value` outside it, or a `table` of any other box,
-    raises ValueError and leaves the fill as it was.
+    the fill's cell count (`guards.recurrence_cell_count` of its corner) is
+    at most `guard` and that the table it scales holds at most
+    `guards.NUMERATOR_TABLE_MAX_BITS` bits (`guards.fill_bits`), and raises
+    GuardExceeded otherwise.  Later reads must lie in that box: a `value`
+    outside it, or a `table` of any other box, raises ValueError and leaves
+    the fill as it was.
     """
 
     def __init__(self, spec: NestedSumSpec, guard: int = DEFAULT_GUARD):
@@ -408,10 +423,8 @@ class RecurrenceEvaluator:
         denominator = self._denominators[top]
         sign = -1 if denominator < 0 else 1
         scales = [sign * denominator // e for e in self._denominators[:top + 1]]
-        scaled = tuple(
-            numerator * scales[sum(m)]
-            for numerator, m in zip(self._numerators, _points(extents))
-        )
+        sums = map(sum, _points(extents))
+        scaled = tuple(map(operator.mul, self._numerators, map(scales.__getitem__, sums)))
         return MultiSequenceTable._trusted(tuple(extents), scaled, sign * denominator)
 
     def _fill(self, corner: Index) -> None:
@@ -419,45 +432,64 @@ class RecurrenceEvaluator:
         spec = self.spec
         last = spec.p - 1
         top = sum(corner)
-        strides = [1] * spec.r
-        for k in range(spec.r - 2, -1, -1):
-            strides[k] = strides[k + 1] * (corner[k + 1] + 1)
-        points = _points([c + 1 for c in corner])
-        sums = list(map(sum, points))
-        coords = [[m[k] for m in points] for k in range(spec.r)]
-        # per level l: d_l and the integers d_l * x_{k,l} per slot
-        columns = [common_denominator(column) for column in zip(*spec.xblocks)]
+        width = corner[-1] + 1
+        # the rows of the last axis in the order of `_points`: the entries
+        # m_k of the slots before the last, and how many rows back a step
+        # in slot k lies
+        leads = _points([c + 1 for c in corner[:-1]])
+        backs = [math.prod(c + 1 for c in corner[k + 1:-1]) for k in range(spec.r - 1)]
+        # per level l: D_l, the lcm of the denominators of levels l..L, and
+        # the integers D_l * x_{k,l} per slot
+        columns = list(zip(*spec.xblocks))
+        lcms = list(itertools.accumulate(
+            (math.lcm(*(x.denominator for x in column)) for column in reversed(columns)),
+            math.lcm,
+        ))[::-1]
+        ys = [[x.numerator * (lcm // x.denominator) for x in column]
+              for lcm, column in zip(lcms, columns)]
 
-        # level L: N(L, m) = prod_k (d_L x_{k,L})^{m_k}
-        d, ys = columns[last]
-        powers = [[y**j for j in range(c + 1)] for y, c in zip(ys, corner)]
-        numerators = [math.prod(values) for values in itertools.product(*powers)]
-        ratio = [d] * (top + 1)  # R_{l+1}(s), here R_L(s)
+        # level L: N(L, m) = prod_k (D_L x_{k,L})^{m_k}, per row a scalar
+        # times the powers of the last slot
+        *lead_ys, last_y = ys[last]
+        powers = [[y**j for j in range(c + 1)] for y, c in zip(lead_ys, corner)]
+        last_powers = [last_y**j for j in range(width)]
+        numerators = []
+        for scalar in map(math.prod, itertools.product(*powers)):
+            numerators.extend(map(scalar.__mul__, last_powers))
+        ratio = [1] * (top + 1)  # Q_{l+1}(s) / Q_{l+1}(s-1), here Q_L = 1
         for level in range(last - 1, -1, -1):
-            d, ys = columns[level]
+            *lead_ys, last_y = ys[level]
             a, b = spec.tparams[level].numerator, spec.tparams[level].denominator
-            head = [b * rs for rs in ratio]  # b_l R_{l+1}(s)
+            step = lcms[level] // lcms[level + 1]
+            head = [b * q for q in ratio]  # H_l(s)
             tail = [b]  # G_l(s)
             for s in range(1, top + 1):
-                tail.append(tail[-1] * d * (b * (s - 1) + a))
-            terms = [
-                ([y * mk for mk in coords[k]], strides[k])
-                for k, y in enumerate(ys)
-                if y
-            ]
-            below, numerators = numerators, [0] * len(points)
-            for flat, s in enumerate(sums):
-                acc = 0
-                for coefficients, stride in terms:
-                    coefficient = coefficients[flat]
-                    if coefficient:
-                        acc += coefficient * numerators[flat - stride]
-                numerators[flat] = head[s] * acc + tail[s] * below[flat]
-            ratio = [d * (b * s + a) * rs for s, rs in enumerate(ratio)]
-        # E_0(0) = prod_l a_l, E_0(s) = E_0(s-1) R_0(s)
+                tail.append(tail[-1] * step * (b * (s - 1) + a))
+            last_terms = [last_y * j for j in range(width)]  # D_l x_{r,l} m_r along a row
+            zeros = [0] * width
+            below, numerators = numerators, []
+            append = numerators.append
+            for row, lead in enumerate(leads):
+                start, s = row * width, sum(lead)
+                # the earlier slots' terms, read from earlier rows: along a
+                # row their coefficients D_l x_{k,l} m_k are constant
+                cross = zeros
+                for y, mk, back in zip(lead_ys, lead, backs):
+                    if y and mk:
+                        earlier = (row - back) * width
+                        term = map((y * mk).__mul__, numerators[earlier:earlier + width])
+                        cross = map(operator.add, cross, term)
+                # the last slot's term reads the cell just filled
+                value = 0
+                for h, c, ym, g, n in zip(head[s:s + width], cross, last_terms, tail[s:s + width],
+                                          below[start:start + width]):
+                    value = h * (c + ym * value) + g * n
+                    append(value)
+            ratio = [(b * s + a) * q for s, q in enumerate(ratio)]
+        # E_0(0) = prod_l a_l, E_0(s) = E_0(s-1) D_0 Q_0(s) / Q_0(s-1)
         denominators = [math.prod(t.numerator for t in spec.tparams)]
         for s in range(1, top + 1):
-            denominators.append(denominators[-1] * ratio[s])
+            denominators.append(denominators[-1] * lcms[0] * ratio[s])
         self._corner = corner
         self._numerators = numerators
         self._denominators = denominators

@@ -190,15 +190,16 @@ def test_recurrence_fill_guard_exit_code(capsys):
 
 
 def test_recurrence_sweep_guard_exit_code(capsys):
-    # the corner's 100000 summands and the fill's 200000 cells pass the
-    # default guard; the sweep's points list C(100001, 2) summands in all
+    # the corner's 4472 summands, the fill's 8944 cells and the 265,440,032
+    # bits of its table pass the default guards; the sweep's points list
+    # C(4473, 2) summands in all
     start = time.perf_counter()
     code, out, err = run(
-        capsys, "verify", "--identity=recurrence", "--x=1/2,1/3", "--t=2", "--box=100000"
+        capsys, "verify", "--identity=recurrence", "--x=1/2,1/3", "--t=2", "--box=4472"
     )
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
-    assert err.endswith("sweep summand count: 5000050000 exceeds guard 10000000\n")
+    assert err.endswith("sweep summand count: 10001628 exceeds guard 10000000\n")
 
 
 def test_difference_formula_fill_guard_exit_code(capsys):
@@ -416,24 +417,58 @@ def test_sweep_flag_below_its_floor_exit_code(capsys, flags, message):
     assert err.startswith(f"error: {message}, got ")
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
-def test_out_of_memory_exit_code():
-    # the address-space cap is set in a child process, so it binds only that run
+def run_capped(argv, headroom):
+    """Run the CLI in a child process whose address space may grow by `headroom` bytes.
+
+    The cap is set in the child after its imports, so it binds only that
+    run; returns the finished process and its wall time in seconds.
+    """
     child = (
         "import resource, sys\n"
         "from mhscalc.cli import main\n"
+        "with open('/proc/self/statm') as statm:\n"
+        "    size = int(statm.read().split()[0]) * resource.getpagesize()\n"
         "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (2**28, hard))\n"
-        "sys.exit(main(['c', '--x', '1/3', '--n', '200000', '--method', 'recursive']))\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, (size + {headroom}, hard))\n"
+        f"sys.exit(main({list(argv)!r}))\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120
     )
+    return done, time.perf_counter() - start
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_out_of_memory_exit_code():
+    # every guard passes (the table's 209,860,452 bits are under 2^28), but
+    # the fill's two levels and denominators need some 35 MB, over a 16 MiB
+    # headroom
+    argv = ["c", "--x=1/3,1/2", "--t=1", "--n=4000", "--method=recursive"]
+    done, _ = run_capped(argv, 2**24)
     assert done.returncode == 3 and done.stdout == ""
     assert done.stderr.startswith("error: out of memory") and "Traceback" not in done.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("argv, bits", [
+    # depth 1 at x = 1/3: 200,001 cells pass, but the table over 3^200000
+    # would hold 6.3 * 10^10 bits; it ran out of 2 GB after 3.8 s
+    (("c", "--x=1/3", "--n=200000", "--method=recursive"), 63398916993),
+    # both fills of the box hold 35,000 numerators over 3^34999; the
+    # transform of one ran past 40 s
+    (("verify", "--identity=c-duality", "--x=1/3", "--box=35000"), 1941555000),
+    # the fill's table over E_0(99999) trips before the sweep's summands
+    (("verify", "--identity=recurrence", "--x=1/2,1/3", "--t=2", "--box=100000"), 177521500000),
+])
+def test_fill_bits_guard_exits_at_once(argv, bits):
+    done, seconds = run_capped(argv, 2**31)
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == f"error: recurrence fill bits: {bits} exceeds guard {2**28}\n"
+    assert seconds < 1
 
 
 def test_memory_error_exit_code(capsys, monkeypatch):
@@ -901,12 +936,16 @@ def test_values_past_the_digit_limit_are_printed(capsys):
     assert (code, err) == (0, "")
     assert len(out) > sys.get_int_max_str_digits()
     assert _parse_exact(out.strip()) == mhs.mhs_value(MultiIndex((1, 1)), 10500)
+    # a denominator of 5,998 digits from a fill whose table holds
+    # 28,482,454 bits, under the 2^28 fill guard
     code, out, err = run(
-        capsys, "c", "--x=1/3,1/2", "--t=1", "--n=9000", "--method=recursive", "--format=json"
+        capsys, "c", "--x=1/997,1/991", "--t=1", "--n=1000", "--method=recursive", "--format=json"
     )
     assert (code, err) == (0, "")
-    spec = nestedsums.NestedSumSpec.parse("1/3,1/2", "1")
-    assert _parse_exact(json.loads(out)["value"]) == nestedsums.c_recursive(spec, (9000,))
+    text = json.loads(out)["value"]
+    assert max(map(len, text.split("/"))) > sys.get_int_max_str_digits()
+    spec = nestedsums.NestedSumSpec.parse("1/997,1/991", "1")
+    assert _parse_exact(text) == nestedsums.c_recursive(spec, (1000,))
 
 
 def test_depth_one_value_needs_one_summand(capsys):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mhscalc import nestedsums
 from mhscalc.guards import GuardExceeded, chain_count, direct_summand_count, recurrence_cell_count
-from mhscalc.guards import sweep_summand_count
+from mhscalc.guards import NUMERATOR_TABLE_MAX_BITS, fill_bits, sweep_summand_count
 from mhscalc.kernel import common_denominator, format_rational, gen_binomial, gen_binomial_pair
 from mhscalc.kernel import multinomial
 from mhscalc.mhs import verify_mhs_duality
@@ -866,6 +866,109 @@ def test_recurrence_table_equals_value_at_every_point(xtext, ttext):
     assert table.denominator > 0
     for m in itertools.product(*map(range, box)):
         assert table[m] == evaluator.value(m) == c_direct(spec, m)
+
+
+@st.composite
+def row_fill_cases(draw):
+    """r = 1..3 and p = 1..4, zero x entries in any column, and rows of width 1.
+
+    The fill walks rows of the last axis: a last extent of 1 gives rows of
+    one cell, and a zero x_{k,l} drops slot k's term at level l.
+    """
+    r, p = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    xblocks = [[draw(fill_x) for _ in range(p)] for _ in range(r)]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, r - 1), st.integers(0, p - 1)),
+                              max_size=r * p)):
+        xblocks[i][j] = F(0)
+    tparams = tuple(draw(fill_t) for _ in range(p - 1))
+    extents = tuple(draw(st.integers(1, 4)) for _ in range(r - 1))
+    extents += (draw(st.one_of(st.just(1), st.integers(1, 5))),)
+    return NestedSumSpec(tuple(map(tuple, xblocks)), tparams), extents
+
+
+@settings(max_examples=120, deadline=None)
+@given(row_fill_cases())
+@example((NestedSumSpec(((F(1, 2), F(-2, 3), F(5, 7)), (F(1, 3), F(3, 4), F(-1, 5)),
+                        (F(2), F(1, 9), F(-3, 8))), (F(-5, 9), F(7, 2))), (3, 4, 1)))
+@example((NestedSumSpec(((F(0), F(1, 2)), (F(2, 3), F(0)), (F(-1, 4), F(5))), (F(3, 2),)),
+          (3, 2, 4)))
+@example((NestedSumSpec(((F(1, 3), F(-1, 2), F(0), F(4)),), (F(-7, 2), F(1, 5), F(2))), (1,)))
+@example((NestedSumSpec(((F(0),) * 4, (F(1, 6), F(0), F(-2), F(1, 4))), (F(1, 2),) * 3),
+          (4, 1)))
+def test_row_fill_matches_reference_fill(case):
+    # the examples pin rows of width 1 at r = 3, a zero column at each
+    # level, a one-point box at p = 4 and a slot whose x are all zero
+    spec, extents = case
+    corner = tuple(e - 1 for e in extents)
+    reference = reference_fill(spec, corner)
+    evaluator = RecurrenceEvaluator(spec)
+    table = evaluator.table(extents)
+    assert dict(zip(itertools.product(*map(range, extents)), table.values)) == reference
+    assert evaluator.memo_entries == recurrence_cell_count(spec, corner)
+    assert all(evaluator.value(m) == value for m, value in reference.items())
+
+
+def test_fill_denominator_bits_are_pinned():
+    # every level shares the denominators 2, 3 and 6: E_0(top) holds D_0^top
+    # = 6^top once, where a product of each level's lcm held 6^(3 top) in
+    # 702 bits
+    spec = NestedSumSpec.parse("1/6,1/2,1/3;1/3,1/6,1/2", "5/2,-1/3")
+    table = RecurrenceEvaluator(spec).table((20, 20))
+    assert table.denominator.bit_length() == 506
+    assert fill_bits(spec, (19, 19)) == 400 * 506
+
+
+@settings(max_examples=80, deadline=None)
+@given(fill_cases())
+def test_fill_bits_estimate_the_table_within_a_bit_per_cell(case):
+    spec, extents = case
+    table = RecurrenceEvaluator(spec).table(extents)
+    cells = len(table.values)
+    measured = cells * table.denominator.bit_length()
+    assert abs(fill_bits(spec, tuple(e - 1 for e in extents)) - measured) <= cells
+
+
+def test_fill_bits_guard_refuses_corners_past_any_float(monkeypatch):
+    # (10^300 + 1) cells times ceil(10^300 log2 3) bits: the product is an
+    # int, where the float product would overflow
+    spec = NestedSumSpec.parse("1/3,1/2", "1")
+    monkeypatch.setattr(nestedsums, "_points", _refuse)
+    with pytest.raises(GuardExceeded) as info:
+        c_recursive(spec, (10**300,), guard=10**400)
+    assert info.value.what == "recurrence fill bits"
+    assert info.value.size > 10**600
+
+
+@pytest.mark.parametrize("t, exact", [
+    (F(2**60) + F(1, 3), True),  # past 2^40: (top + 1) log2(|t| + top), near exact
+    (-F(2**60) - F(1, 2), True),
+    (F(10**400, 7), True),  # past any float
+    (F(-1, 10**30), True),  # log-gamma near its pole at 0, still exact in floats
+    (F(-3) + F(1, 10**20), False),  # a float pole: bounded above instead
+    (F(1, 10**400), False),
+])
+def test_fill_bits_on_shifts_floats_cannot_hold(t, exact):
+    spec = NestedSumSpec(((F(1, 2), F(2, 3)),), (t,))
+    for extent in (6, 40):
+        table = RecurrenceEvaluator(spec).table((extent,))
+        measured = extent * table.denominator.bit_length()
+        estimate = fill_bits(spec, (extent - 1,))
+        assert estimate >= measured - extent
+        assert estimate <= measured if exact else estimate >= measured
+
+
+def test_fill_bits_guard_boundary(monkeypatch):
+    # x = 1/2 at depth 1: E_0(n) = 2^n, so the table below n holds
+    # (n + 1) * n bits; n = 16383 is the last n at or under 2^28
+    spec = NestedSumSpec.parse("1/2")
+    assert fill_bits(spec, (16383,)) == 16383 * 16384 <= NUMERATOR_TABLE_MAX_BITS
+    assert fill_bits(spec, (16384,)) == 16384 * 16385 > NUMERATOR_TABLE_MAX_BITS
+    assert c_recursive(spec, (16383,)) == F(1, 2**16383)
+    monkeypatch.setattr(nestedsums, "_points", _refuse)
+    with pytest.raises(GuardExceeded) as info:
+        c_recursive(spec, (16384,))
+    assert (info.value.what, info.value.size) == ("recurrence fill bits", 16384 * 16385)
+    assert info.value.limit == NUMERATOR_TABLE_MAX_BITS
 
 
 # --- identity verifiers ----------------------------------------------------------
