@@ -93,6 +93,10 @@ def fill_bits(spec, corner: Sequence[int]) -> int:
 
     D_0 the lcm of every x-denominator and t_l = a_l/b_l: O(p) float
     operations, within one bit of `abs(E_0(top)).bit_length()` per cell.
+    E_0 is the level-0 denominator whatever the levels below keep.  The
+    fill keeps each level below the last over E_0 up to small linear
+    factors and holds two levels at once, the one it fills and the one it
+    reads, so it holds up to about twice the bits estimated here.
     """
     top = sum(corner)
     bits = top * math.log2(math.lcm(*[x.denominator for block in spec.xblocks for x in block]))

@@ -30,12 +30,14 @@ Two independent evaluation routes are provided:
 
   over the whole box below n, turning the exponential chain count into
   O(p * prod(n_i + 1) * r) steps.  The steps run on integers: level l
-  stores the numerators of c over one known denominator
-  E_l(|m|) = D_l^|m| Q_l(|m|) per (level, |m|), D_l the lcm of the
-  x-denominators of levels l..p-1 (see `RecurrenceEvaluator`), so no gcd
-  runs in the loop and each value read costs one Fraction.  The fill walks
-  the box one row of the last axis at a time, the earlier slots' terms as
-  C-level maps over earlier rows.
+  stores the numerators of c over one known denominator F_l(|m|) per
+  (level, |m|), and every level below the monomial one shares E_0(|m|),
+  the level-0 denominator, up to a product of small linear factors (see
+  `RecurrenceEvaluator`).  So no gcd runs in the loop, the only products
+  of two big integers are the monomials of level p-1 times one tail factor
+  each, and each value read costs one Fraction.  The fill walks the box
+  one row of the last axis at a time, the earlier slots' terms as C-level
+  maps over earlier rows.
 
 The single-slot sums `kt_value` and the two-slot sums `two_index_value`
 have their own classical coefficient normalizations; both must (and are
@@ -343,29 +345,40 @@ class RecurrenceEvaluator:
 
     Level l = 0..L (L = p-1) is the spec with the first l components of
     every block dropped, so level L is the monomial prod_k x_{k,L}^{m_k}.
-    Write D_l for the lcm of the denominators of the x_{k,l'} over every
-    slot k and level l' >= l, and t_l = a_l/b_l (b_l > 0).  The denominator
-    of c(l, m) divides, with s = |m|,
+    Write t_l = a_l/b_l (b_l > 0), s = |m|, D_0 for the lcm of the
+    denominators of every x, D_L for that of level L's, and
 
-        E_l(s) = D_l^s * Q_l(s),   Q_l(s) = prod_{l' >= l} P_l'(s),
-        P_l(s) = prod_{u=0}^{s} (b_l u + a_l) (l < L),   P_L(s) = 1,
+        P_l(s) = prod_{u=0}^{s} (b_l u + a_l)   (l < L),
 
-    where no factor b_l u + a_l is zero because t_l is not in {0, -1, ...}.
-    The fill computes the integer numerators N(l, m) = c(l, m) E_l(s):
+    where no factor b_l u + a_l is zero at u >= 0 because t_l is not in
+    {0, -1, ...}.  Level L stores the integers
+    N(L, m) = prod_k (D_L x_{k,L})^{m_k} = c(L, m) D_L^s, and each level
+    l < L the integer numerators N(l, m) = c(l, m) F_l(s) over
 
-        N(l, m) = H_l(s) sum_k (D_l x_{k,l}) m_k N(l, m - e_k) + G_l(s) N(l+1, m),
+        F_l(s) = D_0^s prod_{l' < L} P_l'(s-1) prod_{l <= l' < L} (b_l' s + a_l').
 
-    with H_l(s) = b_l Q_{l+1}(s)/Q_{l+1}(s-1) and
-    G_l(s) = b_l (D_l/D_{l+1})^s P_l(s-1), all ints tabulated per s, so no
-    gcd runs inside the loop.
+    F_0(s) = D_0^s prod_{l' < L} P_l'(s) is E_0(s), the denominator of
+    the level-0 values.  The fill computes
+
+        N(l, m) = H_l(s) sum_k (D_0 x_{k,l}) m_k N(l, m - e_k) + G_l(s) N(l+1, m),
+        H_l(s) = b_l prod_{l' < l} (b_l' (s-1) + a_l') prod_{l < l' < L} (b_l' s + a_l'),
+        G_l(s) = b_l  (l < L-1),
+        G_{L-1}(s) = b_{L-1} (D_0/D_L)^s prod_{l' < L} P_l'(s-1),
+
+    all ints tabulated per s, so no gcd runs inside the loop.  Neither
+    H_l(s), b_l times p - 2 linear factors, nor D_0 x_{k,l} grows with
+    the box beyond a few machine words, so the one product of two big
+    integers left is G_{L-1}(s) N(L, m), against level L's monomials.  At
+    p <= 2 this is the recurrence over E_l(s) = D_l^s prod_{l' >= l} P_l'(s)
+    term for term.
 
     Each level is one flat list in the row-major order of `_points`, and
     only two are alive at a time.  The fill walks a level one row of the
     last axis at a time.  Along a row the entries m_k of the earlier slots
     are constant, so their terms, read from earlier rows, are C-level maps
-    of the constants (D_l x_{k,l}) m_k over slices, summed into c.  The
+    of the constants (D_0 x_{k,l}) m_k over slices, summed into c.  The
     last slot's term reads the cell just filled, so each row runs one
-    loop, value = H_l(s) (c + (D_l x_{r,l}) m_r value) + G_l(s) N(l+1, m).
+    loop, value = H_l(s) (c + (D_0 x_{r,l}) m_r value) + G_l(s) N(l+1, m).
     Level L is built row by row as a scalar times the powers of the last
     slot.
 
@@ -438,15 +451,28 @@ class RecurrenceEvaluator:
         # in slot k lies
         leads = _points([c + 1 for c in corner[:-1]])
         backs = [math.prod(c + 1 for c in corner[k + 1:-1]) for k in range(spec.r - 1)]
-        # per level l: D_l, the lcm of the denominators of levels l..L, and
-        # the integers D_l * x_{k,l} per slot
-        columns = list(zip(*spec.xblocks))
-        lcms = list(itertools.accumulate(
-            (math.lcm(*(x.denominator for x in column)) for column in reversed(columns)),
-            math.lcm,
-        ))[::-1]
-        ys = [[x.numerator * (lcm // x.denominator) for x in column]
-              for lcm, column in zip(lcms, columns)]
+        # D_0, the lcm of every x-denominator, and D_L, that of level L's;
+        # the integers D_0 x_{k,l} per slot and level l < L, and D_L x_{k,L}
+        columns = [[x.as_integer_ratio() for x in column] for column in zip(*spec.xblocks)]
+        lcm_last = math.lcm(*[d for _, d in columns[last]])
+        lcm = math.lcm(lcm_last, *[d for column in columns[:last] for _, d in column])
+        ys = [[n * (lcm // d) for n, d in column] for column in columns[:last]]
+        ys.append([n * (lcm_last // d) for n, d in columns[last]])
+        # the per-s tables: lower[l][s], the product of b_l' (s-1) + a_l'
+        # over the levels l' < l, for l = 0..L and s = 0..top+1; then, in
+        # one pass over s, G_{L-1}(s) = G_{L-1}(s-1) (D_0/D_L) lower[L][s]
+        # from b_{L-1} (unread at p = 1) and E_0(s) = E_0(s-1) D_0 lower[L][s+1]
+        # from E_0(0) = lower[L][1] = prod_l a_l
+        shifts = [t.as_integer_ratio() for t in spec.tparams]
+        lower = [[1] * (top + 2)]
+        for a, b in shifts:
+            lower.append([q * (b * u + a) for u, q in enumerate(lower[-1], -1)])
+        products, step = lower[-1], lcm // lcm_last
+        tail = [shifts[-1][1] if shifts else 1]
+        denominators = [products[1]]
+        for s in range(1, top + 1):
+            tail.append(tail[-1] * step * products[s])
+            denominators.append(denominators[-1] * lcm * products[s + 1])
 
         # level L: N(L, m) = prod_k (D_L x_{k,L})^{m_k}, per row a scalar
         # times the powers of the last slot
@@ -456,23 +482,23 @@ class RecurrenceEvaluator:
         numerators = []
         for scalar in map(math.prod, itertools.product(*powers)):
             numerators.extend(map(scalar.__mul__, last_powers))
-        ratio = [1] * (top + 1)  # Q_{l+1}(s) / Q_{l+1}(s-1), here Q_L = 1
+        after = [1] * (top + 1)  # prod_{l < l' < L} (b_l' s + a_l')
         for level in range(last - 1, -1, -1):
             *lead_ys, last_y = ys[level]
-            a, b = spec.tparams[level].numerator, spec.tparams[level].denominator
-            step = lcms[level] // lcms[level + 1]
-            head = [b * q for q in ratio]  # H_l(s)
-            tail = [b]  # G_l(s)
-            for s in range(1, top + 1):
-                tail.append(tail[-1] * step * (b * (s - 1) + a))
-            last_terms = [last_y * j for j in range(width)]  # D_l x_{r,l} m_r along a row
+            b = shifts[level][1]
+            if level < last - 1:
+                a_above, b_above = shifts[level + 1]
+                after = [(b_above * s + a_above) * q for s, q in enumerate(after)]
+                tail = [b] * (top + 1)  # G_l(s) = b_l
+            head = [b * q * h for q, h in zip(lower[level], after)]  # H_l(s)
+            last_terms = [last_y * j for j in range(width)]  # D_0 x_{r,l} m_r along a row
             zeros = [0] * width
             below, numerators = numerators, []
             append = numerators.append
             for row, lead in enumerate(leads):
                 start, s = row * width, sum(lead)
                 # the earlier slots' terms, read from earlier rows: along a
-                # row their coefficients D_l x_{k,l} m_k are constant
+                # row their coefficients D_0 x_{k,l} m_k are constant
                 cross = zeros
                 for y, mk, back in zip(lead_ys, lead, backs):
                     if y and mk:
@@ -485,11 +511,6 @@ class RecurrenceEvaluator:
                                           below[start:start + width]):
                     value = h * (c + ym * value) + g * n
                     append(value)
-            ratio = [(b * s + a) * q for s, q in enumerate(ratio)]
-        # E_0(0) = prod_l a_l, E_0(s) = E_0(s-1) D_0 Q_0(s) / Q_0(s-1)
-        denominators = [math.prod(t.numerator for t in spec.tparams)]
-        for s in range(1, top + 1):
-            denominators.append(denominators[-1] * lcms[0] * ratio[s])
         self._corner = corner
         self._numerators = numerators
         self._denominators = denominators

@@ -870,12 +870,14 @@ def test_recurrence_table_equals_value_at_every_point(xtext, ttext):
 
 @st.composite
 def row_fill_cases(draw):
-    """r = 1..3 and p = 1..4, zero x entries in any column, and rows of width 1.
+    """r = 1..3 and p = 1..5, zero x entries in any column, and rows of width 1.
 
     The fill walks rows of the last axis: a last extent of 1 gives rows of
-    one cell, and a zero x_{k,l} drops slot k's term at level l.
+    one cell, and a zero x_{k,l} drops slot k's term at level l.  The head
+    H_l(s) has factors at s - 1 only at levels l >= 1 with l < p - 1, so
+    only p >= 3 reads them, and p = 5 reads them at three levels.
     """
-    r, p = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    r, p = draw(st.integers(1, 3)), draw(st.integers(1, 5))
     xblocks = [[draw(fill_x) for _ in range(p)] for _ in range(r)]
     for i, j in draw(st.lists(st.tuples(st.integers(0, r - 1), st.integers(0, p - 1)),
                               max_size=r * p)):
@@ -895,9 +897,22 @@ def row_fill_cases(draw):
 @example((NestedSumSpec(((F(1, 3), F(-1, 2), F(0), F(4)),), (F(-7, 2), F(1, 5), F(2))), (1,)))
 @example((NestedSumSpec(((F(0),) * 4, (F(1, 6), F(0), F(-2), F(1, 4))), (F(1, 2),) * 3),
           (4, 1)))
+@example((NestedSumSpec(((F(1, 2), F(2, 3), F(-5, 7), F(3, 4), F(1, 5)),),
+                       (F(3, 2), F(-7, 4), F(5, 3), F(-1, 9))), (41,)))
+@example((NestedSumSpec(((F(1, 3), F(-1, 8), F(2, 9), F(5, 6), F(2)),
+                        (F(-3, 4), F(1, 2), F(7, 9), F(-1, 6), F(-1))),
+                       (F(-5, 2), F(4, 3), F(-1, 7), F(9, 8))), (4, 1)))
+@example((NestedSumSpec(((F(1, 2), F(-4, 3), F(2, 7), F(3)), (F(5, 6), F(1, 9), F(-1), F(1, 2)),
+                        (F(-2, 5), F(3, 4), F(1, 8), F(-7))), (F(-9, 4), F(7, 5), F(-3, 2))),
+          (2, 3, 1)))
+@example((NestedSumSpec(((F(-1, 6), F(3, 8), F(4, 5), F(1, 7), F(-2, 3)),
+                        (F(2, 9), F(-5, 4), F(1, 3), F(3, 2), F(1, 3))),
+                       (F(7, 3), F(-3, 5), F(8, 7), F(-11, 2))), (2, 41)))
 def test_row_fill_matches_reference_fill(case):
-    # the examples pin rows of width 1 at r = 3, a zero column at each
-    # level, a one-point box at p = 4 and a slot whose x are all zero
+    # the examples pin rows of width 1 at r = 2 and 3, a zero column at
+    # each level, a one-point box at p = 4, a slot whose x are all zero,
+    # and, at p = 4 and 5, D_0 != D_L, every b_l > 1 with negative a_l,
+    # and rows of 41 cells
     spec, extents = case
     corner = tuple(e - 1 for e in extents)
     reference = reference_fill(spec, corner)
