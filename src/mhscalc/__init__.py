@@ -22,8 +22,6 @@ from .nestedsums import (
     c_direct,
     c_recursive,
     enumerate_chains,
-    kt_value,
-    two_index_value,
     verify_difference_formula,
     verify_duality,
     verify_recurrence,
@@ -32,7 +30,6 @@ from .nestedsums import (
 from .egf import (
     TruncatedSeries,
     F_from_sequence,
-    exp_linear,
     from_sequence,
     nabla_series,
     subst_linear,
@@ -63,15 +60,12 @@ __all__ = [
     "c_direct",
     "c_recursive",
     "enumerate_chains",
-    "kt_value",
-    "two_index_value",
     "verify_difference_formula",
     "verify_duality",
     "verify_recurrence",
     "verify_shift_identity",
     "TruncatedSeries",
     "F_from_sequence",
-    "exp_linear",
     "from_sequence",
     "nabla_series",
     "subst_linear",

@@ -12,7 +12,7 @@ operator xi, and the inversion nabla keep it (they never consult degrees
 above what they produce).  Equality compares up to the smaller bound.
 
 A series is dense: one int numerator per exponent vector of degree <= D,
-in the graded order of `exponent_vectors`, over one positive int
+in the graded order of its `_Space`, over one positive int
 denominator.  Every operator runs on that form (a sum over the lcm of the
 two denominators, a product over their product, a rational parameter over
 the lcm of its own); a Fraction is built only on reading.  A graded space
@@ -107,11 +107,6 @@ class _Space:
         return map(self.pos.__getitem__, map(step.__add__, below))
 
 
-def exponent_vectors(nvars: int, bound: int) -> list[Exponents]:
-    """Exponent vectors with total degree <= bound, graded lexicographic (see `_Space`)."""
-    return _Space(nvars, bound).vectors
-
-
 def _rational(value) -> int | Fraction:
     """An int or Fraction as it is, anything else as a Fraction."""
     return value if isinstance(value, (int, Fraction)) else Fraction(value)
@@ -123,7 +118,7 @@ class TruncatedSeries:
     _nums holds one int numerator per vector of degree <= degree_bound, by
     position in the graded list of _space (a `_Space` of bound >= the
     series' bound), over one _den > 0 not necessarily in lowest terms:
-    `coefficient` and `terms` reduce, and `==` cross-multiplies.  Positions
+    `terms` reduces, and `==` cross-multiplies.  Positions
     agree across spaces of one variable count, codes do not, so a binary
     operation reads every position from one operand's space.
     """
@@ -159,26 +154,6 @@ class TruncatedSeries:
         series.nvars, series.degree_bound, series._space = space.nvars, degree_bound, space
         series._den, series._nums = den, nums
         return series
-
-    # --- constructors ---
-
-    @classmethod
-    def zero(cls, nvars: int, degree_bound: int) -> "TruncatedSeries":
-        return cls(nvars, degree_bound)
-
-    @classmethod
-    def monomial(
-        cls, nvars: int, degree_bound: int, exponents: Sequence[int], coeff=1
-    ) -> "TruncatedSeries":
-        return cls(nvars, degree_bound, {tuple(exponents): coeff})
-
-    # --- access ---
-
-    def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        e, space = tuple(exponents), self._space
-        if len(e) != self.nvars or min(e) < 0 or sum(e) > self.degree_bound:
-            return Fraction(0)
-        return Fraction(self._nums[space.pos[space.code(e)]], self._den)
 
     def terms(self) -> Iterator[tuple[Exponents, Fraction]]:
         """(exponents, coefficient) pairs of the nonzero terms, graded lexicographic."""
@@ -351,21 +326,16 @@ def F_from_sequence(table: MultiSequenceTable, degree_bound: int) -> TruncatedSe
 
 
 def _exp_linear(coefficients: Sequence, degree_bound: int, space: _Space) -> TruncatedSeries:
-    """`exp_linear` stored by position in `space`."""
+    """Window of e^{c_1 X_1 + ... + c_m X_m}, the EGF window of n -> c^n, in `space`.
+
+    With c_i = a_i / b_i, the power c^n has numerator prod_i a_i^n_i b_i^(D - n_i)
+    over prod_i b_i^D; row i lists a_i^k b_i^(D - k) for k = 0..D.
+    """
     D, cvec = degree_bound, list(map(_rational, coefficients))
     rows = [[c.numerator**k * c.denominator ** (D - k) for k in range(D + 1)] for c in cvec]
     powers = [math.prod(map(list.__getitem__, rows, n)) for n in space.vectors[: space.sizes[D]]]
     den = math.prod(c.denominator**D for c in cvec)
     return _egf_window(space, D, den, powers)
-
-
-def exp_linear(coefficients: Sequence, degree_bound: int) -> TruncatedSeries:
-    """Window of e^{c_1 X_1 + ... + c_m X_m}, the EGF window of n -> c^n.
-
-    With c_i = a_i / b_i, the power c^n has numerator prod_i a_i^n_i b_i^(D - n_i)
-    over prod_i b_i^D; row i lists a_i^k b_i^(D - k) for k = 0..D.
-    """
-    return _exp_linear(coefficients, degree_bound, _Space(len(coefficients), degree_bound))
 
 
 def subst_linear(f: TruncatedSeries, rows: Sequence[Sequence]) -> TruncatedSeries:
@@ -509,7 +479,7 @@ def verify_operator_suite(
     form, (|e| + t_1) f_e - sum_i x_{i1} f_{e-e_i} = reduced_e with
     |e| + t_1 != 0, so it fixes f from the enumerated values and a wrong fill
     value fails it (at depth 1, `telescoped-depth-reduction` checks f
-    against exp_linear).  The series the suite builds itself (exponentials,
+    against `_exp_linear`).  The series the suite builds itself (exponentials,
     monomials, zeros, enumerated windows) share the graded spaces of f_a and
     F_a, its first windows in r and 2r variables; the public constructors
     build one per call, and an operator's result keeps its operand's.

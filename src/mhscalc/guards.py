@@ -156,13 +156,9 @@ def suite_product_pairs(degree: int, max_slots: int) -> int:
     return math.comb(degree + 2 * max_slots, 2 * max_slots) ** 2
 
 
-def check_chains(n: int, p: int, guard: int) -> None:
-    check_guard("chain count", chain_count(n, p), guard)
-
-
 def check_mhs_value(mu, n: int, guard: int) -> None:
     """The chains of `mhs_value` and, from depth 3 on, the bits of the numerators it tabulates."""
-    check_chains(n, mu.depth, guard)
+    check_guard("chain count", chain_count(n, mu.depth), guard)
     if mu.depth >= 3:
         bits = numerator_table_bits(mu, n)
         check_guard("mhs value numerator bits", bits, NUMERATOR_TABLE_MAX_BITS)
@@ -192,10 +188,6 @@ def check_mhs_table(mu, max_n: int, guard: int) -> None:
     """An `mhs_table` holds at most `guard` cells and NUMERATOR_TABLE_MAX_BITS bits."""
     check_guard("mhs table cell count", mu.depth * (max_n + 1), guard)
     check_guard("mhs table numerator bits", mhs_table_bits(mu, max_n), NUMERATOR_TABLE_MAX_BITS)
-
-
-def check_chain_pairs(n: int, k: int, p: int, guard: int) -> None:
-    check_guard("chain-pair count", chain_count(n, p) * chain_count(k, p), guard)
 
 
 def check_product_pairs(degree: int, max_slots: int, guard: int) -> None:

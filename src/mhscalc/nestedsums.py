@@ -39,10 +39,6 @@ Two independent evaluation routes are provided:
   one row of the last axis at a time, the earlier slots' terms as C-level
   maps over earlier rows.
 
-The single-slot sums `kt_value` and the two-slot sums `two_index_value`
-have their own classical coefficient normalizations; both must (and are
-verified to) coincide with `c_direct` at t = 1.
-
 Verifiers at the bottom check, on finite boxes and each over the whole box
 at once from recurrence fills, the recurrence against `direct_window` at
 every point, and with c_direct at the corner the duality (nabla c[x;t] =
@@ -62,7 +58,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterator, Sequence
 
-from .guards import DEFAULT_GUARD, check_cells, check_chain_pairs, check_chains, check_subtractions
+from .guards import DEFAULT_GUARD, check_cells, check_subtractions
 from .guards import check_summands, check_sweep_summands
 from .guards import direct_summand_count  # noqa: F401  (perfbench's tracer reads it here)
 from .kernel import common_denominator, gen_binomial_pair, multinomial, format_rational
@@ -169,14 +165,10 @@ def enumerate_chains(n: int, p: int) -> Iterator[Index]:
 
     Exactly C(n+p-1, p-1) chains are produced (`guards.chain_count`).  The
     arguments are checked at the call; only the chains themselves are lazy.
-    Callers that bound their work run `guards.check_chains` first.
+    Callers that bound their work check the count first (`guards.check_summands`,
+    `guards.check_mhs_value`).
     """
     return ((n,) + tail for tail in chain_tails(n, p))
-
-
-def _chain_steps(chain: Index) -> Index:
-    """The steps v_j = m_j - m_{j+1} of a chain, and v_p = m_p."""
-    return tuple(m - below for m, below in zip(chain, chain[1:])) + chain[-1:]
 
 
 def _check_index(spec: NestedSumSpec, n: Sequence[int]) -> Index:
@@ -225,7 +217,7 @@ def _block_chain_data(
     powers = [{v: y**v for v in exponents} for y in ys]
     data = []
     for chain in enumerate_chains(n, p):
-        nu = _chain_steps(chain)
+        nu = tuple(m - below for m, below in zip(chain, chain[1:])) + chain[-1:]  # v_p = m_p
         weight = multinomial(n, nu)
         for j in range(p):
             weight *= powers[j][nu[j]]
@@ -523,83 +515,6 @@ def c_recursive(
 ) -> Fraction:
     """One-shot recurrence evaluation: one fill of the box below n."""
     return RecurrenceEvaluator(spec, guard).value(n)
-
-
-def kt_value(
-    x: Sequence[Fraction | int],
-    n: int,
-    guard: int = DEFAULT_GUARD,
-) -> Fraction:
-    """Single-slot parametric sum with harmonic denominators.
-
-    sum over chains n = m_1 >= ... >= m_p >= 0 of
-    x_1^{m_1-m_2} ... x_{p-1}^{m_{p-1}-m_p} x_p^{m_p} / ((m_1+1)...(m_{p-1}+1)).
-
-    Coincides with c_direct at r = 1 and all shifts equal to 1; the direct
-    formula here keeps that a genuine cross-check.
-    """
-    x = tuple(Fraction(v) for v in x)
-    p = len(x)
-    if p < 1:
-        raise ValueError("need at least one parameter")
-    if n < 0:
-        raise ValueError(f"n must be a natural, got {n}")
-    check_chains(n, p, guard)
-    total = Fraction(0)
-    for chain in enumerate_chains(n, p):
-        term = Fraction(1)
-        for xj, vj in zip(x, _chain_steps(chain)):
-            term *= xj ** vj
-        denom = 1
-        for j in range(p - 1):
-            denom *= chain[j] + 1
-        total += term / denom
-    return total
-
-
-def two_index_value(
-    x: Sequence[Fraction | int],
-    y: Sequence[Fraction | int],
-    n: int,
-    k: int,
-    guard: int = DEFAULT_GUARD,
-) -> Fraction:
-    """Two-slot sum with the inverse-binomial coefficient normalization.
-
-    The coefficient is
-        C(n+k, n)^{-1} * prod_{j<p} C(v_j + w_j, v_j) * C(m_p + l_p, m_p)
-    over chain pairs (m, l), with denominators (m_j + l_j + 1) for j < p.
-    Coincides with c_direct at r = 2 and shifts equal to 1, which is exactly
-    the requirement pinning the general coefficient.
-    """
-    x = tuple(Fraction(v) for v in x)
-    y = tuple(Fraction(v) for v in y)
-    if len(x) != len(y):
-        raise ValueError("parameter vectors must share a depth")
-    p = len(x)
-    if n < 0 or k < 0:
-        raise ValueError(f"indices must be naturals, got ({n}, {k})")
-    check_chain_pairs(n, k, p, guard)
-    lead = Fraction(1, math.comb(n + k, n))
-    total = Fraction(0)
-    for m in enumerate_chains(n, p):
-        nu = _chain_steps(m)
-        xterm = Fraction(1)
-        for j in range(p):
-            xterm *= x[j] ** nu[j]
-        for l in enumerate_chains(k, p):
-            kappa = _chain_steps(l)
-            coeff = math.comb(m[-1] + l[-1], m[-1])
-            for j in range(p - 1):
-                coeff *= math.comb(nu[j] + kappa[j], nu[j])
-            term = lead * coeff * xterm
-            for j in range(p):
-                term *= y[j] ** kappa[j]
-            denom = 1
-            for j in range(p - 1):
-                denom *= m[j] + l[j] + 1
-            total += term / denom
-    return total
 
 
 # --- identity verifiers ----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Pointwise reference calculus: the oracle for the table operators.
+"""Pointwise reference calculus: the oracles for the table operators and c_direct.
 
 A sequence here is any callable from index tuples to rationals.  Each
 operator returns a new callable, memoized with `functools.cache`, so a
@@ -70,3 +70,34 @@ def tabulate(a, shape):
 def c_sequence(spec):
     """c[x|t] by chain enumeration, one `c_direct` call per point."""
     return functools.cache(lambda index: c_direct(spec, index))
+
+
+def chains(n, p):
+    """(m, v) per chain n = m_1 >= ... >= m_p >= 0, v_j = m_j - m_{j+1}, v_p = m_p.
+
+    v is the runs of 0s in a word of n 0s and p - 1 1s: no package enumerator is read."""
+    for word in itertools.product("01", repeat=n + p - 1):
+        if word.count("1") == p - 1:
+            v = tuple(map(len, "".join(word).split("1")))
+            yield tuple(n - s for s in itertools.accumulate(v[:-1], initial=0)), v
+
+
+def kt_value(x, n):
+    """c[x|1..1](n) as the classical sum over chains of prod_j x_j^v_j / prod_{j<p} (m_j + 1)."""
+    total = Fraction(0)
+    for m, v in chains(n, len(x)):
+        total += math.prod(map(pow, map(Fraction, x), v)) / math.prod(mj + 1 for mj in m[:-1])
+    return total
+
+
+def two_index_value(x, y, n, k):
+    """c[x;y|1..1](n, k) as the classical sum over chain pairs (m, v), (l, w), over C(n + k, n), of
+
+        prod_j x_j^v_j y_j^w_j C(m_p + l_p, m_p) prod_{j<p} C(v_j + w_j, v_j) / (m_j + l_j + 1)."""
+    total = Fraction(0)
+    for (m, v), (l, w) in itertools.product(chains(n, len(x)), chains(k, len(y))):
+        term = math.comb(m[-1] + l[-1], m[-1]) * math.prod(map(pow, map(Fraction, (*x, *y)), v + w))
+        for j in range(len(x) - 1):
+            term *= Fraction(math.comb(v[j] + w[j], v[j]), m[j] + l[j] + 1)
+        total += term
+    return total / math.comb(n + k, n)

@@ -27,17 +27,15 @@ from mhscalc.nestedsums import (
     NestedSumSpec,
     RecurrenceEvaluator,
     c_direct,
-    kt_value,
     random_rational,
     random_shift_configuration,
     random_spec,
-    two_index_value,
     verify_difference_formula,
     verify_duality,
     verify_shift_identity,
 )
 from mhscalc.report import render_csv
-from pointwise import delta, tabulate, zero_extension
+from pointwise import delta, kt_value, tabulate, two_index_value, zero_extension
 
 
 def failures(report):

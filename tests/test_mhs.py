@@ -19,7 +19,8 @@ from mhscalc.mhs import (
 )
 from mhscalc.guards import GuardExceeded
 from mhscalc.multiseq import MultiSequenceTable
-from mhscalc.nestedsums import chain_tails, enumerate_chains, kt_value
+from mhscalc.nestedsums import chain_tails, enumerate_chains
+from pointwise import kt_value
 
 multi_indices = st.lists(st.integers(1, 4), min_size=1, max_size=5).map(
     lambda parts: MultiIndex(tuple(parts))

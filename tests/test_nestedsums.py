@@ -25,20 +25,18 @@ from mhscalc.nestedsums import (
     chain_tails,
     direct_window,
     enumerate_chains,
-    kt_value,
     parse_shifts,
     random_rational,
     random_shift,
     random_shift_configuration,
     random_spec,
     random_table,
-    two_index_value,
     verify_difference_formula,
     verify_duality,
     verify_recurrence,
     verify_shift_identity,
 )
-from pointwise import c_sequence, iterated_delta, nabla
+from pointwise import c_sequence, iterated_delta, kt_value, nabla, two_index_value
 from reference_report import Comparison, ReferenceReport
 
 
@@ -226,32 +224,6 @@ def test_enumerate_chains_checks_at_the_call():
         enumerate_chains(2, 0)
 
 
-def _refuse_chains(n, p):
-    raise AssertionError(f"chains ({n}, {p}) listed before the guard was checked")
-
-
-def test_kt_value_chain_guard_trips_before_any_chain(monkeypatch):
-    # C(102, 2) = 5151 chains
-    monkeypatch.setattr(nestedsums, "enumerate_chains", _refuse_chains)
-    with pytest.raises(GuardExceeded) as info:
-        kt_value((1, 1, 1), 100, guard=5150)
-    assert str(info.value) == "chain count: 5151 exceeds guard 5150"
-    monkeypatch.undo()
-    # at x = 1 each m_2 adds (m_2 + 1) / ((100 + 1)(m_2 + 1)), so the sum is 1
-    assert kt_value((1, 1, 1), 100, guard=5151) == 1
-
-
-def test_two_index_chain_pair_guard_trips_before_any_chain(monkeypatch):
-    # 11 chains from 10 at depth 2 in each slot
-    monkeypatch.setattr(nestedsums, "enumerate_chains", _refuse_chains)
-    with pytest.raises(GuardExceeded) as info:
-        two_index_value((1, 2), (1, 2), 10, 10, guard=120)
-    assert str(info.value) == "chain-pair count: 121 exceeds guard 120"
-    monkeypatch.undo()
-    spec = NestedSumSpec(((F(1), F(2)), (F(1), F(2))), (F(1),))
-    assert two_index_value((1, 2), (1, 2), 10, 10, guard=121) == c_direct(spec, (10, 10))
-
-
 # --- direct evaluation ---------------------------------------------------------
 
 
@@ -307,20 +279,6 @@ def test_kt_small_values():
         assert kt_value(x, 0) == 1
     for n in range(5):
         assert kt_value((F(-2, 3),), n) == F(-2, 3) ** n
-
-
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda: kt_value((), 1), "need at least one parameter"),
-        (lambda: kt_value((1, 2), -1), "n must be a natural, got -1"),
-        (lambda: two_index_value((1,), (1, 2), 1, 1), "parameter vectors must share a depth"),
-        (lambda: two_index_value((1,), (2,), 1, -1), r"indices must be naturals, got \(1, -1\)"),
-    ],
-)
-def test_classical_sums_refuse_malformed_input(call, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        call()
 
 
 def test_kt_reduces_to_direct():

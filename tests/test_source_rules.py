@@ -13,11 +13,15 @@
   vectors) lives in one call.
 * Only `nestedsums.py` reads `combinations_with_replacement`: the package
   has one chain enumerator, `chain_tails` and `enumerate_chains` built on
-  it, and every route that walks chains (`c_direct`, `kt_value`,
-  `two_index_value`, `mhs_value`) goes through it.
+  it, and every route that walks chains (`c_direct`, `mhs_value`) goes
+  through it.
+* Every public top-level def or class, and each public method of one, is
+  read in a library module other than `__init__.py`, in `perfbench/` (a
+  word of a string counts) or in the README's Library block.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -297,3 +301,38 @@ def test_the_cache_rule_sees_a_cache():
         "f: functools.cache", "g: functools.cached_property", "h: functools.lru_cache",
         "line 15: functools.lru_cache",
     ]
+
+
+def reads(tree: ast.AST, strings: bool = False) -> set[str]:
+    """Names and attributes read in a tree; with `strings`, the words of its strings too."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(re.findall(r"\w+", node.value))
+    return found
+
+
+def public_names(tree: ast.Module):
+    """Public top-level defs and classes, and `Class.method` for a public class's public methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name
+            for method in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    yield f"{node.name}.{method.name}"
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    trees = {module: _tree(module) for module in MODULES if module != "__init__.py"}
+    read = set().union(*map(reads, trees.values()))
+    for path in SRC.parents[1].glob("perfbench/*.py"):
+        read |= reads(ast.parse(path.read_text(encoding="utf-8")), strings=True)
+    library = (SRC.parents[1] / "README.md").read_text(encoding="utf-8").split("## Library")[1]
+    read |= reads(ast.parse(library.split("```python")[1].split("```")[0]))
+    unread = [f"{module}: {name}" for module, tree in trees.items()
+              for name in public_names(tree) if name.split(".")[-1] not in read]
+    assert unread == []
