@@ -245,14 +245,25 @@ class _Identity(NamedTuple):
 
     `reads` names the sweep flags the identity reads (`_read_flags`
     refuses any other).  `cases(args)` lists the cases the flags name: an
-    explicit one, or --count drawn from Random(--seed).  `verify(args,
-    case)` checks one case and looks its verifier up in the module at call
-    time, so a patched module attribute is the one that runs.
+    explicit one, --count drawn from Random(--seed), or for mhs-duality
+    every composition of weight <= --wmax.  `verify(args, case)` checks one
+    case and looks its verifier up in the module at call time, so a patched
+    module attribute is the one that runs; `_cmd_verify` joins the reports.
     """
 
     reads: tuple[str, ...]
     cases: Callable
     verify: Callable
+
+
+def _mhs_cases(args) -> list:
+    """Multi-index cases: --mu, or every composition of weight 1..--wmax.
+
+    Weights ascend, each in `multi_indices_of_weight` order.
+    """
+    if args.mu is not None:
+        return [MultiIndex.parse(args.mu)]
+    return [mu for weight in range(1, args.wmax + 1) for mu in mhs.multi_indices_of_weight(weight)]
 
 
 def _spec_cases(args) -> list:
@@ -292,8 +303,8 @@ SPEC_FLAGS = ("x", "t", "box", "nmax", "count", "rmax", "pmax", "seed")
 IDENTITIES = {
     "mhs-duality": _Identity(
         ("mu", "wmax", "nmax"),
-        lambda args: [None if args.mu is None else [MultiIndex.parse(args.mu)]],
-        lambda args, mus: mhs.verify_mhs_duality(args.wmax, args.nmax, mus, args.guard),
+        _mhs_cases,
+        lambda args, mu: mhs.verify_mhs_duality(mu, args.nmax, args.guard),
     ),
     "c-duality": _Identity(
         SPEC_FLAGS,

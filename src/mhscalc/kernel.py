@@ -1,14 +1,14 @@
 """Exact rational kernel: combinatorial coefficients and rational (de)serialization.
 
-Every value this package returns is a `fractions.Fraction`, which already
-provides canonical reduced form (positive denominator, gcd one) and
-structural equality.  This module adds the two coefficient families the
-nested-sum machinery needs, each computed on integers and keeping no state
-between calls (the generalized binomial also as an unreduced int pair),
-the integer form of a list of rationals over one common denominator, the
-canonical text form used in reports (of a Fraction or of an int
-numerator/denominator pair), which prints values of any size, and the one
-reader of comma-separated integer lists.
+A rational is exact in one of two forms: a `fractions.Fraction` (a single
+value, as `mhs_value` and `c_direct` return it), or an int numerator over a
+positive int denominator, not necessarily reduced (tables, series,
+`direct_window` results, report rows).  This module provides the two
+coefficient families the nested-sum machinery needs, computed on integers
+with no state between calls (the generalized binomial also as an int pair);
+the int form of rationals over one common denominator; the canonical text of
+either form, at any size; and the readers of rational literals and of
+comma-separated integer lists.
 """
 
 from __future__ import annotations

@@ -36,7 +36,8 @@ prefix sums by (L/(m+1))^part, as `mhs_value` scales its chains.
 
 The duality is checked as the generalized one is: the `binomial_transform`
 of the table s_mu(0..N) against the table of s_{mu*}, with `mhs_value` of
-mu* at the corner n = N.
+mu* at the corner n = N.  `verify_mhs_duality` checks one mu per call; the
+CLI's `verify` lists the multi-indices of a sweep and joins their reports.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .guards import DEFAULT_GUARD, check_mhs_table, check_mhs_value, check_subtractions
 from .kernel import parse_integers
@@ -206,44 +207,30 @@ MHS_DUALITY_STATEMENT = "sum_{k<=n} (-1)^k C(n,k) s_mu(k) = s_{mu*}(n)"
 
 
 def verify_mhs_duality(
-    max_weight: int,
-    max_n: int,
-    mus: Sequence[MultiIndex] | None = None,
-    guard: int = DEFAULT_GUARD,
+    mu: MultiIndex, max_n: int, guard: int = DEFAULT_GUARD
 ) -> VerificationReport:
-    """Check the duality for every mu of weight <= max_weight and n <= max_n.
+    """Check the duality for one multi-index mu at every n <= max_n.
 
-    An explicit `mus` list overrides the weight sweep.  Per mu the left side
-    is `binomial_transform` of `mhs_table(mu)` and the right side
-    `mhs_table(mu*)`, except at the corner n = max_n, where it is chain
+    The left side is `binomial_transform` of `mhs_table(mu)` and the right
+    side `mhs_table(mu*)`, except at the corner n = max_n, where it is chain
     enumeration (`mhs_value`).  The corner's left side weights every table
     value of mu by a nonzero C(max_n, k), so a wrong value anywhere in the
     row fails there.
 
-    Every guard of mu is checked before any work on mu: the corner's chains
-    and bits (`mhs_value`), then each table's cells and bits (`mhs_table`),
-    then the transform's subtractions (`check_subtractions`).
+    Every guard is checked before any work: the corner's chains and bits
+    (`mhs_value`), then each table's cells and bits (`mhs_table`), then the
+    transform's subtractions (`check_subtractions`).
     """
-    if mus is None:
-        mus = [
-            mu
-            for weight in range(1, max_weight + 1)
-            for mu in multi_indices_of_weight(weight)
-        ]
-    report = VerificationReport("mhs-duality", MHS_DUALITY_STATEMENT)
-    points = [(n,) for n in range(max_n + 1)]
+    dual = dual_index(mu)
     line = (max_n + 1,)
-    for mu in mus:
-        dual = dual_index(mu)
-        check_mhs_value(dual, max_n, guard)
-        check_mhs_table(mu, max_n, guard)
-        check_mhs_table(dual, max_n, guard)
-        check_subtractions(line, line, guard)
-        corner_rhs = mhs_value(dual, max_n, guard)
-        lhs = binomial_transform(mhs_table(mu, max_n, guard)).pairs()
-        rhs = mhs_table(dual, max_n, guard).pairs()[:-1] + [corner_rhs.as_integer_ratio()]
-        part = sweep_report(
-            "mhs-duality", MHS_DUALITY_STATEMENT, f"mu={mu} mu*={dual}", points, lhs, rhs
-        )
-        report.comparisons.extend(part.comparisons)
-    return report
+    check_mhs_value(dual, max_n, guard)
+    check_mhs_table(mu, max_n, guard)
+    check_mhs_table(dual, max_n, guard)
+    check_subtractions(line, line, guard)
+    corner_rhs = mhs_value(dual, max_n, guard)
+    lhs = binomial_transform(mhs_table(mu, max_n, guard)).pairs()
+    rhs = mhs_table(dual, max_n, guard).pairs()[:-1] + [corner_rhs.as_integer_ratio()]
+    points = [(n,) for n in range(max_n + 1)]
+    return sweep_report(
+        "mhs-duality", MHS_DUALITY_STATEMENT, f"mu={mu} mu*={dual}", points, lhs, rhs
+    )

@@ -59,9 +59,9 @@ class VerificationReport:
     """All comparisons from one verification run, one `Row` each.
 
     `statement` is the identity being checked, written as a formula; it
-    heads the text rendering and is embedded in the JSON envelope.  Another
-    report's checks join this one by
-    `report.comparisons.extend(part.comparisons)`.
+    heads the text rendering and is embedded in the JSON envelope.  A library
+    verifier reports one case; the CLI's `_cmd_verify` alone joins a sweep's
+    reports, extending the first one's `comparisons` in case order.
     """
 
     def __init__(self, identity: str, statement: str, comparisons: list[Row] | None = None):

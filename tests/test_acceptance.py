@@ -70,9 +70,11 @@ def test_criterion_1_mhs_duality():
         }
         for parts, dual_parts in known.items():
             assert dual_index(MultiIndex(parts)).parts == dual_parts
-        report = verify_mhs_duality(max_weight=6, max_n=8)
-        assert report.ok, failures(report)[:3]
-        return f"{len(report.comparisons)} exact identities"
+        mus = [mu for weight in range(1, 7) for mu in multi_indices_of_weight(weight)]
+        rows = [row for mu in mus for row in verify_mhs_duality(mu, max_n=8).comparisons]
+        assert all(row[-1] for row in rows), [row for row in rows if not row[-1]][:3]
+        assert len(rows) == 63 * 9  # compositions of weight <= 6, n <= 8
+        return f"{len(rows)} exact identities"
 
     _run(1, "binomial-transform duality of harmonic sums, weight <= 6, n <= 8", 10, body)
 

@@ -849,6 +849,16 @@ def test_every_read_flag_is_read(capsys, monkeypatch, identity, flag):
     assert calls
 
 
+def test_mhs_duality_cases_are_the_compositions_by_weight(capsys, monkeypatch):
+    calls = _stub_verifiers(monkeypatch)
+    assert run(capsys, "verify", "--identity=mhs-duality", "--wmax=4", "--nmax=2")[0] == 0
+    mus = [mu for weight in range(1, 5) for mu in mhs.multi_indices_of_weight(weight)]
+    assert len(mus) == 15 and [call[:2] for call in calls] == [(mu, 2) for mu in mus]
+    calls.clear()
+    assert run(capsys, "verify", "--identity=mhs-duality", "--mu=(2,1)")[0] == 0
+    assert [call[:2] for call in calls] == [(MultiIndex((2, 1)), 3)]
+
+
 @pytest.mark.parametrize("identity, flag", [
     (identity, flag) for identity, reads in IDENTITY_READS.items() for flag in sorted(reads & NEEDS_X)
 ])

@@ -109,11 +109,16 @@ def test_dual_is_weight_preserving_involution(mu):
     assert dual_index(dual) == mu
 
 
+def _duality_rows(mus, max_n):
+    """The rows of `verify_mhs_duality` for each mu, joined in order as the CLI joins them."""
+    return [row for mu in mus for row in verify_mhs_duality(mu, max_n).comparisons]
+
+
 def test_mhs_duality_report_values():
     mus = [MultiIndex(parts) for parts in [(2,), (1,), (2, 1), (3,), (1, 2, 3)]]
-    report = verify_mhs_duality(0, 2, mus=mus)
-    assert report.ok and len(report.comparisons) == 5 * 3
-    values = {(label, index): F(ln, ld) for _, label, index, ln, ld, *_ in report.comparisons}
+    rows = _duality_rows(mus, 2)
+    assert all(row[7] for row in rows) and len(rows) == 5 * 3
+    values = {(label, index): F(ln, ld) for _, label, index, ln, ld, *_ in rows}
     assert values["mu=(2) mu*=(1,1)", (1,)] == F(3, 4) == mhs_value(MultiIndex((1, 1)), 1)
     for label in ["mu=(1) mu*=(1)", "mu=(2,1) mu*=(1,2)", "mu=(3) mu*=(1,1,1)"]:
         assert values[label, (0,)] == 1
@@ -144,8 +149,8 @@ def test_mhs_duality_fails_on_a_corrupted_value(monkeypatch):
     # the corner (chain enumeration) among them
     bad = MultiIndex((2, 1))
     _patch_table(monkeypatch, _off_by_one(bad, 2))
-    report = verify_mhs_duality(0, 4, mus=[MultiIndex((3,)), bad])
-    failed = [(label, index) for _, label, index, *_, equal in report.comparisons if not equal]
+    rows = _duality_rows([MultiIndex((3,)), bad], 4)
+    failed = [(label, index) for _, label, index, *_, equal in rows if not equal]
     assert [index for _, index in failed] == [(2,), (3,), (4,)]
     assert all(label.startswith("mu=(2,1)") for label, _ in failed)
 
@@ -153,8 +158,8 @@ def test_mhs_duality_fails_on_a_corrupted_value(monkeypatch):
 def test_mhs_duality_fails_on_a_corrupted_dual_value(monkeypatch):
     # the dual's table is the right side below the corner, point by point
     _patch_table(monkeypatch, _off_by_one(MultiIndex((1, 2)), 2))
-    report = verify_mhs_duality(0, 4, mus=[MultiIndex((3,)), MultiIndex((2, 1))])
-    assert [(label, index) for _, label, index, *_, equal in report.comparisons if not equal] == [
+    rows = _duality_rows([MultiIndex((3,)), MultiIndex((2, 1))], 4)
+    assert [(label, index) for _, label, index, *_, equal in rows if not equal] == [
         ("mu=(2,1) mu*=(1,2)", (2,))
     ]
 
@@ -163,9 +168,9 @@ def test_mhs_duality_corner_is_chain_enumeration(monkeypatch):
     # doubling every table value keeps the transform and the dual's table in
     # agreement; only the chain-enumerated corner can catch it
     _patch_table(monkeypatch, lambda mu, values: [2 * value for value in values])
-    report = verify_mhs_duality(3, 4)
-    assert len(report.comparisons) == 7 * 5
-    assert [index for _, _, index, *_, equal in report.comparisons if not equal] == [(4,)] * 7
+    rows = _duality_rows([mu for w in range(1, 4) for mu in multi_indices_of_weight(w)], 4)
+    assert len(rows) == 7 * 5
+    assert [index for _, _, index, *_, equal in rows if not equal] == [(4,)] * 7
 
 
 def test_mhs_table_equals_chain_enumeration():
@@ -337,9 +342,9 @@ def test_mhs_value_guard_trips_before_the_table():
 
 
 def test_duality_sweep_small():
-    report = verify_mhs_duality(4, 5)
-    assert report.ok
-    assert len(report.comparisons) == 15 * 6  # compositions of weight <= 4, n <= 5
+    rows = _duality_rows([mu for w in range(1, 5) for mu in multi_indices_of_weight(w)], 5)
+    assert all(row[7] for row in rows)
+    assert len(rows) == 15 * 6  # compositions of weight <= 4, n <= 5
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from mhscalc.guards import GuardExceeded, chain_count, direct_summand_count, rec
 from mhscalc.guards import NUMERATOR_TABLE_MAX_BITS, fill_bits, sweep_summand_count
 from mhscalc.kernel import common_denominator, format_rational, gen_binomial, gen_binomial_pair
 from mhscalc.kernel import multinomial
-from mhscalc.mhs import verify_mhs_duality
+from mhscalc.mhs import multi_indices_of_weight, verify_mhs_duality
 from mhscalc.multiseq import MultiSequenceTable
 from mhscalc.nestedsums import (
     C_DUALITY_STATEMENT,
@@ -1336,7 +1336,8 @@ def test_sweeps_enumerate_chains_once_per_corner_and_read_no_table_fraction(monk
         calls.update(c_direct=0, direct_window=0)
         assert sweep().ok, identity
         assert calls == {"c_direct": c_direct_calls, "direct_window": window_calls}, identity
-    assert verify_mhs_duality(3, 4).ok
+    for weight in range(1, 4):
+        assert all(verify_mhs_duality(mu, 4).ok for mu in multi_indices_of_weight(weight))
 
 
 def pointwise_shift(spec, subset, constant, box):
