@@ -10,8 +10,8 @@ Subcommands:
 
 Exit codes: 0 all checks exact / value computed; 1 an identity comparison
 failed; 2 malformed input (a flag below its floor, --guard included, or a
-`verify` or `bench` flag the command would not read) or an unwritable
---out; 3 a work guard tripped or the run ran out of memory.
+`verify` or `bench` flag the command would not read) or an empty or
+unwritable --out; 3 a work guard tripped or the run ran out of memory.
 
 Reports are deterministic: a fixed command line (seed included) yields
 byte-identical text/JSON/CSV output.  `bench` is the exception, since its
@@ -82,7 +82,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out is not None:
         _write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
@@ -244,26 +244,28 @@ class _Identity(NamedTuple):
     """How `verify` builds and checks the cases of one identity.
 
     `reads` names the sweep flags the identity reads (`_read_flags`
-    refuses any other).  `cases(args)` lists the cases the flags name: an
-    explicit one, --count drawn from Random(--seed), or for mhs-duality
-    every composition of weight <= --wmax.  `verify(args, case)` checks one
-    case and looks its verifier up in the module at call time, so a patched
-    module attribute is the one that runs; `_cmd_verify` joins the reports.
+    refuses any other).  `cases(args)` lists the cases the flags name, each
+    its verifier's positional arguments: an explicit one, --count drawn
+    from Random(--seed), or for mhs-duality every composition of weight
+    <= --wmax.  `verifier()` reads the library verifier off its module at
+    call time, so a patched attribute is the one that runs; `_cmd_verify`
+    calls it on every case with --guard and joins the reports.
     """
 
     reads: tuple[str, ...]
     cases: Callable
-    verify: Callable
+    verifier: Callable
 
 
 def _mhs_cases(args) -> list:
-    """Multi-index cases: --mu, or every composition of weight 1..--wmax.
+    """(mu, nmax) cases: --mu, or every composition of weight 1..--wmax.
 
     Weights ascend, each in `multi_indices_of_weight` order.
     """
     if args.mu is not None:
-        return [MultiIndex.parse(args.mu)]
-    return [mu for weight in range(1, args.wmax + 1) for mu in mhs.multi_indices_of_weight(weight)]
+        return [(MultiIndex.parse(args.mu), args.nmax)]
+    weights = range(1, args.wmax + 1)
+    return [(mu, args.nmax) for weight in weights for mu in mhs.multi_indices_of_weight(weight)]
 
 
 def _spec_cases(args) -> list:
@@ -280,6 +282,11 @@ def _spec_cases(args) -> list:
     if len(box) != spec.r:
         raise ValueError(f"--box {args.box!r} must list {spec.r} extents")
     return [(spec, box)]
+
+
+def _difference_cases(args) -> list:
+    """(spec, box, kbox) cases: `_spec_cases` with --kmax + 1 orders per slot."""
+    return [(spec, box, (args.kmax + 1,) * spec.r) for spec, box in _spec_cases(args)]
 
 
 def _shift_cases(args) -> list:
@@ -301,39 +308,19 @@ def _shift_cases(args) -> list:
 SPEC_FLAGS = ("x", "t", "box", "nmax", "count", "rmax", "pmax", "seed")
 
 IDENTITIES = {
-    "mhs-duality": _Identity(
-        ("mu", "wmax", "nmax"),
-        _mhs_cases,
-        lambda args, mu: mhs.verify_mhs_duality(mu, args.nmax, args.guard),
-    ),
-    "c-duality": _Identity(
-        SPEC_FLAGS,
-        _spec_cases,
-        lambda args, case: nestedsums.verify_duality(*case, args.guard),
-    ),
+    "mhs-duality": _Identity(("mu", "wmax", "nmax"), _mhs_cases, lambda: mhs.verify_mhs_duality),
+    "c-duality": _Identity(SPEC_FLAGS, _spec_cases, lambda: nestedsums.verify_duality),
     "difference-formula": _Identity(
-        SPEC_FLAGS + ("kmax",),
-        _spec_cases,
-        lambda args, case: nestedsums.verify_difference_formula(
-            *case, (args.kmax + 1,) * case[0].r, args.guard
-        ),
+        SPEC_FLAGS + ("kmax",), _difference_cases, lambda: nestedsums.verify_difference_formula
     ),
-    "recurrence": _Identity(
-        SPEC_FLAGS,
-        _spec_cases,
-        lambda args, case: nestedsums.verify_recurrence(*case, args.guard),
-    ),
+    "recurrence": _Identity(SPEC_FLAGS, _spec_cases, lambda: nestedsums.verify_recurrence),
     "shift": _Identity(
-        SPEC_FLAGS + ("subset", "c"),
-        _shift_cases,
-        lambda args, case: nestedsums.verify_shift_identity(*case, args.guard),
+        SPEC_FLAGS + ("subset", "c"), _shift_cases, lambda: nestedsums.verify_shift_identity
     ),
     "egf-suite": _Identity(
         ("degree", "seed"),
-        lambda args: [args.seed],
-        lambda args, seed: egf.verify_operator_suite(
-            degree=args.degree, seed=seed, guard=args.guard
-        ),
+        lambda args: [(args.degree, args.seed)],
+        lambda: egf.verify_operator_suite,
     ),
 }
 
@@ -341,7 +328,8 @@ IDENTITIES = {
 def _cmd_verify(args) -> int:
     identity = IDENTITIES[args.identity]
     _read_flags(args, VERIFY_FLAGS, identity.reads, f"--identity {args.identity}")
-    report, *rest = (identity.verify(args, case) for case in identity.cases(args))
+    verifier = identity.verifier()
+    report, *rest = (verifier(*case, guard=args.guard) for case in identity.cases(args))
     for part in rest:
         report.comparisons.extend(part.comparisons)
     return _emit_report(args, report)
@@ -505,6 +493,8 @@ def main(argv=None) -> int:
     try:
         if args.guard < 1:
             raise ValueError(f"--guard must be at least 1, got {args.guard}")
+        if args.out == "":
+            raise ValueError("--out must name a file")
         return args.handler(args)
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -93,14 +93,19 @@ class MultiIndex:
         return "(" + ",".join(str(part) for part in self.parts) + ")"
 
 
+def _composition(cuts, weight: int) -> MultiIndex:
+    """The composition of `weight` whose proper partial sums are `cuts`, ascending."""
+    bounds = (0, *cuts, weight)
+    return MultiIndex(tuple(b - a for a, b in zip(bounds, bounds[1:])))
+
+
 def multi_indices_of_weight(weight: int) -> Iterator[MultiIndex]:
     """All compositions of `weight`, in lexicographic order of cut sets."""
     if weight < 1:
         raise ValueError(f"weight must be positive, got {weight}")
     for cuts in range(weight):
         for positions in itertools.combinations(range(1, weight), cuts):
-            bounds = (0,) + positions + (weight,)
-            yield MultiIndex(tuple(b - a for a, b in zip(bounds, bounds[1:])))
+            yield _composition(positions, weight)
 
 
 def mhs_value(mu: MultiIndex, n: int, guard: int = DEFAULT_GUARD) -> Fraction:
@@ -175,23 +180,18 @@ def dual_index(mu: MultiIndex) -> MultiIndex:
     """
     w = mu.weight
     cuts = set(itertools.accumulate(mu.parts[:-1]))
-    complement = [t for t in range(1, w) if t not in cuts]
-    bounds = [0] + complement + [w]
-    return MultiIndex(tuple(b - a for a, b in zip(bounds, bounds[1:])))
+    return _composition([t for t in range(1, w) if t not in cuts], w)
 
 
 def embed_type1(mu: MultiIndex) -> tuple[int, ...]:
     """0/1 parameter vector of length weight+1 reproducing s_mu.
 
-    Per part: mu_j - 1 zeros then a one; a final zero closes the vector.
+    Entry t of 1..weight is 1 where t is a partial sum of mu, else 0 (per
+    part: mu_j - 1 zeros then a one); a final zero closes the vector.
     Feeding it to the single-slot parametric sum gives s_mu(n) for every n.
     """
-    out: list[int] = []
-    for part in mu.parts:
-        out.extend([0] * (part - 1))
-        out.append(1)
-    out.append(0)
-    return tuple(out)
+    sums = set(itertools.accumulate(mu.parts))
+    return tuple(int(t in sums) for t in range(1, mu.weight + 1)) + (0,)
 
 
 def embed_type2(mu: MultiIndex) -> tuple[int, ...]:

@@ -580,6 +580,14 @@ def test_report_out_file(tmp_path, capsys):
 REPORT_ARGV = ("verify", "--identity", "c-duality", "--x", "1/2,1/3", "--t", "2", "--nmax", "3")
 
 
+@pytest.mark.parametrize("argv", [("c", "--x=1/2", "--n=1"), REPORT_ARGV], ids=["c", "verify"])
+def test_empty_out_is_refused(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--out=")
+    assert (code, out, err) == (2, "", "error: --out must name a file\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_out_file_is_replaced_whole(tmp_path, capsys):
     _, expected, _ = run(capsys, *REPORT_ARGV)
     fresh, stale = tmp_path / "fresh.txt", tmp_path / "stale.txt"
@@ -817,15 +825,18 @@ def test_every_unread_flag_exit_code(capsys, identity, flag):
     assert err == f"error: --{flag} is not read by --identity {identity}\n"
 
 
-def _stub_verifiers(monkeypatch):
+def _record_verifier_calls(monkeypatch):
+    """Stub every verifier to record (name, args, kwargs) of each call."""
     calls = []
 
-    def stub(*args, **kwargs):
-        calls.append(args)
-        return VerificationReport("stub", "statement")
+    def recording(name):
+        def stub(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return VerificationReport("stub", "statement")
+        return stub
 
     for module, name in VERIFIERS:
-        monkeypatch.setattr(module, name, stub)
+        monkeypatch.setattr(module, name, recording(name))
     return calls
 
 
@@ -836,7 +847,7 @@ READ_CASES = [
 
 @pytest.mark.parametrize("identity, flag", READ_CASES)
 def test_every_read_flag_is_read(capsys, monkeypatch, identity, flag):
-    calls = _stub_verifiers(monkeypatch)
+    calls = _record_verifier_calls(monkeypatch)
     argv = ["verify", f"--identity={identity}", _flag(flag, VERIFY_VALUES)]
     if flag in NEEDS_X:
         argv.append(_flag("x", VERIFY_VALUES))
@@ -850,13 +861,63 @@ def test_every_read_flag_is_read(capsys, monkeypatch, identity, flag):
 
 
 def test_mhs_duality_cases_are_the_compositions_by_weight(capsys, monkeypatch):
-    calls = _stub_verifiers(monkeypatch)
+    calls = _record_verifier_calls(monkeypatch)
     assert run(capsys, "verify", "--identity=mhs-duality", "--wmax=4", "--nmax=2")[0] == 0
     mus = [mu for weight in range(1, 5) for mu in mhs.multi_indices_of_weight(weight)]
-    assert len(mus) == 15 and [call[:2] for call in calls] == [(mu, 2) for mu in mus]
+    assert len(mus) == 15 and [args for _, args, _ in calls] == [(mu, 2) for mu in mus]
     calls.clear()
     assert run(capsys, "verify", "--identity=mhs-duality", "--mu=(2,1)")[0] == 0
-    assert [call[:2] for call in calls] == [(MultiIndex((2, 1)), 3)]
+    assert [args for _, args, _ in calls] == [(MultiIndex((2, 1)), 3)]
+
+
+# Each identity's verifier, and every way its flags name cases: explicit and random.
+VERIFIER_OF = {
+    "mhs-duality": "verify_mhs_duality",
+    "c-duality": "verify_duality",
+    "difference-formula": "verify_difference_formula",
+    "recurrence": "verify_recurrence",
+    "shift": "verify_shift_identity",
+    "egf-suite": "verify_operator_suite",
+}
+REAL_VERIFIERS = {name: getattr(module, name) for module, name in VERIFIERS}
+CASE_MODES = [
+    ("mhs-duality", ("--mu=(1,2)",)),
+    ("mhs-duality", ("--wmax=2",)),
+    *[
+        (identity, flags)
+        for identity in ("c-duality", "difference-formula", "recurrence")
+        for flags in (("--x=1/2;1/2",), ("--x=1/2;1/2", "--box=2,3"), ("--count=3",))
+    ],
+    ("shift", ("--x=1/2;1/2", "--subset=1,2")),
+    ("shift", ("--count=3", "--rmax=2")),
+    ("egf-suite", ("--degree=2",)),
+]
+
+
+@pytest.mark.parametrize(
+    "identity, flags", CASE_MODES, ids=[" ".join((i, *f)) for i, f in CASE_MODES]
+)
+def test_every_case_reaches_its_verifier_with_the_guard(capsys, monkeypatch, identity, flags):
+    assert {identity for identity, _ in CASE_MODES} == set(VERIFIER_OF) == set(IDENTITY_READS)
+    calls = _record_verifier_calls(monkeypatch)
+    code, _, err = run(capsys, "verify", f"--identity={identity}", *flags, "--guard=7")
+    assert (code, err) == (0, "") and calls
+    for name, args, kwargs in calls:
+        assert name == VERIFIER_OF[identity]
+        bound = inspect.signature(REAL_VERIFIERS[name]).bind(*args, **kwargs)
+        assert bound.arguments["guard"] == 7
+
+
+def test_random_difference_cases_take_orders_per_drawn_spec(capsys, monkeypatch):
+    calls = _record_verifier_calls(monkeypatch)
+    argv = ("verify", "--identity=difference-formula", "--count=8", "--rmax=3", "--kmax=1")
+    assert run(capsys, *argv)[0] == 0
+    rng = Random(0)
+    specs = [nestedsums.random_spec(rng, 3, 3) for _ in range(8)]
+    assert len({spec.r for spec in specs}) > 1
+    assert [args for _, args, _ in calls] == [
+        (spec, (4,) * spec.r, (2,) * spec.r) for spec in specs
+    ]
 
 
 @pytest.mark.parametrize("identity, flag", [
