@@ -125,13 +125,39 @@ def difference_subtractions(shape: Sequence[int], orders: Sequence[int]) -> int:
 
 
 def numerator_table_bits(mu, n: int) -> int:
-    """A bound on the bits of the numerators `mhs_value` would tabulate.
+    """A bound on the bits of the rows of numerators `mhs_value` tabulates.
 
     The rows of mu_2..mu_p hold n+1 numerators each, of at most
     mu_j * log2 lcm(1..n+1) < mu_j * 1.5 (n+1) bits, since ln lcm(1..x) =
-    psi(x) < 1.03883 x (Rosser and Schoenfeld).
+    psi(x) < 1.03883 x (Rosser and Schoenfeld).  The suffix products
+    tabulated next to them are bounded by `suffix_table_bits`.
     """
     return 3 * (n + 1) ** 2 * (mu.weight - mu.parts[0]) // 2
+
+
+def suffix_table_bits(mu, n: int, q: int) -> int:
+    """A bound on the bits of the suffix products `mhs_value` tabulates at split q.
+
+    The table holds one product per tail (m_(p-q+1), ..., m_p) of a chain
+    under n, C(n+q, q) of them, each of at most
+    (mu_(p-q+1) + ... + mu_p) * 1.5 (n+1) bits as in `numerator_table_bits`.
+    """
+    return math.comb(n + q, q) * 3 * (n + 1) * sum(mu.parts[-q:]) // 2
+
+
+def suffix_length(mu, n: int) -> int:
+    """The q of `mhs_value`'s split of each chain, for depth 3 and more.
+
+    The largest q <= depth // 2 whose suffix table, next to the rows of
+    `numerator_table_bits`, fits NUMERATOR_TABLE_MAX_BITS; where none does,
+    q = 1, whose suffix table holds the last row's numerators, so its
+    estimate and its refusal (`check_mhs_value`) are those of the rows.
+    """
+    rows = numerator_table_bits(mu, n)
+    for q in range(mu.depth // 2, 1, -1):
+        if rows + suffix_table_bits(mu, n, q) <= NUMERATOR_TABLE_MAX_BITS:
+            return q
+    return 1
 
 
 def mhs_table_bits(mu, n: int) -> int:
@@ -157,7 +183,12 @@ def suite_product_pairs(degree: int, max_slots: int) -> int:
 
 
 def check_mhs_value(mu, n: int, guard: int) -> None:
-    """The chains of `mhs_value` and, from depth 3 on, the bits of the numerators it tabulates."""
+    """The chains of `mhs_value` and, from depth 3 on, the bits of its rows of numerators.
+
+    The suffix table needs no refusal of its own: `suffix_length` picks a q
+    whose table fits next to the rows, or q = 1, whose table is a copy of
+    the last row.
+    """
     check_guard("chain count", chain_count(n, mu.depth), guard)
     if mu.depth >= 3:
         bits = numerator_table_bits(mu, n)

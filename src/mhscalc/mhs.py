@@ -18,13 +18,15 @@ Two routes compute s_mu.  `mhs_value` enumerates the chains of the
 definition, so it serves as an independent oracle for the parametric nested
 sums that embed s_mu and for the second route.  From depth 3 on it adds
 integer numerators over one common denominator and divides once at the end:
-it walks the chain prefixes (m_1..m_{p-1}), forms each prefix's product of
-factors once, and adds that product times the last factor at every
-m_p <= m_{p-1}.  Each chain's summand is still its own product, added once;
-no factor comes out of a sum, so no partial sum is shared between chains.
-Past `guards.NUMERATOR_TABLE_MAX_BITS` of tabulated numerators it refuses
-the input (`GuardExceeded`) before any work; at depth 1 and 2 it tabulates
-nothing and adds one Fraction per chain.
+it splits each chain after its prefix (m_2..m_{p-q}), tabulates the products
+of the suffixes (m_{p-q+1}..m_p) once, q = p // 2, and adds each prefix's
+product times every suffix product that fits under the prefix.  Each
+chain's summand is still its own product, added once; no factor comes out
+of a sum, so no partial sum is shared between chains.  The rows and the
+suffix table share `guards.NUMERATOR_TABLE_MAX_BITS`: a suffix table that
+would pass it takes a smaller q, down to q = 1, the last row's numerators;
+rows that pass it are refused (`GuardExceeded`) before any work.
+At depth 1 and 2 it tabulates nothing and adds one Fraction per chain.
 `mhs_table` fills s_mu(0..N) at once by nested prefix sums, innermost part
 first:
 
@@ -49,7 +51,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .guards import DEFAULT_GUARD, check_mhs_table, check_mhs_value, check_subtractions
+from .guards import (
+    DEFAULT_GUARD,
+    check_mhs_table,
+    check_mhs_value,
+    check_subtractions,
+    suffix_length,
+)
 from .kernel import parse_integers
 from .multiseq import MultiSequenceTable, binomial_transform
 from .nestedsums import chain_tails, enumerate_chains
@@ -117,17 +125,23 @@ def mhs_value(mu: MultiIndex, n: int, guard: int = DEFAULT_GUARD) -> Fraction:
     Fraction is built at the end; at depth 1 and 2, where the chains number
     no more than the table's entries, they add one Fraction each.  Both sum
     the same summands exactly.  `guards.check_mhs_value` bounds the chains
-    and, from depth 3 on, the table's bits before either starts.  A table
-    over NUMERATOR_TABLE_MAX_BITS is refused, not summed as Fractions: its
+    and, from depth 3 on, the rows' bits before either starts.  Rows over
+    NUMERATOR_TABLE_MAX_BITS are refused, not summed as Fractions: their
     summands are then so wide that one Fraction per chain is no faster.
 
-    The integer route lists the depth-(p-1) chains, the prefixes of the
-    depth-p ones, by their tails after m_1 = n (`chain_tails`), the entries
-    that index its rows.  It multiplies each prefix's factors once and adds
-    the prefix product times each last factor (L/(m_p+1))^mu_p, m_p <= m_{p-1},
-    in one pass of C-level `map` and `sum`.  That is one product and one
-    addition per chain, in O(n) extra memory.  Unlike `mhs_table`, it keeps
-    no running sum across prefixes, so the two routes stay independent.
+    The integer route splits each chain n = m_1 >= ... >= m_p after its
+    prefix (m_2..m_{p-q}) and tabulates the products of the suffix rows,
+    one per suffix (m_{p-q+1}..m_p), once per call.  It lists both by their
+    tails (`chain_tails`): the suffixes reversed, so that they ascend in
+    their first entry and the C(m+q, q) of them that fit under a prefix
+    ending in m come first.  It multiplies each prefix's factors once and
+    adds the prefix product times each of those suffix products in one
+    pass of C-level `map` and `sum`: one product and one addition per
+    chain.  q is the largest q <= p // 2 whose C(n+q, q) products fit
+    next to the rows in NUMERATOR_TABLE_MAX_BITS (`guards.suffix_length`);
+    q = 1 adds each last factor (L/(m_p+1))^mu_p, m_p <= m_{p-1}, from the
+    last row.  Unlike `mhs_table`, it keeps no running sum across prefixes
+    and takes no factor out of a sum, so the two routes stay independent.
     """
     if n < 0:
         raise ValueError(f"n must be a natural, got {n}")
@@ -142,13 +156,20 @@ def mhs_value(mu: MultiIndex, n: int, guard: int = DEFAULT_GUARD) -> Fraction:
         return total
     first, *rest = mu.parts
     lcm = math.lcm(*range(1, n + 2))
+    q = suffix_length(mu, n)
     # row j holds (L / (m+1))^{mu_(j+2)} at m, the numerator of part j+2;
-    # the last row (part p) is the leaf
-    *inner, leaf = [[(lcm // (m + 1)) ** part for m in range(n + 1)] for part in rest]
+    # the last q rows (parts p-q+1..p) are the suffix's
+    rows = [[(lcm // (m + 1)) ** part for m in range(n + 1)] for part in rest]
+    prefix_rows, suffix_rows = rows[:-q], rows[-q:]
+    # reversed, the suffixes ascend in their first entry, so those that fit
+    # under a prefix ending in m are the first C(m+q, q)
+    suffix = [math.prod(map(operator.getitem, suffix_rows, s)) for s in chain_tails(n, q + 1)]
+    suffix.reverse()
+    fits = [math.comb(m + q, q) for m in range(n + 1)]
     total = 0
-    for tail in chain_tails(n, mu.depth - 1):
-        head = math.prod(map(operator.getitem, inner, tail))
-        total += sum(map(head.__mul__, leaf[: tail[-1] + 1]))
+    for prefix in chain_tails(n, mu.depth - q):
+        head = math.prod(map(operator.getitem, prefix_rows, prefix))
+        total += sum(map(head.__mul__, suffix[: fits[prefix[-1]]]))
     return Fraction(total, (n + 1) ** first * lcm ** (mu.weight - first))
 
 

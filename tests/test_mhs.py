@@ -4,7 +4,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mhscalc import guards, mhs
 from mhscalc.mhs import (
@@ -249,7 +249,7 @@ def mhs_value_by_chain_products(mu, n):
     return F(total, (n + 1) ** first * lcm ** (mu.weight - first))
 
 
-deep_indices = st.lists(st.integers(1, 4), min_size=3, max_size=7).map(
+deep_indices = st.lists(st.integers(1, 4), min_size=3, max_size=10).map(
     lambda parts: MultiIndex(tuple(parts))
 )
 
@@ -258,9 +258,15 @@ deep_indices = st.lists(st.integers(1, 4), min_size=3, max_size=7).map(
 @given(deep_indices, st.integers(0, 14))
 @example(MultiIndex((2, 1, 3)), 0)
 @example(MultiIndex((1, 4, 2)), 9)
+@example(MultiIndex((1,) * 4), 12)
 @example(MultiIndex((1,) * 7), 12)
+@example(MultiIndex((1,) * 8), 12)
+@example(MultiIndex((2, 1, 3, 1, 1, 1, 1, 1, 1, 1)), 6)
 def test_prefix_products_match_the_per_chain_loop(mu, n):
-    # depth >= 3 takes the integer route
+    # depth >= 3 takes the integer route, split at q = depth // 2 (the
+    # examples cover q = 1 to 5); the reference loops over every chain, so
+    # the deepest indices keep to small n
+    assume(guards.chain_count(n, mu.depth) <= 60_000)
     assert mhs_value(mu, n) == mhs_value_by_chain_products(mu, n)
 
 
@@ -276,25 +282,39 @@ def test_mhs_value_reads_no_table(monkeypatch):
     assert [mhs_value(mu, n) for mu in mus for n in (0, 1, 5, 8)] == expected
 
 
-@pytest.mark.parametrize("parts,n", [((1, 1, 1), 0), ((2, 1, 3), 6), ((1,) * 7, 12)])
+@pytest.mark.parametrize(
+    "parts,n",
+    [
+        ((1, 1, 1), 0),
+        ((2, 1, 3), 6),
+        ((1,) * 7, 12),
+        ((1,) * 4, 12),
+        ((1,) * 8, 12),
+        ((2, 1, 3, 1, 1, 1, 1, 1, 1, 1), 6),
+    ],
+)
 def test_mhs_value_walks_each_prefix_once(monkeypatch, parts, n):
     mu = MultiIndex(parts)
-    calls, prefixes = [], []
+    q = guards.suffix_length(mu, n)
+    assert q == mu.depth // 2
+    calls, listed = [], []
 
     def counting(n, p):
         calls.append((n, p))
-        tails = list(chain_tails(n, p))
-        prefixes.extend((n,) + tail for tail in tails)
-        return iter(tails)
+        listed.append(list(chain_tails(n, p)))
+        return iter(listed[-1])
 
     monkeypatch.setattr(mhs, "chain_tails", counting)
-    # the prefixes are read as tails; no whole chain is built
+    # the suffixes and the prefixes are read as tails; no whole chain is built
     monkeypatch.setattr(mhs, "enumerate_chains", _refuse)
     assert mhs_value(mu, n) == mhs_value_by_chain_products(mu, n)
-    assert calls == [(n, mu.depth - 1)]
-    assert len(prefixes) == guards.chain_count(n, mu.depth - 1)
-    # one summand per last factor m_p <= m_(p-1): one per depth-p chain
-    assert sum(prefix[-1] + 1 for prefix in prefixes) == guards.chain_count(n, mu.depth)
+    # one table of suffixes (m_(p-q+1)..m_p), then one walk of the prefixes
+    assert calls == [(n, q + 1), (n, mu.depth - q)]
+    suffixes, prefixes = listed
+    assert len(suffixes) == math.comb(n + q, q)
+    assert len(prefixes) == guards.chain_count(n, mu.depth - q)
+    # one summand per suffix under the prefix's last entry: one per chain
+    assert sum(math.comb(prefix[-1] + q, q) for prefix in prefixes) == guards.chain_count(n, mu.depth)
 
 
 def test_mhs_value_bits_guard_boundary():
@@ -311,6 +331,32 @@ def test_mhs_value_bits_guard_boundary():
     guards.check_mhs_value(MultiIndex((1, 500)), 10**6, 10**7)
     with pytest.raises(GuardExceeded, match="^mhs value numerator bits: 12030012751 "):
         mhs_value(MultiIndex((1, 1, 500)), 4000)
+
+
+def test_mhs_value_suffix_table_guard_boundary():
+    # arithmetic only: the suffix table of (1,1,20,20) at q = 2 holds
+    # C(n+2, 2) products of at most 40 * 1.5 (n+1) bits, next to the rows
+    mu = MultiIndex((1, 1, 20, 20))
+    assert guards.suffix_table_bits(mu, 200, 2) == 244_830_060
+    assert guards.suffix_table_bits(mu, 210, 2) == 283_153_560
+    rows_and_suffixes = [
+        guards.numerator_table_bits(mu, n) + guards.suffix_table_bits(mu, n, 2) for n in (205, 206)
+    ]
+    assert rows_and_suffixes == [266_137_374, 270_012_973]
+    assert [guards.suffix_length(mu, n) for n in (200, 205, 206, 210)] == [2, 2, 1, 1]
+    # q = 1 is bounded by the rows alone, as before the split, so n = 210
+    # still passes its guard (it is not run: the q = 1 walk takes half a minute)
+    guards.check_mhs_value(mu, 210, guards.DEFAULT_GUARD)
+    # a suffix table that fits does not admit rows that do not: (1,1000,1,1)
+    # falls back to q = 1 at n = 421, where its rows fit, and is refused at 422
+    mu = MultiIndex((1, 1000, 1, 1))
+    assert [guards.suffix_table_bits(mu, n, 2) for n in (421, 422)] == [112_994_298, 113_798_844]
+    assert [guards.suffix_length(mu, n) for n in (421, 422)] == [1, 1]
+    guards.check_mhs_value(mu, 421, 10**8)
+    with pytest.raises(GuardExceeded) as info:
+        guards.check_mhs_value(mu, 422, 10**8)
+    assert info.value.what == "mhs value numerator bits"
+    assert (info.value.size, info.value.limit) == (268_930_287, 2**28)
 
 
 def test_mhs_value_bits_guard_trips_before_the_table():
