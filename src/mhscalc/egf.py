@@ -46,7 +46,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
-from .guards import DEFAULT_GUARD, check_product_pairs
+from .guards import DEFAULT_GUARD, check, plan_series_product
 from .kernel import common_denominator, format_rational
 from .multiseq import MultiSequenceTable, binomial_transform
 from .multiseq import iterated_delta  # noqa: F401  (perfbench's tracer wraps it here)
@@ -484,11 +484,10 @@ def verify_operator_suite(
     F_a, its first windows in r and 2r variables; the public constructors
     build one per call, and an operator's result keeps its operand's.
 
-    GuardExceeded is raised before any series is built when an upper bound
-    on the term pairs of the largest product (`guards.suite_product_pairs`)
-    exceeds `guard`; each fill and window also checks its work against it.
+    `guards.plan_series_product` is checked before any series is built;
+    each fill and window checks its own plan.
     """
-    check_product_pairs(degree, max(SUITE_SLOT_COUNTS), guard)
+    check(plan_series_product(degree, max(SUITE_SLOT_COUNTS), guard))
     rng = Random(seed)
     report = VerificationReport("egf-suite", EGF_SUITE_STATEMENT)
     D = degree

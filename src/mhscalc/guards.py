@@ -1,13 +1,18 @@
 """Work guards: every work estimate, limit and guard message of the package.
 
-A guarded call runs the `check_*` of each quantity it bounds, by arithmetic
-before any work; each check goes through `check_guard`.
+Each guarded building block has one `plan_*`, its (what, size, limit)
+entries in the order they are checked.  A route `check`s its blocks' plans
+once, by arithmetic before any work, and passes the checked `Plan` down as
+its callees' `guard`; a callee handed one runs no estimate (`checked`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from fractions import Fraction
+from typing import Callable, Sequence
+
+Entry = tuple[str, int, int]
 
 # The default --guard of every subcommand and of every guarded library call.
 DEFAULT_GUARD = 10**7
@@ -35,10 +40,22 @@ class GuardExceeded(RuntimeError):
         self.what, self.size, self.limit = what, size, limit
 
 
-def check_guard(what: str, size: int, limit: int) -> None:
-    """Raise GuardExceeded when the work `size` is over its `limit`."""
-    if size > limit:
-        raise GuardExceeded(what, size, limit)
+class Plan(tuple):
+    """Checked (what, size, limit) entries: only `check` builds one, so it proves they passed."""
+
+
+def check(*plans: Sequence[Entry]) -> Plan:
+    """Raise GuardExceeded at the first entry over its limit; else the entries, joined."""
+    plan = Plan(entry for block in plans for entry in block)
+    for what, size, limit in plan:
+        if size > limit:
+            raise GuardExceeded(what, size, limit)
+    return plan
+
+
+def checked(guard: int | Plan, plan_block: Callable[..., list[Entry]], *args) -> Plan:
+    """`guard` itself when a route checked it, else `check(plan_block(*args, guard))`."""
+    return guard if isinstance(guard, Plan) else check(plan_block(*args, guard))
 
 
 def chain_count(n: int, p: int) -> int:
@@ -64,21 +81,21 @@ def recurrence_cell_count(spec, n: Sequence[int]) -> int:
     return spec.p * math.prod(ni + 1 for ni in n)
 
 
-def _log2_rising(a: int, b: int, count: int) -> float:
+def _log2_rising(a: int, b: int, count: int, number: type = float) -> float | Fraction:
     """log2 |t (t+1) ... (t+count-1)| for t = a/b off {0, -1, -2, ...}, b > 0.
 
     That is log2 |Gamma(t+count) / Gamma(t)|, from two log-gammas.  Past
-    |t| = 2**40, where their difference loses its bits, or where t sits
-    within float precision of a pole, it is bounded above by
-    count * log2(|t| + count) instead.
+    |t| = 2**40, where their difference loses its bits, within float
+    precision of a pole, or in Fractions (`number`), it is bounded above by
+    count * log2(|t| + count).
     """
-    if abs(a) < b << 40:
+    if number is float and abs(a) < b << 40:
         t = a / b
         try:
             return (math.lgamma(t + count) - math.lgamma(t)) / math.log(2)
         except ValueError:
             pass
-    return count * (math.log2(abs(a) + count * b) - math.log2(b))
+    return number(count) * number(math.log2(abs(a) + count * b) - math.log2(b))
 
 
 def fill_bits(spec, corner: Sequence[int]) -> int:
@@ -96,14 +113,20 @@ def fill_bits(spec, corner: Sequence[int]) -> int:
     E_0 is the level-0 denominator whatever the levels below keep.  The
     fill keeps each level below the last over E_0 up to small linear
     factors and holds two levels at once, the one it fills and the one it
-    reads, so it holds up to about twice the bits estimated here.
+    reads, so it holds up to about twice the bits estimated here.  Where
+    its floats overflow, from a top of about 10^305, it sums Fractions.
     """
     top = sum(corner)
-    bits = top * math.log2(math.lcm(*[x.denominator for block in spec.xblocks for x in block]))
-    for t in spec.tparams:
-        a, b = t.numerator, t.denominator
-        bits += (top + 1) * math.log2(b) + _log2_rising(a, b, top + 1)
-    return math.prod([ni + 1 for ni in corner]) * math.ceil(bits)
+    lcm = math.lcm(*[x.denominator for block in spec.xblocks for x in block])
+    for number in float, Fraction:
+        try:
+            bits = number(top) * number(math.log2(lcm))
+            for t in spec.tparams:
+                a, b = t.numerator, t.denominator
+                bits += number(top + 1) * number(math.log2(b)) + _log2_rising(a, b, top + 1, number)
+            return math.prod([ni + 1 for ni in corner]) * math.ceil(bits)
+        except OverflowError:  # a Fraction never overflows
+            pass
 
 
 def difference_subtractions(shape: Sequence[int], orders: Sequence[int]) -> int:
@@ -151,7 +174,7 @@ def suffix_length(mu, n: int) -> int:
     The largest q <= depth // 2 whose suffix table, next to the rows of
     `numerator_table_bits`, fits NUMERATOR_TABLE_MAX_BITS; where none does,
     q = 1, whose suffix table holds the last row's numerators, so its
-    estimate and its refusal (`check_mhs_value`) are those of the rows.
+    estimate and its refusal (`plan_mhs_value`) are those of the rows.
     """
     rows = numerator_table_bits(mu, n)
     for q in range(mu.depth // 2, 1, -1):
@@ -182,44 +205,45 @@ def suite_product_pairs(degree: int, max_slots: int) -> int:
     return math.comb(degree + 2 * max_slots, 2 * max_slots) ** 2
 
 
-def check_mhs_value(mu, n: int, guard: int) -> None:
-    """The chains of `mhs_value` and, from depth 3 on, the bits of its rows of numerators.
-
-    The suffix table needs no refusal of its own: `suffix_length` picks a q
-    whose table fits next to the rows, or q = 1, whose table is a copy of
-    the last row.
-    """
-    check_guard("chain count", chain_count(n, mu.depth), guard)
-    if mu.depth >= 3:
-        bits = numerator_table_bits(mu, n)
-        check_guard("mhs value numerator bits", bits, NUMERATOR_TABLE_MAX_BITS)
+def plan_window(spec, points: Sequence[Sequence[int]], guard: int) -> list[Entry]:
+    """The summands of a `direct_window`, point by point."""
+    return [("direct summand count", direct_summand_count(spec, n), guard) for n in points]
 
 
-def check_summands(spec, n: Sequence[int], guard: int) -> None:
-    check_guard("direct summand count", direct_summand_count(spec, n), guard)
+def plan_sweep(spec, box: Sequence[int], guard: int) -> list[Entry]:
+    """The summands of the direct windows over every point of the box."""
+    return [("sweep summand count", sweep_summand_count(spec, box), guard)]
 
 
-def check_sweep_summands(spec, box: Sequence[int], guard: int) -> None:
-    check_guard("sweep summand count", sweep_summand_count(spec, box), guard)
-
-
-def check_cells(spec, corner: Sequence[int], guard: int) -> None:
+def plan_fill(spec, corner: Sequence[int], guard: int) -> list[Entry]:
     """A recurrence fill has at most `guard` cells and scales at most NUMERATOR_TABLE_MAX_BITS bits."""
-    check_guard("recurrence cell count", recurrence_cell_count(spec, corner), guard)
-    check_guard("recurrence fill bits", fill_bits(spec, corner), NUMERATOR_TABLE_MAX_BITS)
+    return [
+        ("recurrence cell count", recurrence_cell_count(spec, corner), guard),
+        ("recurrence fill bits", fill_bits(spec, corner), NUMERATOR_TABLE_MAX_BITS),
+    ]
 
 
-def check_subtractions(shape: Sequence[int], orders: Sequence[int], guard: int) -> None:
+def plan_difference_pass(shape: Sequence[int], orders: Sequence[int], guard: int) -> list[Entry]:
     """A difference pass runs at most SUBTRACTIONS_PER_GUARD * guard subtractions."""
-    limit = SUBTRACTIONS_PER_GUARD * guard
-    check_guard("difference-pass subtraction count", difference_subtractions(shape, orders), limit)
+    subtractions = difference_subtractions(shape, orders)
+    return [("difference-pass subtraction count", subtractions, SUBTRACTIONS_PER_GUARD * guard)]
 
 
-def check_mhs_table(mu, max_n: int, guard: int) -> None:
+def plan_mhs_value(mu, n: int, guard: int) -> list[Entry]:
+    """The chains of `mhs_value` and, from depth 3 on, its rows' bits (see `suffix_length`)."""
+    plan = [("chain count", chain_count(n, mu.depth), guard)]
+    if mu.depth >= 3:
+        plan.append(("mhs value numerator bits", numerator_table_bits(mu, n), NUMERATOR_TABLE_MAX_BITS))
+    return plan
+
+
+def plan_mhs_table(mu, max_n: int, guard: int) -> list[Entry]:
     """An `mhs_table` holds at most `guard` cells and NUMERATOR_TABLE_MAX_BITS bits."""
-    check_guard("mhs table cell count", mu.depth * (max_n + 1), guard)
-    check_guard("mhs table numerator bits", mhs_table_bits(mu, max_n), NUMERATOR_TABLE_MAX_BITS)
+    return [
+        ("mhs table cell count", mu.depth * (max_n + 1), guard),
+        ("mhs table numerator bits", mhs_table_bits(mu, max_n), NUMERATOR_TABLE_MAX_BITS),
+    ]
 
 
-def check_product_pairs(degree: int, max_slots: int, guard: int) -> None:
-    check_guard("series product term pairs", suite_product_pairs(degree, max_slots), guard)
+def plan_series_product(degree: int, max_slots: int, guard: int) -> list[Entry]:
+    return [("series product term pairs", suite_product_pairs(degree, max_slots), guard)]

@@ -23,9 +23,7 @@ of the suffixes (m_{p-q+1}..m_p) once, q = p // 2, and adds each prefix's
 product times every suffix product that fits under the prefix.  Each
 chain's summand is still its own product, added once; no factor comes out
 of a sum, so no partial sum is shared between chains.  The rows and the
-suffix table share `guards.NUMERATOR_TABLE_MAX_BITS`: a suffix table that
-would pass it takes a smaller q, down to q = 1, the last row's numerators;
-rows that pass it are refused (`GuardExceeded`) before any work.
+suffix table share `guards.NUMERATOR_TABLE_MAX_BITS` (`guards.suffix_length`).
 At depth 1 and 2 it tabulates nothing and adds one Fraction per chain.
 `mhs_table` fills s_mu(0..N) at once by nested prefix sums, innermost part
 first:
@@ -51,13 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .guards import (
-    DEFAULT_GUARD,
-    check_mhs_table,
-    check_mhs_value,
-    check_subtractions,
-    suffix_length,
-)
+from .guards import DEFAULT_GUARD, Plan, check, checked, plan_difference_pass
+from .guards import plan_mhs_table, plan_mhs_value, suffix_length
 from .kernel import parse_integers
 from .multiseq import MultiSequenceTable, binomial_transform
 from .nestedsums import chain_tails, enumerate_chains
@@ -116,7 +109,7 @@ def multi_indices_of_weight(weight: int) -> Iterator[MultiIndex]:
             yield _composition(positions, weight)
 
 
-def mhs_value(mu: MultiIndex, n: int, guard: int = DEFAULT_GUARD) -> Fraction:
+def mhs_value(mu: MultiIndex, n: int, guard: int | Plan = DEFAULT_GUARD) -> Fraction:
     """s_mu(n) by direct enumeration of weakly decreasing chains.
 
     Every chain starts at n, and with L = lcm(1..n+1) the rest of each
@@ -124,10 +117,9 @@ def mhs_value(mu: MultiIndex, n: int, guard: int = DEFAULT_GUARD) -> Fraction:
     chains add those integers from a table of (L/(m+1))^mu_j and one
     Fraction is built at the end; at depth 1 and 2, where the chains number
     no more than the table's entries, they add one Fraction each.  Both sum
-    the same summands exactly.  `guards.check_mhs_value` bounds the chains
-    and, from depth 3 on, the rows' bits before either starts.  Rows over
-    NUMERATOR_TABLE_MAX_BITS are refused, not summed as Fractions: their
-    summands are then so wide that one Fraction per chain is no faster.
+    the same summands exactly.  `guards.plan_mhs_value` is checked first:
+    rows over NUMERATOR_TABLE_MAX_BITS are refused, not summed as Fractions,
+    since their summands are so wide that one Fraction per chain is no faster.
 
     The integer route splits each chain n = m_1 >= ... >= m_p after its
     prefix (m_2..m_{p-q}) and tabulates the products of the suffix rows,
@@ -145,7 +137,7 @@ def mhs_value(mu: MultiIndex, n: int, guard: int = DEFAULT_GUARD) -> Fraction:
     """
     if n < 0:
         raise ValueError(f"n must be a natural, got {n}")
-    check_mhs_value(mu, n, guard)
+    checked(guard, plan_mhs_value, mu, n)
     if mu.depth < 3:
         total = Fraction(0)
         for chain in enumerate_chains(n, mu.depth):
@@ -173,16 +165,15 @@ def mhs_value(mu: MultiIndex, n: int, guard: int = DEFAULT_GUARD) -> Fraction:
     return Fraction(total, (n + 1) ** first * lcm ** (mu.weight - first))
 
 
-def mhs_table(mu: MultiIndex, max_n: int, guard: int = DEFAULT_GUARD) -> MultiSequenceTable:
+def mhs_table(mu: MultiIndex, max_n: int, guard: int | Plan = DEFAULT_GUARD) -> MultiSequenceTable:
     """s_mu(0..max_n) as a 1-D table, by nested prefix sums on ints.
 
     One pass per part, innermost first, fills depth * (max_n+1) cells over
-    L^weight.  `guards.check_mhs_table` bounds its cells and bits before
-    the fill starts.
+    L^weight, once `guard` admits `guards.plan_mhs_table`.
     """
     if max_n < 0:
         raise ValueError(f"n must be a natural, got {max_n}")
-    check_mhs_table(mu, max_n, guard)
+    checked(guard, plan_mhs_table, mu, max_n)
     lcm = math.lcm(*range(1, max_n + 2))
     scaled = [lcm // (m + 1) for m in range(max_n + 1)]
     *outer, last = mu.parts
@@ -236,21 +227,16 @@ def verify_mhs_duality(
     side `mhs_table(mu*)`, except at the corner n = max_n, where it is chain
     enumeration (`mhs_value`).  The corner's left side weights every table
     value of mu by a nonzero C(max_n, k), so a wrong value anywhere in the
-    row fails there.
-
-    Every guard is checked before any work: the corner's chains and bits
-    (`mhs_value`), then each table's cells and bits (`mhs_table`), then the
-    transform's subtractions (`check_subtractions`).
+    row fails there.  Every guard is checked before any work, in the order
+    of the plan below.
     """
     dual = dual_index(mu)
     line = (max_n + 1,)
-    check_mhs_value(dual, max_n, guard)
-    check_mhs_table(mu, max_n, guard)
-    check_mhs_table(dual, max_n, guard)
-    check_subtractions(line, line, guard)
-    corner_rhs = mhs_value(dual, max_n, guard)
-    lhs = binomial_transform(mhs_table(mu, max_n, guard)).pairs()
-    rhs = mhs_table(dual, max_n, guard).pairs()[:-1] + [corner_rhs.as_integer_ratio()]
+    plan = check(plan_mhs_value(dual, max_n, guard), plan_mhs_table(mu, max_n, guard),
+                 plan_mhs_table(dual, max_n, guard), plan_difference_pass(line, line, guard))
+    corner_rhs = mhs_value(dual, max_n, plan)
+    lhs = binomial_transform(mhs_table(mu, max_n, plan)).pairs()
+    rhs = mhs_table(dual, max_n, plan).pairs()[:-1] + [corner_rhs.as_integer_ratio()]
     points = [(n,) for n in range(max_n + 1)]
     return sweep_report(
         "mhs-duality", MHS_DUALITY_STATEMENT, f"mu={mu} mu*={dual}", points, lhs, rhs

@@ -58,8 +58,8 @@ from fractions import Fraction
 from random import Random
 from typing import Iterator, Sequence
 
-from .guards import DEFAULT_GUARD, check_cells, check_subtractions
-from .guards import check_summands, check_sweep_summands
+from .guards import DEFAULT_GUARD, Plan, check, checked
+from .guards import plan_difference_pass, plan_fill, plan_sweep, plan_window
 from .guards import direct_summand_count  # noqa: F401  (perfbench's tracer reads it here)
 from .kernel import common_denominator, gen_binomial_pair, multinomial, format_rational
 from .kernel import parse_rational
@@ -165,8 +165,8 @@ def enumerate_chains(n: int, p: int) -> Iterator[Index]:
 
     Exactly C(n+p-1, p-1) chains are produced (`guards.chain_count`).  The
     arguments are checked at the call; only the chains themselves are lazy.
-    Callers that bound their work check the count first (`guards.check_summands`,
-    `guards.check_mhs_value`).
+    Callers that bound their work check the count first (`guards.plan_window`,
+    `guards.plan_mhs_value`).
     """
     return ((n,) + tail for tail in chain_tails(n, p))
 
@@ -231,13 +231,13 @@ def _block_chain_data(
 def direct_window(
     spec: NestedSumSpec,
     points: Sequence[Sequence[int]],
-    guard: int = DEFAULT_GUARD,
+    guard: int | Plan = DEFAULT_GUARD,
 ) -> list[tuple[int, int]]:
     """Evaluate the defining sum at every point by chain enumeration, on ints.
 
     Returns one (numerator, denominator > 0) pair per point, in order and
     not necessarily in lowest terms.  Every point's summands are checked
-    against `guard` before any chain is listed.
+    against `guard` before any chain is listed (`guards.plan_window`).
 
     Each slot's chain weights are ints over d_i**n_i (`_block_chain_data`,
     built once per distinct (slot, n_i) of the window, from d_i and the
@@ -259,8 +259,7 @@ def direct_window(
     one; only the order of exact operations differs.
     """
     points = [_check_index(spec, n) for n in points]
-    for n in points:
-        check_summands(spec, n, guard)
+    checked(guard, plan_window, spec, points)
     p = spec.p
     radix = max(map(sum, points), default=0) + 1
     square = radix * radix
@@ -325,7 +324,7 @@ def direct_window(
 def c_direct(
     spec: NestedSumSpec,
     n: Sequence[int],
-    guard: int = DEFAULT_GUARD,
+    guard: int | Plan = DEFAULT_GUARD,
 ) -> Fraction:
     """The defining sum at one point: `direct_window` of that point, one Fraction."""
     ((numerator, denominator),) = direct_window(spec, (n,), guard)
@@ -381,16 +380,13 @@ class RecurrenceEvaluator:
     E_0(top) < 0.
 
     An evaluator holds one fill of one box.  The first `value(n)` or
-    `table(extents)` fills the box below its corner, after checking that
-    the fill's cell count (`guards.recurrence_cell_count` of its corner) is
-    at most `guard` and that the table it scales holds at most
-    `guards.NUMERATOR_TABLE_MAX_BITS` bits (`guards.fill_bits`), and raises
-    GuardExceeded otherwise.  Later reads must lie in that box: a `value`
-    outside it, or a `table` of any other box, raises ValueError and leaves
-    the fill as it was.
+    `table(extents)` fills the box below its corner once `guard` admits
+    `guards.plan_fill`.  Later reads must lie in that box: a `value` outside
+    it, or a `table` of any other box, raises ValueError and leaves the fill
+    as it was.
     """
 
-    def __init__(self, spec: NestedSumSpec, guard: int = DEFAULT_GUARD):
+    def __init__(self, spec: NestedSumSpec, guard: int | Plan = DEFAULT_GUARD):
         self.spec = spec
         self.guard = guard
         self._corner: Index | None = None
@@ -433,7 +429,7 @@ class RecurrenceEvaluator:
         return MultiSequenceTable._trusted(tuple(extents), scaled, sign * denominator)
 
     def _fill(self, corner: Index) -> None:
-        check_cells(self.spec, corner, self.guard)
+        checked(self.guard, plan_fill, self.spec, corner)
         spec = self.spec
         last = spec.p - 1
         top = sum(corner)
@@ -538,24 +534,22 @@ def _corner_and_fills(
 ) -> tuple[tuple[int, int], list[MultiSequenceTable]]:
     """The int pair of `oracle` at `corner`, and one recurrence fill per (spec, box).
 
-    Every guard is checked by arithmetic before anything is evaluated: the
-    corner's summands (the most of any point of a verifier's box), then
-    each fill's cells at p * guard, then, where the caller runs a
-    difference pass with `orders` over the first fill, its subtractions
-    (`check_subtractions`).  Then the corner's `c_direct` runs, then the
-    fills.  At depth p >= 2 the corner has at least prod(box) summands, so
-    a fill over the box never trips where the corner passed; at depth 1,
-    where every point has one summand, the fills bound the box.
+    Every guard is checked by arithmetic before anything is evaluated, in
+    the order of the plan below: the corner's summands (the most of any
+    point of a verifier's box), each fill's cells at p * guard.  Then the
+    corner's `c_direct` runs, then the fills.  At depth p >= 2 the corner
+    has at least prod(box) summands, so a fill over the box never trips
+    where the corner passed; at depth 1, where every point has one summand,
+    the fills bound the box.
     """
-    fill_guard = oracle.p * guard
-    check_summands(oracle, corner, guard)
-    for spec, box in fills:
-        check_cells(spec, _corner(spec, box), fill_guard)
-    if orders is not None:
-        check_subtractions(fills[0][1], orders, guard)
+    plan = check(
+        plan_window(oracle, [corner], guard),
+        *[plan_fill(spec, _corner(spec, box), oracle.p * guard) for spec, box in fills],
+        plan_difference_pass(fills[0][1], orders, guard) if orders is not None else [],
+    )
     # c_direct, not direct_window: the corner counts in perfbench's c_direct span
-    value = c_direct(oracle, corner, guard).as_integer_ratio()
-    return value, [RecurrenceEvaluator(spec, fill_guard).table(box) for spec, box in fills]
+    value = c_direct(oracle, corner, plan).as_integer_ratio()
+    return value, [RecurrenceEvaluator(spec, plan).table(box) for spec, box in fills]
 
 
 def verify_duality(
@@ -674,20 +668,17 @@ def verify_recurrence(
     last axis, in row-major order, evaluated as the report reaches it.  A
     line's points share their chain lists for slots 1..r-1, and only one
     line's chains are alive at a time, where a window over the box would
-    hold every slot's at once.  The guards run first: the corner's
-    summands, the fill's cells at p * guard, then the summands of the
-    whole sweep.
+    hold every slot's at once.  The guards run first, in the order of the
+    plan below; the corner's summands bound every line's points.
     """
     corner = _corner(spec, box)
-    fill_guard = spec.p * guard
-    check_summands(spec, corner, guard)
-    check_cells(spec, corner, fill_guard)
-    check_sweep_summands(spec, box, guard)
+    plan = check(plan_window(spec, [corner], guard), plan_fill(spec, corner, spec.p * guard),
+                 plan_sweep(spec, box, guard))
     points = _points(box)
-    fill = RecurrenceEvaluator(spec, fill_guard).table(box)
+    fill = RecurrenceEvaluator(spec, plan).table(box)
     line = box[-1]
     rhs = itertools.chain.from_iterable(
-        direct_window(spec, points[at:at + line], guard) for at in range(0, len(points), line)
+        direct_window(spec, points[at:at + line], plan) for at in range(0, len(points), line)
     )
     return sweep_report("recurrence", RECURRENCE_STATEMENT, spec.text(), points, fill.pairs(), rhs)
 

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import importlib
 import inspect
@@ -16,7 +17,7 @@ from random import Random
 import pytest
 
 import mhscalc
-from mhscalc import cli, egf, mhs, nestedsums
+from mhscalc import cli, egf, guards, mhs, nestedsums
 from mhscalc.cli import build_parser, main
 from mhscalc.mhs import MultiIndex
 from mhscalc.report import VerificationReport, comparison_row
@@ -469,6 +470,66 @@ def test_fill_bits_guard_exits_at_once(argv, bits):
     assert done.returncode == 3 and done.stdout == ""
     assert done.stderr == f"error: recurrence fill bits: {bits} exceeds guard {2**28}\n"
     assert seconds < 1
+
+
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("argv", [
+    ("c", "--x=1/2,1/3", "--t=2", f"--n={HUGE}", "--method=recursive"),
+    ("verify", "--identity=c-duality", "--x=1/2", f"--box={HUGE}"),
+])
+def test_fill_bits_guard_trips_at_once_past_float_range(capsys, argv):
+    # the cells pass a guard of 10^500; the bits of a fill whose corner is
+    # past float range are still estimated, where a float overflow ended
+    # the run with a traceback and exit 1
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, f"--guard={10**500}")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert re.fullmatch(r"error: recurrence fill bits: \d+ exceeds guard 268435456\n", err)
+
+
+def test_cell_guard_trips_first_past_float_range(capsys):
+    code, out, err = run(capsys, "verify", "--identity=c-duality", "--x=1/2", f"--box={HUGE}")
+    assert code == 3 and out == ""
+    assert err == f"error: recurrence cell count: {HUGE} exceeds guard 10000000\n"
+
+
+ESTIMATORS = (
+    "chain_count", "direct_summand_count", "sweep_summand_count", "recurrence_cell_count",
+    "fill_bits", "difference_subtractions", "numerator_table_bits", "mhs_table_bits",
+    "suite_product_pairs",
+)
+TWO_FILLS = {"direct_summand_count": 1, "recurrence_cell_count": 2, "fill_bits": 2,
+             "difference_subtractions": 1}
+
+
+# direct_summand_count reads chain_count once per slot of the corner
+@pytest.mark.parametrize("argv, runs", [
+    (("--identity=c-duality", "--x=1/2,1/3", "--t=2", "--box=3"), {**TWO_FILLS, "chain_count": 1}),
+    (("--identity=difference-formula", "--x=1/2,1/3", "--t=2", "--box=3", "--kmax=2"),
+     {**TWO_FILLS, "chain_count": 2}),
+    (("--identity=shift", "--x=1/3,1/2;2/3,1/2", "--t=2", "--subset=1,2", "--box=3,2"),
+     {"direct_summand_count": 1, "chain_count": 2, "recurrence_cell_count": 1, "fill_bits": 1}),
+    (("--identity=recurrence", "--x=1/2,1/3", "--t=2", "--box=3"),
+     {"direct_summand_count": 1, "chain_count": 1, "recurrence_cell_count": 1, "fill_bits": 1,
+      "sweep_summand_count": 1}),
+    # mu* = (2,1,1,1): `suffix_length` reads numerator_table_bits once more,
+    # to choose q, not as a guard
+    (("--identity=mhs-duality", "--mu=(1,4)", "--nmax=6"),
+     {"chain_count": 1, "numerator_table_bits": 2, "mhs_table_bits": 2,
+      "difference_subtractions": 1}),
+], ids=["c-duality", "difference-formula", "shift", "recurrence", "mhs-duality"])
+def test_each_guard_estimate_runs_once_per_verify_case(capsys, monkeypatch, argv, runs):
+    counts = collections.Counter()
+    for name in ESTIMATORS:
+        def counted(*args, name=name, estimator=getattr(guards, name)):
+            counts[name] += 1
+            return estimator(*args)
+        monkeypatch.setattr(guards, name, counted)
+    code, _, _ = run(capsys, "verify", *argv)
+    assert code == 0 and counts == runs
 
 
 def test_memory_error_exit_code(capsys, monkeypatch):

@@ -322,15 +322,35 @@ def test_mhs_value_bits_guard_boundary():
     assert guards.NUMERATOR_TABLE_MAX_BITS == 2**28
     mu = MultiIndex((1, 1, 1))
     assert guards.numerator_table_bits(mu, 9458) == 268_418_043
-    guards.check_mhs_value(mu, 9458, 10**8)
+    guards.check(guards.plan_mhs_value(mu, 9458, 10**8))
     with pytest.raises(GuardExceeded) as info:
-        guards.check_mhs_value(mu, 9459, 10**8)
+        guards.check(guards.plan_mhs_value(mu, 9459, 10**8))
     assert info.value.what == "mhs value numerator bits"
     assert (info.value.size, info.value.limit) == (268_474_800, 2**28)
     # depth 1 and 2 tabulate nothing, so only their chains are bounded
-    guards.check_mhs_value(MultiIndex((1, 500)), 10**6, 10**7)
+    guards.check(guards.plan_mhs_value(MultiIndex((1, 500)), 10**6, 10**7))
     with pytest.raises(GuardExceeded, match="^mhs value numerator bits: 12030012751 "):
         mhs_value(MultiIndex((1, 1, 500)), 4000)
+
+
+def test_mhs_duality_checks_its_plan_once(monkeypatch):
+    # mu = (3), mu* = (1,1,1): the corner's chains and rows' bits, each
+    # table's cells and bits, then the transform; the callees run none
+    checked = []
+
+    def check(*blocks):
+        checked.append(guards.check(*blocks))
+        return checked[-1]
+
+    monkeypatch.setattr(mhs, "check", check)
+    assert verify_mhs_duality(MultiIndex((3,)), 6, guard=1000).ok
+    bits = guards.NUMERATOR_TABLE_MAX_BITS
+    assert [list(each) for each in checked] == [[
+        ("chain count", 28, 1000), ("mhs value numerator bits", 147, bits),
+        ("mhs table cell count", 7, 1000), ("mhs table numerator bits", 231, bits),
+        ("mhs table cell count", 21, 1000), ("mhs table numerator bits", 273, bits),
+        ("difference-pass subtraction count", 21, 64000),
+    ]]
 
 
 def test_mhs_value_suffix_table_guard_boundary():
@@ -346,15 +366,15 @@ def test_mhs_value_suffix_table_guard_boundary():
     assert [guards.suffix_length(mu, n) for n in (200, 205, 206, 210)] == [2, 2, 1, 1]
     # q = 1 is bounded by the rows alone, as before the split, so n = 210
     # still passes its guard (it is not run: the q = 1 walk takes half a minute)
-    guards.check_mhs_value(mu, 210, guards.DEFAULT_GUARD)
+    guards.check(guards.plan_mhs_value(mu, 210, guards.DEFAULT_GUARD))
     # a suffix table that fits does not admit rows that do not: (1,1000,1,1)
     # falls back to q = 1 at n = 421, where its rows fit, and is refused at 422
     mu = MultiIndex((1, 1000, 1, 1))
     assert [guards.suffix_table_bits(mu, n, 2) for n in (421, 422)] == [112_994_298, 113_798_844]
     assert [guards.suffix_length(mu, n) for n in (421, 422)] == [1, 1]
-    guards.check_mhs_value(mu, 421, 10**8)
+    guards.check(guards.plan_mhs_value(mu, 421, 10**8))
     with pytest.raises(GuardExceeded) as info:
-        guards.check_mhs_value(mu, 422, 10**8)
+        guards.check(guards.plan_mhs_value(mu, 422, 10**8))
     assert info.value.what == "mhs value numerator bits"
     assert (info.value.size, info.value.limit) == (268_930_287, 2**28)
 

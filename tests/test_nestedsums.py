@@ -7,7 +7,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mhscalc import nestedsums
+from mhscalc import guards, nestedsums
 from mhscalc.guards import GuardExceeded, chain_count, direct_summand_count, recurrence_cell_count
 from mhscalc.guards import NUMERATOR_TABLE_MAX_BITS, fill_bits, sweep_summand_count
 from mhscalc.kernel import common_denominator, format_rational, gen_binomial, gen_binomial_pair
@@ -377,6 +377,47 @@ def test_sweep_summand_count_sums_every_point_of_the_box():
             points = itertools.product(*map(range, box))
             total = sum(direct_summand_count(spec, n) for n in points)
             assert sweep_summand_count(spec, box) == total, (r, p, box)
+
+
+PLAN_SPEC = NestedSumSpec.parse("1/2,1/3;1/4,2/3", "2")
+FILL_BITS = NUMERATOR_TABLE_MAX_BITS
+
+
+@pytest.mark.parametrize("verify, args, plan", [
+    (verify_duality, (PLAN_SPEC, (3, 2)), [
+        ("direct summand count", 6, 1000),
+        ("recurrence cell count", 12, 2000), ("recurrence fill bits", 108, FILL_BITS),
+        ("recurrence cell count", 12, 2000), ("recurrence fill bits", 108, FILL_BITS),
+        ("difference-pass subtraction count", 9, 64000),
+    ]),
+    (verify_difference_formula, (PLAN_SPEC, (2, 2), (2, 1)), [
+        ("direct summand count", 8, 1000),
+        ("recurrence cell count", 12, 2000), ("recurrence fill bits", 108, FILL_BITS),
+        ("recurrence cell count", 16, 2000), ("recurrence fill bits", 144, FILL_BITS),
+        ("difference-pass subtraction count", 4, 64000),
+    ]),
+    (verify_shift_identity, (NestedSumSpec.parse("1/3,1/2;2/3,1/2", "2"), (1, 2), 1, (3, 2)), [
+        ("direct summand count", 6, 1000),
+        ("recurrence cell count", 24, 2000), ("recurrence fill bits", 312, FILL_BITS),
+    ]),
+    (verify_recurrence, (PLAN_SPEC, (3, 2)), [
+        ("direct summand count", 6, 1000),
+        ("recurrence cell count", 12, 2000), ("recurrence fill bits", 108, FILL_BITS),
+        ("sweep summand count", 18, 1000),
+    ]),
+], ids=["c-duality", "difference-formula", "shift", "recurrence"])
+def test_each_fill_identity_checks_its_plan_once(monkeypatch, verify, args, plan):
+    # the corner's summands, then each fill's cells at p * guard and its
+    # bits, then the difference pass or the sweep; the callees run none
+    checked = []
+
+    def check(*blocks):
+        checked.append(guards.check(*blocks))
+        return checked[-1]
+
+    monkeypatch.setattr(nestedsums, "check", check)
+    assert verify(*args, guard=1000).ok
+    assert [list(each) for each in checked] == [plan]
 
 
 def test_verify_recurrence_report():
@@ -889,6 +930,19 @@ def test_fill_denominator_bits_are_pinned():
     table = RecurrenceEvaluator(spec).table((20, 20))
     assert table.denominator.bit_length() == 506
     assert fill_bits(spec, (19, 19)) == 400 * 506
+
+
+def test_fill_bits_is_an_int_past_float_range():
+    # each sum below overflows the floats: top is past 2^1024, top log2 D_0
+    # is past the largest float, or lgamma(top + 1 + t) is
+    huge = 10**400
+    assert fill_bits(NestedSumSpec.parse("1/2"), (huge - 1,)) == huge * (huge - 1)
+    assert fill_bits(NestedSumSpec.parse("3"), (huge,)) == 0
+    wide = NestedSumSpec(((F(1, 2**2000),),), ())
+    assert fill_bits(wide, (10**306,)) == (10**306 + 1) * 2000 * 10**306
+    # log2 6 + log2 |(2)(3)...(top + 2)| / (top + 1), about 1019 bits per unit of top
+    per_cell = fill_bits(NestedSumSpec.parse("1/2,1/3", "2"), (10**306,)) // (10**306 + 1)
+    assert 1000 * 10**306 < per_cell < 1030 * 10**306
 
 
 @settings(max_examples=80, deadline=None)

@@ -5,8 +5,9 @@
 * Every module-level private name (a def, class or assignment named
   `_name`) is read in its module, so a helper that a change stops calling
   goes with it.
-* Only `guards.py` calls `check_guard` or constructs `GuardExceeded`, so
-  every work estimate, limit and guard message stays in that one module.
+* Only `guards.py` constructs `GuardExceeded`, and only it constructs or
+  tests for a `Plan`, so every work estimate, limit and guard message stays
+  in that one module, and so does the proof that a route checked its plan.
 * No module uses `functools.cache`, `lru_cache` or `cached_property`, except
   the uses in KEPT_CACHES: the library keeps no state between calls, so
   whatever a computation shares (chain lists, column factors, exponent
@@ -118,11 +119,15 @@ def _callee(node: ast.expr) -> str | None:
 
 
 def guard_raisers(tree: ast.Module) -> list[str]:
-    """Calls of `check_guard` and constructions or raises of `GuardExceeded`."""
+    """Constructions or raises of `GuardExceeded`, and constructions of or
+    `isinstance` tests for a `Plan`."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _callee(node) in ("check_guard", "GuardExceeded"):
+        if isinstance(node, ast.Call) and _callee(node) in ("GuardExceeded", "Plan"):
             found.append((node.lineno, f"{_callee(node)}(...)"))
+        elif isinstance(node, ast.Call) and _callee(node) == "isinstance" and len(node.args) == 2:
+            if "Plan" in map(_callee, ast.walk(node.args[1])):
+                found.append((node.lineno, "isinstance(..., Plan)"))
         elif isinstance(node, ast.Raise) and node.exc is not None:
             if _callee(node.exc) == "GuardExceeded" and not isinstance(node.exc, ast.Call):
                 found.append((node.lineno, "raise GuardExceeded"))
@@ -259,17 +264,19 @@ def test_the_rules_see_what_they_forbid():
     tree = ast.parse(
         "import os.path\n"
         "from math import comb, prod as product\n"
-        "from .guards import GuardExceeded, check_guard\n"
+        "from .guards import GuardExceeded, Plan\n"
         "__all__ = ['comb']\n"
         "def f(size):\n"
-        "    check_guard('x', size, 1)\n"
+        "    plan = Plan([('x', size, 1)])\n"
         "    raise GuardExceeded\n"
-        "def g():\n"
+        "def g(guard):\n"
         "    raise guards.GuardExceeded('x', 2, 1)\n"
+        "    return isinstance(guard, (int, guards.Plan)) or isinstance(guard, tuple)\n"
     )
     assert unused_imports(tree) == {"os", "product"}
     assert guard_raisers(tree) == [
-        "line 6: check_guard(...)", "line 7: raise GuardExceeded", "line 9: GuardExceeded(...)",
+        "line 6: Plan(...)", "line 7: raise GuardExceeded", "line 9: GuardExceeded(...)",
+        "line 10: isinstance(..., Plan)",
     ]
 
 
