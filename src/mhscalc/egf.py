@@ -32,9 +32,9 @@ seeded random sequences and parameter specs, coefficient by coefficient.
 Its nested-sum windows come from recurrence fills; the reduced side of
 depth reduction stays chain enumeration (one `direct_window` per reduced
 spec), which checks the fills.  A space serves every lower bound as a
-prefix, so the series the suite builds share two spaces per slot count,
-those of its first windows; like the rest of the package it keeps nothing
-between calls.
+prefix, so each call builds two spaces per slot count, f_a's and one in 2r
+variables, and passes them to the constructors through their `space`
+keyword; like the rest of the package it keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -285,14 +285,25 @@ def _egf_window(space: _Space, bound: int, den: int, values: Iterable[int]) -> T
     return TruncatedSeries._trusted(space, bound, den * top, nums)
 
 
-def from_sequence(table: MultiSequenceTable, degree_bound: int) -> TruncatedSeries:
+def _space_for(space: _Space | None, nvars: int, bound: int) -> _Space:
+    """`space` if it holds nvars variables at the bound or above; a new space if None."""
+    if space is not None and (space.nvars != nvars or len(space.sizes) <= bound):
+        raise ValueError(f"need a space of {nvars} variables at bound >= {bound}")
+    return _Space(nvars, bound) if space is None else space
+
+
+def from_sequence(
+    table: MultiSequenceTable, degree_bound: int, *, space: _Space | None = None
+) -> TruncatedSeries:
     """EGF window of a sequence: coefficient of X^n is a(n)/n!.
 
     The table must hold every |n| <= D, so each extent is at least D + 1.
-    Its numerators and denominator carry over as they are.
+    Its numerators and denominator carry over as they are.  It lives in
+    `space` if given (table.arity variables, bound >= D), else a new space.
     """
-    space = _Space(table.arity, degree_bound)
-    return _egf_window(space, degree_bound, table.denominator, map(table.numerator, space.vectors))
+    space = _space_for(space, table.arity, degree_bound)
+    vectors = space.vectors[: space.sizes[degree_bound]]
+    return _egf_window(space, degree_bound, table.denominator, map(table.numerator, vectors))
 
 
 def _first_axis(exponents: Exponents) -> int:
@@ -300,29 +311,36 @@ def _first_axis(exponents: Exponents) -> int:
     return exponents.index(next(filter(None, exponents)))
 
 
-def F_from_sequence(table: MultiSequenceTable, degree_bound: int) -> TruncatedSeries:
+def F_from_sequence(
+    table: MultiSequenceTable, degree_bound: int, *, space: tuple[_Space, _Space] | None = None
+) -> TruncatedSeries:
     """Two-block window: coefficient of X^n Y^k is (delta^k a)(n) / (n! k!).
 
     Lives in 2r variables; its Y = 0 slice is f_a and its X = 0 slice is
     the EGF of nabla a.  The table must hold every |n| <= D, as in
-    `from_sequence`.  One difference table of int numerators over the
-    table's denominator, filled in graded order of k with i the first axis
-    where k_i > 0, costs one subtraction per coefficient:
+    `from_sequence`.  `space` is its pair of graded spaces in r and 2r
+    variables (bound >= D), else two new ones.  One difference table of
+    int numerators over the table's denominator, filled in graded order of
+    k with i the first axis where k_i > 0, costs one subtraction per
+    coefficient:
     delta^k a(n) = delta^{k-e_i} a(n) - delta^{k-e_i} a(n+e_i), keyed by
-    the code of (n, k) in 2r variables, code(n) + (D + 1)^r code(k).
+    the code of (n, k) in 2r variables, code(n, 0) + code(0, k).
     """
     r, D = table.arity, degree_bound
-    half, space = _Space(r, D), _Space(2 * r, D)
-    shift = space.steps[r]
-    diffs = dict(zip(half.codes, map(table.numerator, half.vectors)))
-    for k, code, degree in zip(half.vectors[1:], half.codes[1:], half.degrees[1:]):
-        step = half.steps[_first_axis(k)]
+    half, whole = space or (None, None)
+    half, whole = _space_for(half, r, D), _space_for(whole, 2 * r, D)
+    shift, vectors = whole.steps[r], half.vectors[: half.sizes[D]]
+    codes = list(map(whole.code, vectors))  # code(n, 0) per r-vector n
+    diffs = dict(zip(codes, map(table.numerator, vectors)))
+    for k, code, degree in zip(vectors[1:], codes[1:], half.degrees[1:]):
+        step = whole.steps[_first_axis(k)]
         # the codes of (0, k), (0, k - e_i) and (e_i, k - e_i)
         target, lower = shift * code, shift * (code - step)
         raised = lower + step
-        for n in half.codes[: half.sizes[D - degree]]:
+        for n in codes[: half.sizes[D - degree]]:
             diffs[target + n] = diffs[lower + n] - diffs[raised + n]
-    return _egf_window(space, D, table.denominator, map(diffs.__getitem__, space.codes))
+    values = map(diffs.__getitem__, whole.codes[: whole.sizes[D]])
+    return _egf_window(whole, D, table.denominator, values)
 
 
 def _exp_linear(coefficients: Sequence, degree_bound: int, space: _Space) -> TruncatedSeries:
@@ -338,10 +356,14 @@ def _exp_linear(coefficients: Sequence, degree_bound: int, space: _Space) -> Tru
     return _egf_window(space, D, den, powers)
 
 
-def subst_linear(f: TruncatedSeries, rows: Sequence[Sequence]) -> TruncatedSeries:
+def subst_linear(
+    f: TruncatedSeries, rows: Sequence[Sequence], *, space: _Space | None = None
+) -> TruncatedSeries:
     """Substitute X_i -> sum_j rows[i][j] Z_j (linear forms, no constants).
 
     Linear substitution preserves total degree, so the bound carries over.
+    The image lives in `space` if given, else in f's space when the
+    variable count is kept, else in a new one.
     Row i is scaled to integers over q_i, the lcm of its denominators, as
     the form L_i.  With Q = prod_i q_i^D, the image of X^e is held as the
     int form Q prod_i (L_i / q_i)^e_i, built in graded order as
@@ -354,8 +376,8 @@ def subst_linear(f: TruncatedSeries, rows: Sequence[Sequence]) -> TruncatedSerie
     scales, rows = zip(*rows)
     if not rows[0] or any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("image rows must share a positive length")
-    bound, source = f.degree_bound, f._space
-    space = source if len(rows[0]) == f.nvars else _Space(len(rows[0]), bound)
+    bound, source, width = f.degree_bound, f._space, len(rows[0])
+    space = _space_for(source if space is None and width == f.nvars else space, width, bound)
     codes, pos = space.codes, space.pos
     forms = [[(step, c) for step, c in zip(space.steps, row) if c] for row in rows]
     top = math.prod(q**bound for q in scales)
@@ -389,9 +411,11 @@ def nabla_series(f: TruncatedSeries) -> TruncatedSeries:
 
     Coefficientwise this is the EGF image of the sequence-level inversion,
     and it is an involution.  The bound is kept: every product coefficient
-    at degree <= D only consults f below degree D.
+    at degree <= D only consults f below degree D.  The exponential is the
+    EGF window of the all-ones sequence in f's space, D!/v! over D!.
     """
-    return negate_vars(f) * _exp_linear((1,) * f.nvars, f.degree_bound, f._space)
+    space, D = f._space, f.degree_bound
+    return negate_vars(f) * _egf_window(space, D, 1, [1] * space.sizes[D])
 
 
 def xi_apply(f: TruncatedSeries, x: Sequence) -> TruncatedSeries:
@@ -479,10 +503,11 @@ def verify_operator_suite(
     form, (|e| + t_1) f_e - sum_i x_{i1} f_{e-e_i} = reduced_e with
     |e| + t_1 != 0, so it fixes f from the enumerated values and a wrong fill
     value fails it (at depth 1, `telescoped-depth-reduction` checks f
-    against `_exp_linear`).  The series the suite builds itself (exponentials,
-    monomials, zeros, enumerated windows) share the graded spaces of f_a and
-    F_a, its first windows in r and 2r variables; the public constructors
-    build one per call, and an operator's result keeps its operand's.
+    against `_exp_linear`).  Every series of a slot count lives in one of
+    two graded spaces: f_a's in r variables, and one in 2r variables built
+    beside it.  `from_sequence`, `F_from_sequence` and `subst_linear` take
+    them through their `space` keyword, and an operator's result keeps its
+    operand's.
 
     `guards.plan_series_product` is checked before any series is built;
     each fill and window checks its own plan.
@@ -499,38 +524,24 @@ def verify_operator_suite(
         table = random_table(rng, (D + 1,) * r)  # exact for every |n| <= D read
         label = f"r={r} seed={seed} D={D}"
         f_a = from_sequence(table, D)
-        F_a = F_from_sequence(table, D)
+        half, whole = f_a._space, _Space(2 * r, D)
+        F_a = F_from_sequence(table, D, space=(half, whole))
         nabla_a = binomial_transform(table)
-        half, whole = f_a._space, F_a._space
 
         # F_a = f_a(X - Y) e^{sum Y}
-        shifted = subst_linear(
-            f_a,
-            [
-                tuple(
-                    (1 if j == i else 0) if j < r else (-1 if j - r == i else 0)
-                    for j in range(2 * r)
-                )
-                for i in range(r)
-            ],
-        )
+        rows = [[(j == i) - (j == r + i) for j in range(2 * r)] for i in range(r)]
+        shifted = subst_linear(f_a, rows, space=whole)
         factor = _exp_linear((0,) * r + (1,) * r, D, whole)
         compare("two-block-factorization", label, F_a, shifted * factor)
 
         # F_{nabla a}(X, Y) = F_a(Y, X)
-        swap = [
-            tuple(1 if j == (i + r) % (2 * r) else 0 for j in range(2 * r))
-            for i in range(2 * r)
-        ]
-        compare(
-            "inversion-swaps-blocks", label, F_from_sequence(nabla_a, D), subst_linear(F_a, swap)
-        )
+        swap = [[int(j == (i + r) % (2 * r)) for j in range(2 * r)] for i in range(2 * r)]
+        swapped = F_from_sequence(nabla_a, D, space=(half, whole))
+        compare("inversion-swaps-blocks", label, swapped, subst_linear(F_a, swap))
 
         # (d_{X_i} + d_{Y_i} - 1) F_a = 0
         for i in range(1, r + 1):
-            annihilated = (
-                F_a.deriv(i) + F_a.deriv(r + i) - F_a.truncate(D - 1)
-            )
+            annihilated = F_a.deriv(i) + F_a.deriv(r + i) - F_a.truncate(D - 1)
             compare(
                 "shift-annihilates-two-block",
                 f"{label} i={i}",
@@ -541,7 +552,7 @@ def verify_operator_suite(
         # series inversion: closed form matches the sequence-level transform,
         # and is an involution
         inv = nabla_series(f_a)
-        compare("inversion-closed-form", label, inv, from_sequence(nabla_a, D))
+        compare("inversion-closed-form", label, inv, from_sequence(nabla_a, D, space=half))
         compare("inversion-involution", label, nabla_series(inv), f_a)
 
         # conjugation of the basic operators by the inversion
@@ -590,10 +601,9 @@ def verify_operator_suite(
         for index, exponents in enumerate(half.vectors[: half.sizes[D - 1]]):
             mono = TruncatedSeries._trusted(half, D, 1, [0] * half.sizes[D])
             mono._nums[index] = 1
-            commutator = shift_op(xi_plus_t(mono)) - xi_plus_t(shift_op(mono))
-            compare(
-                "commutator-reduction", f"{mono_label} e={exponents}", commutator, shift_op(mono)
-            )
+            shifted_mono = shift_op(mono)
+            commutator = shift_op(xi_plus_t(mono)) - xi_plus_t(shifted_mono)
+            compare("commutator-reduction", f"{mono_label} e={exponents}", commutator, shifted_mono)
 
         # nested-sum generating functions: inversion duality and depth reduction
         for p in SUITE_DEPTHS:
@@ -602,9 +612,11 @@ def verify_operator_suite(
             )
             slabel = f"{label} {spec.text()}"
             window = (D + 1,) * r
-            f_spec = from_sequence(RecurrenceEvaluator(spec, guard).table(window), D)
-            dual = RecurrenceEvaluator(spec.one_minus(), guard).table(window)
-            compare("nested-sum-duality", slabel, nabla_series(f_spec), from_sequence(dual, D))
+            f_spec, dual = (
+                from_sequence(RecurrenceEvaluator(side, guard).table(window), D, space=half)
+                for side in (spec, spec.one_minus())
+            )
+            compare("nested-sum-duality", slabel, nabla_series(f_spec), dual)
             telescoped = f_spec
             for j in range(p - 1):
                 cols = tuple(block[j] for block in spec.xblocks)

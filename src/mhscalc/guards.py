@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .kernel import format_rational
+
 Entry = tuple[str, int, int]
 
 # The default --guard of every subcommand and of every guarded library call.
@@ -36,7 +38,7 @@ class GuardExceeded(RuntimeError):
     """
 
     def __init__(self, what: str, size: int, limit: int):
-        super().__init__(f"{what}: {size} exceeds guard {limit}")
+        super().__init__(f"{what}: {format_rational(size)} exceeds guard {format_rational(limit)}")
         self.what, self.size, self.limit = what, size, limit
 
 

@@ -92,6 +92,8 @@ def _format_reduced(numerator: int, denominator: int) -> str:
 
 def format_ratio(numerator: int, denominator: int) -> str:
     """Canonical text of numerator / denominator for denominator > 0, reduced first."""
+    if not numerator:
+        return "0"
     divisor = math.gcd(numerator, denominator)
     return _format_reduced(numerator // divisor, denominator // divisor)
 

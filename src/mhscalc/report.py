@@ -106,14 +106,14 @@ class VerificationReport:
 
     def to_text(self) -> str:
         lines = [f"identity: {self.identity}", f"statement: {self.statement}"]
-        failed = 0
+        failed, texts = 0, {}  # each distinct index's text, built once
         for _, label, index, ln, ld, rn, rd, equal in self.comparisons:
-            left = format_ratio(ln, ld)
+            left, at = format_ratio(ln, ld), texts.get(index) or texts.setdefault(index, str(index))
             if equal:
-                lines.append(f"ok   {label} @ {index}: lhs={left} rhs={left}")
+                lines.append(f"ok   {label} @ {at}: lhs={left} rhs={left}")
             else:
                 failed += 1
-                lines.append(f"FAIL {label} @ {index}: lhs={left} rhs={format_ratio(rn, rd)}")
+                lines.append(f"FAIL {label} @ {at}: lhs={left} rhs={format_ratio(rn, rd)}")
         checked = len(self.comparisons)
         verdict = f"FAIL ({failed} of {checked})" if failed else "PASS"
         lines.append(f"result: {verdict}, {checked} comparisons")

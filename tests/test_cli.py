@@ -214,6 +214,15 @@ def test_difference_formula_fill_guard_exit_code(capsys):
     assert err == "error: recurrence cell count: 961 exceeds guard 100\n"
 
 
+def test_guard_message_prints_a_size_past_the_int_digit_limit(capsys):
+    # (10^4000 + 1)^2 cells: str() of that count refuses its 8,001 digits
+    n = 10**4000
+    code, out, err = run(capsys, "c", "--x=1/2;1/2", f"--n={Decimal(n)},{Decimal(n)}",
+                         "--method=recursive")
+    assert code == 3 and out == ""
+    assert err == f"error: recurrence cell count: {Decimal((n + 1) ** 2)} exceeds guard 10000000\n"
+
+
 def test_shift_corner_guard_exit_code(capsys):
     code, out, err = run(
         capsys, "verify", "--identity", "shift", "--x", "1/3,1/2;2/3,1/2", "--t", "2",

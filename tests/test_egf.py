@@ -748,6 +748,71 @@ def test_space_codes_are_additive_and_map_back_to_positions(nvars):
                 assert vectors[space.pos[space.code(total)]] == total
 
 
+@pytest.mark.parametrize("degree", [5, 6])
+def test_operator_suite_builds_four_spaces(monkeypatch, degree):
+    # f_a's space in r variables and one in 2r variables, for r = 1 and r = 2
+    builds = []
+
+    class Counting(egf._Space):
+        def __init__(self, nvars, bound):
+            builds.append((nvars, bound))
+            super().__init__(nvars, bound)
+
+    monkeypatch.setattr(egf, "_Space", Counting)
+    assert verify_operator_suite(degree=degree, seed=4).ok
+    assert builds == [(1, degree), (2, degree), (2, degree), (4, degree)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sequence_windows(), st.integers(0, 2), st.integers(0, 2), st.data())
+def test_constructors_in_passed_spaces_match_their_own(case, extra, wide_extra, data):
+    # spaces at the bound or above, the two of F_from_sequence at independent bounds
+    table, degree = case
+    r = table.arity
+    half, whole = egf._Space(r, degree + extra), egf._Space(2 * r, degree + wide_extra)
+    f = from_sequence(table, degree, space=half)
+    assert f._space is half and same_terms(f, from_sequence(table, degree))
+    big = F_from_sequence(table, degree, space=(half, whole))
+    assert big._space is whole and same_terms(big, F_from_sequence(table, degree))
+    row = st.lists(kernel_coefficients, min_size=2 * r, max_size=2 * r)
+    rows = data.draw(st.lists(row, min_size=r, max_size=r))
+    image = subst_linear(f, rows, space=whole)
+    assert image._space is whole and same_terms(image, subst_linear(f, rows))
+
+
+@pytest.mark.parametrize("build", [
+    lambda table, space: from_sequence(table, 3, space=space(1, 3)),
+    lambda table, space: F_from_sequence(table, 3, space=(space(1, 3), egf._Space(2, 3))),
+    lambda table, space: F_from_sequence(table, 3, space=(egf._Space(1, 3), space(2, 3))),
+    lambda table, space: subst_linear(from_sequence(table, 3), [[1, 1]], space=space(2, 3)),
+], ids=["from_sequence", "F_from_sequence-r", "F_from_sequence-2r", "subst_linear"])
+@pytest.mark.parametrize("wrong", [
+    lambda nvars, bound: egf._Space(nvars + 1, bound),
+    lambda nvars, bound: egf._Space(nvars, bound - 1),
+], ids=["variable-count", "bound-below-D"])
+def test_a_space_that_cannot_hold_the_series_is_refused(build, wrong):
+    table = random_table(Random(5), (4,))
+    with pytest.raises(ValueError, match="need a space of"):
+        build(table, wrong)
+
+
+@pytest.mark.parametrize("nvars", range(1, 5))
+def test_nabla_series_exponential_is_the_all_ones_window(monkeypatch, nvars):
+    # the inversion of 1 is e^{X_1 + ... + X_m}: the numerators and the
+    # denominator of _exp_linear's window, built without calling it
+    spaces = [egf._Space(nvars, bound) for bound in range(7)]
+    wants = [egf._exp_linear((1,) * nvars, bound, space) for bound, space in enumerate(spaces)]
+
+    def refuse(*args):
+        raise AssertionError("nabla_series called _exp_linear")
+
+    monkeypatch.setattr(egf, "_exp_linear", refuse)
+    for bound, (space, want) in enumerate(zip(spaces, wants)):
+        unit = TruncatedSeries._trusted(space, bound, 1, [1] + [0] * (space.sizes[bound] - 1))
+        got = nabla_series(unit)
+        assert (got._space, got._nums, got._den) == (space, want._nums, want._den)
+
+
 @st.composite
 def series_across_spaces(draw):
     """(own, shared): one series in its own space at bound b, one truncated
@@ -869,7 +934,7 @@ def failed_identities(report):
 ], ids=["product", "subst_linear", "deriv"])
 def test_operator_suite_catches_a_broken_kernel(monkeypatch, owner, name, caught):
     kernel = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *args: nudged(kernel(*args)))
+    monkeypatch.setattr(owner, name, lambda *args, **kw: nudged(kernel(*args, **kw)))
     report = verify_operator_suite(degree=3, seed=1)
     assert not report.ok
     assert caught <= failed_identities(report)

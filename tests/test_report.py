@@ -70,6 +70,39 @@ def test_row_report_matches_the_reference(row_list):
     ]
 
 
+# equal or independent sides (BIG among them), zero against zero, zero
+# against a nonzero value (FAIL), and BIG against itself
+mixed_sides = st.one_of(
+    sides(),
+    st.tuples(st.just(0), denominators, st.just(0), denominators),
+    st.tuples(st.just(0), denominators, integers.filter(bool), denominators),
+    st.tuples(scales, scales).map(lambda s: (BIG * s[0], s[0], BIG * s[1], s[1])),
+)
+
+
+@st.composite
+def rows_with_repeated_indices(draw):
+    """Rows whose indices come from a pool of 3, so that each text is reused."""
+    index = st.lists(st.integers(0, 12), min_size=1, max_size=3).map(tuple)
+    pool = draw(st.lists(index, min_size=3, max_size=3))
+    return draw(st.lists(
+        st.tuples(st.sampled_from(["a", "b"]), st.sampled_from(pool), mixed_sides).map(
+            lambda drawn: comparison_row("egf-suite", drawn[0], drawn[1], *drawn[2])
+        ),
+        max_size=16,
+    ))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows_with_repeated_indices())
+def test_rows_with_repeated_indices_match_the_reference(row_list):
+    report = VerificationReport("egf-suite", "statement", list(row_list))
+    reference = _reference(report, row_list)
+    assert report.to_text() == reference.to_text()
+    assert report.to_json() == reference.to_json()
+    assert report.to_csv() == reference.to_csv()
+
+
 def test_comparisons_read_as_a_sequence():
     report = sweep_report("c-duality", "statement", "spec", [(0,), (1,), (2,)],
                           [(1, 2), (3, 1), (-1, 1)], [(2, 4), (3, 1), (1, 1)])
