@@ -154,35 +154,21 @@ def numerator_table_bits(mu, n: int) -> int:
 
     The rows of mu_2..mu_p hold n+1 numerators each, of at most
     mu_j * log2 lcm(1..n+1) < mu_j * 1.5 (n+1) bits, since ln lcm(1..x) =
-    psi(x) < 1.03883 x (Rosser and Schoenfeld).  The suffix products
-    tabulated next to them are bounded by `suffix_table_bits`.
+    psi(x) < 1.03883 x (Rosser and Schoenfeld).  From depth 4 on, the
+    suffix products tabulated next to them are bounded by `suffix_table_bits`.
     """
     return 3 * (n + 1) ** 2 * (mu.weight - mu.parts[0]) // 2
 
 
-def suffix_table_bits(mu, n: int, q: int) -> int:
-    """A bound on the bits of the suffix products `mhs_value` tabulates at split q.
+def suffix_table_bits(mu, n: int) -> int:
+    """A bound on the bits of the suffix products `mhs_value` tabulates, q = depth // 2.
 
     The table holds one product per tail (m_(p-q+1), ..., m_p) of a chain
     under n, C(n+q, q) of them, each of at most
     (mu_(p-q+1) + ... + mu_p) * 1.5 (n+1) bits as in `numerator_table_bits`.
     """
+    q = mu.depth // 2
     return math.comb(n + q, q) * 3 * (n + 1) * sum(mu.parts[-q:]) // 2
-
-
-def suffix_length(mu, n: int) -> int:
-    """The q of `mhs_value`'s split of each chain, for depth 3 and more.
-
-    The largest q <= depth // 2 whose suffix table, next to the rows of
-    `numerator_table_bits`, fits NUMERATOR_TABLE_MAX_BITS; where none does,
-    q = 1, whose suffix table holds the last row's numerators, so its
-    estimate and its refusal (`plan_mhs_value`) are those of the rows.
-    """
-    rows = numerator_table_bits(mu, n)
-    for q in range(mu.depth // 2, 1, -1):
-        if rows + suffix_table_bits(mu, n, q) <= NUMERATOR_TABLE_MAX_BITS:
-            return q
-    return 1
 
 
 def mhs_table_bits(mu, n: int) -> int:
@@ -232,10 +218,11 @@ def plan_difference_pass(shape: Sequence[int], orders: Sequence[int], guard: int
 
 
 def plan_mhs_value(mu, n: int, guard: int) -> list[Entry]:
-    """The chains of `mhs_value` and, from depth 3 on, its rows' bits (see `suffix_length`)."""
+    """The chains of `mhs_value`, its rows' bits from depth 3 on, and its suffix table's from 4 on."""
     plan = [("chain count", chain_count(n, mu.depth), guard)]
     if mu.depth >= 3:
-        plan.append(("mhs value numerator bits", numerator_table_bits(mu, n), NUMERATOR_TABLE_MAX_BITS))
+        bits = numerator_table_bits(mu, n) + (suffix_table_bits(mu, n) if mu.depth >= 4 else 0)
+        plan.append(("mhs value numerator bits", bits, NUMERATOR_TABLE_MAX_BITS))
     return plan
 
 

@@ -22,8 +22,8 @@ it splits each chain after its prefix (m_2..m_{p-q}), tabulates the products
 of the suffixes (m_{p-q+1}..m_p) once, q = p // 2, and adds each prefix's
 product times every suffix product that fits under the prefix.  Each
 chain's summand is still its own product, added once; no factor comes out
-of a sum, so no partial sum is shared between chains.  The rows and the
-suffix table share `guards.NUMERATOR_TABLE_MAX_BITS` (`guards.suffix_length`).
+of a sum, so no partial sum is shared between chains.  An input whose
+tables would pass `guards.NUMERATOR_TABLE_MAX_BITS` is refused.
 At depth 1 and 2 it tabulates nothing and adds one Fraction per chain.
 `mhs_table` fills s_mu(0..N) at once by nested prefix sums, innermost part
 first:
@@ -50,7 +50,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .guards import DEFAULT_GUARD, Plan, check, checked, plan_difference_pass
-from .guards import plan_mhs_table, plan_mhs_value, suffix_length
+from .guards import plan_mhs_table, plan_mhs_value
 from .kernel import parse_integers
 from .multiseq import MultiSequenceTable, binomial_transform
 from .nestedsums import chain_tails, enumerate_chains
@@ -129,11 +129,10 @@ def mhs_value(mu: MultiIndex, n: int, guard: int | Plan = DEFAULT_GUARD) -> Frac
     ending in m come first.  It multiplies each prefix's factors once and
     adds the prefix product times each of those suffix products in one
     pass of C-level `map` and `sum`: one product and one addition per
-    chain.  q is the largest q <= p // 2 whose C(n+q, q) products fit
-    next to the rows in NUMERATOR_TABLE_MAX_BITS (`guards.suffix_length`);
-    q = 1 adds each last factor (L/(m_p+1))^mu_p, m_p <= m_{p-1}, from the
-    last row.  Unlike `mhs_table`, it keeps no running sum across prefixes
-    and takes no factor out of a sum, so the two routes stay independent.
+    chain.  q = p // 2 is fixed by the depth; the plan bounds the rows and,
+    from depth 4 on, the C(n+q, q) suffix products (at depth 3, the last
+    row's entries).  Unlike `mhs_table`, it keeps no running sum across
+    prefixes and takes no factor out of a sum, so the routes stay independent.
     """
     if n < 0:
         raise ValueError(f"n must be a natural, got {n}")
@@ -148,7 +147,7 @@ def mhs_value(mu: MultiIndex, n: int, guard: int | Plan = DEFAULT_GUARD) -> Frac
         return total
     first, *rest = mu.parts
     lcm = math.lcm(*range(1, n + 2))
-    q = suffix_length(mu, n)
+    q = mu.depth // 2
     # row j holds (L / (m+1))^{mu_(j+2)} at m, the numerator of part j+2;
     # the last q rows (parts p-q+1..p) are the suffix's
     rows = [[(lcm // (m + 1)) ** part for m in range(n + 1)] for part in rest]

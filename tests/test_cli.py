@@ -334,6 +334,16 @@ def test_mhs_value_bits_guard_trips_at_once(capsys, argv):
     assert err == "error: mhs value numerator bits: 272439571 exceeds guard 268435456\n"
 
 
+def test_mhs_value_suffix_table_guard_trips_at_once(capsys):
+    # the rows and the q = 2 suffix table of (1,1,20,20) pass 2^28 bits
+    # together at n = 206, so the input is refused before any table is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "s", "--mu=(1,1,20,20)", "--n=206")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == "error: mhs value numerator bits: 270012973 exceeds guard 268435456\n"
+
+
 def test_box_without_x_exit_code(capsys):
     code, out, err = run(
         capsys, "verify", "--identity", "c-duality", "--box", "2", "--count", "1",
@@ -524,10 +534,8 @@ TWO_FILLS = {"direct_summand_count": 1, "recurrence_cell_count": 2, "fill_bits":
     (("--identity=recurrence", "--x=1/2,1/3", "--t=2", "--box=3"),
      {"direct_summand_count": 1, "chain_count": 1, "recurrence_cell_count": 1, "fill_bits": 1,
       "sweep_summand_count": 1}),
-    # mu* = (2,1,1,1): `suffix_length` reads numerator_table_bits once more,
-    # to choose q, not as a guard
     (("--identity=mhs-duality", "--mu=(1,4)", "--nmax=6"),
-     {"chain_count": 1, "numerator_table_bits": 2, "mhs_table_bits": 2,
+     {"chain_count": 1, "numerator_table_bits": 1, "mhs_table_bits": 2,
       "difference_subtractions": 1}),
 ], ids=["c-duality", "difference-formula", "shift", "recurrence", "mhs-duality"])
 def test_each_guard_estimate_runs_once_per_verify_case(capsys, monkeypatch, argv, runs):

@@ -295,8 +295,7 @@ def test_mhs_value_reads_no_table(monkeypatch):
 )
 def test_mhs_value_walks_each_prefix_once(monkeypatch, parts, n):
     mu = MultiIndex(parts)
-    q = guards.suffix_length(mu, n)
-    assert q == mu.depth // 2
+    q = mu.depth // 2
     calls, listed = [], []
 
     def counting(n, p):
@@ -357,26 +356,46 @@ def test_mhs_value_suffix_table_guard_boundary():
     # arithmetic only: the suffix table of (1,1,20,20) at q = 2 holds
     # C(n+2, 2) products of at most 40 * 1.5 (n+1) bits, next to the rows
     mu = MultiIndex((1, 1, 20, 20))
-    assert guards.suffix_table_bits(mu, 200, 2) == 244_830_060
-    assert guards.suffix_table_bits(mu, 210, 2) == 283_153_560
+    assert guards.suffix_table_bits(mu, 200) == 244_830_060
+    assert guards.suffix_table_bits(mu, 210) == 283_153_560
     rows_and_suffixes = [
-        guards.numerator_table_bits(mu, n) + guards.suffix_table_bits(mu, n, 2) for n in (205, 206)
+        guards.numerator_table_bits(mu, n) + guards.suffix_table_bits(mu, n) for n in (205, 206)
     ]
     assert rows_and_suffixes == [266_137_374, 270_012_973]
-    assert [guards.suffix_length(mu, n) for n in (200, 205, 206, 210)] == [2, 2, 1, 1]
-    # q = 1 is bounded by the rows alone, as before the split, so n = 210
-    # still passes its guard (it is not run: the q = 1 walk takes half a minute)
-    guards.check(guards.plan_mhs_value(mu, 210, guards.DEFAULT_GUARD))
-    # a suffix table that fits does not admit rows that do not: (1,1000,1,1)
-    # falls back to q = 1 at n = 421, where its rows fit, and is refused at 422
-    mu = MultiIndex((1, 1000, 1, 1))
-    assert [guards.suffix_table_bits(mu, n, 2) for n in (421, 422)] == [112_994_298, 113_798_844]
-    assert [guards.suffix_length(mu, n) for n in (421, 422)] == [1, 1]
-    guards.check(guards.plan_mhs_value(mu, 421, 10**8))
+    # the plan bounds both, so n = 210 is refused
     with pytest.raises(GuardExceeded) as info:
-        guards.check(guards.plan_mhs_value(mu, 422, 10**8))
+        guards.check(guards.plan_mhs_value(mu, 210, guards.DEFAULT_GUARD))
     assert info.value.what == "mhs value numerator bits"
-    assert (info.value.size, info.value.limit) == (268_930_287, 2**28)
+    assert (info.value.size, info.value.limit) == (285_891_601, 2**28)
+    # the last n admitted and the first refused, with the first one's bits
+    boundaries = [((1, 1, 20, 20), 205, 270_012_973), ((1, 1000, 1, 1), 361, 269_994_681),
+                  ((2, 3, 4, 5), 339, 270_527_746), ((1, 1, 1, 50, 50, 50), 49, 269_406_378)]
+    for parts, last, bits in boundaries:
+        mu = MultiIndex(parts)
+        guards.check(guards.plan_mhs_value(mu, last, 10**8))
+        with pytest.raises(GuardExceeded) as info:
+            guards.check(guards.plan_mhs_value(mu, last + 1, 10**8))
+        assert (info.value.what, info.value.size) == ("mhs value numerator bits", bits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 30), min_size=3, max_size=8), st.integers(0, 12))
+def test_mhs_value_plan_bounds_the_tables_it_builds(parts, n):
+    # the rows (L/(m+1))^mu_j of mu_2..mu_p and, from depth 4 on, the
+    # products of the last q = p // 2 rows over every suffix
+    # m_(p-q+1) >= ... >= m_p: their bits are at most the plan's entry
+    mu = MultiIndex(tuple(parts))
+    lcm = math.lcm(*range(1, n + 2))
+    rows = [[(lcm // (m + 1)) ** part for m in range(n + 1)] for part in parts[1:]]
+    bits = sum(value.bit_length() for row in rows for value in row)
+    if mu.depth >= 4:
+        q = mu.depth // 2
+        suffixes = itertools.combinations_with_replacement(range(n, -1, -1), q)
+        bits += sum(
+            math.prod(row[m] for row, m in zip(rows[-q:], suffix)).bit_length() for suffix in suffixes
+        )
+    (what, size, _), = guards.plan_mhs_value(mu, n, guards.DEFAULT_GUARD)[1:]
+    assert what == "mhs value numerator bits" and bits <= size
 
 
 def test_mhs_value_bits_guard_trips_before_the_table():

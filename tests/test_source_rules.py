@@ -8,6 +8,11 @@
 * Only `guards.py` constructs `GuardExceeded`, and only it constructs or
   tests for a `Plan`, so every work estimate, limit and guard message stays
   in that one module, and so does the proof that a route checked its plan.
+* The route modules (ROUTES) import from `.guards` only `DEFAULT_GUARD`,
+  `Plan`, `check`, `checked` and the `plan_*` blocks, apart from the
+  KEPT_FOR_TRACING bindings, so a route runs no estimator of its own and
+  its checked plan bounds everything it builds.  `cli.py` reads two
+  estimators for `bench`'s CSV columns.
 * No module uses `functools.cache`, `lru_cache` or `cached_property`, except
   the uses in KEPT_CACHES: the library keeps no state between calls, so
   whatever a computation shares (chain lists, column factors, exponent
@@ -48,6 +53,8 @@ KEPT_FOR_TRACING = {
 }
 
 GUARD_OWNER = "guards.py"
+ROUTES = ("egf.py", "mhs.py", "multiseq.py", "nestedsums.py")
+PLAN_NAMES = {"DEFAULT_GUARD", "Plan", "check", "checked"}
 CHAIN_OWNER = "nestedsums.py"
 CACHES = {"cache", "lru_cache", "cached_property"}
 
@@ -132,6 +139,18 @@ def guard_raisers(tree: ast.Module) -> list[str]:
             if _callee(node.exc) == "GuardExceeded" and not isinstance(node.exc, ast.Call):
                 found.append((node.lineno, "raise GuardExceeded"))
     return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def estimator_imports(tree: ast.Module) -> set[str]:
+    """Names imported from `.guards` other than PLAN_NAMES and the `plan_*` blocks."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level, node.module) in ((1, "guards"), (0, "mhscalc.guards"))
+        for alias in node.names
+        if alias.name not in PLAN_NAMES and not alias.name.startswith("plan_")
+    }
 
 
 def chain_enumerators(tree: ast.Module) -> list[str]:
@@ -237,6 +256,13 @@ def test_the_guard_module_raises_the_guards():
     assert guard_raisers(_tree(GUARD_OWNER))
 
 
+def test_routes_import_no_estimator():
+    found = [f"{module}: {name}" for module in ROUTES
+             for name in sorted(estimator_imports(_tree(module)))
+             if (module, name) not in KEPT_FOR_TRACING]
+    assert found == []
+
+
 @pytest.mark.parametrize("module", sorted(set(MODULES) - {CHAIN_OWNER}))
 def test_only_nestedsums_enumerates_chains(module):
     assert chain_enumerators(_tree(module)) == []
@@ -278,6 +304,14 @@ def test_the_rules_see_what_they_forbid():
         "line 6: Plan(...)", "line 7: raise GuardExceeded", "line 9: GuardExceeded(...)",
         "line 10: isinstance(..., Plan)",
     ]
+    tree = ast.parse(
+        "from .guards import DEFAULT_GUARD, Plan, check, checked, plan_fill\n"
+        "from .guards import fill_bits as bits, NUMERATOR_TABLE_MAX_BITS\n"
+        "from mhscalc.guards import chain_count\n"
+        "from .kernel import multinomial\n"
+        "from .plans import fill_bits\n"
+    )
+    assert estimator_imports(tree) == {"bits", "NUMERATOR_TABLE_MAX_BITS", "chain_count"}
 
 
 @pytest.mark.parametrize("module", MODULES)
