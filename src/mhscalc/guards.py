@@ -134,18 +134,19 @@ def fill_bits(spec, corner: Sequence[int]) -> int:
 def difference_subtractions(shape: Sequence[int], orders: Sequence[int]) -> int:
     """The subtractions one difference pass over `shape` with `orders` runs.
 
-    Axis i turns each of its lines, of L_i entries, into rows of
-    L_i - 1, ..., N_i entries (N_i = L_i - K_i + 1); its lines number the
-    cells at that axis' pass over L_i, where every axis before it already
-    holds N_j * K_j entries.  A 1-D transform of length L runs L(L-1)/2.
+    At axis i each block holds L_i steps of the axis, and its triangle's
+    rows below the first hold L_i - 1, ..., N_i steps (N_i = L_i - K_i + 1),
+    one subtraction per entry.  One step of every block holds `step`
+    entries in all: the cells at that axis' pass over L_i, where every
+    axis before it already holds N_j * K_j entries.  A 1-D transform of length L runs L(L-1)/2.
     """
     total = 0
     cells = math.prod(shape)
     for extent, count in zip(shape, orders):
         width = extent - count + 1
-        lines = cells // extent
-        total += lines * (extent * (extent - 1) - width * (width - 1)) // 2
-        cells = lines * width * count
+        step = cells // extent
+        total += step * (extent * (extent - 1) - width * (width - 1)) // 2
+        cells = step * width * count
     return total
 
 
@@ -154,8 +155,8 @@ def numerator_table_bits(mu, n: int) -> int:
 
     The rows of mu_2..mu_p hold n+1 numerators each, of at most
     mu_j * log2 lcm(1..n+1) < mu_j * 1.5 (n+1) bits, since ln lcm(1..x) =
-    psi(x) < 1.03883 x (Rosser and Schoenfeld).  From depth 4 on, the
-    suffix products tabulated next to them are bounded by `suffix_table_bits`.
+    psi(x) < 1.03883 x (Rosser and Schoenfeld).  The suffix products
+    tabulated next to them are bounded by `suffix_table_bits`.
     """
     return 3 * (n + 1) ** 2 * (mu.weight - mu.parts[0]) // 2
 
@@ -166,6 +167,8 @@ def suffix_table_bits(mu, n: int) -> int:
     The table holds one product per tail (m_(p-q+1), ..., m_p) of a chain
     under n, C(n+q, q) of them, each of at most
     (mu_(p-q+1) + ... + mu_p) * 1.5 (n+1) bits as in `numerator_table_bits`.
+    At depth 3, q = 1 and the table is a copy of the last row: `math.prod`
+    of one entry builds a new int.
     """
     q = mu.depth // 2
     return math.comb(n + q, q) * 3 * (n + 1) * sum(mu.parts[-q:]) // 2
@@ -218,10 +221,10 @@ def plan_difference_pass(shape: Sequence[int], orders: Sequence[int], guard: int
 
 
 def plan_mhs_value(mu, n: int, guard: int) -> list[Entry]:
-    """The chains of `mhs_value`, its rows' bits from depth 3 on, and its suffix table's from 4 on."""
+    """The chains of `mhs_value`, and from depth 3 on the bits of its rows and suffix table."""
     plan = [("chain count", chain_count(n, mu.depth), guard)]
     if mu.depth >= 3:
-        bits = numerator_table_bits(mu, n) + (suffix_table_bits(mu, n) if mu.depth >= 4 else 0)
+        bits = numerator_table_bits(mu, n) + suffix_table_bits(mu, n)
         plan.append(("mhs value numerator bits", bits, NUMERATOR_TABLE_MAX_BITS))
     return plan
 

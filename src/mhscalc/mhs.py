@@ -129,9 +129,9 @@ def mhs_value(mu: MultiIndex, n: int, guard: int | Plan = DEFAULT_GUARD) -> Frac
     ending in m come first.  It multiplies each prefix's factors once and
     adds the prefix product times each of those suffix products in one
     pass of C-level `map` and `sum`: one product and one addition per
-    chain.  q = p // 2 is fixed by the depth; the plan bounds the rows and,
-    from depth 4 on, the C(n+q, q) suffix products (at depth 3, the last
-    row's entries).  Unlike `mhs_table`, it keeps no running sum across
+    chain.  q = p // 2 is fixed by the depth; the plan bounds the rows and
+    the C(n+q, q) suffix products (at depth 3, a copy of the last row's
+    entries).  Unlike `mhs_table`, it keeps no running sum across
     prefixes and takes no factor out of a sum, so the routes stay independent.
     """
     if n < 0:

@@ -12,17 +12,19 @@ Operators follow the classical calculus:
     (nabla a)(n)   = (delta^n a)(0)
 
 nabla is the multi-dimensional binomial transform and an involution.  Both
-box operators are one pass that runs the forward-difference triangle of
-every line, one axis at a time, with subtractions only: `iterated_delta`
-keeps the first rows (delta^k a(n) for every pair (n, k) the table
-determines), and `binomial_transform` is its n = 0 slice.  The pass is
-linear, so it runs on the numerators and the result keeps the input's
-denominator; `guards.difference_subtractions` counts its work exactly.
+box operators are one pass of subtractions only, one axis at a time, that
+computes each row of the forward-difference triangle for a whole block of
+the table at once: `iterated_delta` keeps the first rows (delta^k a(n)
+for every pair (n, k) the table determines), and `binomial_transform` is
+its n = 0 slice.  The pass is linear, so it runs on the numerators and
+the result keeps the input's denominator; `guards.difference_subtractions`
+counts its work exactly.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -112,47 +114,33 @@ class MultiSequenceTable:
         return f"MultiSequenceTable({self.shape!r}, {self.values!r})"
 
 
-def _difference_rows(line: Sequence[int], width: int) -> list[Sequence[int]]:
-    """The forward-difference triangle of a finite line, rows cut to `width`.
-
-    Each row is a_k - a_{k+1} of the row above; rows run while they have
-    `width` entries, and row k holds (delta^k a)(n) for n < width.  At
-    width 1 row k is [(nabla a)(k)], the one-axis nabla.  Only
-    subtractions, no binomial weights, and no row below the last kept one.
-    """
-    rows = [line[:width]]
-    while len(line) > width:
-        line = [a - b for a, b in zip(line, line[1:])]
-        rows.append(line[:width])
-    return rows
-
-
 def _difference_passes(
     values: Sequence[int], shape: tuple[int, ...], orders: tuple[int, ...]
 ) -> list[int]:
-    """One forward-difference pass per axis, with subtractions only.
+    """One forward-difference pass per axis, a block at a time, with subtractions only.
 
     Axis i of extent L_i becomes N_i = L_i - K_i + 1 entries at its
     position and K_i = orders[i] entries after the last axis, so the
-    result lies over (N_1, ..., N_r, K_1, ..., K_r): each line of the axis
-    turns into the first K_i rows of its difference triangle, cut to N_i
-    entries.  `guards.difference_subtractions` counts the subtractions.
+    result lies over (N_1, ..., N_r, K_1, ..., K_r).  A block is the
+    entries that share the earlier axes' positions: row k + 1 of its
+    triangle is row k minus row k shifted by one step of the axis, one
+    `map` over the whole block, and the first N_i steps of rows 0..K_i-1
+    go out strided by K_i; no row past K_i - 1 is computed.
+    `guards.difference_subtractions` counts the subtractions.
     """
     outer = 1
     for extent, count in zip(shape, orders):
         width = extent - count + 1
         stride = len(values) // (outer * extent)
-        step = stride * count
-        out = [None] * (outer * width * step)
+        size, span = extent * stride, width * stride * count
+        out = [None] * (outer * span)
         for block in range(outer):
-            for inner in range(stride):
-                start = block * extent * stride + inner
-                head = block * width * step + inner * count
-                line = values[start:start + extent * stride:stride]
-                # column n of the triangle: (delta^k a)(n) for k < count
-                for column in zip(*_difference_rows(line, width)):
-                    out[head:head + count] = column
-                    head += step
+            row = values[block * size:(block + 1) * size]
+            for k in range(count):
+                if k:
+                    row = list(map(operator.sub, row, row[stride:]))
+                # row k holds (delta^k a)(n) at n * stride + inner
+                out[block * span + k:(block + 1) * span:count] = row[:width * stride]
         values, outer = out, outer * width
     return values
 

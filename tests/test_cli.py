@@ -325,13 +325,13 @@ def test_mhs_duality_guard_trips_at_once_at_large_n(capsys):
      "--nmax=1340"),
 ])
 def test_mhs_value_bits_guard_trips_at_once(capsys, argv):
-    # 899,811 chains pass the chain guard, and the depth-3 numerator table is
-    # over its bit limit
+    # 899,811 chains pass the chain guard, and the depth-3 rows with the
+    # suffix table's copy of the last row are over their bit limit
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
-    assert err == "error: mhs value numerator bits: 272439571 exceeds guard 268435456\n"
+    assert err == "error: mhs value numerator bits: 542181721 exceeds guard 268435456\n"
 
 
 def test_mhs_value_suffix_table_guard_trips_at_once(capsys):

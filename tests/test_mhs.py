@@ -317,18 +317,20 @@ def test_mhs_value_walks_each_prefix_once(monkeypatch, parts, n):
 
 
 def test_mhs_value_bits_guard_boundary():
-    # depth 3 and more tabulates up to 2^28 bits of numerators
+    # depth 3 and more tabulates up to 2^28 bits of numerators: at depth 3
+    # the rows of mu_2 and mu_3 and the suffix table, a copy of the last row
     assert guards.NUMERATOR_TABLE_MAX_BITS == 2**28
     mu = MultiIndex((1, 1, 1))
-    assert guards.numerator_table_bits(mu, 9458) == 268_418_043
-    guards.check(guards.plan_mhs_value(mu, 9458, 10**8))
+    assert guards.numerator_table_bits(mu, 7722) == 178_934_187
+    assert guards.suffix_table_bits(mu, 7722) == 178_934_187 // 2
+    guards.check(guards.plan_mhs_value(mu, 7722, 10**8))
     with pytest.raises(GuardExceeded) as info:
-        guards.check(guards.plan_mhs_value(mu, 9459, 10**8))
+        guards.check(guards.plan_mhs_value(mu, 7723, 10**8))
     assert info.value.what == "mhs value numerator bits"
-    assert (info.value.size, info.value.limit) == (268_474_800, 2**28)
+    assert (info.value.size, info.value.limit) == (268_470_792, 2**28)
     # depth 1 and 2 tabulate nothing, so only their chains are bounded
     guards.check(guards.plan_mhs_value(MultiIndex((1, 500)), 10**6, 10**7))
-    with pytest.raises(GuardExceeded, match="^mhs value numerator bits: 12030012751 "):
+    with pytest.raises(GuardExceeded, match="^mhs value numerator bits: 24036013501 "):
         mhs_value(MultiIndex((1, 1, 500)), 4000)
 
 
@@ -345,7 +347,7 @@ def test_mhs_duality_checks_its_plan_once(monkeypatch):
     assert verify_mhs_duality(MultiIndex((3,)), 6, guard=1000).ok
     bits = guards.NUMERATOR_TABLE_MAX_BITS
     assert [list(each) for each in checked] == [[
-        ("chain count", 28, 1000), ("mhs value numerator bits", 147, bits),
+        ("chain count", 28, 1000), ("mhs value numerator bits", 220, bits),
         ("mhs table cell count", 7, 1000), ("mhs table numerator bits", 231, bits),
         ("mhs table cell count", 21, 1000), ("mhs table numerator bits", 273, bits),
         ("difference-pass subtraction count", 21, 64000),
@@ -380,27 +382,27 @@ def test_mhs_value_suffix_table_guard_boundary():
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(1, 30), min_size=3, max_size=8), st.integers(0, 12))
+@example([1, 1, 1], 12)  # 639 bits, over the 507 of a plan without the copy
 def test_mhs_value_plan_bounds_the_tables_it_builds(parts, n):
-    # the rows (L/(m+1))^mu_j of mu_2..mu_p and, from depth 4 on, the
-    # products of the last q = p // 2 rows over every suffix
-    # m_(p-q+1) >= ... >= m_p: their bits are at most the plan's entry
+    # the rows (L/(m+1))^mu_j of mu_2..mu_p and the products of the last
+    # q = p // 2 rows over every suffix m_(p-q+1) >= ... >= m_p, at depth 3
+    # (q = 1) a copy of the last row: their bits are at most the plan's entry
     mu = MultiIndex(tuple(parts))
     lcm = math.lcm(*range(1, n + 2))
     rows = [[(lcm // (m + 1)) ** part for m in range(n + 1)] for part in parts[1:]]
     bits = sum(value.bit_length() for row in rows for value in row)
-    if mu.depth >= 4:
-        q = mu.depth // 2
-        suffixes = itertools.combinations_with_replacement(range(n, -1, -1), q)
-        bits += sum(
-            math.prod(row[m] for row, m in zip(rows[-q:], suffix)).bit_length() for suffix in suffixes
-        )
+    q = mu.depth // 2
+    suffixes = itertools.combinations_with_replacement(range(n, -1, -1), q)
+    bits += sum(
+        math.prod(row[m] for row, m in zip(rows[-q:], suffix)).bit_length() for suffix in suffixes
+    )
     (what, size, _), = guards.plan_mhs_value(mu, n, guards.DEFAULT_GUARD)[1:]
     assert what == "mhs value numerator bits" and bits <= size
 
 
 def test_mhs_value_bits_guard_trips_before_the_table():
     # 899,811 chains pass the chain guard; the table's rows of (L/(m+1))^1 and
-    # (L/(m+1))^100, m <= 1340, would hold about 2^28 bits
+    # (L/(m+1))^100, m <= 1340, and the copy of the last, would hold about 2^29 bits
     tracemalloc.start()
     try:
         with pytest.raises(GuardExceeded) as info:
@@ -409,7 +411,7 @@ def test_mhs_value_bits_guard_trips_before_the_table():
     finally:
         tracemalloc.stop()
     assert info.value.what == "mhs value numerator bits"
-    assert (info.value.size, info.value.limit) == (272_439_571, 2**28)
+    assert (info.value.size, info.value.limit) == (542_181_721, 2**28)
     assert peak < 100_000
 
 

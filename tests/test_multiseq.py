@@ -4,8 +4,9 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from mhscalc import multiseq
 from mhscalc.guards import difference_subtractions
 from mhscalc.multiseq import (
     MultiSequenceTable,
@@ -122,9 +123,13 @@ def reference_passes(values, shape, orders):
 
 @st.composite
 def tables(draw):
-    """Tables of mixed denominators, stored over their lcm times 1, 6 or 1,000,003."""
-    arity = draw(st.integers(1, 3))
-    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=arity, max_size=arity)))
+    """Tables of mixed denominators, stored over their lcm times 1, 6 or 1,000,003.
+
+    Arity 1-3 with extents up to 5, or arity 4 with extents up to 3.
+    """
+    arity = draw(st.integers(1, 4))
+    most = 5 if arity < 4 else 3
+    shape = tuple(draw(st.lists(st.integers(1, most), min_size=arity, max_size=arity)))
     values = draw(
         st.lists(
             st.fractions(min_value=-20, max_value=20, max_denominator=12),
@@ -139,7 +144,19 @@ def tables(draw):
     )
 
 
+@st.composite
+def tables_and_orders(draw):
+    """A table of `tables()` and orders 1..L_i for each of its axes."""
+    table = draw(tables())
+    return table, tuple(draw(st.integers(1, extent)) for extent in table.shape)
+
+
+# an extent-1 axis between longer ones, at order 1 and at the full extent
+THIN_MIDDLE = MultiSequenceTable((3, 1, 4), [F(i * i - 5, i % 4 + 1) for i in range(12)])
+
+
 @given(tables())
+@example(THIN_MIDDLE)
 def test_binomial_transform_matches_pointwise_nabla(table):
     transformed = binomial_transform(table)
     assert transformed.shape == table.shape
@@ -154,9 +171,11 @@ def test_binomial_transform_is_the_origin_slice_of_iterated_delta(table):
     assert binomial_transform(table).values == iterated_delta(table, table.shape).values
 
 
-@given(tables(), st.data())
-def test_iterated_delta_matches_pointwise_alternating_sum(table, data):
-    orders = tuple(data.draw(st.integers(1, extent)) for extent in table.shape)
+@given(tables_and_orders())
+@example((THIN_MIDDLE, (1, 1, 4)))
+@example((THIN_MIDDLE, (3, 1, 1)))
+def test_iterated_delta_matches_pointwise_alternating_sum(case):
+    table, orders = case
     diffs = iterated_delta(table, orders)
     r = table.arity
     assert diffs.shape == tuple(e - k + 1 for e, k in zip(table.shape, orders)) + orders
@@ -165,9 +184,11 @@ def test_iterated_delta_matches_pointwise_alternating_sum(table, data):
         assert diffs[idx] == pointwise_delta(a, idx[r:], idx[:r])
 
 
-@given(tables(), st.data())
-def test_passes_on_numerators_match_the_fraction_reference(table, data):
-    orders = tuple(data.draw(st.integers(1, extent)) for extent in table.shape)
+@given(tables_and_orders())
+@example((THIN_MIDDLE, (1, 1, 4)))
+@example((THIN_MIDDLE, (3, 1, 1)))
+def test_passes_on_numerators_match_the_fraction_reference(case):
+    table, orders = case
     reference = reference_passes(list(table.values), table.shape, table.shape)
     transformed = binomial_transform(table)
     assert transformed.denominator == table.denominator
@@ -197,6 +218,33 @@ def test_difference_subtractions_counts_the_pass(data):
     tally = [0]
     _difference_passes([Counted(tally) for _ in range(math.prod(shape))], shape, orders)
     assert difference_subtractions(shape, orders) == tally[0]
+
+
+@pytest.mark.parametrize(
+    "shape, orders, steps",
+    [
+        # one block per axis, 4 rows below the first
+        ((5, 5, 5), (5, 5, 5), 12),
+        # 1 block x 1 row, then 3 blocks x 0 rows, then 3 x 1 blocks x 2 rows
+        ((4, 1, 3), (2, 1, 3), 7),
+        # 1 block x 0 rows, 2 x 2, 2 x 1 x 1, 2 x 1 x 1 x 1
+        ((2, 3, 2, 3), (1, 3, 2, 2), 8),
+    ],
+)
+def test_the_pass_steps_each_block_once_per_row(monkeypatch, shape, orders, steps):
+    table = MultiSequenceTable(shape, [F(i * i - 7, i % 5 + 1) for i in range(math.prod(shape))])
+    expected = iterated_delta(table, orders)
+    subtractions = []
+
+    def counting(function, *rows):
+        subtractions.append(len(rows[-1]))
+        return map(function, *rows)
+
+    monkeypatch.setattr(multiseq, "map", counting, raising=False)
+    assert iterated_delta(table, orders) == expected
+    # outer blocks x (K_i - 1) row steps, summed over the axes, and no others
+    assert len(subtractions) == steps
+    assert sum(subtractions) == difference_subtractions(shape, orders)
 
 
 def test_difference_subtractions_of_a_line_transform():
